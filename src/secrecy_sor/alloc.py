@@ -28,15 +28,18 @@ from .asymptotic import (
     _default_arcs,
     boundary_scale,
     phi_max,
-    sor_area,
     sor_boundary_directional,
     sor_boundary_uniform,
 )
 from .crosstalk import s_kernel
 from .errors import DegenerateArrayError
-from .sop import sop_closed_form, sop_intersection, sor_region_overlap
+from .sop import sop_closed_form, sop_intersection
 
-_OBJECTIVES = ("sop", "sor_area", "partial_area")
+_OBJECTIVES = ("sop", "sor_area")
+# rows per block when the uniform search scores its phi grid: as many as
+# the candidate blocks of algorithms 2 and 3, so no search allocates larger
+# temporaries than those
+_BLOCK_ROWS = 201
 
 
 @dataclass
@@ -98,15 +101,17 @@ def _jam_beam_indices(cfg, basis):
 
 
 def _uniform_objective(cfg, region, objective):
+    """Scorer mapping an array of uniform jamming fractions to objective
+    values."""
     if objective == "sop":
-        if region is not None and region.is_constant:
-            return lambda p: sop_closed_form(cfg, p, region)
-        return lambda p: sop_intersection(
-            sor_boundary_uniform(cfg, p), region, cfg.n_eves)
+        if region.is_constant:
+            f = lambda p: sop_closed_form(cfg, p, region)
+        else:
+            f = lambda p: sop_intersection(
+                sor_boundary_uniform(cfg, p), region, cfg.n_eves)
+        return lambda phis: np.array([f(p) for p in phis])
     if objective == "sor_area":
-        return lambda p: sor_area(sor_boundary_uniform(cfg, p))
-    if objective == "partial_area":
-        return lambda p: sor_region_overlap(sor_boundary_uniform(cfg, p), region)
+        return _DirectionalAreaEvaluator(cfg, ()).uniform_areas
     raise ValueError(f"objective must be one of {_OBJECTIVES}")
 
 
@@ -148,14 +153,18 @@ def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3,
 
     Dense grid at ``phi_step`` over the feasible range, then golden-section
     refinement around the best cell down to ``refine_tol``; ties go to the
-    smaller fraction.
+    smaller fraction.  The ``sor_area`` objective scores the grid in blocks
+    of rows through ``_DirectionalAreaEvaluator``, with the uniform
+    null-space noise as each row's jamming profile, and refines on the same
+    evaluator; ``sop`` evaluates one fraction at a time.
     """
-    if objective in ("sop", "partial_area") and region is None:
+    if objective == "sop" and region is None:
         raise ValueError(f"objective {objective!r} needs a region")
     limit = phi_max(cfg)
-    f = _uniform_objective(cfg, region, objective)
+    score = _uniform_objective(cfg, region, objective)
+    f = lambda p: float(score(np.array([p]))[0])
     grid = np.arange(0.0, limit, phi_step)
-    vals = np.array([f(p) for p in grid])
+    vals = score(grid)
     i = int(np.argmin(vals))
     best_phi, best_val = float(grid[i]), float(vals[i])
     trace = [(best_phi, best_val)]
@@ -222,9 +231,25 @@ def grid_oracle_phi(cfg, s_eb, d_min, step=1e-4):
     return float(grid[int(np.argmin(radius_a))])
 
 
+def _pow_2_over_alpha(gap, alpha):
+    """Raise the nonnegative array ``gap`` to the power 2/alpha in place
+    (radius**alpha -> radius**2); at alpha 3 through ``cbrt``, which is
+    several times faster than the general power."""
+    if alpha == 3.0:
+        np.cbrt(gap, out=gap)
+        np.square(gap, out=gap)
+    else:
+        gap **= 2.0 / alpha
+    return gap
+
+
 class _DirectionalAreaEvaluator:
-    """Vectorized outage-area evaluation for directional allocations on the
-    default boundary grid, with the per-beam responses precomputed."""
+    """Vectorized outage-area evaluation on the default boundary grid, with
+    the per-beam responses precomputed: the one place where the allocation
+    searches score areas, a block of candidate rows per call.  Uniform
+    null-space jamming is the row profile ``phi * p_tilde_tot * (1 - s_eb)``
+    and needs no beams; ``uniform_areas`` scores a ``phi`` grid in blocks
+    of ``_BLOCK_ROWS`` rows."""
 
     def __init__(self, cfg, beam_angles):
         self.cfg = cfg
@@ -237,10 +262,10 @@ class _DirectionalAreaEvaluator:
         self.s_eb = cfg.k_eb * s_kernel(
             np.abs(sin_th - np.sin(cfg.bob_theta)), geom)
         # response of each beam toward each grid angle, per Watt of drive
-        self.response = np.stack([
-            (geom.n_antennas / cfg.n0) * s_kernel(sin_th - np.sin(a), geom)
-            for a in beam_angles])
-        self.inv_alpha2 = 2.0 / cfg.alpha
+        self.response = np.empty((len(beam_angles), thetas.size))
+        for row, a in zip(self.response, beam_angles):
+            row[:] = (geom.n_antennas / cfg.n0) * s_kernel(
+                sin_th - np.sin(a), geom)
 
     def jam(self, powers):
         return powers @ self.response
@@ -248,9 +273,23 @@ class _DirectionalAreaEvaluator:
     def area_from_jam(self, jam, phis):
         """Areas for rows of deposited-noise profiles at signal fractions
         ``phis`` (both batched)."""
-        bs = _boundary_scale_vec(self.cfg, phis)
-        gap = np.clip(bs[:, None] * self.s_eb[None, :] - jam, 0.0, None)
-        return (gap ** self.inv_alpha2) @ self.weights
+        gap = np.multiply.outer(_boundary_scale_vec(self.cfg, phis),
+                                self.s_eb)
+        gap -= jam
+        np.maximum(gap, 0.0, out=gap)
+        return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights
+
+    def uniform_areas(self, phis):
+        """Areas under uniform null-space jamming at each fraction in
+        ``phis``, scored in blocks of at most ``_BLOCK_ROWS`` rows."""
+        phis = np.asarray(phis, dtype=float)
+        leak = 1.0 - self.s_eb
+        out = np.empty(phis.size)
+        for lo in range(0, phis.size, _BLOCK_ROWS):
+            block = phis[lo:lo + _BLOCK_ROWS]
+            jam = np.multiply.outer(block * self.cfg.p_tilde_tot, leak)
+            out[lo:lo + block.size] = self.area_from_jam(jam, block)
+        return out
 
     def area(self, powers):
         phi = np.sum(powers) / self.cfg.p_tot
@@ -305,8 +344,8 @@ def _beam_line_descent(ev, powers, cap, epsilon, n_candidates, max_sweeps):
                 continue
             cand = np.linspace(0.0, room, n_candidates, endpoint=False)
             cand = np.append(cand, powers[b])
-            jam_rows = jam_base[None, :] + np.outer(
-                cand - powers[b], ev.response[b])
+            jam_rows = np.multiply.outer(cand - powers[b], ev.response[b])
+            jam_rows += jam_base
             phis = (np.sum(powers) - powers[b] + cand) / ev.cfg.p_tot
             vals = ev.area_from_jam(jam_rows, phis)
             j = int(np.argmin(vals))

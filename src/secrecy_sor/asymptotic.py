@@ -204,25 +204,24 @@ def _boundary_scale_vec(cfg, phis):
 
 
 def _area_weights(thetas, arcs):
-    """Quadrature weights w such that sum(w * r**2) equals the arc-by-arc
-    Simpson integral of r^2/2 used by ``sor_area`` (uniform odd arcs)."""
+    """Quadrature weights w such that w @ r**2 is the area enclosed by a
+    polar boundary sampled at ``thetas``: the integral of r^2/2, arc by arc,
+    Simpson on consecutive point triples (exact for the uneven spacing a
+    user grid may have) and a trapezoid for a trailing pair."""
     w = np.zeros(len(thetas))
     for arc in arcs:
-        if arc.hi < arc.lo or arc.lo < 0:
+        if arc.lo < 0 or arc.hi <= arc.lo:
             continue
-        n = arc.hi - arc.lo + 1
-        if n < 2:
-            continue
-        h = (thetas[arc.hi] - thetas[arc.lo]) / (n - 1)
-        if n >= 3 and n % 2 == 1:
-            seg = np.full(n, 2.0)
-            seg[1::2] = 4.0
-            seg[0] = seg[-1] = 1.0
-            w[arc.lo:arc.hi + 1] += seg * (h / 3.0)
-        else:
-            seg = np.full(n, 1.0)
-            seg[0] = seg[-1] = 0.5
-            w[arc.lo:arc.hi + 1] += seg * h
+        h = np.diff(thetas[arc.lo:arc.hi + 1])
+        seg = w[arc.lo:arc.hi + 1]
+        m = h.size - h.size % 2
+        h0, h1 = h[0:m:2], h[1:m:2]
+        c = (h0 + h1) / 6.0
+        seg[0:m:2] += c * (2.0 - h1 / h0)
+        seg[1:m:2] += c * (h0 + h1) ** 2 / (h0 * h1)
+        seg[2:m + 1:2] += c * (2.0 - h0 / h1)
+        if m < h.size:
+            seg[-2:] += 0.5 * h[-1]
     return 0.5 * w
 
 
@@ -396,47 +395,24 @@ def sor_boundary_directional(cfg, alloc, theta_grid=None):
     return _finish_boundary(cfg, thetas, arcs, radii)
 
 
-def _segment_area(th, r):
-    """Integral of r^2/2 over one arc; Simpson on point triples, trapezoid
-    for a trailing pair, exact for the uneven spacing a user grid may have."""
-    f = 0.5 * r * r
-    total = 0.0
-    i = 0
-    while i + 2 < len(th):
-        h0 = th[i + 1] - th[i]
-        h1 = th[i + 2] - th[i + 1]
-        total += ((h0 + h1) / 6.0) * (
-            f[i] * (2.0 - h1 / h0)
-            + f[i + 1] * (h0 + h1) ** 2 / (h0 * h1)
-            + f[i + 2] * (2.0 - h0 / h1))
-        i += 2
-    if i + 1 < len(th):
-        total += 0.5 * (f[i] + f[i + 1]) * (th[i + 1] - th[i])
-    return total
-
-
 def sor_area(boundary):
-    """Area enclosed by a polar boundary, integrated arc by arc.
+    """Area enclosed by a polar boundary, integrated arc by arc (the whole
+    grid as one arc when the boundary carries no lobes).
 
     Warns (``ResolutionWarning``) when any sampled arc carries fewer grid
     points than the quadrature needs to be trustworthy.
     """
     thetas, radii = boundary.thetas, boundary.radii
-    if not boundary.lobes:
-        return float(_segment_area(thetas, radii))
-    total = 0.0
-    for arc in boundary.lobes:
-        if arc.hi < arc.lo or arc.lo < 0:
-            continue
+    arcs = boundary.lobes
+    if not arcs:
+        arcs = [LobeArc(0, (thetas[0], thetas[-1]), 0.0, 0, len(thetas) - 1)]
+    for arc in arcs:
         n = arc.hi - arc.lo + 1
-        if n < _MIN_ARC_POINTS and arc.max_radius > 0:
+        if arc.lo >= 0 and 0 < n < _MIN_ARC_POINTS and arc.max_radius > 0:
             warnings.warn(
                 f"lobe arc {arc.index} sampled with only {n} points; "
                 "area may be inaccurate", ResolutionWarning, stacklevel=2)
-        if n >= 2:
-            total += _segment_area(thetas[arc.lo:arc.hi + 1],
-                                   radii[arc.lo:arc.hi + 1])
-    return float(total)
+    return float(radii ** 2 @ _area_weights(thetas, arcs))
 
 
 def lobe_radii(cfg, phi):

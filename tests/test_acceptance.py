@@ -349,6 +349,10 @@ def test_06c_finite_antenna_monte_carlo():
 # ---------------------------------------------------------------------------
 # 7. free-space side-lobe area cap (alpha=2, broadside Bob)
 
+# np.trapz was renamed np.trapezoid in numpy 2.0 and removed later
+_trapz = getattr(np, "trapezoid", None) or np.trapz
+
+
 def one_sided_lobe_areas(cfg, phi, m_max=10):
     thetas = np.linspace(0.0, HALF_PI, 400001)
     boundary = sor_boundary_uniform(cfg, phi, thetas)
@@ -357,7 +361,7 @@ def one_sided_lobe_areas(cfg, phi, m_max=10):
         if 1 <= arc.index <= m_max and arc.lo <= arc.hi:
             sl = slice(arc.lo, arc.hi + 1)
             areas[arc.index] = 0.5 * float(
-                np.trapz(boundary.radii[sl] ** 2, boundary.thetas[sl]))
+                _trapz(boundary.radii[sl] ** 2, boundary.thetas[sl]))
     return areas
 
 

@@ -32,8 +32,10 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor.alloc import (
+    _BLOCK_ROWS,
     _DirectionalAreaEvaluator,
     _jam_beam_indices,
+    _pow_2_over_alpha,
     lobe_notch_objective,
 )
 
@@ -145,6 +147,68 @@ def test_optimize_phi_uniform_area_objective():
     assert abs(res.objective - 934.9900778134988) < 1e-6
     re_eval = sor_area(sor_boundary_uniform(CFG50, res.phi_opt))
     assert abs(res.objective - re_eval) <= 1e-9 * max(re_eval, 1.0)
+
+
+# ------------------------------------------------------ area evaluator
+
+def test_pow_2_over_alpha_matches_power():
+    gap = np.concatenate(([0.0], np.geomspace(1e-12, 1e20, 400)))
+    for alpha in (2.0, 2.5, 3.0, 4.0, 6.0):
+        want = gap ** (2.0 / alpha)
+        got = _pow_2_over_alpha(gap.copy(), alpha)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 1e-14, alpha
+
+
+def test_uniform_areas_match_boundary_quadrature():
+    for alpha, d_b in ((2.0, 80.0), (3.0, 80.0), (4.5, 40.0)):
+        cfg = ScenarioConfig(G(32, 0.5), alpha, 1.0, 1e-8, 4.0, 0.0, d_b)
+        phis = np.linspace(0.0, phi_max(cfg), 7, endpoint=False)
+        got = _DirectionalAreaEvaluator(cfg, ()).uniform_areas(phis)
+        want = [sor_area(sor_boundary_uniform(cfg, p)) for p in phis]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, alpha
+
+
+def test_uniform_areas_blocked_equal_row_by_row():
+    ev = _DirectionalAreaEvaluator(CFG32, ())
+    grid = np.linspace(0.0, phi_max(CFG32), 2 * _BLOCK_ROWS + 50,
+                       endpoint=False)
+    blocked = ev.uniform_areas(grid)
+    rows = np.array([ev.uniform_areas(grid[i:i + 1])[0]
+                     for i in range(grid.size)])
+    # one dot product per row either way; only its BLAS kernel differs
+    assert np.max(np.abs(blocked / rows - 1.0)) <= 1e-14
+
+
+def _segment_area_loop(th, r):
+    """Reference: the former per-triple loop behind ``sor_area``."""
+    f = 0.5 * r * r
+    total = 0.0
+    i = 0
+    while i + 2 < len(th):
+        h0 = th[i + 1] - th[i]
+        h1 = th[i + 2] - th[i + 1]
+        total += ((h0 + h1) / 6.0) * (
+            f[i] * (2.0 - h1 / h0)
+            + f[i + 1] * (h0 + h1) ** 2 / (h0 * h1)
+            + f[i + 2] * (2.0 - h0 / h1))
+        i += 2
+    if i + 1 < len(th):
+        total += 0.5 * (f[i] + f[i + 1]) * (th[i + 1] - th[i])
+    return total
+
+
+def test_sor_area_matches_triple_loop_on_uneven_grid():
+    rng = np.random.default_rng(11)
+    thetas = np.sort(rng.uniform(-np.pi / 2, np.pi / 2, 4000))
+    for phi in (0.0, 0.3):
+        bd = sor_boundary_uniform(CFG8, phi, thetas)
+        counts = [a.hi - a.lo + 1 for a in bd.lobes if a.hi >= a.lo]
+        assert any(c % 2 == 0 for c in counts)  # trailing pairs exercised
+        want = sum(_segment_area_loop(bd.thetas[a.lo:a.hi + 1],
+                                      bd.radii[a.lo:a.hi + 1])
+                   for a in bd.lobes if a.hi > a.lo >= 0)
+        assert abs(sor_area(bd) / want - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------- algorithm 1
