@@ -100,15 +100,25 @@ def _jam_beam_indices(cfg, basis):
     return np.where(~np.isnan(basis.beam_angles) & ~main)[0]
 
 
+def _in_blocks(score, phis):
+    """``score`` applied to ``phis`` in blocks of at most ``_BLOCK_ROWS``
+    fractions."""
+    phis = np.asarray(phis, dtype=float)
+    out = np.empty(phis.size)
+    for lo in range(0, phis.size, _BLOCK_ROWS):
+        out[lo:lo + _BLOCK_ROWS] = score(phis[lo:lo + _BLOCK_ROWS])
+    return out
+
+
 def _uniform_objective(cfg, region, objective):
     """Scorer mapping an array of uniform jamming fractions to objective
     values."""
     if objective == "sop":
         if region.is_constant:
-            f = lambda p: sop_closed_form(cfg, p, region)
-        else:
-            f = lambda p: sop_intersection(
-                sor_boundary_uniform(cfg, p), region, cfg.n_eves)
+            return lambda phis: _in_blocks(
+                lambda block: sop_closed_form(cfg, block, region), phis)
+        f = lambda p: sop_intersection(
+            sor_boundary_uniform(cfg, p), region, cfg.n_eves)
         return lambda phis: np.array([f(p) for p in phis])
     if objective == "sor_area":
         return _DirectionalAreaEvaluator(cfg, ()).uniform_areas
@@ -153,10 +163,12 @@ def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3,
 
     Dense grid at ``phi_step`` over the feasible range, then golden-section
     refinement around the best cell down to ``refine_tol``; ties go to the
-    smaller fraction.  The ``sor_area`` objective scores the grid in blocks
-    of rows through ``_DirectionalAreaEvaluator``, with the uniform
-    null-space noise as each row's jamming profile, and refines on the same
-    evaluator; ``sop`` evaluates one fraction at a time.
+    smaller fraction.  The grid is scored in blocks of ``_BLOCK_ROWS``
+    fractions: ``sor_area`` through ``_DirectionalAreaEvaluator``, with the
+    uniform null-space noise as each row's jamming profile, and ``sop``
+    through the array form of ``sop_closed_form``; the refinement uses the
+    same scorer.  ``sop`` on a region with sampled bounds goes one fraction
+    at a time through ``sop_intersection``.
     """
     if objective == "sop" and region is None:
         raise ValueError(f"objective {objective!r} needs a region")
@@ -282,14 +294,12 @@ class _DirectionalAreaEvaluator:
     def uniform_areas(self, phis):
         """Areas under uniform null-space jamming at each fraction in
         ``phis``, scored in blocks of at most ``_BLOCK_ROWS`` rows."""
-        phis = np.asarray(phis, dtype=float)
         leak = 1.0 - self.s_eb
-        out = np.empty(phis.size)
-        for lo in range(0, phis.size, _BLOCK_ROWS):
-            block = phis[lo:lo + _BLOCK_ROWS]
+
+        def block_areas(block):
             jam = np.multiply.outer(block * self.cfg.p_tilde_tot, leak)
-            out[lo:lo + block.size] = self.area_from_jam(jam, block)
-        return out
+            return self.area_from_jam(jam, block)
+        return _in_blocks(block_areas, phis)
 
     def area(self, powers):
         phi = np.sum(powers) / self.cfg.p_tot

@@ -15,6 +15,8 @@ them to it.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .asymptotic import (
@@ -27,12 +29,15 @@ from .asymptotic import (
 from .crosstalk import (
     _cdf_batch,
     _kernel_tables,
-    _max_side_lobe,
     s_max_feasible,
 )
-from .errors import InfeasibleRateError
+from .errors import InfeasibleRateError, ResolutionWarning
 
 _HALF_PI = 0.5 * np.pi
+# adaptive Simpson on each radial segment of the closed-form SOP
+_START_PANELS = 16
+_RTOL = 1e-6
+_MAX_DOUBLINGS = 11
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -80,37 +85,6 @@ class SuspiciousRegion:
                 np.interp(thetas, self.thetas, self.d_max))
 
 
-def _adaptive_segment(f, a, b, rtol, scale, max_doublings=11):
-    """Composite-Simpson integral of a vectorized ``f`` over [a, b], doubling
-    the panel count until successive estimates agree to ``rtol`` relative to
-    ``scale``."""
-    if b <= a:
-        return 0.0
-    n = 16
-    xs = np.linspace(a, b, n + 1)
-    fx = f(xs)
-    h = (b - a) / n
-    prev = h / 3.0 * (fx[0] + fx[-1] + 4.0 * np.sum(fx[1:-1:2])
-                      + 2.0 * np.sum(fx[2:-1:2]))
-    for _ in range(max_doublings):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fm = f(mids)
-        n *= 2
-        h *= 0.5
-        merged = np.empty(n + 1)
-        merged[0::2] = fx
-        merged[1::2] = fm
-        xs_new = np.empty(n + 1)
-        xs_new[0::2] = xs
-        xs_new[1::2] = mids
-        cur = h / 3.0 * (merged[0] + merged[-1] + 4.0 * np.sum(merged[1:-1:2])
-                         + 2.0 * np.sum(merged[2:-1:2]))
-        if abs(cur - prev) <= rtol * max(abs(cur), scale):
-            return cur
-        xs, fx, prev = xs_new, merged, cur
-    return prev
-
-
 def _branch_radii(cfg, cons):
     """Radii at which the radial integrand changes analytic branch: one per
     lobe peak of the crosstalk CDF (where a new lobe starts crossing)."""
@@ -125,40 +99,127 @@ def _branch_radii(cfg, cons):
     return out
 
 
+def _simpson(fx, h):
+    """Composite-Simpson estimates, one per row of node values ``fx`` (odd
+    node count) with panel widths ``h``."""
+    return h / 3.0 * (fx[:, 0] + fx[:, -1]
+                      + 4.0 * np.sum(fx[:, 1:-1:2], axis=1)
+                      + 2.0 * np.sum(fx[:, 2:-1:2], axis=1))
+
+
+def _segment_integrals(f, a, b, scale):
+    """Adaptive composite-Simpson integrals of ``f`` over the segments
+    [a[i], b[i]].
+
+    Every segment starts on ``_START_PANELS`` panels and doubles them until
+    successive estimates agree to ``_RTOL`` relative to the larger of the
+    estimate and ``scale``, at most ``_MAX_DOUBLINGS`` times.
+    ``f(z, rows)`` returns the integrand at nodes ``z``, one row of nodes
+    per segment index in ``rows``, so each doubling round evaluates every
+    open segment in one call.  Returns the integrals and whether any
+    segment stopped at the doubling limit unconverged.
+    """
+    n = _START_PANELS
+    rows = np.arange(a.size)
+    xs = np.linspace(a, b, n + 1, axis=1)
+    fx = f(xs, rows)
+    h = (b - a) / n
+    prev = _simpson(fx, h)
+    out = np.empty(a.size)
+    for _ in range(_MAX_DOUBLINGS):
+        if rows.size == 0:
+            break
+        mids = 0.5 * (xs[:, :-1] + xs[:, 1:])
+        fm = f(mids, rows)
+        n *= 2
+        h *= 0.5
+        merged = np.empty((rows.size, n + 1))
+        merged[:, 0::2] = fx
+        merged[:, 1::2] = fm
+        xs_new = np.empty((rows.size, n + 1))
+        xs_new[:, 0::2] = xs
+        xs_new[:, 1::2] = mids
+        cur = _simpson(merged, h)
+        done = np.abs(cur - prev) <= _RTOL * np.maximum(np.abs(cur), scale)
+        out[rows[done]] = cur[done]
+        left = ~done
+        rows, xs, fx, prev, h = (rows[left], xs_new[left], merged[left],
+                                 cur[left], h[left])
+    out[rows] = prev
+    return out, rows.size > 0
+
+
 def sop_closed_form(cfg, phi, region):
     """SOP under uniform null-space jamming, by radial integration of the
     crosstalk CDF over the suspicious region (constant bounds only).
 
-    Jamming fractions at or beyond the feasibility limit return 1.0: Bob
-    cannot reach the target rate, so secrecy always fails.
+    ``phi`` is a jamming fraction or a 1-D array of them; an array returns
+    an array whose entries equal the scalar calls exactly (each fraction
+    keeps its own branch cuts and quadrature nodes, and every doubling round
+    evaluates the crosstalk CDF for all fractions in one call).  Fractions
+    at or beyond the feasibility limit return 1.0: Bob cannot reach the
+    target rate, so secrecy always fails.  Warns (``ResolutionWarning``)
+    when a radial segment stops at the doubling limit unconverged.
     """
     if not region.is_constant:
         raise ValueError("sop_closed_form needs a constant-bound region")
-    if phi < 0.0:
+    phis = np.asarray(phi, dtype=float)
+    if phis.ndim > 1:
+        raise ValueError("phi must be a scalar or a 1-D array")
+    if np.any(phis < 0.0):
         raise ValueError("phi must be nonnegative")
+    flat = np.atleast_1d(phis)
+    out = np.ones(flat.size)
     try:
         limit = phi_max(cfg)
     except InfeasibleRateError:
-        return 1.0
-    if phi >= limit:
-        return 1.0
-    cons = sor_constants(cfg, phi)
+        limit = -np.inf
+    # a NaN fraction is not at the limit: sor_constants rejects it below
+    below = np.flatnonzero(~(flat >= limit))
+    if below.size:
+        out[below] = _sop_below_limit(cfg, flat[below], region)
+    return float(out[0]) if phis.ndim == 0 else out
+
+
+def _sop_below_limit(cfg, phis, region):
+    """Closed-form SOP at fractions below the feasibility limit."""
     d_min, d_max = region.d_min, region.d_max
     profile = bob_profile(cfg)
     angle_range = region.angle_interval
+    # one quadrature segment per pair of consecutive cuts of each fraction
+    owner, a, b, scale, offset = [], [], [], [], []
+    for i, p in enumerate(phis):
+        cons = sor_constants(cfg, p)
+        cuts = sorted({d_min, d_max} | {r for r in _branch_radii(cfg, cons)
+                                        if d_min < r < d_max})
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            owner.append(i)
+            a.append(lo)
+            b.append(hi)
+            scale.append(cons.scale)
+            offset.append(cons.offset)
+    scale = np.array(scale)[:, None]
+    offset = np.array(offset)[:, None]
 
-    def p_outside(z):
-        lvl = (z ** cfg.alpha + cons.offset) / cons.scale
+    def p_outside(z, rows):
+        lvl = (z ** cfg.alpha + offset[rows]) / scale[rows]
         return _cdf_batch(lvl, profile, angle_range) * 2.0 * z
 
     norm = d_max ** 2 - d_min ** 2
-    cuts = sorted({d_min, d_max}
-                  | {r for r in _branch_radii(cfg, cons) if d_min < r < d_max})
-    integral = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        integral += _adaptive_segment(p_outside, a, b, 1e-6, norm * 0.01)
-    p_safe = min(max(integral / norm, 0.0), 1.0)
-    return 1.0 - p_safe ** cfg.n_eves
+    parts, capped = _segment_integrals(p_outside, np.array(a), np.array(b),
+                                       norm * 0.01)
+    if capped:
+        warnings.warn(
+            f"sop_closed_form: a radial segment did not converge to "
+            f"{_RTOL:g} within {_MAX_DOUBLINGS} panel doublings",
+            ResolutionWarning, stacklevel=3)
+    # add each fraction's segments in cut order
+    integral = np.zeros(phis.size)
+    np.add.at(integral, np.array(owner), parts)
+    # the scalar power keeps libm's rounding, which numpy's array power may
+    # not share
+    return [1.0 - min(max(v / norm, 0.0), 1.0) ** cfg.n_eves
+            for v in integral]
 
 
 def region_area(region):
@@ -238,7 +299,7 @@ def is_jamming_beneficial(cfg, region, phi_points=400):
     base = sop_closed_form(cfg, 0.0, region)
     limit = phi_max(cfg)
     grid = np.linspace(0.0, limit, phi_points + 1)[1:-1]
-    sops = np.array([sop_closed_form(cfg, p, region) for p in grid])
+    sops = sop_closed_form(cfg, grid, region)
     better = sops < base - 1e-12
     if not np.any(better):
         return False, None

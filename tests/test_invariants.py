@@ -1,7 +1,8 @@
-"""Property checks on the pure kernel/distribution layer.
+"""Property checks on the kernel/distribution layer and the closed-form SOP.
 
 Randomized inputs cover the corners the hand-picked cases miss: odd element
-counts, reference angles at the range edges, sub-half-wavelength spacing.
+counts, reference angles at the range edges, sub-half-wavelength spacing,
+jamming fractions on both sides of the feasibility limit.
 """
 
 import numpy as np
@@ -10,9 +11,13 @@ from hypothesis import given, settings, strategies as st
 from secrecy_sor import (
     ArrayGeometry,
     CrosstalkProfile,
+    ScenarioConfig,
+    SuspiciousRegion,
     crosstalk_cdf,
     delta_cdf,
+    phi_max,
     s_kernel,
+    sop_closed_form,
 )
 
 geometries = st.builds(
@@ -62,3 +67,49 @@ def test_crosstalk_cdf_is_a_cdf(n, theta_ref, k, lo):
     assert np.all(c >= 0.0) and np.all(c <= 1.0)
     assert np.all(np.diff(c) >= -1e-12)
     assert c[-1] == 1.0  # levels at/above k cover everything
+
+
+# SOP layer: N=50 scenarios over a sector that straddles the user, so every
+# fraction has branch cuts inside the region
+_SOP_REGION = SuspiciousRegion((-0.6, 0.4), 40.0, 220.0)
+
+
+def _sop_cfg(bob_dist, n_eves=1):
+    return ScenarioConfig(ArrayGeometry(50, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0,
+                          bob_dist, n_eves=n_eves)
+
+
+bob_dists = st.floats(min_value=60.0, max_value=160.0)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bob_dists, st.lists(unit, min_size=1, max_size=6))
+def test_sop_array_call_equals_scalar_calls(bob_dist, fractions):
+    cfg = _sop_cfg(bob_dist)
+    # spread over [0, 1.1 * phi_max], so some land past the limit
+    phis = np.array(fractions) * 1.1 * phi_max(cfg)
+    got = sop_closed_form(cfg, phis, _SOP_REGION)
+    want = [sop_closed_form(cfg, p, _SOP_REGION) for p in phis]
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bob_dists, unit, st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=20))
+def test_sop_nondecreasing_in_eavesdropper_count(bob_dist, frac, l1, l2):
+    lo, hi = sorted((l1, l2))
+    phi = frac * phi_max(_sop_cfg(bob_dist))
+    few = sop_closed_form(_sop_cfg(bob_dist, lo), phi, _SOP_REGION)
+    many = sop_closed_form(_sop_cfg(bob_dist, hi), phi, _SOP_REGION)
+    assert few <= many
+
+
+@settings(max_examples=25, deadline=None)
+@given(bob_dists, st.lists(unit, min_size=1, max_size=6))
+def test_sop_is_one_past_the_feasibility_limit(bob_dist, fractions):
+    cfg = _sop_cfg(bob_dist)
+    pm = phi_max(cfg)
+    phis = pm + np.array(fractions) * (1.0 - pm)
+    assert np.all(sop_closed_form(cfg, phis, _SOP_REGION) == 1.0)
+    assert sop_closed_form(cfg, float(phis[0]), _SOP_REGION) == 1.0

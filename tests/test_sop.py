@@ -6,10 +6,12 @@ here pin them against each other and against frozen spot values.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+import secrecy_sor.sop as sop_module
 from secrecy_sor import (
     ArrayGeometry,
     ScenarioConfig,
@@ -24,6 +26,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
     sor_region_overlap,
 )
+from secrecy_sor.errors import InfeasibleRateError, ResolutionWarning
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
                         100.0, n_eves=10)
@@ -129,3 +132,62 @@ def test_jamming_beneficial_limit_and_witness():
     outside = SuspiciousRegion((-0.8, -0.1), 60.0, 400.0)
     ok2, w2 = is_jamming_beneficial(CFG50, outside)
     assert not ok2 and w2 is None
+
+
+# the fig6 scenario: N=100, r_th=10, 10 eavesdroppers, region +-30 deg,
+# 50-200 m
+FIG6_REGION = SuspiciousRegion((-np.pi / 6, np.pi / 6), 50.0, 200.0)
+
+
+@pytest.mark.parametrize("bob_dist", [60.0, 150.0])
+def test_sop_array_form_equals_scalar_calls(bob_dist):
+    cfg = dataclasses.replace(CFG100, bob_dist=bob_dist)
+    grid = np.arange(0.0, phi_max(cfg), 1e-3)
+    got = sop_closed_form(cfg, grid, FIG6_REGION)
+    want = np.array([sop_closed_form(cfg, p, FIG6_REGION) for p in grid])
+    assert got.shape == grid.shape
+    assert np.array_equal(got, want)
+
+
+def test_sop_array_form_mixed_entries():
+    pm = phi_max(CFG100)
+    phis = np.array([0.0, pm, pm + 0.01, 0.3, 1.0])
+    got = sop_closed_form(CFG100, phis, REG15)
+    assert got[0] == sop_closed_form(CFG100, 0.0, REG15)
+    assert got[3] == sop_closed_form(CFG100, 0.3, REG15)
+    assert np.all(got[[1, 2, 4]] == 1.0)
+
+
+def test_sop_array_form_saturated_and_infeasible_blocks():
+    pm = phi_max(CFG100)
+    # nothing left to integrate: every fraction is at or past the limit
+    past = np.array([pm, 0.5 * (pm + 1.0), 1.0])
+    assert np.array_equal(sop_closed_form(CFG100, past, REG15), np.ones(3))
+    assert sop_closed_form(CFG100, np.array([]), REG15).shape == (0,)
+    far = dataclasses.replace(CFG100, bob_dist=1e4)
+    with pytest.raises(InfeasibleRateError):
+        phi_max(far)
+    phis = np.array([0.0, 0.2, 0.7])
+    assert np.array_equal(sop_closed_form(far, phis, REG15), np.ones(3))
+    assert sop_closed_form(far, 0.0, REG15) == 1.0
+
+
+def test_sop_rejects_negative_and_keeps_scalar_type():
+    with pytest.raises(ValueError):
+        sop_closed_form(CFG100, np.array([0.1, -1e-9, 0.2]), REG15)
+    with pytest.raises(ValueError):
+        sop_closed_form(CFG100, -0.1, REG15)
+    for phi in (0.3, np.float64(0.3), np.array(0.3), 1.0):
+        assert type(sop_closed_form(CFG100, phi, REG15)) is float
+
+
+def test_sop_warns_when_a_segment_hits_the_doubling_limit(monkeypatch):
+    phis = np.array([0.0, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        converged = sop_closed_form(CFG100, phis, REG15)
+    monkeypatch.setattr(sop_module, "_MAX_DOUBLINGS", 0)
+    with pytest.warns(ResolutionWarning) as caught:
+        capped = sop_closed_form(CFG100, phis, REG15)
+    assert len(caught) == 1
+    assert np.all(np.abs(capped - converged) < 1e-3)

@@ -8,7 +8,10 @@ failure is one of the documented reds, failing on its own assertion:
   or a test module fails to collect;
 * a documented red fails with an exception other than ``AssertionError``
   (``test_07a`` once died on ``AttributeError`` before reaching its
-  assertion, which hid whether the clause still held).
+  assertion, which hid whether the clause still held);
+* a documented red passes: its clause now holds, so README, the test's
+  docstring and ``DOCUMENTED_REDS`` are out of date.  Only a red whose test
+  body ran counts, so ``-k`` filters that deselect the reds stay usable.
 
 Extra arguments go to pytest, e.g. ``python3 tools/check_reds.py -x``.
 """
@@ -26,10 +29,12 @@ DOCUMENTED_REDS = tuple(
 
 
 class Recorder:
-    """Collects (nodeid, phase, exception name) for every failed report."""
+    """Collects (nodeid, phase, exception name) for every failed report and
+    the node ids of the documented reds whose test body passed."""
 
     def __init__(self):
         self.failures = []
+        self.red_passes = []
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_makereport(self, item, call):
@@ -37,6 +42,11 @@ class Recorder:
         if report.failed:
             exc = call.excinfo.type.__name__ if call.excinfo else None
             self.failures.append((item.nodeid, call.when, exc))
+
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" and report.passed \
+                and report.nodeid.startswith(DOCUMENTED_REDS):
+            self.red_passes.append(report.nodeid)
 
     def pytest_collectreport(self, report):
         if report.failed:
@@ -61,10 +71,14 @@ def main(argv):
     bad = unexpected(recorder.failures)
     for nodeid, when, exc in bad:
         print(f"check_reds: unexpected failure in {when}: {nodeid} ({exc})")
+    for nodeid in recorder.red_passes:
+        print(f"check_reds: documented red passed: {nodeid}; update README, "
+              f"the test docstring and DOCUMENTED_REDS")
     reds = len(recorder.failures) - len(bad)
     print(f"check_reds: {reds} documented red(s) failing on their "
-          f"assertion, {len(bad)} unexpected failure(s)")
-    return 1 if bad else 0
+          f"assertion, {len(bad)} unexpected failure(s), "
+          f"{len(recorder.red_passes)} documented red(s) passing")
+    return 1 if bad or recorder.red_passes else 0
 
 
 if __name__ == "__main__":
