@@ -24,8 +24,8 @@ import numpy as np
 from .asymptotic import (
     PowerAllocation,
     _area_weights,
-    _boundary_scale_vec,
     _default_arcs,
+    _s_eb,
     boundary_scale,
     phi_max,
     sor_boundary_directional,
@@ -60,13 +60,11 @@ class DftJammingBasis:
 
     ``beam_angles[j]`` is the physical steering angle of column ``j`` (NaN
     for beams whose spatial frequency no physical angle reaches, which can
-    happen below half-wavelength spacing).  ``selected`` lists the column
-    indices an algorithm chose to drive.
+    happen below half-wavelength spacing).
     """
 
     columns: np.ndarray
     beam_angles: np.ndarray
-    selected: np.ndarray
 
 
 def build_dft_basis(geom):
@@ -87,7 +85,7 @@ def build_dft_basis(geom):
         cands = [c for c in cands if -1.0 <= c <= 1.0]
         if cands:
             angles[j] = np.arcsin(min(cands, key=lambda v: (abs(v), -v)))
-    return DftJammingBasis(columns, angles, np.array([], dtype=int))
+    return DftJammingBasis(columns, angles)
 
 
 def _jam_beam_indices(cfg, basis):
@@ -235,7 +233,7 @@ def grid_oracle_phi(cfg, s_eb, d_min, step=1e-4):
         raise ValueError("s_eb must lie in (0, 1)")
     limit = phi_max(cfg)
     grid = np.arange(0.0, limit, step)
-    radius_a = s_eb * _boundary_scale_vec(cfg, grid) \
+    radius_a = s_eb * boundary_scale(cfg, grid) \
         - (1.0 - s_eb) * cfg.p_tilde_tot * grid
     hit = radius_a <= d_min ** cfg.alpha
     if np.any(hit):
@@ -271,8 +269,7 @@ class _DirectionalAreaEvaluator:
         self.weights = _area_weights(thetas, arcs)
         geom = cfg.geometry
         sin_th = np.sin(thetas)
-        self.s_eb = cfg.k_eb * s_kernel(
-            np.abs(sin_th - np.sin(cfg.bob_theta)), geom)
+        self.s_eb = _s_eb(cfg, thetas)
         # response of each beam toward each grid angle, per Watt of drive
         self.response = np.empty((len(beam_angles), thetas.size))
         for row, a in zip(self.response, beam_angles):
@@ -283,11 +280,11 @@ class _DirectionalAreaEvaluator:
         return powers @ self.response
 
     def area_from_jam(self, jam, phis):
-        """Areas for rows of deposited-noise profiles at signal fractions
-        ``phis`` (both batched)."""
-        gap = np.multiply.outer(_boundary_scale_vec(self.cfg, phis),
-                                self.s_eb)
-        gap -= jam
+        """Areas for the rows of deposited-noise profiles ``jam`` (a block
+        this call overwrites) at jamming fractions ``phis``: one fraction
+        per row, or one scalar fraction for every row."""
+        gap = np.subtract(np.multiply.outer(boundary_scale(self.cfg, phis),
+                                            self.s_eb), jam, out=jam)
         np.maximum(gap, 0.0, out=gap)
         return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights
 
@@ -303,35 +300,43 @@ class _DirectionalAreaEvaluator:
 
     def area(self, powers):
         phi = np.sum(powers) / self.cfg.p_tot
-        return float(self.area_from_jam(self.jam(powers)[None, :],
-                                        np.array([phi]))[0])
+        return float(self.area_from_jam(self.jam(powers)[None, :], phi)[0])
+
+
+def _region_beam_allocation(cfg, region, phi):
+    """Noise budget ``phi * p_tot`` split equally over the DFT beams that
+    cover the suspicious angles (Bob's main-lobe beams excluded).
+
+    Falls back to the uniform null-space allocation, with a warning, when
+    no beam covers the region.
+    """
+    basis = build_dft_basis(cfg.geometry)
+    lo, hi = region.angle_interval
+    angles = basis.beam_angles[_jam_beam_indices(cfg, basis)]
+    angles = angles[(angles >= lo) & (angles <= hi)]
+    if angles.size == 0:
+        warnings.warn("no DFT beam covers the suspicious region; "
+                      "keeping uniform null-space jamming")
+        return _uniform_allocation(cfg, phi)
+    return PowerAllocation(
+        phi=phi,
+        beam_powers=np.full(angles.size, phi * cfg.p_tot / angles.size),
+        basis="dft_selected", beam_angles=angles)
 
 
 def algorithm1_directional(cfg, region):
-    """Uniform-optimal ``phi``, then an equal split over the DFT beams that
-    cover the suspicious angles (Bob's main-lobe beams excluded).
+    """Uniform-optimal ``phi``, then ``_region_beam_allocation`` at it: an
+    equal split over the DFT beams that cover the suspicious angles.
 
-    Falls back to the uniform allocation, with a warning, when no beam
-    covers the region.
+    Keeps the uniform allocation, with a warning, when no beam covers the
+    region.
     """
     uniform = optimize_phi_uniform(cfg, region, objective="sop")
     phi = uniform.phi_opt
-    basis = build_dft_basis(cfg.geometry)
-    lo, hi = region.angle_interval
-    eligible = _jam_beam_indices(cfg, basis)
-    angles = basis.beam_angles[eligible]
-    idx = eligible[(angles >= lo) & (angles <= hi)]
+    alloc = _region_beam_allocation(cfg, region, phi)
     trace = [("uniform", phi, uniform.objective)]
-    if idx.size == 0:
-        warnings.warn("no DFT beam covers the suspicious region; "
-                      "keeping uniform null-space jamming")
-        return AllocationResult(phi, uniform.allocation, uniform.objective,
-                                trace)
-    alloc = PowerAllocation(
-        phi=phi,
-        beam_powers=np.full(idx.size, phi * cfg.p_tot / idx.size),
-        basis="dft_selected",
-        beam_angles=basis.beam_angles[idx])
+    if alloc.basis == "null_space_uniform":
+        return AllocationResult(phi, alloc, uniform.objective, trace)
     objective = sop_intersection(
         sor_boundary_directional(cfg, alloc), region, cfg.n_eves)
     trace.append(("directional", phi, objective))
@@ -446,42 +451,31 @@ def lobe_notch_objective(cfg, phi, lobe_angles, beam_powers):
     elsewhere.  Concave in the powers, so its minimum over a power budget
     sits on the boundary of the feasible set - the structural fact behind
     the two-lobe restriction of ``algorithm3_two_lobes``."""
-    bs = boundary_scale(cfg, phi)
-    geom = cfg.geometry
-    a = bs * cfg.k_eb * s_kernel(
-        np.abs(np.sin(np.asarray(lobe_angles)) - np.sin(cfg.bob_theta)), geom)
+    a = boundary_scale(cfg, phi) * _s_eb(cfg, np.asarray(lobe_angles))
     notch = np.asarray(beam_powers) / cfg.n0
     return float(np.sum(np.clip(a - notch, 0.0, None) ** (2.0 / cfg.alpha)))
 
 
-def _side_lobe_peak_angles(cfg, by_peak=True):
+def _side_lobe_peak_angles(cfg):
     """Angles of the side-lobe maxima of the no-jamming boundary, strongest
-    arcs first; ``by_peak=False`` uses arc midpoints instead."""
+    arcs first."""
     thetas, arcs = _default_arcs(cfg)
-    geom = cfg.geometry
-    s_vals = cfg.k_eb * s_kernel(
-        np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), geom)
+    s_vals = _s_eb(cfg, thetas)
     out = []
     for arc in arcs:
         if arc.index == 0 or arc.hi <= arc.lo:
             continue
-        if by_peak:
-            k = arc.lo + int(np.argmax(s_vals[arc.lo:arc.hi + 1]))
-            angle, strength = thetas[k], s_vals[k]
-        else:
-            angle = 0.5 * (arc.support[0] + arc.support[1])
-            strength = cfg.k_eb * s_kernel(
-                abs(np.sin(angle) - np.sin(cfg.bob_theta)), geom)
-        out.append((strength, arc.index, angle))
+        k = arc.lo + int(np.argmax(s_vals[arc.lo:arc.hi + 1]))
+        out.append((s_vals[k], arc.index, thetas[k]))
     out.sort(key=lambda t: (-t[0], t[1], t[2]))
     return out
 
 
-def _two_lobe_scan(cfg, by_peak=True, phi_step=1e-2, n_splits=201):
+def _two_lobe_scan(cfg, phi_step=1e-2, n_splits=201):
     """Exhaustive (phi, split) scan with the whole noise budget on the two
     DFT beams that deposit most strongly on the two strongest side lobes.
     Returns (beam_columns, beam_angles, phi, split_powers, area, trace)."""
-    ranked = _side_lobe_peak_angles(cfg, by_peak)
+    ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
             "need at least two side lobes to aim at; the array resolves "
@@ -508,8 +502,7 @@ def _two_lobe_scan(cfg, by_peak=True, phi_step=1e-2, n_splits=201):
     trace = []
     for phi in np.arange(0.0, limit, phi_step):
         budget = phi * cfg.p_tot
-        areas = ev.area_from_jam((shares * budget) @ ev.response,
-                                 np.full(len(splits), phi))
+        areas = ev.area_from_jam((shares * budget) @ ev.response, phi)
         k = int(np.argmin(areas))
         area = float(areas[k])
         trace.append((float(phi), float(splits[k]), area))
@@ -519,7 +512,7 @@ def _two_lobe_scan(cfg, by_peak=True, phi_step=1e-2, n_splits=201):
     return cols, angles, phi, powers, area, trace
 
 
-def algorithm3_two_lobes(cfg, by_peak=True, phi_step=1e-2, n_splits=201):
+def algorithm3_two_lobes(cfg, phi_step=1e-2, n_splits=201):
     """Put the whole noise budget on the two DFT beams nearest the two
     strongest side lobes and search the jamming fraction and the two-way
     split exhaustively, scoring by the exact outage area.
@@ -527,11 +520,10 @@ def algorithm3_two_lobes(cfg, by_peak=True, phi_step=1e-2, n_splits=201):
     The per-lobe score of ``lobe_notch_objective`` is concave in the beam
     powers, so budget-constrained minimizers concentrate power on few
     lobes; restricting to the two strongest keeps the search
-    two-dimensional.  ``by_peak`` selects whether lobe direction means the
-    lobe maximum (default) or the arc midpoint.
+    two-dimensional.  Lobe direction means the lobe maximum.
     """
-    _, angles, phi, powers, area, trace = _two_lobe_scan(
-        cfg, by_peak, phi_step, n_splits)
+    _, angles, phi, powers, area, trace = _two_lobe_scan(cfg, phi_step,
+                                                         n_splits)
     alloc = PowerAllocation(phi, powers, "dft_selected", angles)
     return AllocationResult(phi, alloc, area, trace)
 

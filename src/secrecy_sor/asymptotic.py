@@ -172,35 +172,32 @@ def boundary_scale(cfg, phi):
     """Eavesdropper radius**alpha per unit crosstalk when a fraction ``phi``
     of the power is diverted away from the signal (no jamming term).
 
-    Raises when the remaining signal power cannot reach the target rate.
+    ``phi`` is a fraction in [0, 1] or a 1-D array of them; an array
+    returns an array.  Raises when the remaining signal power cannot reach
+    the target rate at some fraction.
     """
-    if not (0.0 <= phi <= 1.0):
+    scalar = np.ndim(phi) == 0
+    if scalar and not (0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
-    n = cfg.geometry.n_antennas
-    gain = 2.0 ** cfg.r_th
-    x = (1.0 - phi) * cfg.p_tilde_tot
-    snr_bob = x * cfg.bob_dist ** (-cfg.alpha) * n
-    denom = 1.0 + snr_bob - gain
-    if denom <= 0.0:
-        deficit = (gain - 1.0 - snr_bob) / max(snr_bob, np.finfo(float).tiny)
-        raise InfeasibleRateError(
-            f"target rate {cfg.r_th} unreachable with signal fraction "
-            f"{1.0 - phi:.6g}", deficit=deficit)
-    return x * n * gain / denom
-
-
-def _boundary_scale_vec(cfg, phis):
-    """``boundary_scale`` across an array of phi values (all must be
-    feasible)."""
-    phis = np.asarray(phis, dtype=float)
+    phis = phi if scalar else np.asarray(phi, dtype=float)
     n = cfg.geometry.n_antennas
     gain = 2.0 ** cfg.r_th
     x = (1.0 - phis) * cfg.p_tilde_tot
-    denom = 1.0 + x * cfg.bob_dist ** (-cfg.alpha) * n - gain
+    snr_bob = x * cfg.bob_dist ** (-cfg.alpha) * n
+    denom = 1.0 + snr_bob - gain
     if np.any(denom <= 0.0):
+        deficit = np.max((gain - 1.0 - snr_bob)
+                         / np.maximum(snr_bob, np.finfo(float).tiny))
         raise InfeasibleRateError(
-            f"target rate {cfg.r_th} unreachable at some requested phi")
+            f"target rate {cfg.r_th} unreachable with signal fraction "
+            f"{1.0 - np.max(phis):.6g}", deficit=float(deficit))
     return x * n * gain / denom
+
+
+def _s_eb(cfg, thetas):
+    """Normalized crosstalk toward Bob from each angle in ``thetas``."""
+    return cfg.k_eb * s_kernel(
+        np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), cfg.geometry)
 
 
 def _area_weights(thetas, arcs):
@@ -240,8 +237,7 @@ def sinr_eve_uniform(cfg, phi, eve_theta, eve_dist):
     if eve_dist <= 0:
         raise ValueError("eve_dist must be positive")
     n = cfg.geometry.n_antennas
-    s = cfg.k_eb * s_kernel(
-        abs(np.sin(eve_theta) - np.sin(cfg.bob_theta)), cfg.geometry)
+    s = _s_eb(cfg, eve_theta)
     path = eve_dist ** (-cfg.alpha)
     num = (1.0 - phi) * cfg.p_tilde_tot * path * n * s
     den = 1.0 + path * phi * cfg.p_tilde_tot * (1.0 - s)
@@ -334,9 +330,7 @@ def _finish_boundary(cfg, thetas, arcs, radii):
 
 
 def _eval_uniform_radii(cfg, cons, thetas):
-    s_vals = cfg.k_eb * s_kernel(
-        np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), cfg.geometry)
-    gap = np.clip(cons.scale * s_vals - cons.offset, 0.0, None)
+    gap = np.clip(cons.scale * _s_eb(cfg, thetas) - cons.offset, 0.0, None)
     radii = gap ** (1.0 / cfg.alpha)
     return np.where(np.abs(thetas) <= _HALF_PI, radii, 0.0)
 
@@ -366,9 +360,7 @@ def directional_jam_response(cfg, alloc, thetas):
     """
     thetas = np.asarray(thetas, dtype=float)
     if alloc.basis == "null_space_uniform":
-        s_vals = cfg.k_eb * s_kernel(
-            np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), cfg.geometry)
-        return alloc.phi * cfg.p_tilde_tot * (1.0 - s_vals)
+        return alloc.phi * cfg.p_tilde_tot * (1.0 - _s_eb(cfg, thetas))
     jam = np.zeros_like(thetas, dtype=float)
     n = cfg.geometry.n_antennas
     sin_th = np.sin(thetas)
@@ -387,10 +379,8 @@ def sor_boundary_directional(cfg, alloc, theta_grid=None):
         thetas, arcs = _default_arcs(cfg)
     else:
         thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-    s_vals = cfg.k_eb * s_kernel(
-        np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), cfg.geometry)
-    gap = np.clip(bs * s_vals - directional_jam_response(cfg, alloc, thetas),
-                  0.0, None)
+    gap = np.clip(bs * _s_eb(cfg, thetas)
+                  - directional_jam_response(cfg, alloc, thetas), 0.0, None)
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
     return _finish_boundary(cfg, thetas, arcs, radii)
 

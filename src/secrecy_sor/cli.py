@@ -19,23 +19,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alloc import (
+    _region_beam_allocation,
+    _uniform_allocation,
     algorithm1_directional,
     algorithm2_iterative,
     algorithm3_two_lobes,
-    build_dft_basis,
-    _jam_beam_indices,
     grid_oracle_phi,
     optimize_phi_uniform,
     phi_opt_closed_form,
 )
 from .asymptotic import (
-    PowerAllocation,
     ScenarioConfig,
     lobe_radii,
     phi_max,
     sor_area,
     sor_boundary_directional,
-    sor_boundary_nojam,
     sor_boundary_uniform,
 )
 from .crosstalk import ArrayGeometry
@@ -46,7 +44,9 @@ from .sop import SuspiciousRegion, sop_closed_form, sop_intersection
 _SCHEMES = ("no_jam", "uniform", "algo1", "algo2", "algo3")
 _SWEEPABLE = ("phi", "bob_dist_m", "bob_theta_deg", "r_th", "n_antennas",
               "alpha", "k_eb", "p_tot_w", "n0_w", "n_eves")
-_ROW_ERRORS = (InfeasibleRateError, DegenerateArrayError, ValueError)
+# default phi grid step of the uniform searches (the reference figures use
+# it too)
+_PHI_STEP = 1e-3
 
 
 class ManifestError(ValueError):
@@ -55,6 +55,13 @@ class ManifestError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class GridValueError(ValueError):
+    """A sweep grid value the scenario rejects; its row becomes NaN."""
+
+
+_ROW_ERRORS = (InfeasibleRateError, DegenerateArrayError, GridValueError)
 
 
 _MISSING = object()
@@ -227,7 +234,9 @@ class ExperimentManifest:
     output_path: object
 
 
-def load_manifest(path, need_sweep=True, need_region=False, need_mc=False):
+def load_manifest(path, command):
+    """Parsed manifest for ``command``, with every field and command x
+    scheme requirement checked (``ManifestError`` otherwise)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -243,48 +252,67 @@ def load_manifest(path, need_sweep=True, need_region=False, need_mc=False):
                                "output_path"), "manifest")
     scenario = _parse_scenario(manifest)
     region = _parse_region(manifest)
-    scheme = _parse_scheme(manifest)
-    sweep = _parse_sweep(manifest) if need_sweep or "sweep" in manifest \
-        else None
+    kind, phi, objective = _parse_scheme(manifest)
+    sweep = _parse_sweep(manifest) \
+        if command != "sor-map" or "sweep" in manifest else None
     mc = _parse_mc(manifest)
     output_path = manifest.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ManifestError("output_path", "must be a string")
-    if need_region and region is None:
+    if command in ("sop", "mc-validate") and region is None:
         raise ManifestError("region", "missing (required for this command)")
-    if scheme[0] == "algo1" and region is None:
+    if kind == "algo1" and region is None:
         raise ManifestError("region", "missing (required for scheme algo1)")
-    if need_mc and mc is None:
+    if command == "mc-validate" and mc is None:
         raise ManifestError("mc", "missing (required for mc-validate)")
+    if command == "optimize":
+        if phi is not None:
+            raise ManifestError("scheme.phi",
+                                "optimize chooses phi; drop the fixed phi")
+        if sweep[0] == "phi":
+            raise ManifestError("sweep.parameter",
+                                "optimize chooses phi; sweep a scenario "
+                                "parameter instead")
+        if objective is None:
+            objective = "sop" if region is not None else "sor_area"
+        if objective == "sop" and region is None:
+            raise ManifestError("region",
+                                "missing (required for objective sop)")
+    if command == "sor-map" and kind == "uniform" and phi is None:
+        raise ManifestError("scheme.phi",
+                            "required for sor-map with scheme uniform")
     if sweep is not None and sweep[0] == "phi" \
-            and scheme[0] not in ("uniform", "algo1"):
+            and kind not in ("uniform", "algo1"):
         raise ManifestError("sweep.parameter",
                             "a phi sweep needs scheme uniform or algo1 "
                             "(the other schemes choose phi themselves)")
-    return ExperimentManifest(scenario, region, sweep, scheme, mc,
-                              output_path)
+    return ExperimentManifest(scenario, region, sweep, (kind, phi, objective),
+                              mc, output_path)
 
 
 def _apply_sweep(cfg, parameter, value):
-    """New config (and a phi override for parameter 'phi') at a grid value."""
+    """New config (and a phi override for parameter 'phi') at a grid value;
+    ``GridValueError`` when the scenario rejects the value."""
     if parameter == "phi":
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"phi grid value {value} outside [0, 1]")
+            raise GridValueError(f"phi grid value {value} outside [0, 1]")
         return cfg, float(value)
-    if parameter == "n_antennas":
-        if int(value) != value:
-            raise ValueError(f"n_antennas grid value {value} is not integer")
-        geometry = ArrayGeometry(int(value), cfg.geometry.spacing)
-        return replace(cfg, geometry=geometry), None
-    if parameter == "n_eves":
-        if int(value) != value:
-            raise ValueError(f"n_eves grid value {value} is not integer")
-        return replace(cfg, n_eves=int(value)), None
-    if parameter == "bob_theta_deg":
-        return replace(cfg, bob_theta=math.radians(value)), None
+    if parameter in ("n_antennas", "n_eves") \
+            and not float(value).is_integer():
+        raise GridValueError(f"{parameter} grid value {value} is not integer")
     field_map = {"bob_dist_m": "bob_dist", "r_th": "r_th", "alpha": "alpha",
                  "k_eb": "k_eb", "p_tot_w": "p_tot", "n0_w": "n0"}
-    return replace(cfg, **{field_map[parameter]: float(value)}), None
+    try:
+        if parameter == "n_antennas":
+            geometry = ArrayGeometry(int(value), cfg.geometry.spacing)
+            return replace(cfg, geometry=geometry), None
+        if parameter == "n_eves":
+            return replace(cfg, n_eves=int(value)), None
+        if parameter == "bob_theta_deg":
+            return replace(cfg, bob_theta=math.radians(value)), None
+        return replace(cfg, **{field_map[parameter]: float(value)}), None
+    except ValueError as exc:
+        raise GridValueError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,100 +356,61 @@ class _RowGuard:
 
 
 # ---------------------------------------------------------------------------
-# Scheme evaluation shared by the manifest-driven subcommands
+# The scheme pipeline shared by every subcommand and figure: a scheme picks
+# an allocation of the noise budget, then the allocation is scored
 
-def _region_beam_angles(cfg, region):
-    """Angles of the eligible DFT beams inside the suspicious sector."""
-    basis = build_dft_basis(cfg.geometry)
-    eligible = _jam_beam_indices(cfg, basis)
-    angles = basis.beam_angles[eligible]
-    lo, hi = region.angle_interval
-    return angles[(angles >= lo) & (angles <= hi)]
-
-
-def _sop_fixed_phi_directional(cfg, region, phi):
-    """SOP with the noise budget split equally over the in-region beams."""
-    if phi >= phi_max(cfg):
-        return 1.0
-    beam_angles = _region_beam_angles(cfg, region)
-    if beam_angles.size == 0:
-        warnings.warn("no DFT beam covers the suspicious region; "
-                      "falling back to uniform jamming")
-        return sop_closed_form(cfg, phi, region)
-    alloc = PowerAllocation(
-        phi=phi,
-        beam_powers=np.full(beam_angles.size,
-                            phi * cfg.p_tot / beam_angles.size),
-        basis="dft_selected", beam_angles=beam_angles)
-    return sop_intersection(sor_boundary_directional(cfg, alloc), region,
-                            cfg.n_eves)
+def _boundary(cfg, alloc, theta_grid=None):
+    """Outage boundary of an allocation (the uniform closed form for
+    null-space noise)."""
+    if alloc.basis == "null_space_uniform":
+        return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
+    return sor_boundary_directional(cfg, alloc, theta_grid)
 
 
-def _scheme_sop(cfg, region, kind, fixed_phi, phi_step):
-    """(phi used, sop, allocation or None) for one scheme evaluation."""
+def _score(cfg, region, alloc, objective):
+    """SOP (``objective`` "sop") or outage area ("sor_area") of an
+    allocation."""
+    if objective == "sor_area":
+        return sor_area(_boundary(cfg, alloc))
+    if alloc.basis == "null_space_uniform":
+        return sop_closed_form(cfg, alloc.phi, region)
+    if alloc.phi >= phi_max(cfg):
+        return 1.0  # Bob misses the target rate: secrecy always fails
+    return sop_intersection(_boundary(cfg, alloc), region, cfg.n_eves)
+
+
+def _scheme(cfg, region, kind, phi, objective, phi_step):
+    """(phi, allocation, value) of one scheme.
+
+    A fixed ``phi`` sets the fraction of ``uniform``, or of ``algo1``'s
+    split over the region's beams; otherwise the scheme runs its search,
+    once (``uniform`` on ``objective`` at ``phi_step``).  ``value`` scores
+    the allocation by ``objective`` ("sop" or "sor_area"), reusing the
+    search's own value where the search optimized that objective; it is
+    None when ``objective`` is None.
+    """
     if kind == "no_jam":
-        return 0.0, sop_closed_form(cfg, 0.0, region), None
-    if kind == "uniform":
-        if fixed_phi is not None:
-            return fixed_phi, sop_closed_form(cfg, fixed_phi, region), None
-        res = optimize_phi_uniform(cfg, region, objective="sop",
-                                   phi_step=phi_step)
-        return res.phi_opt, res.objective, None
-    if kind == "algo1":
-        if fixed_phi is not None:
-            return (fixed_phi,
-                    _sop_fixed_phi_directional(cfg, region, fixed_phi), None)
-        res = algorithm1_directional(cfg, region)
-        return res.phi_opt, res.objective, res.allocation
-    res = algorithm2_iterative(cfg) if kind == "algo2" \
-        else algorithm3_two_lobes(cfg)
-    sop = sop_intersection(sor_boundary_directional(cfg, res.allocation),
-                           region, cfg.n_eves)
-    return res.phi_opt, sop, res.allocation
-
-
-def _scheme_optimum(cfg, region, kind, objective, phi_step):
-    """(phi_opt, objective value) for the optimize subcommand."""
-    if objective is None:
-        objective = "sop" if region is not None else "sor_area"
-    if objective == "sop" and region is None:
-        raise ManifestError("region", "missing (required for objective sop)")
-    if kind == "no_jam":
-        value = sop_closed_form(cfg, 0.0, region) if objective == "sop" \
-            else sor_area(sor_boundary_nojam(cfg))
-        return 0.0, value
-    if kind == "uniform":
-        res = optimize_phi_uniform(cfg, region, objective=objective,
-                                   phi_step=phi_step)
-        return res.phi_opt, res.objective
-    if kind == "algo1":
-        res = algorithm1_directional(cfg, region)
-        return res.phi_opt, res.objective
-    res = algorithm2_iterative(cfg) if kind == "algo2" \
-        else algorithm3_two_lobes(cfg)
-    if objective == "sop":
-        value = sop_intersection(sor_boundary_directional(cfg,
-                                                          res.allocation),
-                                 region, cfg.n_eves)
+        alloc = _uniform_allocation(cfg, 0.0)
+    elif phi is not None:
+        alloc = _uniform_allocation(cfg, phi) if kind == "uniform" \
+            else _region_beam_allocation(cfg, region, phi)
     else:
-        value = res.objective
-    return res.phi_opt, value
-
-
-def _scheme_boundary(cfg, region, kind, fixed_phi, theta_grid):
-    if kind == "no_jam":
-        return sor_boundary_nojam(cfg, theta_grid)
-    if kind == "uniform":
-        if fixed_phi is None:
-            raise ManifestError("scheme.phi",
-                                "required for sor-map with scheme uniform")
-        return sor_boundary_uniform(cfg, fixed_phi, theta_grid)
-    if kind == "algo1":
-        res = algorithm1_directional(cfg, region)
-    else:
-        res = algorithm2_iterative(cfg) if kind == "algo2" \
-            else algorithm3_two_lobes(cfg)
-    return sor_boundary_directional(cfg, res.allocation, theta_grid)
+        if kind == "uniform":
+            res = optimize_phi_uniform(cfg, region, objective=objective,
+                                       phi_step=phi_step)
+            searched = objective
+        elif kind == "algo1":
+            res, searched = algorithm1_directional(cfg, region), "sop"
+        else:
+            res = algorithm2_iterative(cfg) if kind == "algo2" \
+                else algorithm3_two_lobes(cfg)
+            searched = "sor_area"
+        alloc = res.allocation
+        if objective == searched:
+            return alloc.phi, alloc, res.objective
+    value = None if objective is None else _score(cfg, region, alloc,
+                                                  objective)
+    return alloc.phi, alloc, value
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +453,10 @@ def _fig3(out, phi_step):
         phi = min(float(phi), 1.0)
 
         def metrics(phi=phi):
-            return (sop_closed_form(cfg100, phi, region),
-                    _sop_fixed_phi_directional(cfg100, region, phi),
-                    sop_closed_form(cfg50, phi, region))
+            return tuple(_scheme(cfg, region, kind, phi, "sop", None)[2]
+                         for cfg, kind in ((cfg100, "uniform"),
+                                           (cfg100, "algo1"),
+                                           (cfg50, "uniform")))
         rows.append((phi,) + guard.run(metrics, 3))
     header = ["phi", "sop_uniform_nt100", "sop_directional_nt100",
               "sop_uniform_nt50", "warning"]
@@ -504,12 +494,9 @@ def _fig5(out):
         cfg = _reference_cfg(50, 5.0, float(bob_dist))
 
         def metrics(cfg=cfg):
-            no_jam = sor_area(sor_boundary_nojam(cfg))
-            uniform = optimize_phi_uniform(cfg, None,
-                                           objective="sor_area").objective
-            algo2 = algorithm2_iterative(cfg).objective
-            algo3 = algorithm3_two_lobes(cfg).objective
-            return no_jam, uniform, algo2, algo3
+            return tuple(_scheme(cfg, None, kind, None, "sor_area",
+                                 _PHI_STEP)[2]
+                         for kind in ("no_jam", "uniform", "algo2", "algo3"))
         rows.append((bob_dist,) + guard.run(metrics, 4))
     header = ["bob_dist_m", "area_no_jam_m2", "area_uniform_m2",
               "area_algo2_m2", "area_algo3_m2", "warning"]
@@ -526,14 +513,12 @@ def _fig6(out):
         cfg = _reference_cfg(100, 10.0, float(bob_dist), n_eves=10)
 
         def metrics(cfg=cfg):
-            no_jam = sop_closed_form(cfg, 0.0, region)
-            uniform = optimize_phi_uniform(cfg, region,
-                                           objective="sop").objective
-            algo1 = algorithm1_directional(cfg, region).objective
-            alloc3 = algorithm3_two_lobes(cfg).allocation
-            algo3 = sop_intersection(sor_boundary_directional(cfg, alloc3),
-                                     region, cfg.n_eves)
-            return no_jam, uniform, algo1, algo3
+            def sop(kind, phi=None):
+                return _scheme(cfg, region, kind, phi, "sop", _PHI_STEP)
+            # algo1 splits the uniform optimum over the region's beams
+            phi_u, _, uniform = sop("uniform")
+            return (sop("no_jam")[2], uniform, sop("algo1", phi_u)[2],
+                    sop("algo3")[2])
         rows.append((bob_dist,) + guard.run(metrics, 4))
     header = ["bob_dist_m", "sop_no_jam", "sop_uniform", "sop_algo1",
               "sop_algo3", "warning"]
@@ -544,92 +529,53 @@ def _fig6(out):
 # ---------------------------------------------------------------------------
 # Manifest-driven subcommands
 
-def _run_sop(manifest, phi_step):
+def _sweep(manifest, objective, phi_step, columns, extend=None):
+    """(header, rows, guard) over the manifest's sweep: per grid value, the
+    scheme's fraction and ``objective`` value, followed by
+    ``extend(cfg, allocation)`` when given."""
     parameter, values = manifest.sweep
-    kind, scheme_phi, _ = manifest.scheme
+    kind, fixed_phi, _ = manifest.scheme
     guard = _RowGuard()
     rows = []
     for value in values:
         def metrics(value=value):
-            cfg, phi_override = _apply_sweep(manifest.scenario, parameter,
-                                             value)
-            phi = phi_override if phi_override is not None else scheme_phi
-            used, sop, _ = _scheme_sop(cfg, manifest.region, kind, phi,
-                                       phi_step)
-            return used, sop
-        rows.append((value,) + guard.run(metrics, 2))
-    header = [parameter, "phi_used", "sop", "warning"]
-    return header, rows, guard
-
-
-def _run_optimize(manifest, phi_step):
-    parameter, values = manifest.sweep
-    if parameter == "phi":
-        raise ManifestError("sweep.parameter",
-                            "optimize chooses phi; sweep a scenario "
-                            "parameter instead")
-    kind, _, objective = manifest.scheme
-    guard = _RowGuard()
-    rows = []
-    for value in values:
-        def metrics(value=value):
-            cfg, _ = _apply_sweep(manifest.scenario, parameter, value)
-            return _scheme_optimum(cfg, manifest.region, kind, objective,
-                                   phi_step)
-        rows.append((value,) + guard.run(metrics, 2))
-    header = [parameter, "phi_opt", "objective", "warning"]
-    return header, rows, guard
+            cfg, phi = _apply_sweep(manifest.scenario, parameter, value)
+            used, alloc, score = _scheme(
+                cfg, manifest.region, kind,
+                fixed_phi if phi is None else phi, objective, phi_step)
+            return (used, score) + (extend(cfg, alloc) if extend else ())
+        rows.append((value,) + guard.run(metrics, len(columns)))
+    return [parameter] + columns + ["warning"], rows, guard
 
 
 def _run_mc_validate(manifest, phi_step, seed, threads):
-    parameter, values = manifest.sweep
-    kind, scheme_phi, _ = manifest.scheme
     mc = manifest.mc
-    master_seed = mc["master_seed"] if seed is None else seed
-    guard = _RowGuard()
-    rows = []
-    for value in values:
-        def metrics(value=value):
-            cfg, phi_override = _apply_sweep(manifest.scenario, parameter,
-                                             value)
-            phi = phi_override if phi_override is not None else scheme_phi
-            used, closed, alloc = _scheme_sop(cfg, manifest.region, kind,
-                                              phi, phi_step)
-            spec = McRunSpec(n_samples=mc["n_samples"],
-                             master_seed=master_seed,
-                             rician_k=mc["rician_k"], threads=threads)
-            empirical = empirical_sop(cfg, alloc if alloc is not None
-                                      else used, manifest.region, spec)
-            se = math.sqrt(max(empirical * (1.0 - empirical), 1e-12)
-                           / mc["n_samples"])
-            return used, closed, empirical, se
-        rows.append((value,) + guard.run(metrics, 4))
-    header = [parameter, "phi_used", "sop_closed", "sop_mc", "binom_se",
-              "warning"]
-    return header, rows, guard
+    spec = McRunSpec(n_samples=mc["n_samples"],
+                     master_seed=mc["master_seed"] if seed is None else seed,
+                     rician_k=mc["rician_k"], threads=threads)
+
+    def monte_carlo(cfg, alloc):
+        empirical = empirical_sop(cfg, alloc, manifest.region, spec)
+        se = math.sqrt(max(empirical * (1.0 - empirical), 1e-12)
+                       / mc["n_samples"])
+        return empirical, se
+    return _sweep(manifest, "sop", phi_step,
+                  ["phi_used", "sop_closed", "sop_mc", "binom_se"],
+                  monte_carlo)
 
 
 def _run_sor_map(manifest, n_points):
-    kind, scheme_phi, _ = manifest.scheme
+    kind, phi, _ = manifest.scheme
+    cfg = manifest.scenario
     thetas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_points)
     guard = _RowGuard()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            boundary = _scheme_boundary(manifest.scenario, manifest.region,
-                                        kind, scheme_phi, thetas)
-            radii = boundary.radii
-        except _ROW_ERRORS as exc:
-            radii = np.full(thetas.size, math.nan)
-            caught = list(caught)
-            caught.append(exc)
-    note = "; ".join(
-        str(getattr(c, "message", c)) for c in caught).replace(",", ";")
-    if note:
-        guard.notes.append(note)
+
+    def boundary_radii():
+        _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None, None)
+        return _boundary(cfg, alloc, thetas).radii
+    *radii, note = guard.run(boundary_radii, thetas.size)
     rows = [(math.degrees(th), r, note) for th, r in zip(thetas, radii)]
-    header = ["theta_deg", "radius_m", "warning"]
-    return header, rows, guard
+    return ["theta_deg", "radius_m", "warning"], rows, guard
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +583,8 @@ def _run_sor_map(manifest, n_points):
 
 def _resolve_threads(cli_threads, mc):
     if cli_threads is not None:
+        if cli_threads < 1:
+            raise ManifestError("--threads", "must be >= 1")
         return cli_threads
     if mc is not None and mc.get("threads"):
         return mc["threads"]
@@ -684,12 +632,12 @@ def build_parser():
     p_map.add_argument("--grid", type=int, default=721,
                        help="number of theta samples (default 721)")
     p_sop = manifest_parser("sop", "secrecy outage probability sweep")
-    p_sop.add_argument("--phi-step", type=float, default=1e-3)
+    p_sop.add_argument("--phi-step", type=float, default=_PHI_STEP)
     p_opt = manifest_parser("optimize", "optimal jamming fraction sweep")
-    p_opt.add_argument("--phi-step", type=float, default=1e-3)
+    p_opt.add_argument("--phi-step", type=float, default=_PHI_STEP)
     p_mc = manifest_parser("mc-validate",
                            "closed form vs finite-antenna Monte Carlo")
-    p_mc.add_argument("--phi-step", type=float, default=1e-3)
+    p_mc.add_argument("--phi-step", type=float, default=_PHI_STEP)
     p_mc.add_argument("--seed", type=int,
                       help="Monte Carlo master seed (overrides manifest)")
     p_mc.add_argument("--threads", type=int,
@@ -721,20 +669,23 @@ def main(argv=None):
             out, n_rows, n_warn = _reproduce(args)
             label = f"reproduce {args.figure}"
         else:
-            need_region = args.command in ("sop", "mc-validate")
-            manifest = load_manifest(args.manifest,
-                                     need_sweep=args.command != "sor-map",
-                                     need_region=need_region,
-                                     need_mc=args.command == "mc-validate")
+            manifest = load_manifest(args.manifest, args.command)
             if args.command == "sor-map":
                 if args.grid < 2:
                     raise ManifestError("--grid", "need at least 2 samples")
                 header, rows, guard = _run_sor_map(manifest, args.grid)
+            elif not args.phi_step > 0.0:
+                raise ManifestError("--phi-step", "must be positive")
             elif args.command == "sop":
-                header, rows, guard = _run_sop(manifest, args.phi_step)
+                header, rows, guard = _sweep(manifest, "sop", args.phi_step,
+                                             ["phi_used", "sop"])
             elif args.command == "optimize":
-                header, rows, guard = _run_optimize(manifest, args.phi_step)
+                header, rows, guard = _sweep(
+                    manifest, manifest.scheme[2], args.phi_step,
+                    ["phi_opt", "objective"])
             else:
+                if args.seed is not None and args.seed < 0:
+                    raise ManifestError("--seed", "must be >= 0")
                 threads = _resolve_threads(args.threads, manifest.mc)
                 header, rows, guard = _run_mc_validate(
                     manifest, args.phi_step, args.seed, threads)

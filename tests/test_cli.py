@@ -5,12 +5,31 @@ exit codes and stderr text are asserted directly.
 """
 
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
+import secrecy_sor.cli as cli
+from secrecy_sor import (
+    ArrayGeometry,
+    McRunSpec,
+    ScenarioConfig,
+    SuspiciousRegion,
+    algorithm1_directional,
+    algorithm2_iterative,
+    algorithm3_two_lobes,
+    empirical_sop,
+    optimize_phi_uniform,
+    sop_closed_form,
+    sop_intersection,
+    sor_area,
+    sor_boundary_directional,
+    sor_boundary_nojam,
+    sor_boundary_uniform,
+)
 from secrecy_sor.cli import main
 
 # main-lobe radius of the reference broadside setup (N_t=100, R_th=10,
@@ -201,3 +220,140 @@ def test_threads_env_fallback_rejects_garbage(tmp_path, capsys,
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "SECRECY_SOR_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, blocks, field", [
+    ("optimize", {"region": None,
+                  "sweep": {"parameter": "bob_dist_m", "grid": [100.0]},
+                  "scheme": {"kind": "uniform", "objective": "sop"}},
+     "region"),
+    ("sor-map", {"scheme": "uniform"}, "scheme.phi"),
+    ("optimize", {"sweep": {"parameter": "bob_dist_m", "grid": [100.0]},
+                  "scheme": {"kind": "uniform", "phi": 0.3}}, "scheme.phi"),
+])
+def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
+                                                  blocks, field):
+    path = base_manifest(tmp_path, **blocks)
+    out = tmp_path / "o.csv"
+    rc = main([command, "--manifest", path, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, field", [
+    (["--phi-step", "0"], "--phi-step"),
+    (["--threads", "0"], "--threads"),
+    (["--seed", "-1"], "--seed"),
+])
+def test_bad_command_line_values_exit_2(tmp_path, capsys, extra, field):
+    path = base_manifest(tmp_path, mc={"n_samples": 10})
+    rc = main(["mc-validate", "--manifest", path,
+               "--out", str(tmp_path / "o.csv")] + extra)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+
+
+def test_rejected_grid_value_becomes_nan_row(tmp_path):
+    path = base_manifest(tmp_path,
+                         sweep={"parameter": "alpha", "grid": [3.0, 7.0]},
+                         scheme={"kind": "uniform", "phi": 0.3})
+    out = tmp_path / "o.csv"
+    assert main(["sop", "--manifest", path, "--out", str(out)]) == 0
+    _, (good, bad) = read_csv(out)
+    assert good[2] != "nan" and good[3] == ""
+    assert bad[1:] == ["nan", "nan", "alpha must lie in [2; 6]"]
+
+
+def test_library_value_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken library call")
+    monkeypatch.setattr(cli, "sop_closed_form", broken)
+    path = base_manifest(tmp_path)
+    with pytest.raises(ValueError, match="broken library call"):
+        main(["sop", "--manifest", path, "--out", str(tmp_path / "o.csv")])
+
+
+# ------------------------------------------------------------------------
+# every command x scheme value against the library call that defines it
+
+MATRIX_CFG = ScenarioConfig(geometry=ArrayGeometry(32, 0.5), alpha=3.0,
+                            p_tot=1.0, n0=1e-8, r_th=4.0, bob_theta=0.0,
+                            bob_dist=80.0, n_eves=3)
+MATRIX_REGION = SuspiciousRegion((math.radians(-40.0), math.radians(40.0)),
+                                 40.0, 120.0)
+MATRIX_PHI = 0.3  # sor-map needs a fixed fraction for scheme uniform
+MATRIX_GRID = 37
+MATRIX_MC = McRunSpec(n_samples=40, master_seed=3)
+
+
+def _library_values(kind):
+    """What each command must write for a scheme, straight from the library:
+    the fraction and SOP of ``sop``/``mc-validate``, the fraction of
+    ``optimize`` per objective, the area, the map radii and the allocation
+    the Monte Carlo engine must simulate."""
+    cfg, region = MATRIX_CFG, MATRIX_REGION
+    thetas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, MATRIX_GRID)
+    if kind == "no_jam":
+        return dict(phi=0.0, phi_sop=0.0, phi_area=0.0,
+                    sop=sop_closed_form(cfg, 0.0, region),
+                    area=sor_area(sor_boundary_nojam(cfg)),
+                    radii=sor_boundary_nojam(cfg, thetas).radii, mc=0.0)
+    if kind == "uniform":
+        by_sop = optimize_phi_uniform(cfg, region, objective="sop")
+        by_area = optimize_phi_uniform(cfg, None, objective="sor_area")
+        return dict(phi=by_sop.phi_opt, phi_sop=by_sop.phi_opt,
+                    phi_area=by_area.phi_opt, sop=by_sop.objective,
+                    area=by_area.objective,
+                    radii=sor_boundary_uniform(cfg, MATRIX_PHI, thetas).radii,
+                    mc=by_sop.phi_opt)
+    res = {"algo1": lambda: algorithm1_directional(cfg, region),
+           "algo2": lambda: algorithm2_iterative(cfg),
+           "algo3": lambda: algorithm3_two_lobes(cfg)}[kind]()
+    boundary = sor_boundary_directional(cfg, res.allocation)
+    return dict(phi=res.phi_opt, phi_sop=res.phi_opt, phi_area=res.phi_opt,
+                sop=res.objective if kind == "algo1"
+                else sop_intersection(boundary, region, cfg.n_eves),
+                area=sor_area(boundary),
+                radii=sor_boundary_directional(cfg, res.allocation,
+                                               thetas).radii,
+                mc=res.allocation)
+
+
+@pytest.mark.parametrize("kind", ["no_jam", "uniform", "algo1", "algo2",
+                                  "algo3"])
+def test_every_command_scores_the_scheme_allocation(tmp_path, kind):
+    want = _library_values(kind)
+    fmt = cli._fmt
+    scenario = {"n_antennas": 32, "r_th": 4.0, "bob_dist_m": 80.0,
+                "n_eves": 3}
+    region = {"angles_deg": [-40.0, 40.0], "d_min_m": 40.0,
+              "d_max_m": 120.0}
+    sweep = {"parameter": "bob_dist_m", "grid": [80.0]}
+
+    def run(command, scheme, *extra, **blocks):
+        path = write_manifest(tmp_path / "m.json", scenario=scenario,
+                              region=region, scheme=scheme, **blocks)
+        out = tmp_path / "o.csv"
+        assert main([command, "--manifest", path, "--out", str(out),
+                     *extra]) == 0
+        return read_csv(out)[1]
+
+    (row,) = run("sop", {"kind": kind}, sweep=sweep)
+    assert row[1:] == [fmt(want["phi"]), fmt(want["sop"]), ""]
+    (row,) = run("optimize", {"kind": kind, "objective": "sop"}, sweep=sweep)
+    assert row[1:] == [fmt(want["phi_sop"]), fmt(want["sop"]), ""]
+    (row,) = run("optimize", {"kind": kind, "objective": "sor_area"},
+                 sweep=sweep)
+    assert row[1:] == [fmt(want["phi_area"]), fmt(want["area"]), ""]
+    map_scheme = {"kind": kind}
+    if kind == "uniform":
+        map_scheme["phi"] = MATRIX_PHI
+    rows = run("sor-map", map_scheme, "--grid", str(MATRIX_GRID))
+    assert [r[1] for r in rows] == [fmt(r) for r in want["radii"]]
+    (row,) = run("mc-validate", {"kind": kind}, sweep=sweep,
+                 mc={"n_samples": MATRIX_MC.n_samples,
+                     "master_seed": MATRIX_MC.master_seed})
+    empirical = empirical_sop(MATRIX_CFG, want["mc"], MATRIX_REGION,
+                              MATRIX_MC)
+    assert row[1:4] == [fmt(want["phi"]), fmt(want["sop"]), fmt(empirical)]
