@@ -265,6 +265,10 @@ def load_manifest(path, command):
         raise ManifestError("region", "missing (required for scheme algo1)")
     if command == "mc-validate" and mc is None:
         raise ManifestError("mc", "missing (required for mc-validate)")
+    if command != "optimize" and objective is not None:
+        raise ManifestError("scheme.objective",
+                            f"only optimize takes an objective ({command} "
+                            "scores the allocation it is given)")
     if command == "optimize":
         if phi is not None:
             raise ManifestError("scheme.phi",
@@ -647,6 +651,10 @@ def build_parser():
 
 
 def _reproduce(args):
+    if args.phi_step is not None and not args.phi_step > 0.0:
+        raise ManifestError("--phi-step", "must be positive")
+    if args.grid is not None and args.grid < 1:
+        raise ManifestError("--grid", "need at least 1 sample")
     out = args.out or f"{args.figure}.csv"
     if args.figure == "fig2":
         n_rows, n_warn = _fig2(out, args.phi_step or 0.005, args.both_alpha)

@@ -26,11 +26,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import bisect
 
 _HALF_PI = 0.5 * np.pi
 # Sample count per monotone half lobe in the cached inverse-kernel tables.
 _HALF_LOBE_SAMPLES = 2049
+# Side lobes tabulated per block.  At n=262 (130 lobes, 8 MB of tables) a
+# build in blocks of 16 peaks 3 MB above its tables, one pass over all
+# lobes 17 MB above them.
+_TABLE_BLOCK_LOBES = 16
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# scipy.optimize.bisect's default relative tolerance
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -169,14 +175,19 @@ def peak_value(m, geom, simplified=False):
 
 
 def _resolve_side_lobes(profile):
-    """Side-lobe count the distribution tracks: the user's cap, else the
-    default for the geometry, both limited to representable lobes."""
+    """Side-lobe count the distribution tracks: the user's cap, else every
+    lobe the reference angle can reach, both limited to representable lobes.
+
+    Offsets reach ``1 + |sin theta_ref|`` and lobe ``m`` starts at offset
+    ``m / (n d)``, so the default is every ``m < span`` with
+    ``span = n d (1 + |sin theta_ref|)``.
+    """
     geom = profile.geometry
     cap = _max_side_lobe(geom)
     if profile.n_side_lobes is not None:
         return min(profile.n_side_lobes, cap)
     span = geom.n_antennas * geom.spacing * (1.0 + abs(np.sin(profile.theta_ref)))
-    return min(max(int(np.floor(span)) - 1, 1), cap)
+    return min(max(int(np.ceil(span)) - 1, 1), cap)
 
 
 class _KernelTables:
@@ -184,8 +195,12 @@ class _KernelTables:
 
     For each side lobe the kernel restricted to a half lobe is monotone, so
     its inverse (level -> offset) can be tabulated once and evaluated for
-    whole arrays of levels with ``np.interp``.  ``cross_points`` itself uses
-    bisection for full precision; these tables serve the vectorized CDF.
+    whole arrays of levels with ``np.interp``.  Row ``m`` of the
+    ``(cap + 1, _HALF_LOBE_SAMPLES)`` arrays ``rise_s``/``rise_x`` and
+    ``fall_s``/``fall_x`` tabulates side lobe ``m`` (row 0, the main lobe,
+    is unused: it lives in ``main_s``/``main_x``).  ``cross_points`` itself
+    uses bisection for full precision; these tables serve the vectorized
+    CDF.
     """
 
     def __init__(self, n_antennas, spacing):
@@ -203,46 +218,103 @@ class _KernelTables:
         self.main_s = np.maximum.accumulate(s_main[::-1].copy())
         self.main_x = x_main[::-1].copy()
 
+        # lobe m spans [lo[m], hi[m]]; entry 0 (the main lobe) is unused
+        m = np.arange(cap + 1)
+        lo, hi = m * width, (m + 1) * width
         self.x_peak = np.zeros(cap + 1)
-        self.s_peak = np.zeros(cap + 1)
-        self.s_peak[0] = 1.0
-        self.rise_s, self.rise_x = [None], [None]
-        self.fall_s, self.fall_x = [None], [None]
-        for m in range(1, cap + 1):
-            lo = m * width
-            hi = (m + 1) * width
-            xp = _ternary_max(lambda x: s_kernel(x, geom), lo, hi)
-            self.x_peak[m] = xp
-            self.s_peak[m] = s_kernel(xp, geom)
-            xr = np.linspace(lo, xp, _HALF_LOBE_SAMPLES)
-            xf = np.linspace(xp, hi, _HALF_LOBE_SAMPLES)
-            self.rise_s.append(np.maximum.accumulate(s_kernel(xr, geom)))
-            self.rise_x.append(xr)
-            self.fall_s.append(np.maximum.accumulate(s_kernel(xf, geom)[::-1].copy()))
-            self.fall_x.append(xf[::-1].copy())
+        self.x_peak[1:] = _golden_max(lambda x: s_kernel(x, geom),
+                                      lo[1:], hi[1:])
+        self.s_peak = s_kernel(self.x_peak, geom)
+        shape = (cap + 1, _HALF_LOBE_SAMPLES)
+        self.rise_s, self.rise_x = np.zeros(shape), np.zeros(shape)
+        self.fall_s, self.fall_x = np.zeros(shape), np.zeros(shape)
+        for start in range(1, cap + 1, _TABLE_BLOCK_LOBES):
+            rows = slice(start, min(start + _TABLE_BLOCK_LOBES, cap + 1))
+            xp = self.x_peak[rows]
+            xr = np.linspace(lo[rows], xp, _HALF_LOBE_SAMPLES, axis=1)
+            xf = np.linspace(xp, hi[rows], _HALF_LOBE_SAMPLES, axis=1)
+            np.maximum.accumulate(s_kernel(xr, geom), axis=1,
+                                  out=self.rise_s[rows])
+            self.rise_x[rows] = xr
+            np.maximum.accumulate(s_kernel(xf, geom)[:, ::-1], axis=1,
+                                  out=self.fall_s[rows])
+            self.fall_x[rows] = xf[:, ::-1]
 
     def lobe_bounds(self, m):
         width = self.first_null
         return m * width, (m + 1) * width, self.x_peak[m], self.s_peak[m]
 
 
-def _ternary_max(f, lo, hi, tol=1e-13):
-    """Golden-section maximizer for a unimodal function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+def _golden_max(f, lo, hi, tol=1e-13):
+    """Golden-section maximizer of a unimodal ``f`` on each bracket
+    ``[lo[i], hi[i]]`` (1-D arrays), all brackets at once.
+
+    ``f`` maps an array of abscissae to an array of values.  Each bracket
+    keeps its own search: it narrows to the left when ``f(c) > f(d)`` and
+    to the right otherwise, and leaves the active set once its width is at
+    most ``tol * max(1, |lo| + |hi|)``.  Returns the bracket midpoints.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    stop = tol * np.maximum(1.0, np.abs(a) + np.abs(b))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol * max(1.0, abs(lo) + abs(hi)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    live = np.flatnonzero(b - a > stop)
+    while live.size:
+        a_l, b_l, c_l, d_l = a[live], b[live], c[live], d[live]
+        fc_l, fd_l = fc[live], fd[live]
+        left = fc_l > fd_l
+        # left: b <- d, d <- c and a new c; right: a <- c, c <- d, new d
+        a_l = np.where(left, a_l, c_l)
+        b_l = np.where(left, d_l, b_l)
+        x = np.where(left, b_l - _INVPHI * (b_l - a_l),
+                     a_l + _INVPHI * (b_l - a_l))
+        fx = f(x)
+        a[live], b[live] = a_l, b_l
+        c[live] = np.where(left, x, d_l)
+        d[live] = np.where(left, c_l, x)
+        fc[live] = np.where(left, fx, fd_l)
+        fd[live] = np.where(left, fc_l, fx)
+        live = live[b_l - a_l > stop[live]]
     return 0.5 * (a + b)
+
+
+def _bisect(f, xa, xb, xtol=1e-12, maxiter=100):
+    """Root of ``f`` in each bracket ``[xa[i], xb[i]]`` (1-D arrays), all
+    brackets at once.
+
+    Follows ``scipy.optimize.bisect``'s update rule, so each root equals
+    that function's result bit for bit: halve ``dm``, probe
+    ``xm = xa + dm``, move ``xa`` to ``xm`` when ``f(xm) * f(xa) >= 0``
+    (``f(xa)`` keeps its value from the original ``xa``), and stop at
+    ``f(xm) == 0`` or ``|dm| < xtol + 4 eps |xm|``.  Raises ``ValueError``
+    on a bracket whose ends have the same sign and ``RuntimeError`` when a
+    bracket is still open after ``maxiter`` halvings.
+    """
+    xa = np.array(xa, dtype=float)
+    xb = np.array(xb, dtype=float)
+    fa, fb = f(xa), f(xb)
+    if np.any(fa * fb > 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    root = np.where(fa == 0, xa, xb)
+    live = np.flatnonzero((fa != 0) & (fb != 0))
+    dm = xb - xa
+    for _ in range(maxiter):
+        if not live.size:
+            break
+        dm_l = dm[live] * 0.5
+        xm = xa[live] + dm_l
+        fm = f(xm)
+        xa[live] = np.where(fm * fa[live] >= 0, xm, xa[live])
+        dm[live] = dm_l
+        done = (fm == 0) | (np.abs(dm_l) < xtol + _BISECT_RTOL * np.abs(xm))
+        root[live[done]] = xm[done]
+        live = live[~done]
+    if live.size:
+        raise RuntimeError(f"bisection did not converge in {maxiter} "
+                           "iterations")
+    return root
 
 
 @lru_cache(maxsize=32)
@@ -264,19 +336,21 @@ def cross_points(u, profile):
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
     peaks = [peak_value(m, geom) for m in range(m_count + 1)]
 
-    def f(x):
-        return s_kernel(x, geom) - u
-
-    cp_main = bisect(f, 0.0, tables.first_null, xtol=1e-12)
-    side = []
-    for m in range(1, m_count + 1):
-        lo, hi, xp, sp = tables.lobe_bounds(m)
-        if sp > u:
-            c1 = bisect(f, lo, xp, xtol=1e-12)
-            c2 = bisect(f, xp, hi, xtol=1e-12)
-            side.append((c1, c2))
-        else:
-            side.append(None)
+    # one bisection for the main lobe and both halves of every side lobe
+    # that rises above u
+    m_side = np.arange(1, m_count + 1)
+    crossing = m_side[tables.s_peak[m_side] > u]
+    lo = crossing * tables.first_null
+    hi = (crossing + 1) * tables.first_null
+    xp = tables.x_peak[crossing]
+    roots = _bisect(lambda x: s_kernel(x, geom) - u,
+                    np.concatenate(([0.0], lo, xp)),
+                    np.concatenate(([tables.first_null], xp, hi)))
+    k = crossing.size
+    pairs = dict(zip(crossing.tolist(),
+                     zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
+    cp_main = float(roots[0])
+    side = [pairs.get(m) for m in range(1, m_count + 1)]
     return LobeLandmarks(peaks, cp_main, side)
 
 
@@ -467,6 +541,6 @@ def s_max_feasible(profile, angle_range):
     step = grid[1] - grid[0] if n_pts > 1 else d_hi - d_lo
     lo = max(d_lo, grid[i] - step)
     hi = min(d_hi, grid[i] + step)
-    xb = _ternary_max(lambda t: s_kernel(t, geom), lo, hi)
+    xb = _golden_max(lambda t: s_kernel(t, geom), [lo], [hi])[0]
     best = max(vals[i], s_kernel(xb, geom), s_kernel(d_lo, geom), s_kernel(d_hi, geom))
     return profile.k_factor_product * float(best)

@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space as _scipy_null_space
 
 from .asymptotic import PowerAllocation, _check_allocation
 from .crosstalk import steering_vector
@@ -104,7 +103,11 @@ def null_space_basis(h):
     the fast path uses instead; this explicit basis exists for checking it.
     """
     h = np.asarray(h, dtype=complex)
-    return _scipy_null_space(h.conj()[None, :])
+    _, s, vh = np.linalg.svd(h.conj()[None, :], full_matrices=True)
+    # rank cutoff: singular values above eps * max(shape) * largest
+    tol = np.finfo(float).eps * h.size * s.max(initial=0.0)
+    rank = np.count_nonzero(s > tol)
+    return vh[rank:].conj().T
 
 
 def _as_allocation(cfg, alloc):

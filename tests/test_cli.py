@@ -230,6 +230,12 @@ def test_threads_env_fallback_rejects_garbage(tmp_path, capsys,
     ("sor-map", {"scheme": "uniform"}, "scheme.phi"),
     ("optimize", {"sweep": {"parameter": "bob_dist_m", "grid": [100.0]},
                   "scheme": {"kind": "uniform", "phi": 0.3}}, "scheme.phi"),
+    ("sop", {"scheme": {"kind": "uniform", "objective": "sor_area"}},
+     "scheme.objective"),
+    ("mc-validate", {"scheme": {"kind": "uniform", "objective": "sop"},
+                     "mc": {"n_samples": 10}}, "scheme.objective"),
+    ("sor-map", {"scheme": {"kind": "no_jam", "objective": "sor_area"}},
+     "scheme.objective"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):
@@ -252,6 +258,19 @@ def test_bad_command_line_values_exit_2(tmp_path, capsys, extra, field):
                "--out", str(tmp_path / "o.csv")] + extra)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["fig2", "--phi-step", "-0.1"], "--phi-step"),
+    (["fig3", "--phi-step", "0"], "--phi-step"),
+    (["fig4", "--grid", "-1"], "--grid"),
+])
+def test_bad_reproduce_arguments_exit_2(tmp_path, capsys, argv, field):
+    out = tmp_path / "fig.csv"
+    rc = main(["reproduce", *argv, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+    assert not out.exists()
 
 
 def test_rejected_grid_value_becomes_nan_row(tmp_path):

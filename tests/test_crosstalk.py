@@ -2,11 +2,21 @@
 
 Frozen reference numbers come from brute-force quadrature (20e6-point angle
 grids) run once and pinned here; the tests hold the closed forms to them.
+The lobe landmarks are also held bit for bit to scalar reference searches
+kept here: one golden-section search per lobe and scipy's bisection rule.
 """
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import secrecy_sor
 from secrecy_sor import (
     ArrayGeometry,
     CrosstalkProfile,
@@ -18,6 +28,12 @@ from secrecy_sor import (
     s_kernel,
     s_max_feasible,
     steering_vector,
+)
+from secrecy_sor.crosstalk import (
+    _HALF_LOBE_SAMPLES,
+    _KernelTables,
+    _bisect,
+    _kernel_tables,
 )
 
 G16 = ArrayGeometry(16, 0.5)
@@ -102,6 +118,135 @@ def test_cross_points_solve_the_level_equation():
         assert all(a >= b for a, b in zip(lm.peak_values, lm.peak_values[1:]))
 
 
+def _ref_golden_max(f, lo, hi, tol=1e-13):
+    """Scalar golden-section maximizer, one lobe at a time."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol * max(1.0, abs(lo) + abs(hi)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _ref_bisect(f, xa, xb, xtol=1e-12, rtol=4 * np.finfo(float).eps,
+                maxiter=100):
+    """scipy.optimize.bisect's update rule, one scalar bracket."""
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise ValueError("same sign")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError("no convergence")
+
+
+# odd and even counts, spacings below and at the grating limit, and lobe
+# counts on both sides of the table build's block size
+LANDMARK_GEOMETRIES = [ArrayGeometry(n, d) for n in (2, 3, 5, 8, 17, 40, 100)
+                       for d in (0.25, 0.37, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("geom", LANDMARK_GEOMETRIES,
+                         ids=lambda g: f"n{g.n_antennas}-d{g.spacing}")
+def test_kernel_tables_equal_per_lobe_scalar_build(geom):
+    tables = _KernelTables(geom.n_antennas, geom.spacing)
+    width = 1.0 / (geom.n_antennas * geom.spacing)
+    assert tables.rise_s.shape == (tables.cap + 1, _HALF_LOBE_SAMPLES)
+    for m in range(1, tables.cap + 1):
+        lo, hi = m * width, (m + 1) * width
+        xp = _ref_golden_max(lambda x: s_kernel(x, geom), lo, hi)
+        xr = np.linspace(lo, xp, _HALF_LOBE_SAMPLES)
+        xf = np.linspace(xp, hi, _HALF_LOBE_SAMPLES)
+        assert tables.x_peak[m] == xp
+        assert tables.s_peak[m] == s_kernel(xp, geom)
+        assert np.array_equal(tables.rise_x[m], xr)
+        assert np.array_equal(tables.rise_s[m],
+                              np.maximum.accumulate(s_kernel(xr, geom)))
+        assert np.array_equal(tables.fall_x[m], xf[::-1])
+        assert np.array_equal(tables.fall_s[m], np.maximum.accumulate(
+            s_kernel(xf, geom)[::-1]))
+
+
+def test_cross_points_equal_scalar_bisection():
+    rng = np.random.default_rng(11)
+    for geom in LANDMARK_GEOMETRIES:
+        width = 1.0 / (geom.n_antennas * geom.spacing)
+        cap = _kernel_tables(geom.n_antennas, geom.spacing).cap
+        peaks = {m: _ref_golden_max(lambda x: s_kernel(x, geom),
+                                    m * width, (m + 1) * width)
+                 for m in range(1, cap + 1)}
+        for theta_ref in (0.0, 0.7):
+            prof = CrosstalkProfile(geom, theta_ref, 1.0)
+            for u in np.concatenate([rng.uniform(0.0, 1.0, 3),
+                                     10.0 ** rng.uniform(-6.0, -1.0, 3)]):
+                u = float(u)
+                lm = cross_points(u, prof)
+
+                def f(x):
+                    return s_kernel(x, geom) - u
+                assert lm.cross_points_main == _ref_bisect(f, 0.0, width)
+                for m, pair in enumerate(lm.cross_points_side, start=1):
+                    peak = peaks[m]
+                    if s_kernel(peak, geom) > u:
+                        assert pair == (
+                            _ref_bisect(f, m * width, peak),
+                            _ref_bisect(f, peak, (m + 1) * width))
+                    else:
+                        assert pair is None
+    with pytest.raises(ValueError):
+        _bisect(lambda x: x - 5.0, [0.0, 0.0], [10.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(ArrayGeometry, st.integers(min_value=2, max_value=200),
+                 st.sampled_from([0.25, 0.4, 0.5, 1.0])),
+       st.floats(min_value=-np.pi / 2, max_value=np.pi / 2),
+       st.floats(min_value=1e-7, max_value=0.999))
+def test_cross_points_solve_the_level_inside_their_half_lobes(geom,
+                                                             theta_ref, u):
+    lm = cross_points(u, CrosstalkProfile(geom, theta_ref, 1.0))
+    width = 1.0 / (geom.n_antennas * geom.spacing)
+    assert 0.0 <= lm.cross_points_main <= width
+    assert abs(s_kernel(lm.cross_points_main, geom) - u) < 1e-9
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    for m, pair in enumerate(lm.cross_points_side, start=1):
+        if pair is None:
+            continue
+        rise, fall = pair
+        assert m * width <= rise <= tables.x_peak[m] <= fall \
+            <= (m + 1) * width
+        assert abs(s_kernel(rise, geom) - u) < 1e-9
+        assert abs(s_kernel(fall, geom) - u) < 1e-9
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(secrecy_sor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, secrecy_sor.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def _brute_cdf(x, profile, angle_range, n=2_000_001):
     lo, hi = angle_range
     lo, hi = max(lo, -np.pi / 2), min(hi, np.pi / 2)
@@ -138,6 +283,19 @@ def test_crosstalk_cdf_tracks_brute_force():
         print(f"range {r}: max cdf error {err:.2e}")
         assert err < 2e-5
         assert np.all(np.diff(got) >= -1e-15)
+
+
+def test_default_lobe_count_tracks_every_reachable_lobe():
+    # odd n: the half-integer span n d = 2.5 reaches into side lobe 2
+    p = CrosstalkProfile(ArrayGeometry(5, 0.5), 0.0, 1.0)
+    rng = (0.0, 1.0)
+    xs = np.array([0.01, 0.02])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = crosstalk_cdf(xs, p, rng)
+    brute = np.array([_brute_cdf(x, p, rng) for x in xs])
+    print(f"cdf {got} brute {brute}")
+    assert np.max(np.abs(got - brute)) < 1e-3
 
 
 def test_crosstalk_cdf_support_edges():
