@@ -324,14 +324,16 @@ def _region_beam_allocation(cfg, region, phi):
         basis="dft_selected", beam_angles=angles)
 
 
-def algorithm1_directional(cfg, region):
-    """Uniform-optimal ``phi``, then ``_region_beam_allocation`` at it: an
-    equal split over the DFT beams that cover the suspicious angles.
+def algorithm1_directional(cfg, region, phi_step=1e-3):
+    """Uniform-optimal ``phi`` (SOP searched at ``phi_step``), then
+    ``_region_beam_allocation`` at it: an equal split over the DFT beams
+    that cover the suspicious angles.
 
     Keeps the uniform allocation, with a warning, when no beam covers the
     region.
     """
-    uniform = optimize_phi_uniform(cfg, region, objective="sop")
+    uniform = optimize_phi_uniform(cfg, region, objective="sop",
+                                   phi_step=phi_step)
     phi = uniform.phi_opt
     alloc = _region_beam_allocation(cfg, region, phi)
     trace = [("uniform", phi, uniform.objective)]

@@ -47,6 +47,11 @@ _SWEEPABLE = ("phi", "bob_dist_m", "bob_theta_deg", "r_th", "n_antennas",
 # default phi grid step of the uniform searches (the reference figures use
 # it too)
 _PHI_STEP = 1e-3
+# the options each reproduced figure reads; any other given option is an
+# error
+_FIGURE_OPTIONS = {"fig2": ("--phi-step", "--both-alpha"),
+                   "fig3": ("--phi-step",), "fig4": ("--grid",), "fig5": (),
+                   "fig6": ()}
 
 
 class ManifestError(ValueError):
@@ -404,7 +409,8 @@ def _scheme(cfg, region, kind, phi, objective, phi_step):
                                        phi_step=phi_step)
             searched = objective
         elif kind == "algo1":
-            res, searched = algorithm1_directional(cfg, region), "sop"
+            res = algorithm1_directional(cfg, region, phi_step=phi_step)
+            searched = "sop"
         else:
             res = algorithm2_iterative(cfg) if kind == "algo2" \
                 else algorithm3_two_lobes(cfg)
@@ -575,7 +581,8 @@ def _run_sor_map(manifest, n_points):
     guard = _RowGuard()
 
     def boundary_radii():
-        _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None, None)
+        _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None,
+                              _PHI_STEP)
         return _boundary(cfg, alloc, thetas).radii
     *radii, note = guard.run(boundary_radii, thetas.size)
     rows = [(math.degrees(th), r, note) for th, r in zip(thetas, radii)]
@@ -651,6 +658,12 @@ def build_parser():
 
 
 def _reproduce(args):
+    given = {"--phi-step": args.phi_step is not None,
+             "--grid": args.grid is not None,
+             "--both-alpha": args.both_alpha}
+    for option, used in given.items():
+        if used and option not in _FIGURE_OPTIONS[args.figure]:
+            raise ManifestError(option, f"{args.figure} does not use it")
     if args.phi_step is not None and not args.phi_step > 0.0:
         raise ManifestError("--phi-step", "must be positive")
     if args.grid is not None and args.grid < 1:

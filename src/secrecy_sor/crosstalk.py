@@ -97,12 +97,13 @@ def steering_vector(theta, geom):
     """Unit-modulus array response for direction ``theta`` (radians).
 
     Element ``k`` is exp(-2j pi k d sin(theta)); the squared norm is the
-    element count.
+    element count.  An array of directions gives one response per entry,
+    along a new last axis, each equal to the scalar call's.
     """
-    if not abs(theta) <= _HALF_PI:
+    if not np.all(np.abs(theta) <= _HALF_PI):
         raise ValueError("theta must lie in [-pi/2, pi/2]")
     phase = -2j * np.pi * geom.spacing * np.sin(theta)
-    return np.exp(phase * np.arange(geom.n_antennas))
+    return np.exp(np.multiply.outer(phase, np.arange(geom.n_antennas)))
 
 
 def s_kernel(x, geom):

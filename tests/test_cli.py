@@ -136,6 +136,20 @@ def test_sop_sweep_deterministic_bytes(tmp_path):
     assert sops[0] > sops[1] > sops[2]
 
 
+def test_algo1_searches_at_the_phi_step(tmp_path):
+    # algo1 splits the uniform SOP optimum over its beams, so at the same
+    # --phi-step both report the same fraction
+    used = {}
+    for kind in ("uniform", "algo1"):
+        path = base_manifest(tmp_path, scheme=kind, sweep={
+            "parameter": "bob_dist_m", "grid": [100.0]})
+        out = tmp_path / f"{kind}.csv"
+        assert main(["sop", "--manifest", path, "--out", str(out),
+                     "--phi-step", "0.05"]) == 0
+        used[kind] = read_csv(out)[1][0][1]
+    assert used["algo1"] == used["uniform"]
+
+
 def test_out_precedence(tmp_path):
     inner = tmp_path / "from_manifest.csv"
     path = base_manifest(tmp_path, output_path=str(inner))
@@ -264,6 +278,12 @@ def test_bad_command_line_values_exit_2(tmp_path, capsys, extra, field):
     (["fig2", "--phi-step", "-0.1"], "--phi-step"),
     (["fig3", "--phi-step", "0"], "--phi-step"),
     (["fig4", "--grid", "-1"], "--grid"),
+    # an option the figure does not read
+    (["fig2", "--grid", "3"], "--grid"),
+    (["fig3", "--both-alpha"], "--both-alpha"),
+    (["fig4", "--phi-step", "0.3"], "--phi-step"),
+    (["fig5", "--grid", "5"], "--grid"),
+    (["fig6", "--phi-step", "0.01"], "--phi-step"),
 ])
 def test_bad_reproduce_arguments_exit_2(tmp_path, capsys, argv, field):
     out = tmp_path / "fig.csv"

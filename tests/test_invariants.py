@@ -1,4 +1,5 @@
-"""Property checks on the kernel/distribution layer and the closed-form SOP.
+"""Property checks on the kernel/distribution layer, the closed-form SOP and
+the outage area.
 
 Randomized inputs cover the corners the hand-picked cases miss: odd element
 counts, reference angles at the range edges, sub-half-wavelength spacing,
@@ -18,6 +19,8 @@ from secrecy_sor import (
     phi_max,
     s_kernel,
     sop_closed_form,
+    sor_area,
+    sor_boundary_uniform,
 )
 
 geometries = st.builds(
@@ -113,3 +116,26 @@ def test_sop_is_one_past_the_feasibility_limit(bob_dist, fractions):
     phis = pm + np.array(fractions) * (1.0 - pm)
     assert np.all(sop_closed_form(cfg, phis, _SOP_REGION) == 1.0)
     assert sop_closed_form(cfg, float(phis[0]), _SOP_REGION) == 1.0
+
+
+# area layer: small arrays with the user at broadside, where the outage
+# region is symmetric about theta = 0; the grid is mirrored exactly
+# (linspace over [-pi/2, pi/2] is not, to the last bit)
+_HALF_GRID = np.linspace(0.0, np.pi / 2, 361)
+_MIRROR_GRID = np.concatenate([-_HALF_GRID[:0:-1], _HALF_GRID])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=24),
+       st.floats(min_value=1.0, max_value=4.0),
+       st.floats(min_value=40.0, max_value=160.0),
+       st.floats(min_value=0.0, max_value=0.99))
+def test_uniform_area_nonnegative_and_mirror_symmetric(n, r_th, bob_dist,
+                                                       frac):
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, r_th, 0.0,
+                         bob_dist)
+    phi = frac * phi_max(cfg)
+    assert sor_area(sor_boundary_uniform(cfg, phi)) >= 0.0
+    radii = sor_boundary_uniform(cfg, phi, theta_grid=_MIRROR_GRID).radii
+    assert np.all(np.abs(radii - radii[::-1])
+                  <= 1e-9 * np.maximum(radii, radii[::-1]))

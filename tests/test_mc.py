@@ -1,9 +1,11 @@
 """Finite-array Monte Carlo engine: stream discipline, channel statistics,
-exact SINRs, and agreement with the closed forms it exists to check."""
+exact SINRs, agreement with a kept copy of the per-sample engine it
+replaced, and agreement with the closed forms it exists to check."""
 
 import numpy as np
 import pytest
 
+from secrecy_sor import mc_oracle
 from secrecy_sor import (
     ArrayGeometry,
     ChannelDraw,
@@ -152,3 +154,181 @@ def test_directional_allocation_through_the_oracle():
     p_dir = empirical_sop(CFG64, alloc, REG, spec)
     print(f"no-jam {p_no:.4f} directional {p_dir:.4f}")
     assert p_dir < 0.5 * p_no
+
+
+# ---------------------------------------------------------------------------
+# the block engine against a kept copy of the per-sample engine: one new
+# generator per (sample, receiver) substream, one channel and one SINR pair
+# at a time
+
+G16 = ArrayGeometry(16, 0.5)
+REG16 = SuspiciousRegion((-np.pi / 6, np.pi / 4), 40.0, 120.0)
+
+
+def _cfg16(n_eves):
+    return ScenarioConfig(G16, 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0, n_eves=n_eves)
+
+
+def _old_stream(master_seed, sample_id, receiver_id):
+    return np.random.Generator(np.random.Philox(
+        key=master_seed, counter=[0, sample_id, receiver_id, 0]))
+
+
+def _old_channel(geom, rician_k, theta, rng):
+    phase = -2j * np.pi * geom.spacing * np.sin(theta)
+    los = np.exp(phase * np.arange(geom.n_antennas))
+    z = rng.standard_normal((geom.n_antennas, 2))
+    scatter = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    w_los = rician_k / (1.0 + rician_k)
+    return np.sqrt(w_los) * los + np.sqrt(1.0 - w_los) * scatter
+
+
+def _old_sinr(cfg, alloc, h_bob, h_eve, dist):
+    p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
+    gain_b = cfg.bob_dist ** (-cfg.alpha)
+    gain_e = dist ** (-cfg.alpha)
+    norm_b2 = float(np.vdot(h_bob, h_bob).real)
+    cross2 = float(np.abs(np.vdot(h_eve, h_bob)) ** 2) / norm_b2
+    if alloc.basis == "null_space_uniform":
+        jam_b = 0.0
+        per_dir = alloc.phi * cfg.p_tilde_tot / (cfg.geometry.n_antennas - 1)
+        jam_e = per_dir * (float(np.vdot(h_eve, h_eve).real) - cross2)
+    else:
+        beams = mc_oracle._beam_matrix(cfg.geometry, alloc.beam_angles)
+        p_beams = alloc.beam_powers / cfg.n0
+        jam_b = float(p_beams @ (np.abs(h_bob.conj() @ beams) ** 2))
+        jam_e = float(p_beams @ (np.abs(h_eve.conj() @ beams) ** 2))
+    sinr_b = p_sig * gain_b * norm_b2 / (1.0 + gain_b * jam_b)
+    sinr_e = p_sig * gain_e * cross2 / (1.0 + gain_e * jam_e)
+    return sinr_b, sinr_e
+
+
+def _old_sop(cfg, alloc, region, spec):
+    k_rx = mc_oracle._sym_k(cfg)
+    count = 0
+    for i in range(spec.n_samples):
+        h_b = _old_channel(cfg.geometry, k_rx, cfg.bob_theta,
+                           _old_stream(spec.master_seed, i, 0))
+        sinr_b, worst = None, -np.inf
+        for l in range(1, cfg.n_eves + 1):
+            rng = _old_stream(spec.master_seed, i, l)
+            theta = rng.uniform(*region.angle_interval)
+            u = rng.uniform()
+            dist = np.sqrt(region.d_min ** 2
+                           + u * (region.d_max ** 2 - region.d_min ** 2))
+            h_e = _old_channel(cfg.geometry, k_rx, theta, rng)
+            sinr_b, sinr_e = _old_sinr(cfg, alloc, h_b, h_e, dist)
+            worst = max(worst, sinr_e)
+        count += secrecy_outage_count(sinr_b, worst, cfg.r_th)
+    return count / spec.n_samples
+
+
+def _per_block(n_eves):
+    return mc_oracle._BLOCK_ENTRIES // ((n_eves + 1) * G16.n_antennas)
+
+
+def test_draw_channel_equals_kept_copy():
+    for seed, k, theta in [(0, 0.0, 0.0), (1, 0.7, -1.2), (2, 3.0, 0.4),
+                           (3, 1e12, 1.5)]:
+        got = draw_channel(G16, k, theta, np.random.default_rng(seed))
+        want = _old_channel(G16, k, theta, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+def test_reseeked_generator_reproduces_fresh_substreams():
+    streams = mc_oracle._Substreams(5)
+    # revisits and odd-sized draws leave buffered words behind, which the
+    # next seek must drop
+    for i, l in [(0, 0), (7, 3), (2 ** 40, 1), (7, 3), (0, 0)]:
+        gen, fresh = streams.seek(i, l), _old_stream(5, i, l)
+        assert gen.uniform(-0.3, 0.9) == fresh.uniform(-0.3, 0.9)
+        assert gen.uniform() == fresh.uniform()
+        assert np.array_equal(gen.standard_normal((37, 2)),
+                              fresh.standard_normal((37, 2)))
+        assert np.array_equal(gen.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                              fresh.integers(0, 2 ** 32, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("n_eves", [1, 3])
+@pytest.mark.parametrize("directional", [False, True])
+def test_block_sop_equals_per_sample_loop(monkeypatch, n_eves, directional):
+    # threads for any array size, so the split over workers is checked too
+    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
+    cfg = _cfg16(n_eves)
+    if directional:
+        # DFT beams at the first sidelobe sines on both sides of the user
+        alloc = PowerAllocation(0.3, np.array([0.15, 0.15]), "dft_selected",
+                                np.arcsin(np.array([1.0, -1.0]) / 8.0))
+    else:
+        alloc = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
+    # two partial blocks' worth past whole ones
+    n = 2 * _per_block(n_eves) + 37
+    want = _old_sop(cfg, alloc, REG16, McRunSpec(n, 21))
+    print(f"n_eves={n_eves} {alloc.basis}: sop {want}")
+    assert 5 <= want * n <= n - 5
+    for threads in (1, 2, 3):
+        assert empirical_sop(cfg, alloc, REG16,
+                             McRunSpec(n, 21, threads=threads)) == want
+
+
+@pytest.mark.parametrize("alloc", [
+    0.4, PowerAllocation(0.3, np.array([0.1, 0.2]), "custom",
+                         np.array([0.2, -0.4]))])
+def test_block_sinr_equals_per_sample_loop(alloc):
+    spec = McRunSpec(_per_block(1) + 5, 8, rician_k=2.0)
+    sb, se = empirical_sinr(_cfg16(1), alloc, spec, 0.3, 90.0)
+    full = mc_oracle._as_allocation(_cfg16(1), alloc)
+    for i in range(spec.n_samples):
+        h_b = _old_channel(G16, 2.0, 0.0, _old_stream(8, i, 0))
+        h_e = _old_channel(G16, 2.0, 0.3, _old_stream(8, i, 1))
+        want = _old_sinr(_cfg16(1), full, h_b, h_e, 90.0)
+        assert sb[i] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert se[i] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("angles", [0.21, (-0.7, 1.1)])
+def test_block_crosstalk_equals_per_sample_loop(angles):
+    spec = McRunSpec(_per_block(1) + 5, 13)
+    got = empirical_crosstalk(_cfg16(1), spec, angles)
+    k_rx = mc_oracle._sym_k(_cfg16(1))
+    for i in range(spec.n_samples):
+        h_b = _old_channel(G16, k_rx, 0.0, _old_stream(13, i, 0))
+        rng = _old_stream(13, i, 1)
+        theta = angles if np.isscalar(angles) else rng.uniform(*angles)
+        h_e = _old_channel(G16, k_rx, theta, rng)
+        want = np.abs(np.vdot(h_e, h_b) / 16) ** 2
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_threads_capped_at_block_count(monkeypatch):
+    # a stub pool records the worker counts asked for and runs the work on
+    # the calling thread, so no real pool starts at a huge count
+    asked = []
+    cfg, per_block = _cfg16(1), _per_block(1)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingPool)
+    # an array below the threading size runs on the calling thread
+    empirical_sop(cfg, 0.3, REG16, McRunSpec(3 * per_block, 4, threads=2))
+    assert asked == []
+    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
+    for n_samples, n_blocks in ((per_block, 1), (per_block + 1, 2)):
+        asked.clear()
+        want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 4))
+        got = empirical_sop(cfg, 0.3, REG16,
+                            McRunSpec(n_samples, 4, threads=10 ** 6))
+        assert got == want
+        assert all(w <= n_blocks for w in asked)
+        assert asked == ([] if n_blocks == 1 else [n_blocks])
