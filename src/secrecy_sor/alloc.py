@@ -7,17 +7,21 @@ implemented:
 
 1. pick the uniform optimum ``phi`` and split it equally over the DFT beams
    covering the suspicious angles (``algorithm1_directional``);
-2. cyclic per-beam line search minimizing the exact outage area
-   (``algorithm2_iterative``);
+2. cyclic per-beam line search minimizing the exact outage area, started
+   from the two-lobe split of algorithm 3 (``algorithm2_iterative``);
 3. restrict the budget to the two strongest side lobes and sweep the
    (phi, split) plane with a cheap per-lobe surrogate inside
    (``algorithm3_two_lobes``).
+
+Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
+is memoised on ``(cfg, phi_step, n_splits)``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -388,14 +392,22 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
     less than ``epsilon`` (default ``1e-6 * p_tot``) in Euclidean norm.
 
     ``initial`` must respect the feasibility budget and is honored as the
-    single starting point.  Without it the descent runs twice - once from
-    the noise budget ``phi_max/2 * p_tot`` spread equally over the beams,
-    once from the two-strongest-lobes split found by the scan behind
-    ``algorithm3_two_lobes`` - and the lower end point wins: the spread
-    start alone can stall on a poor vertex of the piecewise-concave
-    landscape.  ``beams`` can restrict the search to a subset of DFT basis
+    starting point.  Without it the descent starts from the
+    two-strongest-lobes split found by the scan behind
+    ``algorithm3_two_lobes`` (the same cached scan), so the result never
+    scores worse than algorithm 3.  Only when that scan has no seed to
+    offer - the array is degenerate for it, one of its two beams lies
+    outside ``beams``, or its split exceeds the feasibility cap - does the
+    descent start from the noise budget ``phi_max/2 * p_tot`` spread
+    equally over the beams.  Either way one descent runs: from the spread
+    start it ended higher on all eleven fig5 rows and took 2-8 times as
+    long.  ``beams`` can restrict the search to a subset of DFT basis
     columns.
     """
+    if n_candidates < 1:
+        raise ValueError("n_candidates must be >= 1")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     limit = phi_max(cfg)
     cap = limit * cfg.p_tot * (1.0 - 1e-9)
     if epsilon is None:
@@ -404,8 +416,8 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
         if initial.basis == "null_space_uniform":
             raise ValueError("initial allocation must carry explicit beams")
         angles = np.asarray(initial.beam_angles, dtype=float)
-        starts = [initial.beam_powers.astype(float).copy()]
-        if np.sum(starts[0]) > limit * cfg.p_tot * (1.0 + 1e-9):
+        start = initial.beam_powers.astype(float).copy()
+        if np.sum(start) > limit * cfg.p_tot * (1.0 + 1e-9):
             raise ValueError(
                 "initial beam powers exceed the feasibility budget "
                 f"phi_max * p_tot = {limit * cfg.p_tot:.6g} W")
@@ -416,25 +428,12 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
         if idx.size == 0:
             raise DegenerateArrayError("no eligible jamming beams")
         angles = basis.beam_angles[idx]
-        starts = [np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)]
-        try:
-            cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
-        except DegenerateArrayError:
-            cols = None
-        if cols is not None and np.all(np.isin(cols, idx)):
-            seed = np.zeros(idx.size)
-            for col, p in zip(cols, two_powers):
-                seed[int(np.nonzero(idx == col)[0][0])] = p
-            if np.sum(seed) <= cap:
-                starts.append(seed)
+        start = _two_lobe_seed(cfg, idx, cap)
+        if start is None:
+            start = np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)
     ev = _DirectionalAreaEvaluator(cfg, angles)
-    best = None
-    for start in starts:
-        result = _beam_line_descent(ev, start, cap, epsilon,
-                                    n_candidates, max_sweeps)
-        if best is None or result[1] < best[1]:
-            best = result
-    powers, current, trace, converged = best
+    powers, current, trace, converged = _beam_line_descent(
+        ev, start, cap, epsilon, n_candidates, max_sweeps)
     if not converged:
         warnings.warn("beam power iteration hit the sweep limit before "
                       f"moving less than epsilon={epsilon:.3g}")
@@ -443,6 +442,23 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
                             initial.basis == "custom" else "dft_selected",
                             angles)
     return AllocationResult(phi, alloc, current, trace)
+
+
+def _two_lobe_seed(cfg, idx, cap):
+    """Powers over the beam columns ``idx`` that put the two-lobe scan's
+    split on its two beams, or None when the scan finds the array
+    degenerate, one of its beams lies outside ``idx``, or the split
+    exceeds ``cap``."""
+    try:
+        cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
+    except DegenerateArrayError:
+        return None
+    if not np.all(np.isin(cols, idx)):
+        return None
+    seed = np.zeros(idx.size)
+    for col, p in zip(cols, two_powers):
+        seed[int(np.nonzero(idx == col)[0][0])] = p
+    return seed if np.sum(seed) <= cap else None
 
 
 def lobe_notch_objective(cfg, phi, lobe_angles, beam_powers):
@@ -476,7 +492,22 @@ def _side_lobe_peak_angles(cfg):
 def _two_lobe_scan(cfg, phi_step=1e-2, n_splits=201):
     """Exhaustive (phi, split) scan with the whole noise budget on the two
     DFT beams that deposit most strongly on the two strongest side lobes.
-    Returns (beam_columns, beam_angles, phi, split_powers, area, trace)."""
+    Returns (beam_columns, beam_angles, phi, split_powers, area, trace).
+
+    Memoised on ``(cfg, phi_step, n_splits)``; each call hands back fresh
+    arrays and a fresh trace list, so callers may modify what they get."""
+    if not (np.isfinite(phi_step) and phi_step > 0):
+        raise ValueError("phi_step must be positive and finite")
+    if not (np.isfinite(n_splits) and n_splits >= 1
+            and int(n_splits) == n_splits):
+        raise ValueError("n_splits must be an integer >= 1")
+    cols, angles, phi, powers, area, trace = _two_lobe_scan_cached(
+        cfg, float(phi_step), int(n_splits))
+    return cols.copy(), angles.copy(), phi, powers.copy(), area, list(trace)
+
+
+@lru_cache(maxsize=32)
+def _two_lobe_scan_cached(cfg, phi_step, n_splits):
     ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
@@ -511,7 +542,7 @@ def _two_lobe_scan(cfg, phi_step=1e-2, n_splits=201):
         if best is None or area < best[0]:
             best = (area, float(phi), shares[k] * budget)
     area, phi, powers = best
-    return cols, angles, phi, powers, area, trace
+    return cols, angles, phi, powers, area, tuple(trace)
 
 
 def algorithm3_two_lobes(cfg, phi_step=1e-2, n_splits=201):

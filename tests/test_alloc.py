@@ -31,11 +31,14 @@ from secrecy_sor import (
     sor_boundary_directional,
     sor_boundary_uniform,
 )
+from secrecy_sor import alloc
 from secrecy_sor.alloc import (
     _BLOCK_ROWS,
     _DirectionalAreaEvaluator,
+    _beam_line_descent,
     _jam_beam_indices,
     _pow_2_over_alpha,
+    _two_lobe_scan,
     lobe_notch_objective,
 )
 
@@ -338,6 +341,157 @@ def test_algorithm3_needs_two_side_lobes():
     tiny = ScenarioConfig(G(2, 0.5), 3.0, 1.0, 1e-8, 2.0, 0.0, 100.0)
     with pytest.raises(DegenerateArrayError):
         algorithm3_two_lobes(tiny)
+
+
+# ------------------------------------------- algorithm 2 start, shared scan
+
+CFG2 = ScenarioConfig(G(2, 0.5), 3.0, 1.0, 1e-8, 2.0, 0.0, 100.0)
+
+
+def _count_descents(monkeypatch):
+    """Record the start of every ``_beam_line_descent`` call."""
+    starts = []
+
+    def counted(ev, powers, *args):
+        starts.append(powers.copy())
+        return _beam_line_descent(ev, powers, *args)
+    monkeypatch.setattr(alloc, "_beam_line_descent", counted)
+    return starts
+
+
+def _count_scans(monkeypatch):
+    """Clear the scan cache and count runs of the uncached scan body (its
+    first step ranks the side lobes)."""
+    alloc._two_lobe_scan_cached.cache_clear()
+    runs = []
+    ranked = alloc._side_lobe_peak_angles
+
+    def counted(cfg):
+        runs.append(cfg)
+        return ranked(cfg)
+    monkeypatch.setattr(alloc, "_side_lobe_peak_angles", counted)
+    return runs
+
+
+@pytest.mark.parametrize("cfg", [CFG32, CFG50], ids=["n32", "fig5_100m"])
+def test_algorithm2_is_one_descent_from_the_two_lobe_seed(cfg, monkeypatch):
+    basis = build_dft_basis(cfg.geometry)
+    idx = _jam_beam_indices(cfg, basis)
+    cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
+    seed = np.zeros(idx.size)
+    for col, p in zip(cols, two_powers):
+        seed[int(np.nonzero(idx == col)[0][0])] = p
+    ev = _DirectionalAreaEvaluator(cfg, basis.beam_angles[idx])
+    cap = phi_max(cfg) * cfg.p_tot * (1.0 - 1e-9)
+    powers, area, trace, converged = _beam_line_descent(
+        ev, seed.copy(), cap, 1e-6 * cfg.p_tot, 200, 60)
+    assert converged
+
+    starts = _count_descents(monkeypatch)
+    res = algorithm2_iterative(cfg)
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], seed)
+    assert res.phi_opt == float(np.sum(powers) / cfg.p_tot)
+    assert np.array_equal(res.allocation.beam_powers, powers)
+    assert res.objective == area
+    assert res.trace == trace
+    # the descent never raises the objective, so algo2 <= algo3 exactly
+    assert res.objective <= algorithm3_two_lobes(cfg).objective
+
+
+@pytest.mark.parametrize("case", ["degenerate_scan", "scan_beams_excluded"])
+def test_algorithm2_falls_back_to_one_spread_descent(case, monkeypatch):
+    if case == "degenerate_scan":
+        cfg, beams = CFG2, None
+        with pytest.raises(DegenerateArrayError):
+            _two_lobe_scan(cfg)
+        idx = _jam_beam_indices(cfg, build_dft_basis(cfg.geometry))
+        assert idx.size == 1
+    else:
+        cfg = CFG32
+        cols = _two_lobe_scan(cfg)[0]
+        assert list(cols) == [30, 2]
+        all_idx = _jam_beam_indices(cfg, build_dft_basis(cfg.geometry))
+        idx = beams = np.setdiff1d(all_idx, cols)
+    starts = _count_descents(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the spread descent converges
+        res = algorithm2_iterative(cfg, beams=beams)
+    assert len(starts) == 1
+    spread = np.full(idx.size, 0.5 * phi_max(cfg) * cfg.p_tot / idx.size)
+    assert np.array_equal(starts[0], spread)
+    assert res.allocation.beam_powers.size == idx.size
+    assert res.trace[-1] == res.objective <= res.trace[0]
+
+
+@pytest.mark.parametrize("order", ["algo2_first", "algo3_first"])
+def test_algorithms_2_and_3_share_one_scan(order, monkeypatch):
+    runs = _count_scans(monkeypatch)
+    calls = [lambda: algorithm2_iterative(CFG32),
+             lambda: algorithm3_two_lobes(CFG32)]
+    for call in calls if order == "algo2_first" else calls[::-1]:
+        call()
+    assert runs == [CFG32]
+    # an equal scenario built anew is the same key
+    algorithm3_two_lobes(ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0,
+                                        0.0, 80.0), phi_step=0.01)
+    assert len(runs) == 1
+
+
+def test_scan_cache_keys_on_the_search_arguments(monkeypatch):
+    runs = _count_scans(monkeypatch)
+    base = algorithm3_two_lobes(CFG32)
+    coarse = algorithm3_two_lobes(CFG32, phi_step=2e-2)
+    fewer = algorithm3_two_lobes(CFG32, n_splits=101)
+    assert len(runs) == 3
+    assert len(coarse.trace) < len(base.trace)
+    assert coarse.objective >= base.objective
+    assert fewer.objective >= base.objective
+    algorithm3_two_lobes(CFG32, phi_step=2e-2)
+    algorithm3_two_lobes(CFG32, n_splits=101)
+    assert len(runs) == 3
+
+
+def test_scan_results_are_fresh_copies():
+    descent = algorithm2_iterative(CFG32)
+    first = algorithm3_two_lobes(CFG32)
+    powers = first.allocation.beam_powers.copy()
+    angles = first.allocation.beam_angles.copy()
+    trace = list(first.trace)
+    first.allocation.beam_powers[:] = 0.0
+    first.allocation.beam_angles[:] = 0.0
+    first.trace.clear()
+    cols = _two_lobe_scan(CFG32)[0]
+    cols[:] = 0
+    again = algorithm3_two_lobes(CFG32)
+    assert np.array_equal(again.allocation.beam_powers, powers)
+    assert np.array_equal(again.allocation.beam_angles, angles)
+    assert again.trace == trace
+    assert list(_two_lobe_scan(CFG32)[0]) == [30, 2]
+    again = algorithm2_iterative(CFG32)
+    assert np.array_equal(again.allocation.beam_powers,
+                          descent.allocation.beam_powers)
+    assert again.trace == descent.trace
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"phi_step": 0.0}, {"phi_step": -0.01}, {"phi_step": float("nan")},
+    {"phi_step": float("inf")}, {"n_splits": 0}, {"n_splits": -3},
+    {"n_splits": 2.5}, {"n_splits": float("inf")}])
+def test_scan_arguments_checked_before_the_cache(kwargs):
+    info = alloc._two_lobe_scan_cached.cache_info()
+    with pytest.raises(ValueError):
+        algorithm3_two_lobes(CFG32, **kwargs)
+    with pytest.raises(ValueError):
+        _two_lobe_scan(CFG32, **kwargs)
+    assert alloc._two_lobe_scan_cached.cache_info() == info
+
+
+@pytest.mark.parametrize("kwargs", [{"n_candidates": 0}, {"max_sweeps": 0},
+                                    {"max_sweeps": -1}])
+def test_algorithm2_search_arguments_checked(kwargs):
+    with pytest.raises(ValueError):
+        algorithm2_iterative(CFG8, **kwargs)
 
 
 def test_lobe_notch_objective_concave_at_fixed_fraction():
