@@ -28,8 +28,10 @@ import numpy as np
 from .asymptotic import (
     PowerAllocation,
     _area_weights,
+    _beam_responses,
     _default_arcs,
     _s_eb,
+    _uniform_allocation,
     boundary_scale,
     phi_max,
     sor_boundary_directional,
@@ -151,14 +153,6 @@ def _golden_min(f, a, b, xtol, trace):
     return best
 
 
-def _uniform_allocation(cfg, phi):
-    n = cfg.geometry.n_antennas
-    return PowerAllocation(
-        phi=phi,
-        beam_powers=np.full(n - 1, phi * cfg.p_tot / (n - 1)),
-        basis="null_space_uniform")
-
-
 def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3,
                          refine_tol=1e-5):
     """Best uniform jamming fraction for the given objective.
@@ -271,14 +265,8 @@ class _DirectionalAreaEvaluator:
         self.thetas = thetas
         self.arcs = arcs
         self.weights = _area_weights(thetas, arcs)
-        geom = cfg.geometry
-        sin_th = np.sin(thetas)
         self.s_eb = _s_eb(cfg, thetas)
-        # response of each beam toward each grid angle, per Watt of drive
-        self.response = np.empty((len(beam_angles), thetas.size))
-        for row, a in zip(self.response, beam_angles):
-            row[:] = (geom.n_antennas / cfg.n0) * s_kernel(
-                sin_th - np.sin(a), geom)
+        self.response = _beam_responses(cfg, thetas, beam_angles)
 
     def jam(self, powers):
         return powers @ self.response

@@ -28,7 +28,8 @@ import numpy as np
 from .crosstalk import (
     ArrayGeometry,
     CrosstalkProfile,
-    _kernel_tables,
+    _image_interval,
+    _image_maps,
     _max_side_lobe,
     cross_points,
     peak_value,
@@ -159,6 +160,16 @@ class PowerAllocation:
                 raise ValueError("beam_angles and beam_powers must align")
 
 
+def _uniform_allocation(cfg, phi):
+    """Uniform null-space jamming at fraction ``phi``: the budget
+    ``phi * p_tot`` spread equally over the n - 1 null-space directions."""
+    n = cfg.geometry.n_antennas
+    return PowerAllocation(
+        phi=phi,
+        beam_powers=np.full(n - 1, phi * cfg.p_tot / (n - 1)),
+        basis="null_space_uniform")
+
+
 def _check_allocation(cfg, alloc):
     budget = alloc.phi * cfg.p_tot
     total = float(np.sum(alloc.beam_powers))
@@ -279,22 +290,27 @@ def _null_sins(cfg):
     return np.sort(sins[(sins > -1.0 + 1e-12) & (sins < 1.0 - 1e-12)])
 
 
+def _arc_supports(cfg):
+    """``(index, (theta_lo, theta_hi))`` of every lobe arc between
+    consecutive kernel nulls (and the ends of the front half space), left to
+    right; ``index`` counts nulls between the arc and Bob's."""
+    bounds = np.concatenate(([-1.0], _null_sins(cfg), [1.0]))
+    edges = np.arcsin(bounds)
+    main = int(np.searchsorted(bounds, np.sin(cfg.bob_theta))) - 1
+    return [(abs(j - main), (edges[j], edges[j + 1]))
+            for j in range(len(edges) - 1)]
+
+
 def _default_arcs(cfg):
     """Default boundary grid: each lobe arc between consecutive nulls gets an
     odd uniform-in-theta point count, arcs sharing endpoint nulls."""
-    sb = np.sin(cfg.bob_theta)
-    bounds = np.concatenate(([-1.0], _null_sins(cfg), [1.0]))
-    theta_bounds = np.arcsin(bounds)
-    main = int(np.searchsorted(bounds, sb)) - 1
     thetas = []
     arcs = []
-    for j in range(len(bounds) - 1):
-        seg = np.linspace(theta_bounds[j], theta_bounds[j + 1], _ARC_POINTS)
+    for j, (index, support) in enumerate(_arc_supports(cfg)):
+        seg = np.linspace(support[0], support[1], _ARC_POINTS)
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
-        arcs.append(LobeArc(index=abs(j - main),
-                            support=(theta_bounds[j], theta_bounds[j + 1]),
-                            max_radius=0.0, lo=lo, hi=len(thetas) - 1))
+        arcs.append(LobeArc(index, support, 0.0, lo, len(thetas) - 1))
     return np.asarray(thetas), arcs
 
 
@@ -305,44 +321,37 @@ def _arcs_for_grid(cfg, thetas):
         raise ValueError("theta_grid must be a 1-D array with >= 2 points")
     if np.any(np.diff(thetas) <= 0):
         raise ValueError("theta_grid must be strictly increasing")
-    sb = np.sin(cfg.bob_theta)
-    bounds = np.concatenate(([-1.0], _null_sins(cfg), [1.0]))
-    theta_bounds = np.arcsin(bounds)
-    main = int(np.searchsorted(bounds, sb)) - 1
-    arcs = []
-    for j in range(len(bounds) - 1):
-        # a grid point sitting exactly on a null belongs to both arcs, like
-        # the shared endpoints of the default grid
-        lo = int(np.searchsorted(thetas, theta_bounds[j], side="left"))
-        hi = int(np.searchsorted(thetas, theta_bounds[j + 1], side="right")) - 1
-        arcs.append(LobeArc(index=abs(j - main),
-                            support=(theta_bounds[j], theta_bounds[j + 1]),
-                            max_radius=0.0, lo=lo, hi=hi))
+    # a grid point sitting exactly on a null belongs to both arcs, like the
+    # shared endpoints of the default grid
+    arcs = [LobeArc(index, support, 0.0,
+                    int(np.searchsorted(thetas, support[0], side="left")),
+                    int(np.searchsorted(thetas, support[1], side="right")) - 1)
+            for index, support in _arc_supports(cfg)]
     return thetas, arcs
 
 
-def _finish_boundary(cfg, thetas, arcs, radii):
-    radii = np.asarray(radii, dtype=float)
+def _sor_boundary(cfg, theta_grid, scale, noise):
+    """The boundary every jamming scheme shares: on the default lobe grid
+    (or ``theta_grid``), radius**alpha = scale * s_eb(theta) - noise(theta)
+    where positive, else zero.  ``noise`` maps an array of grid angles to
+    the jamming noise deposited toward them, normalized by the noise floor
+    (an array, or one number for all of them)."""
+    if theta_grid is None:
+        thetas, arcs = _default_arcs(cfg)
+    else:
+        thetas, arcs = _arcs_for_grid(cfg, theta_grid)
+    gap = np.clip(scale * _s_eb(cfg, thetas) - noise(thetas), 0.0, None)
+    radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
     for arc in arcs:
         if arc.hi >= arc.lo >= 0:
             arc.max_radius = float(np.max(radii[arc.lo:arc.hi + 1]))
     return SorBoundary(thetas=thetas, radii=radii, lobes=arcs)
 
 
-def _eval_uniform_radii(cfg, cons, thetas):
-    gap = np.clip(cons.scale * _s_eb(cfg, thetas) - cons.offset, 0.0, None)
-    radii = gap ** (1.0 / cfg.alpha)
-    return np.where(np.abs(thetas) <= _HALF_PI, radii, 0.0)
-
-
 def sor_boundary_uniform(cfg, phi, theta_grid=None):
     """SOR boundary under uniform null-space jamming at fraction ``phi``."""
     cons = sor_constants(cfg, phi)
-    if theta_grid is None:
-        thetas, arcs = _default_arcs(cfg)
-    else:
-        thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-    return _finish_boundary(cfg, thetas, arcs, _eval_uniform_radii(cfg, cons, thetas))
+    return _sor_boundary(cfg, theta_grid, cons.scale, lambda _: cons.offset)
 
 
 def sor_boundary_nojam(cfg, theta_grid=None):
@@ -350,39 +359,44 @@ def sor_boundary_nojam(cfg, theta_grid=None):
     return sor_boundary_uniform(cfg, 0.0, theta_grid)
 
 
+def _beam_responses(cfg, thetas, beam_angles):
+    """Noise per Watt of drive, normalized by the noise floor, that a beam
+    steered at ``a`` deposits toward each angle: ``n_antennas * s_kernel(
+    sin theta - sin a) / n0``, one row per beam.  Rows are filled one beam
+    at a time, so no temporary spans more than one row."""
+    geom = cfg.geometry
+    sin_th = np.sin(thetas)
+    out = np.empty((len(beam_angles), sin_th.size))
+    for row, a in zip(out, beam_angles):
+        row[:] = (geom.n_antennas / cfg.n0) * s_kernel(sin_th - np.sin(a),
+                                                       geom)
+    return out
+
+
 def directional_jam_response(cfg, alloc, thetas):
     """Noise power (normalized by the noise floor) that the allocation beams
     deposit toward each angle, in the large-array limit.
 
     Explicit beams at angle ``a`` couple to direction ``theta`` through
-    ``n_antennas * s_kernel(sin theta - sin a)``; the isotropic null-space
-    allocation couples through ``1 - s_eb(theta)``.
+    ``n_antennas * s_kernel(sin theta - sin a)`` (``_beam_responses``); the
+    isotropic null-space allocation couples through ``1 - s_eb(theta)``.
     """
     thetas = np.asarray(thetas, dtype=float)
     if alloc.basis == "null_space_uniform":
         return alloc.phi * cfg.p_tilde_tot * (1.0 - _s_eb(cfg, thetas))
-    jam = np.zeros_like(thetas, dtype=float)
-    n = cfg.geometry.n_antennas
-    sin_th = np.sin(thetas)
-    for power, angle in zip(alloc.beam_powers, alloc.beam_angles):
-        if power == 0.0:
-            continue
-        jam += (power / cfg.n0) * n * s_kernel(sin_th - np.sin(angle), cfg.geometry)
-    return jam
+    return alloc.beam_powers @ _beam_responses(cfg, thetas, alloc.beam_angles)
 
 
 def sor_boundary_directional(cfg, alloc, theta_grid=None):
-    """SOR boundary when the noise budget drives explicit jamming beams."""
+    """SOR boundary of any allocation: explicit beams subtract the noise
+    they deposit, and a ``null_space_uniform`` allocation gives
+    ``sor_boundary_uniform`` at its fraction."""
     _check_allocation(cfg, alloc)
-    bs = boundary_scale(cfg, alloc.phi)
-    if theta_grid is None:
-        thetas, arcs = _default_arcs(cfg)
-    else:
-        thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-    gap = np.clip(bs * _s_eb(cfg, thetas)
-                  - directional_jam_response(cfg, alloc, thetas), 0.0, None)
-    radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
-    return _finish_boundary(cfg, thetas, arcs, radii)
+    if alloc.basis == "null_space_uniform":
+        return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
+    return _sor_boundary(
+        cfg, theta_grid, boundary_scale(cfg, alloc.phi),
+        lambda thetas: directional_jam_response(cfg, alloc, thetas))
 
 
 def sor_area(boundary):
@@ -428,7 +442,6 @@ def delta_theta_max(cfg, phi):
     geom = cfg.geometry
     u = cons.cutoff / cfg.k_eb
     lm = cross_points(u, bob_profile(cfg, n_side_lobes=max(_max_side_lobe(geom), 1)))
-    tables = _kernel_tables(geom.n_antennas, geom.spacing)
     period = 1.0 / geom.spacing
     half = 0.5 * period
     brackets = [(0.0, min(lm.cross_points_main, half))]
@@ -440,19 +453,13 @@ def delta_theta_max(cfg, phi):
     for sign, side_max in ((1.0, 1.0 - sb), (-1.0, 1.0 + sb)):
         if side_max <= 0:
             continue
-        offsets = []
-        k = 0
-        while k * period < side_max + 1e-15:
-            for a, b in brackets:
-                for lo_i, hi_i in ((k * period + a, k * period + b),
-                                   ((k + 1) * period - b, (k + 1) * period - a)):
-                    if lo_i < side_max:
-                        offsets.append(min(hi_i, side_max))
-            k += 1
-        if offsets:
-            reach = max(offsets)
-            edge = np.arcsin(np.clip(sb + sign * reach, -1.0, 1.0))
-            best = max(best, abs(edge - cfg.bob_theta))
+        images = (_image_interval(mirror, off, a, b)
+                  for mirror, off in _image_maps(period, side_max)
+                  for a, b in brackets)
+        # never empty: the main bracket's first image starts at offset 0
+        reach = max(min(hi, side_max) for lo, hi in images if lo < side_max)
+        edge = np.arcsin(np.clip(sb + sign * reach, -1.0, 1.0))
+        best = max(best, abs(edge - cfg.bob_theta))
     return float(best)
 
 

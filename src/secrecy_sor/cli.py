@@ -20,7 +20,6 @@ import numpy as np
 
 from .alloc import (
     _region_beam_allocation,
-    _uniform_allocation,
     algorithm1_directional,
     algorithm2_iterative,
     algorithm3_two_lobes,
@@ -30,11 +29,11 @@ from .alloc import (
 )
 from .asymptotic import (
     ScenarioConfig,
+    _uniform_allocation,
     lobe_radii,
     phi_max,
     sor_area,
     sor_boundary_directional,
-    sor_boundary_uniform,
 )
 from .crosstalk import ArrayGeometry
 from .errors import DegenerateArrayError, InfeasibleRateError
@@ -368,24 +367,17 @@ class _RowGuard:
 # The scheme pipeline shared by every subcommand and figure: a scheme picks
 # an allocation of the noise budget, then the allocation is scored
 
-def _boundary(cfg, alloc, theta_grid=None):
-    """Outage boundary of an allocation (the uniform closed form for
-    null-space noise)."""
-    if alloc.basis == "null_space_uniform":
-        return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
-    return sor_boundary_directional(cfg, alloc, theta_grid)
-
-
 def _score(cfg, region, alloc, objective):
     """SOP (``objective`` "sop") or outage area ("sor_area") of an
     allocation."""
     if objective == "sor_area":
-        return sor_area(_boundary(cfg, alloc))
+        return sor_area(sor_boundary_directional(cfg, alloc))
     if alloc.basis == "null_space_uniform":
         return sop_closed_form(cfg, alloc.phi, region)
     if alloc.phi >= phi_max(cfg):
         return 1.0  # Bob misses the target rate: secrecy always fails
-    return sop_intersection(_boundary(cfg, alloc), region, cfg.n_eves)
+    return sop_intersection(sor_boundary_directional(cfg, alloc), region,
+                            cfg.n_eves)
 
 
 def _scheme(cfg, region, kind, phi, objective, phi_step):
@@ -433,7 +425,7 @@ def _reference_cfg(n_antennas, r_th, bob_dist, alpha=3.0, n_eves=1):
                           bob_theta=0.0, bob_dist=bob_dist, n_eves=n_eves)
 
 
-def _fig2(out, phi_step, both_alpha):
+def _fig2(phi_step, both_alpha):
     guard = _RowGuard()
     rows = []
     alphas = (3.0, 2.0) if both_alpha else (3.0,)
@@ -448,11 +440,10 @@ def _fig2(out, phi_step, both_alpha):
                 return tuple(radii)
             rows.append((alpha, phi) + guard.run(metrics, 7))
     header = ["alpha", "phi"] + [f"lobe{m}_m" for m in range(7)] + ["warning"]
-    _write_csv(out, header, rows)
-    return len(rows), len(guard.notes)
+    return header, rows, guard
 
 
-def _fig3(out, phi_step):
+def _fig3(phi_step):
     region = SuspiciousRegion((math.radians(-15.0), math.radians(15.0)),
                               50.0, 100.0)
     cfg100 = _reference_cfg(100, 10.0, 100.0, n_eves=10)
@@ -470,11 +461,10 @@ def _fig3(out, phi_step):
         rows.append((phi,) + guard.run(metrics, 3))
     header = ["phi", "sop_uniform_nt100", "sop_directional_nt100",
               "sop_uniform_nt50", "warning"]
-    _write_csv(out, header, rows)
-    return len(rows), len(guard.notes)
+    return header, rows, guard
 
 
-def _fig4(out, n_points):
+def _fig4(n_points):
     configs = [("nt50_db100", _reference_cfg(50, 5.0, 100.0)),
                ("nt100_db100", _reference_cfg(100, 5.0, 100.0)),
                ("nt100_db150", _reference_cfg(100, 5.0, 150.0))]
@@ -493,11 +483,10 @@ def _fig4(out, n_points):
     for name, _ in configs:
         header += [f"phi_closed_{name}", f"phi_oracle_{name}"]
     header.append("warning")
-    _write_csv(out, header, rows)
-    return len(rows), len(guard.notes)
+    return header, rows, guard
 
 
-def _fig5(out):
+def _fig5():
     guard = _RowGuard()
     rows = []
     for bob_dist in np.arange(60.0, 160.0 + 5.0, 10.0):
@@ -510,11 +499,10 @@ def _fig5(out):
         rows.append((bob_dist,) + guard.run(metrics, 4))
     header = ["bob_dist_m", "area_no_jam_m2", "area_uniform_m2",
               "area_algo2_m2", "area_algo3_m2", "warning"]
-    _write_csv(out, header, rows)
-    return len(rows), len(guard.notes)
+    return header, rows, guard
 
 
-def _fig6(out):
+def _fig6():
     region = SuspiciousRegion((math.radians(-30.0), math.radians(30.0)),
                               50.0, 200.0)
     guard = _RowGuard()
@@ -532,8 +520,7 @@ def _fig6(out):
         rows.append((bob_dist,) + guard.run(metrics, 4))
     header = ["bob_dist_m", "sop_no_jam", "sop_uniform", "sop_algo1",
               "sop_algo3", "warning"]
-    _write_csv(out, header, rows)
-    return len(rows), len(guard.notes)
+    return header, rows, guard
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +570,7 @@ def _run_sor_map(manifest, n_points):
     def boundary_radii():
         _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None,
                               _PHI_STEP)
-        return _boundary(cfg, alloc, thetas).radii
+        return sor_boundary_directional(cfg, alloc, thetas).radii
     *radii, note = guard.run(boundary_radii, thetas.size)
     rows = [(math.degrees(th), r, note) for th, r in zip(thetas, radii)]
     return ["theta_deg", "radius_m", "warning"], rows, guard
@@ -668,18 +655,13 @@ def _reproduce(args):
         raise ManifestError("--phi-step", "must be positive")
     if args.grid is not None and args.grid < 1:
         raise ManifestError("--grid", "need at least 1 sample")
-    out = args.out or f"{args.figure}.csv"
     if args.figure == "fig2":
-        n_rows, n_warn = _fig2(out, args.phi_step or 0.005, args.both_alpha)
-    elif args.figure == "fig3":
-        n_rows, n_warn = _fig3(out, args.phi_step or 0.01)
-    elif args.figure == "fig4":
-        n_rows, n_warn = _fig4(out, args.grid or 20)
-    elif args.figure == "fig5":
-        n_rows, n_warn = _fig5(out)
-    else:
-        n_rows, n_warn = _fig6(out)
-    return out, n_rows, n_warn
+        return _fig2(args.phi_step or 0.005, args.both_alpha)
+    if args.figure == "fig3":
+        return _fig3(args.phi_step or 0.01)
+    if args.figure == "fig4":
+        return _fig4(args.grid or 20)
+    return _fig5() if args.figure == "fig5" else _fig6()
 
 
 def main(argv=None):
@@ -687,8 +669,9 @@ def main(argv=None):
     started = time.monotonic()
     try:
         if args.command == "reproduce":
-            out, n_rows, n_warn = _reproduce(args)
+            header, rows, guard = _reproduce(args)
             label = f"reproduce {args.figure}"
+            out = args.out or f"{args.figure}.csv"
         else:
             manifest = load_manifest(args.manifest, args.command)
             if args.command == "sor-map":
@@ -712,15 +695,14 @@ def main(argv=None):
                     manifest, args.phi_step, args.seed, threads)
             out = args.out or manifest.output_path \
                 or f"{args.command.replace('-', '_')}.csv"
-            _write_csv(out, header, rows)
-            n_rows, n_warn = len(rows), len(guard.notes)
             label = args.command
     except ManifestError as exc:
         print(f"manifest error at {exc}", file=sys.stderr)
         return 2
+    _write_csv(out, header, rows)
     elapsed = time.monotonic() - started
-    print(f"{label}: wrote {out} ({n_rows} rows, {n_warn} warnings) "
-          f"in {elapsed:.2f}s", file=sys.stderr)
+    print(f"{label}: wrote {out} ({len(rows)} rows, {len(guard.notes)} "
+          f"warnings) in {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 

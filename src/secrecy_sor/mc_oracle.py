@@ -32,7 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import PowerAllocation, _check_allocation
+from .asymptotic import (
+    PowerAllocation,
+    _check_allocation,
+    _uniform_allocation,
+)
 from .crosstalk import steering_vector
 
 # a Rician factor large enough to be numerically pure line of sight
@@ -170,9 +174,7 @@ def _as_allocation(cfg, alloc):
     if isinstance(alloc, PowerAllocation):
         _check_allocation(cfg, alloc)
         return alloc
-    phi = float(alloc)
-    return PowerAllocation(phi, np.array([phi * cfg.p_tot]),
-                           "null_space_uniform")
+    return _uniform_allocation(cfg, float(alloc))
 
 
 def _sq_norms(h):
@@ -329,6 +331,8 @@ def empirical_sop(cfg, alloc, region, spec):
 def empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
     """Per-sample (sinr_bob, sinr_eve) arrays for one fixed eavesdropper
     position; her substream is spent on the channel only."""
+    if not eve_dist > 0:
+        raise ValueError("eve_dist must be positive")
     alloc = _as_allocation(cfg, alloc)
     beams = _beams(cfg, alloc)
     dist = np.array([[float(eve_dist)]])

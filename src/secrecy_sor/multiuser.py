@@ -17,9 +17,8 @@ import numpy as np
 
 from .asymptotic import (
     ScenarioConfig,
-    _arcs_for_grid,
-    _default_arcs,
-    _finish_boundary,
+    _beam_responses,
+    _sor_boundary,
     boundary_scale,
     directional_jam_response,
     sor_area,
@@ -112,32 +111,22 @@ def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
     except InfeasibleRateError as err:
         err.user_index = user_index
         raise
-    if theta_grid is None:
-        thetas, arcs = _default_arcs(cfg_u)
-    else:
-        thetas, arcs = _arcs_for_grid(cfg_u, theta_grid)
-    geom = scn.geometry
-    sin_th = np.sin(thetas)
-    sins = np.sin(scn.user_thetas)
-    s_user = scn.k_eb * s_kernel(np.abs(sin_th - sins[user_index]), geom)
-    jam = np.zeros_like(thetas)
-    for v in range(scn.n_users):
-        if v != user_index:
-            jam += (scn.user_powers[v] / scn.n0) * geom.n_antennas \
-                * s_kernel(sin_th - sins[v], geom)
-    if jam_alloc is not None:
-        if jam_alloc.basis == "null_space_uniform":
-            covered = np.zeros_like(thetas)
-            for v in range(scn.n_users):
-                covered += scn.k_eb * s_kernel(sin_th - sins[v], geom)
-            jam += (np.sum(jam_alloc.beam_powers) / scn.n0) \
-                * np.clip(1.0 - covered, 0.0, None)
-        else:
-            jam += directional_jam_response(cfg_u, jam_alloc, thetas)
-    gap = np.clip(scale * s_user - jam, 0.0, None)
-    radii = np.where(np.abs(thetas) <= _HALF_PI,
-                     gap ** (1.0 / scn.alpha), 0.0)
-    return _finish_boundary(cfg_u, thetas, arcs, radii)
+    others = [v for v in range(scn.n_users) if v != user_index]
+    powers = np.array(scn.user_powers)[others]
+    angles = np.array(scn.user_thetas)[others]
+
+    def noise(thetas):
+        jam = powers @ _beam_responses(cfg_u, thetas, angles)
+        if jam_alloc is None:
+            return jam
+        if jam_alloc.basis != "null_space_uniform":
+            return jam + directional_jam_response(cfg_u, jam_alloc, thetas)
+        sin_th = np.sin(thetas)
+        covered = sum(scn.k_eb * s_kernel(sin_th - np.sin(t), scn.geometry)
+                      for t in scn.user_thetas)
+        return jam + (np.sum(jam_alloc.beam_powers) / scn.n0) \
+            * np.maximum(1.0 - covered, 0.0)
+    return _sor_boundary(cfg_u, theta_grid, scale, noise)
 
 
 def mu_worst_area(scn, jam_alloc=None):

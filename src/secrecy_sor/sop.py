@@ -46,13 +46,16 @@ class SuspiciousRegion:
 
     Constant bounds: ``SuspiciousRegion((th_lo, th_hi), d_min, d_max)``.
     Sampled bounds: pass arrays for ``d_min``/``d_max`` together with the
-    ``thetas`` they are tabulated on (piecewise-linear in between).
+    ``thetas`` they are tabulated on (piecewise-linear in between).  The
+    angles lie in the front half space [-pi/2, pi/2].
     """
 
     def __init__(self, angle_interval, d_min, d_max, thetas=None):
         lo, hi = float(angle_interval[0]), float(angle_interval[1])
         if not lo < hi:
             raise ValueError("angle interval must be nonempty")
+        if not (-_HALF_PI <= lo and hi <= _HALF_PI):
+            raise ValueError("angle interval must lie within [-pi/2, pi/2]")
         self.angle_interval = (lo, hi)
         self.thetas = None if thetas is None else np.asarray(thetas, dtype=float)
         if self.thetas is None:

@@ -250,6 +250,12 @@ def test_threads_env_fallback_rejects_garbage(tmp_path, capsys,
                      "mc": {"n_samples": 10}}, "scheme.objective"),
     ("sor-map", {"scheme": {"kind": "no_jam", "objective": "sor_area"}},
      "scheme.objective"),
+    # region angles past +-90 degrees
+    ("sop", {"region": {"angles_deg": [-100.0, 100.0], "d_min_m": 50.0,
+                        "d_max_m": 200.0}}, "region"),
+    ("mc-validate", {"region": {"angles_deg": [-100.0, 100.0],
+                                "d_min_m": 50.0, "d_max_m": 200.0},
+                     "mc": {"n_samples": 10}}, "region"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):

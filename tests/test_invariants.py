@@ -16,9 +16,11 @@ from secrecy_sor import (
     SuspiciousRegion,
     crosstalk_cdf,
     delta_cdf,
+    lobe_radii,
     phi_max,
     s_kernel,
     sop_closed_form,
+    sop_intersection,
     sor_area,
     sor_boundary_uniform,
 )
@@ -116,6 +118,43 @@ def test_sop_is_one_past_the_feasibility_limit(bob_dist, fractions):
     phis = pm + np.array(fractions) * (1.0 - pm)
     assert np.all(sop_closed_form(cfg, phis, _SOP_REGION) == 1.0)
     assert sop_closed_form(cfg, float(phis[0]), _SOP_REGION) == 1.0
+
+
+# the two SOP routes: closed form against the uniform boundary sampled on
+# 20,001 points across the region's angles, over scenarios with the user off
+# broadside and regions anywhere in the front half space, their radial band
+# scaled to the no-jamming main-lobe radius so that most of them meet the
+# outage region.  (A grid over the whole half space leaves a narrow region
+# too few points: at N=8, r_th=1, 47 m, half the feasible fraction and a
+# 0.0625 rad region it missed the closed form by 1.1e-3.)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=8, max_value=64),
+       st.floats(min_value=-0.6, max_value=0.6),
+       st.floats(min_value=1.0, max_value=6.0),
+       st.floats(min_value=40.0, max_value=160.0),
+       st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.0, max_value=0.95, exclude_max=True),
+       st.floats(min_value=-1.5, max_value=1.4),
+       st.floats(min_value=0.05, max_value=2.0),
+       st.floats(min_value=0.0, max_value=0.8),
+       st.floats(min_value=0.05, max_value=1.0))
+def test_closed_form_sop_matches_the_dense_boundary(n, bob_theta, r_th,
+                                                    bob_dist, n_eves, frac,
+                                                    lo, width, d_lo, d_span):
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, r_th,
+                         bob_theta, bob_dist, n_eves=n_eves)
+    phi = frac * phi_max(cfg)
+    reach = float(lobe_radii(cfg, 0.0)[0])
+    hi = min(lo + width, 1.5)
+    region = SuspiciousRegion((lo, hi), d_lo * reach,
+                              (d_lo + d_span) * reach)
+    closed = sop_closed_form(cfg, phi, region)
+    grid = np.linspace(lo, hi, 20001)
+    geometric = sop_intersection(
+        sor_boundary_uniform(cfg, phi, theta_grid=grid), region, n_eves)
+    assert abs(closed - geometric) <= 1e-3
 
 
 # area layer: small arrays with the user at broadside, where the outage

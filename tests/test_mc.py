@@ -89,6 +89,13 @@ def test_sinr_exact_tracks_asymptotics_at_strong_k():
     assert np.all(sb > 0) and np.all(se >= 0)
 
 
+@pytest.mark.parametrize("eve_dist", [0.0, -5.0, float("nan")])
+def test_empirical_sinr_rejects_nonpositive_distance(eve_dist):
+    # as sinr_eve_uniform does: no distance gives a meaningful SINR here
+    with pytest.raises(ValueError, match="eve_dist must be positive"):
+        empirical_sinr(CFG64, 0.4, McRunSpec(4, 3), 0.3, eve_dist)
+
+
 def test_explicit_beam_jams_bob_too():
     # a steering beam dropped straight onto Bob must degrade him, unlike the
     # null-space spread

@@ -42,6 +42,15 @@ def test_region_validation_and_area():
         SuspiciousRegion((-0.5, 0.5), 120.0, 100.0)
     with pytest.raises(ValueError):
         SuspiciousRegion((-0.5, 0.5), -1.0, 100.0)
+    # past +-pi/2 the closed form would clip the angles and the geometric
+    # route would not, so the two SOPs would disagree
+    for angles in [(-1.75, 1.75), (-1.75, 0.5), (-0.5, 1.75)]:
+        with pytest.raises(ValueError, match="pi/2"):
+            SuspiciousRegion(angles, 50.0, 200.0)
+        with pytest.raises(ValueError, match="pi/2"):
+            SuspiciousRegion(angles, [50.0, 60.0], [200.0, 210.0],
+                             thetas=[-0.1, 0.1])
+    SuspiciousRegion((-np.pi / 2, np.pi / 2), 50.0, 200.0)
     # annular sector area: (hi-lo)/2 * (d_max^2 - d_min^2)
     want = (np.pi / 6) / 2.0 * (100.0 ** 2 - 50.0 ** 2)
     assert abs(region_area(REG15) - want) < 1e-9
