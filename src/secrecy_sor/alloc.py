@@ -46,6 +46,13 @@ _OBJECTIVES = ("sop", "sor_area")
 # the candidate blocks of algorithms 2 and 3, so no search allocates larger
 # temporaries than those
 _BLOCK_ROWS = 201
+# uniform search: the width its golden-section refinement stops at
+_REFINE_TOL = 1e-5
+# algorithm 2: levels per beam visit; the sweeps stop once the powers move
+# less than _DESCENT_EPSILON * p_tot
+_LINE_CANDIDATES = 200
+_DESCENT_EPSILON = 1e-6
+_ORACLE_STEP = 1e-4
 
 
 @dataclass
@@ -153,12 +160,11 @@ def _golden_min(f, a, b, xtol, trace):
     return best
 
 
-def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3,
-                         refine_tol=1e-5):
+def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3):
     """Best uniform jamming fraction for the given objective.
 
     Dense grid at ``phi_step`` over the feasible range, then golden-section
-    refinement around the best cell down to ``refine_tol``; ties go to the
+    refinement around the best cell down to ``_REFINE_TOL``; ties go to the
     smaller fraction.  The grid is scored in blocks of ``_BLOCK_ROWS``
     fractions: ``sor_area`` through ``_DirectionalAreaEvaluator``, with the
     uniform null-space noise as each row's jamming profile, and ``sop``
@@ -179,7 +185,7 @@ def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3,
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi > lo:
-        g_phi, g_val = _golden_min(f, lo, hi, refine_tol, trace)
+        g_phi, g_val = _golden_min(f, lo, hi, _REFINE_TOL, trace)
         if g_val < best_val:
             best_phi, best_val = float(g_phi), float(g_val)
     return AllocationResult(best_phi, _uniform_allocation(cfg, best_phi),
@@ -223,14 +229,14 @@ def phi_opt_closed_form(cfg, s_eb, d_min):
     return phi_g, "phi_g"
 
 
-def grid_oracle_phi(cfg, s_eb, d_min, step=1e-4):
+def grid_oracle_phi(cfg, s_eb, d_min):
     """Dense-grid reference for ``phi_opt_closed_form``: the smallest
-    fraction whose outage radius in the ``s_eb`` direction already sits
-    inside ``d_min``, else the unconstrained minimizer of that radius."""
+    fraction (step ``_ORACLE_STEP``) whose outage radius in the ``s_eb``
+    direction already sits inside ``d_min``, else the minimizer of it."""
     if not 0.0 < s_eb < 1.0:
         raise ValueError("s_eb must lie in (0, 1)")
     limit = phi_max(cfg)
-    grid = np.arange(0.0, limit, step)
+    grid = np.arange(0.0, limit, _ORACLE_STEP)
     radius_a = s_eb * boundary_scale(cfg, grid) \
         - (1.0 - s_eb) * cfg.p_tilde_tot * grid
     hit = radius_a <= d_min ** cfg.alpha
@@ -337,10 +343,11 @@ def algorithm1_directional(cfg, region, phi_step=1e-3):
     return AllocationResult(phi, alloc, objective, trace)
 
 
-def _beam_line_descent(ev, powers, cap, epsilon, n_candidates, max_sweeps):
+def _beam_line_descent(ev, powers, cap, max_sweeps):
     """Cyclic per-beam exhaustive line search on the exact-area objective.
     Mutates and returns ``powers``; also returns the final objective, the
     per-visit objective trace, and whether the sweep loop converged."""
+    epsilon = _DESCENT_EPSILON * ev.cfg.p_tot
     current = ev.area(powers)
     trace = [current]
     converged = False
@@ -351,7 +358,7 @@ def _beam_line_descent(ev, powers, cap, epsilon, n_candidates, max_sweeps):
             room = cap - (np.sum(powers) - powers[b])
             if room <= 0:
                 continue
-            cand = np.linspace(0.0, room, n_candidates, endpoint=False)
+            cand = np.linspace(0.0, room, _LINE_CANDIDATES, endpoint=False)
             cand = np.append(cand, powers[b])
             jam_rows = np.multiply.outer(cand - powers[b], ev.response[b])
             jam_rows += jam_base
@@ -369,15 +376,14 @@ def _beam_line_descent(ev, powers, cap, epsilon, n_candidates, max_sweeps):
     return powers, current, trace, converged
 
 
-def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
-                         n_candidates=200, max_sweeps=60):
+def algorithm2_iterative(cfg, initial=None, beams=None, max_sweeps=60):
     """Cyclic per-beam line search minimizing the exact outage area.
 
-    Each visit to a beam scans ``n_candidates`` drive levels from zero up to
-    (but excluding) the power still compatible with the feasibility limit,
-    keeps the current level in the candidate set (so the objective never
+    Each visit to a beam scans 200 drive levels from zero up to (but
+    excluding) the power still compatible with the feasibility limit, keeps
+    the current level in the candidate set (so the objective never
     increases), and accepts the best.  Sweeps stop when the allocation moves
-    less than ``epsilon`` (default ``1e-6 * p_tot``) in Euclidean norm.
+    less than ``1e-6 * p_tot`` in Euclidean norm.
 
     ``initial`` must respect the feasibility budget and is honored as the
     starting point.  Without it the descent starts from the
@@ -389,17 +395,13 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
     descent start from the noise budget ``phi_max/2 * p_tot`` spread
     equally over the beams.  Either way one descent runs: from the spread
     start it ended higher on all eleven fig5 rows and took 2-8 times as
-    long.  ``beams`` can restrict the search to a subset of DFT basis
-    columns.
+    long.  ``beams`` can restrict the search to distinct DFT basis columns
+    in ``[0, n)`` that steer toward a physical angle.
     """
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     limit = phi_max(cfg)
     cap = limit * cfg.p_tot * (1.0 - 1e-9)
-    if epsilon is None:
-        epsilon = 1e-6 * cfg.p_tot
     if initial is not None:
         if initial.basis == "null_space_uniform":
             raise ValueError("initial allocation must carry explicit beams")
@@ -411,8 +413,19 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
                 f"phi_max * p_tot = {limit * cfg.p_tot:.6g} W")
     else:
         basis = build_dft_basis(cfg.geometry)
-        idx = _jam_beam_indices(cfg, basis) if beams is None \
-            else np.asarray(beams, dtype=int)
+        if beams is None:
+            idx = _jam_beam_indices(cfg, basis)
+        else:
+            idx = np.asarray(beams, dtype=float)
+            n = cfg.geometry.n_antennas
+            if idx.ndim != 1 or not np.all((idx >= 0) & (idx < n)
+                                           & (idx == np.floor(idx))):
+                raise ValueError(f"beams must be integer columns in [0, {n})")
+            idx = idx.astype(int)
+            if np.unique(idx).size < idx.size \
+                    or np.any(np.isnan(basis.beam_angles[idx])):
+                raise ValueError("beams must be distinct columns that "
+                                 "steer toward a physical angle")
         if idx.size == 0:
             raise DegenerateArrayError("no eligible jamming beams")
         angles = basis.beam_angles[idx]
@@ -421,10 +434,10 @@ def algorithm2_iterative(cfg, initial=None, epsilon=None, beams=None,
             start = np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)
     ev = _DirectionalAreaEvaluator(cfg, angles)
     powers, current, trace, converged = _beam_line_descent(
-        ev, start, cap, epsilon, n_candidates, max_sweeps)
+        ev, start, cap, max_sweeps)
     if not converged:
         warnings.warn("beam power iteration hit the sweep limit before "
-                      f"moving less than epsilon={epsilon:.3g}")
+                      f"moving less than {_DESCENT_EPSILON * cfg.p_tot:.3g} W")
     phi = float(np.sum(powers) / cfg.p_tot)
     alloc = PowerAllocation(phi, powers, "custom" if initial is not None and
                             initial.basis == "custom" else "dft_selected",

@@ -88,9 +88,9 @@ class ScenarioConfig:
         return self.p_tot / self.n0
 
 
-def bob_profile(cfg, n_side_lobes=None):
+def bob_profile(cfg):
     """Crosstalk profile of a random angle against Bob's direction."""
-    return CrosstalkProfile(cfg.geometry, cfg.bob_theta, cfg.k_eb, n_side_lobes)
+    return CrosstalkProfile(cfg.geometry, cfg.bob_theta, cfg.k_eb)
 
 
 class SorConstants(NamedTuple):
@@ -441,7 +441,7 @@ def delta_theta_max(cfg, phi):
         return 0.0
     geom = cfg.geometry
     u = cons.cutoff / cfg.k_eb
-    lm = cross_points(u, bob_profile(cfg, n_side_lobes=max(_max_side_lobe(geom), 1)))
+    lm = cross_points(u, bob_profile(cfg))
     period = 1.0 / geom.spacing
     half = 0.5 * period
     brackets = [(0.0, min(lm.cross_points_main, half))]

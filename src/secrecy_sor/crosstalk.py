@@ -21,7 +21,6 @@ here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,23 +58,17 @@ class CrosstalkProfile:
 
     ``k_factor_product`` is K_i K_j / ((1+K_i)(1+K_j)) for the two links'
     Rician factors; it scales the kernel into the physical crosstalk.
-    ``n_side_lobes`` caps how many side lobes the distribution keeps track
-    of; ``None`` selects the default count for the geometry (capped at the
-    number of representable lobes).
     """
 
     geometry: ArrayGeometry
     theta_ref: float
     k_factor_product: float
-    n_side_lobes: int | None = None
 
     def __post_init__(self):
         if not (abs(self.theta_ref) <= _HALF_PI):
             raise ValueError("theta_ref must lie in [-pi/2, pi/2]")
         if not (0.0 <= self.k_factor_product <= 1.0):
             raise ValueError("k_factor_product must lie in [0, 1]")
-        if self.n_side_lobes is not None and self.n_side_lobes < 1:
-            raise ValueError("n_side_lobes must be >= 1 when given")
 
 
 @dataclass
@@ -175,22 +168,6 @@ def peak_value(m, geom, simplified=False):
     return 1.0 / (n * np.sin(np.pi * (m + 0.5) / n)) ** 2
 
 
-def _resolve_side_lobes(profile):
-    """Side-lobe count the distribution tracks: the user's cap, else every
-    lobe the reference angle can reach, both limited to representable lobes.
-
-    Offsets reach ``1 + |sin theta_ref|`` and lobe ``m`` starts at offset
-    ``m / (n d)``, so the default is every ``m < span`` with
-    ``span = n d (1 + |sin theta_ref|)``.
-    """
-    geom = profile.geometry
-    cap = _max_side_lobe(geom)
-    if profile.n_side_lobes is not None:
-        return min(profile.n_side_lobes, cap)
-    span = geom.n_antennas * geom.spacing * (1.0 + abs(np.sin(profile.theta_ref)))
-    return min(max(int(np.ceil(span)) - 1, 1), cap)
-
-
 class _KernelTables:
     """Per-geometry lobe landmarks plus dense inverse tables.
 
@@ -240,10 +217,6 @@ class _KernelTables:
             np.maximum.accumulate(s_kernel(xf, geom)[:, ::-1], axis=1,
                                   out=self.fall_s[rows])
             self.fall_x[rows] = xf[:, ::-1]
-
-    def lobe_bounds(self, m):
-        width = self.first_null
-        return m * width, (m + 1) * width, self.x_peak[m], self.s_peak[m]
 
 
 def _golden_max(f, lo, hi, tol=1e-13):
@@ -327,19 +300,18 @@ def cross_points(u, profile):
     """Offsets where the kernel crosses level ``u`` (0 < u < 1).
 
     Root-finding is bisection on each monotone half lobe, to 1e-12 in the
-    offset.  Side lobes whose (true, numerically located) peak stays below
-    ``u`` get ``None`` instead of a crossing pair.
+    offset.  Representable side lobes whose (true, numerically located)
+    peak stays below ``u`` get ``None`` instead of a crossing pair.
     """
     if not (0.0 < u < 1.0):
         raise ValueError("level u must lie strictly between 0 and 1")
     geom = profile.geometry
-    m_count = _resolve_side_lobes(profile)
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    peaks = [peak_value(m, geom) for m in range(m_count + 1)]
+    peaks = [peak_value(m, geom) for m in range(tables.cap + 1)]
 
     # one bisection for the main lobe and both halves of every side lobe
     # that rises above u
-    m_side = np.arange(1, m_count + 1)
+    m_side = np.arange(1, tables.cap + 1)
     crossing = m_side[tables.s_peak[m_side] > u]
     lo = crossing * tables.first_null
     hi = (crossing + 1) * tables.first_null
@@ -351,7 +323,7 @@ def cross_points(u, profile):
     pairs = dict(zip(crossing.tolist(),
                      zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
     cp_main = float(roots[0])
-    side = [pairs.get(m) for m in range(1, m_count + 1)]
+    side = [pairs.get(m) for m in range(1, tables.cap + 1)]
     return LobeLandmarks(peaks, cp_main, side)
 
 
@@ -412,33 +384,15 @@ def _image_interval(mirror, offset, a, b):
     return offset + a, offset + b
 
 
-def _uncovered_floor(profile, m_count, d_lo, d_hi):
-    """Highest peak among representable lobes past the tracked count whose
-    images still intersect the reachable offsets.  Zero when coverage is
-    complete (the default lobe count for full-branch geometries)."""
-    geom = profile.geometry
-    tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    period = 1.0 / geom.spacing
-    floor = 0.0
-    for m in range(m_count + 1, tables.cap + 1):
-        lo, hi, _, sp = tables.lobe_bounds(m)
-        lo, hi = lo, min(hi, 0.5 * period)
-        for mirror, off in _image_maps(period, d_hi):
-            i_lo, i_hi = _image_interval(mirror, off, lo, hi)
-            if i_lo < d_hi - 1e-15 and i_hi > d_lo + 1e-15:
-                floor = max(floor, sp)
-                break
-    return floor
-
-
 def _cdf_batch(x, profile, angle_range):
     """Vectorized crosstalk CDF.
 
     Same math as the scalar path but the per-lobe level crossings come from
     the cached inverse tables, so thousands of levels cost a handful of
     ``np.interp`` calls.  The above-level set of offsets is the union of the
-    main-lobe core, the tracked side-lobe brackets, and their mirror/periodic
-    images; its probability is summed with ``delta_cdf`` differences.
+    main-lobe core, every representable side lobe's bracket, and their
+    mirror/periodic images; its probability is summed with ``delta_cdf``
+    differences over the images the angle range reaches.
     """
     geom = profile.geometry
     k = profile.k_factor_product
@@ -450,18 +404,8 @@ def _cdf_batch(x, profile, angle_range):
 
     u = x / k
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    m_count = _resolve_side_lobes(profile)
     d_lo, d_hi = _delta_span(profile, angle_range)
     period = 1.0 / geom.spacing
-
-    floor = _uncovered_floor(profile, m_count, d_lo, d_hi)
-    if floor > 0.0 and np.any((u < floor) & (u < 1.0)):
-        warnings.warn(
-            "crosstalk_cdf: n_side_lobes leaves reachable lobes untracked; "
-            "values below their peaks are extrapolated as constants",
-            stacklevel=3,
-        )
-    u_eval = np.clip(u, floor, None)
 
     def fd(z):
         return delta_cdf(z, profile.theta_ref, angle_range)
@@ -482,18 +426,18 @@ def _cdf_batch(x, profile, angle_range):
             contrib += term if mask is None else np.where(mask, term, 0.0)
         return contrib
 
-    p_above = np.zeros_like(u_eval)
-    live = u_eval < 1.0
+    p_above = np.zeros_like(u)
+    live = u < 1.0
     if np.any(live):
-        ul = u_eval[live]
+        ul = u[live]
         contrib = np.zeros_like(ul)
         # main lobe: offsets in [0, cp0) sit above the level
         cp0 = np.interp(ul, tables.main_s, tables.main_x)
         contrib = add_images(contrib, np.zeros_like(cp0), cp0,
                              0.0, tables.first_null, None)
-        for m in range(1, m_count + 1):
-            lo_m, hi_m, _, sp = tables.lobe_bounds(m)
-            crosses = ul < sp
+        for m in range(1, tables.cap + 1):
+            lo_m, hi_m = m * tables.first_null, (m + 1) * tables.first_null
+            crosses = ul < tables.s_peak[m]
             if not np.any(crosses):
                 continue
             c1 = np.interp(ul, tables.rise_s[m], tables.rise_x[m])
@@ -502,7 +446,7 @@ def _cdf_batch(x, profile, angle_range):
             c2 = np.minimum(np.interp(ul, tables.fall_s[m], tables.fall_x[m]), half)
             contrib = add_images(contrib, c1, c2, lo_m, min(hi_m, half), crosses)
         p_above[live] = contrib
-    out = np.where(u_eval >= 1.0, 0.0, p_above)
+    out = np.where(u >= 1.0, 0.0, p_above)
     return np.clip(1.0 - out, 0.0, 1.0)
 
 
@@ -510,10 +454,8 @@ def crosstalk_cdf(x, profile, angle_range):
     """P(crosstalk <= x) for a uniformly random angle on ``angle_range``.
 
     ``x`` may be a scalar or an array.  Levels at or above the profile's
-    ``k_factor_product`` return 1.  When the tracked side-lobe count leaves
-    reachable lobes uncovered the CDF is extrapolated as a constant below the
-    highest untracked peak (with a warning) - a documented approximation that
-    never triggers at the default lobe count.
+    ``k_factor_product`` return 1.  Every representable side lobe counts,
+    so no reachable lobe is left out.
     """
     scalar = np.ndim(x) == 0
     if scalar and x < 0:

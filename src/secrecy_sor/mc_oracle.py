@@ -19,14 +19,15 @@ constant, so the block boundaries depend on the scenario only.  Each worker
 thread owns one Philox generator, moves it to each substream of its blocks
 in turn, draws the block's normals into one preallocated array, and
 computes the block's channels and SINRs with array operations.  Blocks are
-spread over at most as many workers as there are blocks (one worker for
-small arrays, see ``_THREADED_MIN_ANTENNAS``), and per-block results are
-combined in block order, so results are byte-identical across runs and
-thread counts.
+spread over at most as many workers as there are blocks or usable CPUs
+(one worker for small arrays, see ``_THREADED_MIN_ANTENNAS``), and
+per-block results are combined in block order, so results are
+byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,9 +61,10 @@ class McRunSpec:
     ``rician_k`` overrides the per-receiver Rician factor; by default it is
     derived from the scenario's ``k_eb`` assuming both ends share the same
     factor.  ``threads`` caps the worker threads the sample blocks are
-    spread over; arrays below ``_THREADED_MIN_ANTENNAS`` elements run on
-    the calling thread, where more threads only contend for the GIL.  The
-    substream scheme makes the result independent of either.
+    spread over, at most one per block and per usable CPU; arrays below
+    ``_THREADED_MIN_ANTENNAS`` elements run on the calling thread, where
+    more threads only contend for the GIL.  The substream scheme makes the
+    result independent of either.
     """
 
     n_samples: int
@@ -213,19 +215,16 @@ def _block_sinrs(cfg, alloc, beams, h, dist):
     return sinr_b, sinr_e
 
 
-def sinr_exact(cfg, alloc, h_bob, eve, beam_matrix=None):
+def sinr_exact(cfg, alloc, h_bob, eve):
     """(sinr_bob, sinr_eve) for one channel draw, no approximations.
 
     The transmitter beams ``(1-phi) p_tot`` at Bob by maximum ratio and
     spreads the noise budget per ``alloc``.  Isotropic null-space noise is
     invisible to Bob by construction and reaches the eavesdropper through
     the norm of her channel outside the signal direction; explicit beams
-    leak to both receivers through their actual channels.  ``beam_matrix``
-    can carry the precomputed beam columns across calls.
+    leak to both receivers through their actual channels.
     """
-    if beam_matrix is None or alloc.basis == "null_space_uniform":
-        beam_matrix = _beams(cfg, alloc)
-    sinr_b, sinr_e = _block_sinrs(cfg, alloc, beam_matrix,
+    sinr_b, sinr_e = _block_sinrs(cfg, alloc, _beams(cfg, alloc),
                                   np.stack([h_bob, eve.h])[None],
                                   np.array([[float(eve.dist)]]))
     return float(sinr_b[0]), float(sinr_e[0, 0])
@@ -296,7 +295,9 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, score):
             out.append(score(_channel(los[:m], z[:m], k_rx), dist))
         return out
 
-    workers = min(spec.threads, len(blocks))
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(spec.threads, len(blocks), cpus)
     if workers == 1 or n < _THREADED_MIN_ANTENNAS:
         return run(blocks)
     edges = np.linspace(0, len(blocks), workers + 1).astype(int)

@@ -38,6 +38,8 @@ _HALF_PI = 0.5 * np.pi
 _START_PANELS = 16
 _RTOL = 1e-6
 _MAX_DOUBLINGS = 11
+# is_jamming_beneficial splits (0, phi_max) into this many grid intervals
+_BENEFIT_PHI_POINTS = 400
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -286,7 +288,7 @@ def _phi_witness_ok(cfg, phi, d_max):
     return phi * cfg.p_tilde_tot > (a1 - a2) * z_a / (a2 - z_a)
 
 
-def is_jamming_beneficial(cfg, region, phi_points=400):
+def is_jamming_beneficial(cfg, region):
     """Decide whether any jamming fraction strictly lowers the SOP for this
     region, and exhibit one when it does.
 
@@ -301,7 +303,7 @@ def is_jamming_beneficial(cfg, region, phi_points=400):
         return False, None
     base = sop_closed_form(cfg, 0.0, region)
     limit = phi_max(cfg)
-    grid = np.linspace(0.0, limit, phi_points + 1)[1:-1]
+    grid = np.linspace(0.0, limit, _BENEFIT_PHI_POINTS + 1)[1:-1]
     sops = sop_closed_form(cfg, grid, region)
     better = sops < base - 1e-12
     if not np.any(better):

@@ -384,7 +384,7 @@ def test_algorithm2_is_one_descent_from_the_two_lobe_seed(cfg, monkeypatch):
     ev = _DirectionalAreaEvaluator(cfg, basis.beam_angles[idx])
     cap = phi_max(cfg) * cfg.p_tot * (1.0 - 1e-9)
     powers, area, trace, converged = _beam_line_descent(
-        ev, seed.copy(), cap, 1e-6 * cfg.p_tot, 200, 60)
+        ev, seed.copy(), cap, 60)
     assert converged
 
     starts = _count_descents(monkeypatch)
@@ -487,11 +487,20 @@ def test_scan_arguments_checked_before_the_cache(kwargs):
     assert alloc._two_lobe_scan_cached.cache_info() == info
 
 
-@pytest.mark.parametrize("kwargs", [{"n_candidates": 0}, {"max_sweeps": 0},
-                                    {"max_sweeps": -1}])
+@pytest.mark.parametrize("kwargs", [{"max_sweeps": 0}, {"max_sweeps": -1}])
 def test_algorithm2_search_arguments_checked(kwargs):
     with pytest.raises(ValueError):
         algorithm2_iterative(CFG8, **kwargs)
+
+
+@pytest.mark.parametrize("spacing, beams", [
+    (0.5, [-1]), (0.5, [999]), (0.5, [3, 3]), (0.5, [2.5]), (0.25, [8])])
+def test_algorithm2_beam_columns_checked(spacing, beams):
+    # negative, out of range, repeated, fractional, and (below half
+    # wavelength) a column that steers toward no physical angle
+    cfg = ScenarioConfig(G(16, spacing), 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0)
+    with pytest.raises(ValueError):
+        algorithm2_iterative(cfg, beams=beams)
 
 
 def test_lobe_notch_objective_concave_at_fixed_fraction():

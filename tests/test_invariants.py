@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from secrecy_sor import (
     ArrayGeometry,
     CrosstalkProfile,
+    PowerAllocation,
     ScenarioConfig,
     SuspiciousRegion,
+    build_dft_basis,
     crosstalk_cdf,
     delta_cdf,
     lobe_radii,
@@ -22,8 +24,10 @@ from secrecy_sor import (
     sop_closed_form,
     sop_intersection,
     sor_area,
+    sor_boundary_directional,
     sor_boundary_uniform,
 )
+from secrecy_sor.alloc import _DirectionalAreaEvaluator, _jam_beam_indices
 
 geometries = st.builds(
     ArrayGeometry,
@@ -178,3 +182,37 @@ def test_uniform_area_nonnegative_and_mirror_symmetric(n, r_th, bob_dist,
     radii = sor_boundary_uniform(cfg, phi, theta_grid=_MIRROR_GRID).radii
     assert np.all(np.abs(radii - radii[::-1])
                   <= 1e-9 * np.maximum(radii, radii[::-1]))
+
+
+# the allocation searches score areas with the blocked evaluator; each
+# score must be the area of the boundary the allocation draws.  The user
+# sits at a share ``reach`` of the distance where the rate stops being
+# feasible, so every path-loss exponent gets a usable budget.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=8, max_value=64),
+       st.sampled_from([2.0, 3.0, 4.5]),
+       st.floats(min_value=-0.6, max_value=0.6),
+       st.floats(min_value=1.0, max_value=6.0),
+       st.floats(min_value=0.2, max_value=0.9),
+       st.floats(min_value=0.0, max_value=0.95, exclude_max=True),
+       st.data())
+def test_area_evaluator_equals_the_boundary_area(n, alpha, bob_theta, r_th,
+                                                 reach, frac, data):
+    limit = (1e8 * n / (2.0 ** r_th - 1.0)) ** (1.0 / alpha)
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), alpha, 1.0, 1e-8, r_th,
+                         bob_theta, reach * limit)
+    basis = build_dft_basis(cfg.geometry)
+    eligible = _jam_beam_indices(cfg, basis).tolist()
+    cols = data.draw(st.lists(st.sampled_from(eligible), min_size=1,
+                              max_size=6, unique=True))
+    shares = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=len(cols),
+        max_size=len(cols))))
+    phi = frac * phi_max(cfg)
+    powers = phi * cfg.p_tot * shares / max(np.sum(shares), 1.0)
+    angles = basis.beam_angles[cols]
+    alloc = PowerAllocation(float(np.sum(powers) / cfg.p_tot), powers,
+                            "dft_selected", angles)
+    got = _DirectionalAreaEvaluator(cfg, angles).area(powers)
+    want = sor_area(sor_boundary_directional(cfg, alloc))
+    assert abs(got - want) <= 1e-12 * want

@@ -2,6 +2,8 @@
 exact SINRs, agreement with a kept copy of the per-sample engine it
 replaced, and agreement with the closed forms it exists to check."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -307,11 +309,12 @@ def test_block_crosstalk_equals_per_sample_loop(angles):
         assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_threads_capped_at_block_count(monkeypatch):
-    # a stub pool records the worker counts asked for and runs the work on
-    # the calling thread, so no real pool starts at a huge count
+def _record_pools(monkeypatch, cpus):
+    """Show the engine ``cpus`` usable CPUs and swap its thread pool for a
+    stub that records the worker counts asked for and runs the work on the
+    calling thread, so no real pool starts at a huge count.  Returns the
+    list the counts go to."""
     asked = []
-    cfg, per_block = _cfg16(1), _per_block(1)
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -327,6 +330,15 @@ def test_threads_capped_at_block_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return asked
+
+
+def test_threads_capped_at_block_count(monkeypatch):
+    asked = _record_pools(monkeypatch, cpus=64)
+    cfg, per_block = _cfg16(1), _per_block(1)
     # an array below the threading size runs on the calling thread
     empirical_sop(cfg, 0.3, REG16, McRunSpec(3 * per_block, 4, threads=2))
     assert asked == []
@@ -339,3 +351,15 @@ def test_threads_capped_at_block_count(monkeypatch):
         assert got == want
         assert all(w <= n_blocks for w in asked)
         assert asked == ([] if n_blocks == 1 else [n_blocks])
+
+
+def test_threads_capped_at_usable_cpus(monkeypatch):
+    asked = _record_pools(monkeypatch, cpus=2)
+    cfg = ScenarioConfig(ArrayGeometry(256, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
+                         80.0)
+    assert cfg.geometry.n_antennas >= mc_oracle._THREADED_MIN_ANTENNAS
+    n_samples = 5 * (mc_oracle._BLOCK_ENTRIES // (2 * 256))  # five blocks
+    want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9))
+    got = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9, threads=64))
+    assert asked == [2]
+    assert got == want
