@@ -14,13 +14,13 @@ implemented:
    (``algorithm3_two_lobes``).
 
 Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
-is memoised on ``(cfg, phi_step, n_splits)``.
+is memoised on ``cfg``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +35,6 @@ from .asymptotic import (
     boundary_scale,
     phi_max,
     sor_boundary_directional,
-    sor_boundary_uniform,
 )
 from .crosstalk import s_kernel
 from .errors import DegenerateArrayError
@@ -49,9 +48,14 @@ _BLOCK_ROWS = 201
 # uniform search: the width its golden-section refinement stops at
 _REFINE_TOL = 1e-5
 # algorithm 2: levels per beam visit; the sweeps stop once the powers move
-# less than _DESCENT_EPSILON * p_tot
+# less than _DESCENT_EPSILON * p_tot, or after _MAX_SWEEPS
 _LINE_CANDIDATES = 200
 _DESCENT_EPSILON = 1e-6
+_MAX_SWEEPS = 60
+# two-lobe scan of algorithms 2 and 3: the jamming-fraction step and the
+# number of two-way splits tried at each fraction
+_SCAN_PHI_STEP = 1e-2
+_SCAN_SPLITS = 201
 _ORACLE_STEP = 1e-4
 
 
@@ -64,7 +68,7 @@ class AllocationResult:
     phi_opt: float
     allocation: PowerAllocation
     objective: float
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 @dataclass
@@ -125,12 +129,8 @@ def _uniform_objective(cfg, region, objective):
     """Scorer mapping an array of uniform jamming fractions to objective
     values."""
     if objective == "sop":
-        if region.is_constant:
-            return lambda phis: _in_blocks(
-                lambda block: sop_closed_form(cfg, block, region), phis)
-        f = lambda p: sop_intersection(
-            sor_boundary_uniform(cfg, p), region, cfg.n_eves)
-        return lambda phis: np.array([f(p) for p in phis])
+        return lambda phis: _in_blocks(
+            lambda block: sop_closed_form(cfg, block, region), phis)
     if objective == "sor_area":
         return _DirectionalAreaEvaluator(cfg, ()).uniform_areas
     raise ValueError(f"objective must be one of {_OBJECTIVES}")
@@ -169,8 +169,7 @@ def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3):
     fractions: ``sor_area`` through ``_DirectionalAreaEvaluator``, with the
     uniform null-space noise as each row's jamming profile, and ``sop``
     through the array form of ``sop_closed_form``; the refinement uses the
-    same scorer.  ``sop`` on a region with sampled bounds goes one fraction
-    at a time through ``sop_intersection``.
+    same scorer.
     """
     if objective == "sop" and region is None:
         raise ValueError(f"objective {objective!r} needs a region")
@@ -376,89 +375,56 @@ def _beam_line_descent(ev, powers, cap, max_sweeps):
     return powers, current, trace, converged
 
 
-def algorithm2_iterative(cfg, initial=None, beams=None, max_sweeps=60):
+def algorithm2_iterative(cfg):
     """Cyclic per-beam line search minimizing the exact outage area.
 
     Each visit to a beam scans 200 drive levels from zero up to (but
     excluding) the power still compatible with the feasibility limit, keeps
     the current level in the candidate set (so the objective never
     increases), and accepts the best.  Sweeps stop when the allocation moves
-    less than ``1e-6 * p_tot`` in Euclidean norm.
+    less than ``1e-6 * p_tot`` in Euclidean norm, or after 60 sweeps.
 
-    ``initial`` must respect the feasibility budget and is honored as the
-    starting point.  Without it the descent starts from the
-    two-strongest-lobes split found by the scan behind
+    The descent runs over the eligible DFT beams (``_jam_beam_indices``),
+    starting from the two-strongest-lobes split found by the scan behind
     ``algorithm3_two_lobes`` (the same cached scan), so the result never
     scores worse than algorithm 3.  Only when that scan has no seed to
-    offer - the array is degenerate for it, one of its two beams lies
-    outside ``beams``, or its split exceeds the feasibility cap - does the
-    descent start from the noise budget ``phi_max/2 * p_tot`` spread
-    equally over the beams.  Either way one descent runs: from the spread
-    start it ended higher on all eleven fig5 rows and took 2-8 times as
-    long.  ``beams`` can restrict the search to distinct DFT basis columns
-    in ``[0, n)`` that steer toward a physical angle.
+    offer - the array is degenerate for it, or its split exceeds the
+    feasibility cap - does the descent start from the noise budget
+    ``phi_max/2 * p_tot`` spread equally over the beams.  Either way one
+    descent runs: from the spread start it ended higher on all eleven fig5
+    rows and took 2-8 times as long.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     limit = phi_max(cfg)
     cap = limit * cfg.p_tot * (1.0 - 1e-9)
-    if initial is not None:
-        if initial.basis == "null_space_uniform":
-            raise ValueError("initial allocation must carry explicit beams")
-        angles = np.asarray(initial.beam_angles, dtype=float)
-        start = initial.beam_powers.astype(float).copy()
-        if np.sum(start) > limit * cfg.p_tot * (1.0 + 1e-9):
-            raise ValueError(
-                "initial beam powers exceed the feasibility budget "
-                f"phi_max * p_tot = {limit * cfg.p_tot:.6g} W")
-    else:
-        basis = build_dft_basis(cfg.geometry)
-        if beams is None:
-            idx = _jam_beam_indices(cfg, basis)
-        else:
-            idx = np.asarray(beams, dtype=float)
-            n = cfg.geometry.n_antennas
-            if idx.ndim != 1 or not np.all((idx >= 0) & (idx < n)
-                                           & (idx == np.floor(idx))):
-                raise ValueError(f"beams must be integer columns in [0, {n})")
-            idx = idx.astype(int)
-            if np.unique(idx).size < idx.size \
-                    or np.any(np.isnan(basis.beam_angles[idx])):
-                raise ValueError("beams must be distinct columns that "
-                                 "steer toward a physical angle")
-        if idx.size == 0:
-            raise DegenerateArrayError("no eligible jamming beams")
-        angles = basis.beam_angles[idx]
-        start = _two_lobe_seed(cfg, idx, cap)
-        if start is None:
-            start = np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)
+    basis = build_dft_basis(cfg.geometry)
+    idx = _jam_beam_indices(cfg, basis)
+    if idx.size == 0:
+        raise DegenerateArrayError("no eligible jamming beams")
+    angles = basis.beam_angles[idx]
+    start = _two_lobe_seed(cfg, idx, cap)
+    if start is None:
+        start = np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)
     ev = _DirectionalAreaEvaluator(cfg, angles)
     powers, current, trace, converged = _beam_line_descent(
-        ev, start, cap, max_sweeps)
+        ev, start, cap, _MAX_SWEEPS)
     if not converged:
         warnings.warn("beam power iteration hit the sweep limit before "
                       f"moving less than {_DESCENT_EPSILON * cfg.p_tot:.3g} W")
     phi = float(np.sum(powers) / cfg.p_tot)
-    alloc = PowerAllocation(phi, powers, "custom" if initial is not None and
-                            initial.basis == "custom" else "dft_selected",
-                            angles)
+    alloc = PowerAllocation(phi, powers, "dft_selected", angles)
     return AllocationResult(phi, alloc, current, trace)
 
 
 def _two_lobe_seed(cfg, idx, cap):
-    """Powers over the beam columns ``idx`` that put the two-lobe scan's
-    split on its two beams, or None when the scan finds the array
-    degenerate, one of its beams lies outside ``idx``, or the split
-    exceeds ``cap``."""
+    """Powers over the eligible beam columns ``idx`` (ascending) that put
+    the two-lobe scan's split on its two beams, or None when the scan finds
+    the array degenerate or the split exceeds ``cap``."""
     try:
         cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
     except DegenerateArrayError:
         return None
-    if not np.all(np.isin(cols, idx)):
-        return None
     seed = np.zeros(idx.size)
-    for col, p in zip(cols, two_powers):
-        seed[int(np.nonzero(idx == col)[0][0])] = p
+    seed[np.searchsorted(idx, cols)] = two_powers
     return seed if np.sum(seed) <= cap else None
 
 
@@ -490,25 +456,20 @@ def _side_lobe_peak_angles(cfg):
     return out
 
 
-def _two_lobe_scan(cfg, phi_step=1e-2, n_splits=201):
+def _two_lobe_scan(cfg):
     """Exhaustive (phi, split) scan with the whole noise budget on the two
-    DFT beams that deposit most strongly on the two strongest side lobes.
+    DFT beams that deposit most strongly on the two strongest side lobes:
+    fractions every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
     Returns (beam_columns, beam_angles, phi, split_powers, area, trace).
 
-    Memoised on ``(cfg, phi_step, n_splits)``; each call hands back fresh
-    arrays and a fresh trace list, so callers may modify what they get."""
-    if not (np.isfinite(phi_step) and phi_step > 0):
-        raise ValueError("phi_step must be positive and finite")
-    if not (np.isfinite(n_splits) and n_splits >= 1
-            and int(n_splits) == n_splits):
-        raise ValueError("n_splits must be an integer >= 1")
-    cols, angles, phi, powers, area, trace = _two_lobe_scan_cached(
-        cfg, float(phi_step), int(n_splits))
+    Memoised on ``cfg``; each call hands back fresh arrays and a fresh
+    trace list, so callers may modify what they get."""
+    cols, angles, phi, powers, area, trace = _two_lobe_scan_cached(cfg)
     return cols.copy(), angles.copy(), phi, powers.copy(), area, list(trace)
 
 
 @lru_cache(maxsize=32)
-def _two_lobe_scan_cached(cfg, phi_step, n_splits):
+def _two_lobe_scan_cached(cfg):
     ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
@@ -530,11 +491,11 @@ def _two_lobe_scan_cached(cfg, phi_step, n_splits):
     angles = basis.beam_angles[cols]
     ev = _DirectionalAreaEvaluator(cfg, angles)
     limit = phi_max(cfg)
-    splits = np.linspace(0.0, 1.0, n_splits)
+    splits = np.linspace(0.0, 1.0, _SCAN_SPLITS)
     shares = np.column_stack([splits, 1.0 - splits])
     best = None
     trace = []
-    for phi in np.arange(0.0, limit, phi_step):
+    for phi in np.arange(0.0, limit, _SCAN_PHI_STEP):
         budget = phi * cfg.p_tot
         areas = ev.area_from_jam((shares * budget) @ ev.response, phi)
         k = int(np.argmin(areas))
@@ -546,18 +507,18 @@ def _two_lobe_scan_cached(cfg, phi_step, n_splits):
     return cols, angles, phi, powers, area, tuple(trace)
 
 
-def algorithm3_two_lobes(cfg, phi_step=1e-2, n_splits=201):
+def algorithm3_two_lobes(cfg):
     """Put the whole noise budget on the two DFT beams nearest the two
-    strongest side lobes and search the jamming fraction and the two-way
-    split exhaustively, scoring by the exact outage area.
+    strongest side lobes and search the jamming fraction (step 0.01) and
+    the two-way split (201 splits) exhaustively, scoring by the exact
+    outage area.
 
     The per-lobe score of ``lobe_notch_objective`` is concave in the beam
     powers, so budget-constrained minimizers concentrate power on few
     lobes; restricting to the two strongest keeps the search
     two-dimensional.  Lobe direction means the lobe maximum.
     """
-    _, angles, phi, powers, area, trace = _two_lobe_scan(cfg, phi_step,
-                                                         n_splits)
+    _, angles, phi, powers, area, trace = _two_lobe_scan(cfg)
     alloc = PowerAllocation(phi, powers, "dft_selected", angles)
     return AllocationResult(phi, alloc, area, trace)
 

@@ -378,12 +378,9 @@ def directional_jam_response(cfg, alloc, thetas):
     deposit toward each angle, in the large-array limit.
 
     Explicit beams at angle ``a`` couple to direction ``theta`` through
-    ``n_antennas * s_kernel(sin theta - sin a)`` (``_beam_responses``); the
-    isotropic null-space allocation couples through ``1 - s_eb(theta)``.
+    ``n_antennas * s_kernel(sin theta - sin a)`` (``_beam_responses``).
     """
     thetas = np.asarray(thetas, dtype=float)
-    if alloc.basis == "null_space_uniform":
-        return alloc.phi * cfg.p_tilde_tot * (1.0 - _s_eb(cfg, thetas))
     return alloc.beam_powers @ _beam_responses(cfg, thetas, alloc.beam_angles)
 
 
@@ -420,8 +417,15 @@ def sor_area(boundary):
 
 
 def lobe_radii(cfg, phi):
-    """Maximum boundary radius of the main lobe and each representable side
-    lobe under uniform jamming (zeros where jamming kills the lobe)."""
+    """Outage radius of the main lobe and each representable side lobe under
+    uniform jamming, taken at each lobe's ``peak_value`` height (zeros
+    where jamming kills the lobe).
+
+    The main-lobe entry is the boundary's maximum radius.  A side-lobe
+    entry uses the lobe-midpoint envelope, which sits 4.3-4.6% below the
+    true side-lobe peak at N=16-100, so it falls short of that arc's
+    maximum boundary radius: at N=100, r_th=10, 100 m and phi=0, lobe 1
+    gives 371.8 m against an arc maximum of 377.6 m."""
     cons = sor_constants(cfg, phi)
     geom = cfg.geometry
     peaks = np.array([1.0] + [peak_value(m, geom)

@@ -145,12 +145,13 @@ def _max_side_lobe(geom):
     return max(m, 0)
 
 
-def peak_value(m, geom, simplified=False):
+def peak_value(m, geom):
     """Peak height of lobe ``m`` (1.0 for the main lobe).
 
-    The default uses the exact lobe-midpoint envelope 1/(n sin(pi(m+1/2)/n))^2;
-    ``simplified=True`` selects the large-array limit 1/(pi(m+1/2))^2.  Lobes
-    past the decreasing branch or outside the physical offset range raise.
+    Side lobes use the exact lobe-midpoint envelope
+    1/(n sin(pi(m+1/2)/n))^2, whose large-array limit is 1/(pi(m+1/2))^2.
+    Lobes past the decreasing branch or outside the physical offset range
+    raise.
     """
     if m != int(m) or m < 0:
         raise ValueError("lobe index must be a nonnegative integer")
@@ -162,8 +163,6 @@ def peak_value(m, geom, simplified=False):
             f"side lobe {m} is not representable for this geometry "
             f"(max {_max_side_lobe(geom)})"
         )
-    if simplified:
-        return 1.0 / (np.pi * (m + 0.5)) ** 2
     n = geom.n_antennas
     return 1.0 / (n * np.sin(np.pi * (m + 0.5) / n)) ** 2
 

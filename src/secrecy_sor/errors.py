@@ -6,13 +6,14 @@ class InfeasibleRateError(ValueError):
 
     Carries the normalized shortfall in ``deficit`` (how far the required SNR
     exceeds what the array can deliver, as a fraction of the available SNR).
-    For multiuser scenarios ``user_index`` tags the user that failed.
+    For multiuser scenarios ``mu_sor_boundary`` sets ``user_index`` to the
+    user that failed; it is None otherwise.
     """
 
-    def __init__(self, message, deficit=None, user_index=None):
+    def __init__(self, message, deficit=None):
         super().__init__(message)
         self.deficit = deficit
-        self.user_index = user_index
+        self.user_index = None
 
 
 class DegenerateArrayError(ValueError):

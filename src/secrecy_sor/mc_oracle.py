@@ -311,13 +311,10 @@ def empirical_sop(cfg, alloc, region, spec):
     """Secrecy outage probability by direct simulation.
 
     Each sample drops ``cfg.n_eves`` eavesdroppers uniformly over the
-    suspicious region (constant radial bounds only), redraws every channel,
-    and declares outage when the strongest eavesdropper pushes the secrecy
-    rate below target.  ``alloc`` is a PowerAllocation or a bare uniform
-    jamming fraction.
+    suspicious region, redraws every channel, and declares outage when the
+    strongest eavesdropper pushes the secrecy rate below target.  ``alloc``
+    is a PowerAllocation or a bare uniform jamming fraction.
     """
-    if not region.is_constant:
-        raise ValueError("Monte Carlo sampling needs constant radial bounds")
     alloc = _as_allocation(cfg, alloc)
     beams = _beams(cfg, alloc)
 

@@ -44,50 +44,21 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 class SuspiciousRegion:
-    """Annular sector the eavesdroppers are confined to.
+    """Annular sector the eavesdroppers are confined to:
+    ``SuspiciousRegion((th_lo, th_hi), d_min, d_max)``.  The angles lie in
+    the front half space [-pi/2, pi/2]."""
 
-    Constant bounds: ``SuspiciousRegion((th_lo, th_hi), d_min, d_max)``.
-    Sampled bounds: pass arrays for ``d_min``/``d_max`` together with the
-    ``thetas`` they are tabulated on (piecewise-linear in between).  The
-    angles lie in the front half space [-pi/2, pi/2].
-    """
-
-    def __init__(self, angle_interval, d_min, d_max, thetas=None):
+    def __init__(self, angle_interval, d_min, d_max):
         lo, hi = float(angle_interval[0]), float(angle_interval[1])
         if not lo < hi:
             raise ValueError("angle interval must be nonempty")
         if not (-_HALF_PI <= lo and hi <= _HALF_PI):
             raise ValueError("angle interval must lie within [-pi/2, pi/2]")
         self.angle_interval = (lo, hi)
-        self.thetas = None if thetas is None else np.asarray(thetas, dtype=float)
-        if self.thetas is None:
-            self.d_min = float(d_min)
-            self.d_max = float(d_max)
-            if not 0.0 <= self.d_min < self.d_max:
-                raise ValueError("need 0 <= d_min < d_max")
-        else:
-            self.d_min = np.asarray(d_min, dtype=float)
-            self.d_max = np.asarray(d_max, dtype=float)
-            if self.thetas.shape != self.d_min.shape or \
-                    self.thetas.shape != self.d_max.shape:
-                raise ValueError("sampled bounds must align with their thetas")
-            if np.any(np.diff(self.thetas) <= 0):
-                raise ValueError("sampled thetas must be strictly increasing")
-            if np.any(self.d_min < 0) or np.any(self.d_min >= self.d_max):
-                raise ValueError("need 0 <= d_min < d_max pointwise")
-
-    @property
-    def is_constant(self):
-        return self.thetas is None
-
-    def bounds_at(self, thetas):
-        """(d_min, d_max) profiles across an array of angles."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.is_constant:
-            return (np.full_like(thetas, self.d_min),
-                    np.full_like(thetas, self.d_max))
-        return (np.interp(thetas, self.thetas, self.d_min),
-                np.interp(thetas, self.thetas, self.d_max))
+        self.d_min = float(d_min)
+        self.d_max = float(d_max)
+        if not 0.0 <= self.d_min < self.d_max:
+            raise ValueError("need 0 <= d_min < d_max")
 
 
 def _branch_radii(cfg, cons):
@@ -156,7 +127,7 @@ def _segment_integrals(f, a, b, scale):
 
 def sop_closed_form(cfg, phi, region):
     """SOP under uniform null-space jamming, by radial integration of the
-    crosstalk CDF over the suspicious region (constant bounds only).
+    crosstalk CDF over the suspicious region.
 
     ``phi`` is a jamming fraction or a 1-D array of them; an array returns
     an array whose entries equal the scalar calls exactly (each fraction
@@ -166,8 +137,6 @@ def sop_closed_form(cfg, phi, region):
     target rate, so secrecy always fails.  Warns (``ResolutionWarning``)
     when a radial segment stops at the doubling limit unconverged.
     """
-    if not region.is_constant:
-        raise ValueError("sop_closed_form needs a constant-bound region")
     phis = np.asarray(phi, dtype=float)
     if phis.ndim > 1:
         raise ValueError("phi must be a scalar or a 1-D array")
@@ -230,12 +199,7 @@ def _sop_below_limit(cfg, phis, region):
 def region_area(region):
     """Area of the suspicious region."""
     lo, hi = region.angle_interval
-    if region.is_constant:
-        return 0.5 * (hi - lo) * (region.d_max ** 2 - region.d_min ** 2)
-    inner = region.thetas[(region.thetas > lo) & (region.thetas < hi)]
-    th = np.unique(np.concatenate((inner, [lo, hi])))
-    d_lo, d_hi = region.bounds_at(th)
-    return float(_trapz(0.5 * (d_hi ** 2 - d_lo ** 2), th))
+    return 0.5 * (hi - lo) * (region.d_max ** 2 - region.d_min ** 2)
 
 
 def sor_region_overlap(boundary, region):
@@ -246,12 +210,9 @@ def sor_region_overlap(boundary, region):
     thetas = np.asarray(boundary.thetas, dtype=float)
     inside = (thetas >= lo) & (thetas <= hi)
     th = np.unique(np.concatenate((thetas[inside], [lo, hi])))
-    if region.thetas is not None:
-        extra = region.thetas[(region.thetas >= lo) & (region.thetas <= hi)]
-        th = np.unique(np.concatenate((th, extra)))
     r = np.interp(th, thetas, boundary.radii)
-    d_lo, d_hi = region.bounds_at(th)
-    covered = 0.5 * np.clip(np.minimum(r, d_hi) ** 2 - d_lo ** 2, 0.0, None)
+    covered = 0.5 * np.clip(np.square(np.minimum(r, region.d_max))
+                            - np.square(region.d_min), 0.0, None)
     return float(_trapz(covered, th))
 
 
@@ -297,8 +258,6 @@ def is_jamming_beneficial(cfg, region):
     ``(True, phi)`` with ``sop(phi) < sop(0)``, preferring fractions that
     also satisfy the analytic improvement condition at ``d_max``.
     """
-    if not region.is_constant:
-        raise ValueError("is_jamming_beneficial needs a constant-bound region")
     if region.d_max >= jamming_beneficial_dmax(cfg):
         return False, None
     base = sop_closed_form(cfg, 0.0, region)

@@ -263,7 +263,7 @@ def test_05_jamming_benefit_witnesses():
             continue
         # confirm on a dense fraction grid before declaring a counterexample
         dense = np.linspace(1e-6, 0.999 * phi_max(cfg), 2001)
-        best = min(sop_closed_form(cfg, float(p), region) for p in dense)
+        best = float(np.min(sop_closed_form(cfg, dense, region)))
         base = sop_closed_form(cfg, 0.0, region)
         if best >= base:
             counterexamples.append(

@@ -143,14 +143,6 @@ def test_empirical_sop_deterministic_across_threads():
     assert c != a
 
 
-def test_empirical_sop_rejects_variable_bounds():
-    thetas = np.array([-0.5, 0.5])
-    reg_v = SuspiciousRegion((-0.5, 0.5), np.array([50.0, 60.0]),
-                             np.array([150.0, 140.0]), thetas=thetas)
-    with pytest.raises(ValueError):
-        empirical_sop(CFG64, 0.3, reg_v, McRunSpec(10, 0))
-
-
 def test_directional_allocation_through_the_oracle():
     # beams on the DFT grid flank the user's nulls, so they suppress the
     # region's eavesdroppers without touching Bob (a beam parked on a side

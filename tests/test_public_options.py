@@ -11,22 +11,17 @@ import inspect
 import secrecy_sor
 
 OPTIONS = {
-    "AllocationResult": ("trace",),
-    "InfeasibleRateError": ("deficit", "user_index"),
+    "InfeasibleRateError": ("deficit",),
     "McRunSpec": ("rician_k", "threads"),
     "MultiuserScenario": ("k_eb",),
     "PowerAllocation": ("beam_angles",),
     "ScenarioConfig": ("k_eb", "n_eves"),
     "SorBoundary": ("lobes",),
-    "SuspiciousRegion": ("thetas",),
     "algorithm1_directional": ("phi_step",),
-    "algorithm2_iterative": ("initial", "beams", "max_sweeps"),
-    "algorithm3_two_lobes": ("phi_step", "n_splits"),
     "empirical_crosstalk": ("angles",),
     "mu_sor_boundary": ("jam_alloc", "theta_grid"),
     "mu_worst_area": ("jam_alloc",),
     "optimize_phi_uniform": ("objective", "phi_step"),
-    "peak_value": ("simplified",),
     "sor_boundary_directional": ("theta_grid",),
     "sor_boundary_nojam": ("theta_grid",),
     "sor_boundary_uniform": ("theta_grid",),
@@ -46,4 +41,4 @@ def test_public_options_match_the_table():
              for name in secrecy_sor.__all__
              if callable(getattr(secrecy_sor, name))}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 27
+    assert sum(map(len, OPTIONS.values())) == 18

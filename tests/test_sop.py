@@ -47,9 +47,6 @@ def test_region_validation_and_area():
     for angles in [(-1.75, 1.75), (-1.75, 0.5), (-0.5, 1.75)]:
         with pytest.raises(ValueError, match="pi/2"):
             SuspiciousRegion(angles, 50.0, 200.0)
-        with pytest.raises(ValueError, match="pi/2"):
-            SuspiciousRegion(angles, [50.0, 60.0], [200.0, 210.0],
-                             thetas=[-0.1, 0.1])
     SuspiciousRegion((-np.pi / 2, np.pi / 2), 50.0, 200.0)
     # annular sector area: (hi-lo)/2 * (d_max^2 - d_min^2)
     want = (np.pi / 6) / 2.0 * (100.0 ** 2 - 50.0 ** 2)
@@ -114,15 +111,6 @@ def test_overlap_against_region_area():
     ov_in = sor_region_overlap(bd, inner)
     assert abs(ov_in - region_area(inner)) < 1e-3 * region_area(inner)
     assert sop_intersection(bd, inner, 1) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_variable_bound_region_interpolates():
-    thetas = np.array([-0.5, 0.0, 0.5])
-    reg = SuspiciousRegion((-0.5, 0.5), np.array([60.0, 50.0, 60.0]),
-                           np.array([100.0, 120.0, 100.0]), thetas=thetas)
-    assert not reg.is_constant
-    lo, hi = reg.bounds_at(np.array([0.25]))
-    assert abs(lo[0] - 55.0) < 1e-9 and abs(hi[0] - 110.0) < 1e-9
 
 
 def test_jamming_beneficial_limit_and_witness():
