@@ -30,11 +30,13 @@ from .asymptotic import (
     _area_weights,
     _beam_responses,
     _default_arcs,
+    _outage_gap,
     _s_eb,
     _uniform_allocation,
     boundary_scale,
     phi_max,
     sor_boundary_directional,
+    sor_constants,
 )
 from .crosstalk import s_kernel
 from .errors import DegenerateArrayError
@@ -221,8 +223,8 @@ def phi_opt_closed_form(cfg, s_eb, d_min):
     # the outage radius inside d_min; without that check the linearized
     # phi_0 can promise a zero-outage fraction that does not exist near the
     # branch division (off by up to ~0.09 from the dense-grid optimum there)
-    reach = s_eb * boundary_scale(cfg, phi_g) \
-        - (1.0 - s_eb) * phi_g * cfg.p_tilde_tot
+    cons = sor_constants(cfg, phi_g)
+    reach = cons.scale * s_eb - cons.offset
     if reach < d_min ** cfg.alpha and 0.0 <= phi_0 <= 1.0 and phi_0 <= phi_g:
         return float(phi_0), "phi_0"
     return phi_g, "phi_g"
@@ -236,8 +238,8 @@ def grid_oracle_phi(cfg, s_eb, d_min):
         raise ValueError("s_eb must lie in (0, 1)")
     limit = phi_max(cfg)
     grid = np.arange(0.0, limit, _ORACLE_STEP)
-    radius_a = s_eb * boundary_scale(cfg, grid) \
-        - (1.0 - s_eb) * cfg.p_tilde_tot * grid
+    cons = sor_constants(cfg, grid)
+    radius_a = _outage_gap(cons.scale, s_eb, cons.offset)
     hit = radius_a <= d_min ** cfg.alpha
     if np.any(hit):
         return float(grid[int(np.argmax(hit))])
@@ -259,10 +261,12 @@ def _pow_2_over_alpha(gap, alpha):
 class _DirectionalAreaEvaluator:
     """Vectorized outage-area evaluation on the default boundary grid, with
     the per-beam responses precomputed: the one place where the allocation
-    searches score areas, a block of candidate rows per call.  Uniform
-    null-space jamming is the row profile ``phi * p_tilde_tot * (1 - s_eb)``
-    and needs no beams; ``uniform_areas`` scores a ``phi`` grid in blocks
-    of ``_BLOCK_ROWS`` rows."""
+    searches score areas, a block of candidate rows per call.  Every row is
+    an ``_outage_gap``: explicit beams give ``boundary_scale * s_eb`` less
+    the noise they deposit, and uniform null-space jamming, which needs no
+    beams, gives ``sor_constants``' ``scale * s_eb - offset``;
+    ``uniform_areas`` scores a ``phi`` grid in blocks of ``_BLOCK_ROWS``
+    rows."""
 
     def __init__(self, cfg, beam_angles):
         self.cfg = cfg
@@ -276,23 +280,23 @@ class _DirectionalAreaEvaluator:
     def jam(self, powers):
         return powers @ self.response
 
+    def _areas(self, gap):
+        return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights
+
     def area_from_jam(self, jam, phis):
         """Areas for the rows of deposited-noise profiles ``jam`` (a block
         this call overwrites) at jamming fractions ``phis``: one fraction
         per row, or one scalar fraction for every row."""
-        gap = np.subtract(np.multiply.outer(boundary_scale(self.cfg, phis),
-                                            self.s_eb), jam, out=jam)
-        np.maximum(gap, 0.0, out=gap)
-        return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights
+        return self._areas(_outage_gap(boundary_scale(self.cfg, phis),
+                                       self.s_eb, jam, out=jam))
 
     def uniform_areas(self, phis):
         """Areas under uniform null-space jamming at each fraction in
         ``phis``, scored in blocks of at most ``_BLOCK_ROWS`` rows."""
-        leak = 1.0 - self.s_eb
-
         def block_areas(block):
-            jam = np.multiply.outer(block * self.cfg.p_tilde_tot, leak)
-            return self.area_from_jam(jam, block)
+            cons = sor_constants(self.cfg, block)
+            return self._areas(_outage_gap(cons.scale, self.s_eb,
+                                           cons.offset[:, None]))
         return _in_blocks(block_areas, phis)
 
     def area(self, powers):

@@ -44,7 +44,7 @@ _HALF_PI = 0.5 * np.pi
 _ARC_POINTS = 65
 _MIN_ARC_POINTS = 32
 
-_BASIS_KINDS = ("null_space_uniform", "dft_selected", "custom")
+_BASIS_KINDS = ("null_space_uniform", "dft_selected")
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,8 @@ class PowerAllocation:
 
     ``basis`` selects the jamming space: ``null_space_uniform`` spreads the
     budget isotropically in the signal's null space (``beam_angles`` unused),
-    while ``dft_selected`` and ``custom`` drive explicit beams whose steering
-    angles are listed in ``beam_angles`` (one per entry of ``beam_powers``,
-    in Watts).
+    while ``dft_selected`` drives explicit beams whose steering angles are
+    listed in ``beam_angles`` (one per entry of ``beam_powers``, in Watts).
     """
 
     phi: float
@@ -268,12 +267,28 @@ def phi_max(cfg):
 
 
 def sor_constants(cfg, phi):
-    """(scale, offset, cutoff) of the uniform-jamming boundary at ``phi``."""
-    if phi < 0.0:
+    """(scale, offset, cutoff) of the uniform-jamming boundary at ``phi``.
+
+    ``phi`` is a fraction or a 1-D array of them; an array gives arrays,
+    each entry equal to the scalar call's."""
+    if not np.all(np.greater_equal(phi, 0.0)):
         raise ValueError("phi must be nonnegative")
     p_jam = phi * cfg.p_tilde_tot
     scale = boundary_scale(cfg, phi) + p_jam
     return SorConstants(scale, p_jam, p_jam / scale)
+
+
+def _outage_gap(scale, s_eb, noise, out=None):
+    """radius**alpha of the outage boundary, ``max(scale * s_eb - noise,
+    0)``, with the product taken as ``np.multiply.outer(scale, s_eb)``
+    (one row per entry of an array ``scale``; at least one of the two is an
+    array).  The result goes to ``out``, which may be ``noise`` itself, or
+    else into the product's block, so no further block is allocated."""
+    gap = np.multiply.outer(scale, s_eb)
+    if out is None:
+        out = gap
+    np.subtract(gap, noise, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _null_sins(cfg):
@@ -340,7 +355,7 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
         thetas, arcs = _default_arcs(cfg)
     else:
         thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-    gap = np.clip(scale * _s_eb(cfg, thetas) - noise(thetas), 0.0, None)
+    gap = _outage_gap(scale, _s_eb(cfg, thetas), noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
     for arc in arcs:
         if arc.hi >= arc.lo >= 0:
@@ -430,7 +445,7 @@ def lobe_radii(cfg, phi):
     geom = cfg.geometry
     peaks = np.array([1.0] + [peak_value(m, geom)
                               for m in range(1, _max_side_lobe(geom) + 1)])
-    gap = np.clip(cons.scale * cfg.k_eb * peaks - cons.offset, 0.0, None)
+    gap = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset)
     return gap ** (1.0 / cfg.alpha)
 
 

@@ -75,10 +75,12 @@ class CrosstalkProfile:
 class LobeLandmarks:
     """Where the kernel crosses a level u.
 
-    ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe).
+    ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe,
+    1.0), numerically located: the peaks the crossings are decided by, not
+    ``peak_value``'s midpoint envelope.
     ``cross_points_main`` is the offset where the main lobe falls through u.
     ``cross_points_side[m-1]`` is the ``(rising, falling)`` crossing pair of
-    side lobe ``m``, or ``None`` when that lobe stays below u.
+    side lobe ``m``, or ``None`` when that lobe does not rise above u.
     """
 
     peak_values: list
@@ -300,13 +302,13 @@ def cross_points(u, profile):
 
     Root-finding is bisection on each monotone half lobe, to 1e-12 in the
     offset.  Representable side lobes whose (true, numerically located)
-    peak stays below ``u`` get ``None`` instead of a crossing pair.
+    peak does not rise above ``u`` get ``None`` instead of a crossing pair;
+    those peaks are the landmarks' ``peak_values``.
     """
     if not (0.0 < u < 1.0):
         raise ValueError("level u must lie strictly between 0 and 1")
     geom = profile.geometry
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    peaks = [peak_value(m, geom) for m in range(tables.cap + 1)]
 
     # one bisection for the main lobe and both halves of every side lobe
     # that rises above u
@@ -323,7 +325,7 @@ def cross_points(u, profile):
                      zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
     cp_main = float(roots[0])
     side = [pairs.get(m) for m in range(1, tables.cap + 1)]
-    return LobeLandmarks(peaks, cp_main, side)
+    return LobeLandmarks(tables.s_peak.tolist(), cp_main, side)
 
 
 def _clipped_range(angle_range):

@@ -20,10 +20,10 @@ import warnings
 import numpy as np
 
 from .asymptotic import (
+    _outage_gap,
     bob_profile,
     boundary_scale,
     phi_max,
-    sor_boundary_uniform,
     sor_constants,
 )
 from .crosstalk import (
@@ -65,14 +65,12 @@ def _branch_radii(cfg, cons):
     """Radii at which the radial integrand changes analytic branch: one per
     lobe peak of the crosstalk CDF (where a new lobe starts crossing)."""
     geom = cfg.geometry
-    tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    peaks = [1.0] + [tables.s_peak[m] for m in range(1, tables.cap + 1)]
-    out = []
-    for p in peaks:
-        gap = cons.scale * cfg.k_eb * p - cons.offset
-        if gap > 0:
-            out.append(gap ** (1.0 / cfg.alpha))
-    return out
+    # s_peak[0] is the main lobe's 1.0
+    peaks = _kernel_tables(geom.n_antennas, geom.spacing).s_peak
+    gaps = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset)
+    # the scalar power on each gap keeps libm's rounding, which numpy's
+    # array power may not share
+    return [g ** (1.0 / cfg.alpha) for g in gaps.tolist() if g > 0]
 
 
 def _simpson(fx, h):

@@ -169,7 +169,7 @@ def test_uniform_areas_match_boundary_quadrature():
         phis = np.linspace(0.0, phi_max(cfg), 7, endpoint=False)
         got = _DirectionalAreaEvaluator(cfg, ()).uniform_areas(phis)
         want = [sor_area(sor_boundary_uniform(cfg, p)) for p in phis]
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, alpha
+        assert np.max(np.abs(got / want - 1.0)) <= 4e-15, alpha
 
 
 def test_uniform_areas_blocked_equal_row_by_row():

@@ -74,6 +74,18 @@ def test_phi_max_values_and_infeasible():
         boundary_scale(far, 0.0)
 
 
+def test_sor_constants_on_an_array_equal_the_scalar_calls():
+    for cfg in (CFG100, CFG50, dataclasses.replace(CFG50, alpha=2.0)):
+        phis = np.linspace(0.0, phi_max(cfg), 101, endpoint=False)
+        got = sor_constants(cfg, phis)
+        for name, column in zip(got._fields, got):
+            want = [getattr(sor_constants(cfg, float(p)), name) for p in phis]
+            assert np.array_equal(column, want), name
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            sor_constants(CFG100, np.array([0.1, bad]))
+
+
 def test_main_lobe_radius_frozen():
     radii = lobe_radii(CFG100, 0.0)
     print(f"no-jam radii[:4] = {radii[:4]}")
@@ -157,8 +169,11 @@ def test_directional_budget_mismatch_rejected():
     with pytest.raises(ValueError):
         PowerAllocation(1.4, np.array([1.4]), "null_space_uniform")
     with pytest.raises(ValueError):
-        PowerAllocation(0.5, np.array([-0.1, 0.6]), "custom",
+        PowerAllocation(0.5, np.array([-0.1, 0.6]), "dft_selected",
                         np.array([0.1, 0.2]))
+    # explicit beams have one basis label
+    with pytest.raises(ValueError):
+        PowerAllocation(0.3, np.array([0.3]), "custom", np.array([0.0]))
 
 
 def test_directional_beam_kills_targeted_lobe_only():
@@ -166,7 +181,7 @@ def test_directional_beam_kills_targeted_lobe_only():
     # that lobe down while leaving the mirror lobe almost unchanged
     geom = CFG50.geometry
     peak1 = np.arcsin(1.5 / (geom.n_antennas * geom.spacing))
-    alloc = PowerAllocation(0.3, np.array([0.3]), "custom",
+    alloc = PowerAllocation(0.3, np.array([0.3]), "dft_selected",
                             np.array([peak1]))
     bd = sor_boundary_directional(CFG50, alloc)
     bd0 = sor_boundary_nojam(CFG50)

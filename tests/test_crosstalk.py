@@ -216,6 +216,27 @@ def test_cross_points_equal_scalar_bisection():
         _bisect(lambda x: x - 5.0, [0.0, 0.0], [10.0, 1.0])
 
 
+def test_cross_points_report_the_peaks_they_decide_by():
+    # levels between a side lobe's midpoint envelope (peak_value) and its
+    # true peak: the lobe crosses them, so its reported peak lies above
+    for geom in (G16, ArrayGeometry(50, 0.5), G100):
+        width = 1.0 / (geom.n_antennas * geom.spacing)
+        prof = CrosstalkProfile(geom, 0.0, 1.0)
+        cap = _kernel_tables(geom.n_antennas, geom.spacing).cap
+        for m in range(1, cap + 1):
+            true = s_kernel(_ref_golden_max(lambda x: s_kernel(x, geom),
+                                            m * width, (m + 1) * width), geom)
+            u = 0.5 * (peak_value(m, geom) + true)
+            assert peak_value(m, geom) < u < true
+            lm = cross_points(u, prof)
+            assert lm.peak_values[0] == 1.0
+            assert lm.peak_values[m] == true
+            assert all(a >= b for a, b in zip(lm.peak_values,
+                                              lm.peak_values[1:]))
+            for k, pair in enumerate(lm.cross_points_side, start=1):
+                assert (pair is None) == (lm.peak_values[k] <= u), (geom, m, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.builds(ArrayGeometry, st.integers(min_value=2, max_value=200),
                  st.sampled_from([0.25, 0.4, 0.5, 1.0])),

@@ -105,7 +105,8 @@ def test_explicit_beam_jams_bob_too():
     eve = ChannelDraw(draw_channel(G64, 1e9, 0.25, np.random.default_rng(2)),
                       0.25, 80.0)
     clean = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
-    dirty = PowerAllocation(0.3, np.array([0.3]), "custom", np.array([0.0]))
+    dirty = PowerAllocation(0.3, np.array([0.3]), "dft_selected",
+                            np.array([0.0]))
     sb_clean, _ = sinr_exact(CFG64, clean, h_b, eve)
     sb_dirty, _ = sinr_exact(CFG64, dirty, h_b, eve)
     print(f"bob clean {sb_clean:.1f} dirty {sb_dirty:.4f}")
@@ -273,7 +274,7 @@ def test_block_sop_equals_per_sample_loop(monkeypatch, n_eves, directional):
 
 
 @pytest.mark.parametrize("alloc", [
-    0.4, PowerAllocation(0.3, np.array([0.1, 0.2]), "custom",
+    0.4, PowerAllocation(0.3, np.array([0.1, 0.2]), "dft_selected",
                          np.array([0.2, -0.4]))])
 def test_block_sinr_equals_per_sample_loop(alloc):
     spec = McRunSpec(_per_block(1) + 5, 8, rician_k=2.0)

@@ -84,10 +84,10 @@ def test_beams_toward_worst_lobes_beat_beams_elsewhere():
     _, worst = mu_worst_area(scn2)
     sb = np.sin(scn2.user_thetas[worst])
     width = 1.0 / (64 * 0.5)
-    toward = PowerAllocation(0.0, np.array([0.1, 0.1]), "custom",
+    toward = PowerAllocation(0.0, np.array([0.1, 0.1]), "dft_selected",
                              np.arcsin(np.clip([sb - 1.5 * width,
                                                 sb + 1.5 * width], -1, 1)))
-    away = PowerAllocation(0.0, np.array([0.1, 0.1]), "custom",
+    away = PowerAllocation(0.0, np.array([0.1, 0.1]), "dft_selected",
                            np.arcsin(np.clip([sb - 0.9, sb + 0.55], -1, 1)))
     a_toward = sor_area(mu_sor_boundary(scn2, worst, toward))
     a_away = sor_area(mu_sor_boundary(scn2, worst, away))

@@ -8,8 +8,9 @@ Writes, into ``OUTDIR``, the CSV (and manifest) of every invocation in the
 benchmark's reference pools (``perfbench.workloads.pool``), the Monte Carlo
 ``--threads 2`` twins, and ``reproduce fig2``, ``fig2 --both-alpha`` and
 ``fig3`` to ``fig6``: 136 CSVs.  Prints one ``sha256  name`` line per CSV,
-so two checkouts compare with ``diff``.  Every call runs in this process
-with one BLAS thread.  Progress lines from the CLI go to stderr.
+so two checkouts compare with ``diff``; ``tools/csv_digests.sha256`` holds
+the expected lines.  Every call runs in this process with one BLAS thread.
+Progress lines from the CLI go to stderr.
 """
 
 import hashlib
