@@ -25,7 +25,6 @@ from .crosstalk import (
     cross_points,
     crosstalk_cdf,
     delta_cdf,
-    normalized_crosstalk,
     peak_value,
     s_kernel,
     s_max_feasible,
@@ -59,7 +58,6 @@ from .sop import (
 )
 from .alloc import (
     AllocationResult,
-    DftJammingBasis,
     algorithm1_directional,
     algorithm2_iterative,
     algorithm3_two_lobes,
@@ -67,18 +65,14 @@ from .alloc import (
     grid_oracle_phi,
     optimize_phi_uniform,
     phi_opt_closed_form,
-    sector_area_bound,
 )
 from .mc_oracle import (
-    ChannelDraw,
     McRunSpec,
-    draw_channel,
     empirical_crosstalk,
     empirical_sinr,
     empirical_sop,
     null_space_basis,
     secrecy_outage_count,
-    sinr_exact,
 )
 from .multiuser import MultiuserScenario, mu_sor_boundary, mu_worst_area
 

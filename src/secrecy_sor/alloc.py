@@ -73,30 +73,17 @@ class AllocationResult:
     trace: list
 
 
-@dataclass
-class DftJammingBasis:
-    """Orthonormal DFT beam set for an array geometry.
-
-    ``beam_angles[j]`` is the physical steering angle of column ``j`` (NaN
-    for beams whose spatial frequency no physical angle reaches, which can
-    happen below half-wavelength spacing).
-    """
-
-    columns: np.ndarray
-    beam_angles: np.ndarray
-
-
 def build_dft_basis(geom):
-    """DFT jamming basis with each beam mapped to its steering angle.
+    """Steering angle of each beam of the orthonormal DFT jamming basis.
 
-    Column ``j`` has entries exp(-2j pi j k / n)/sqrt(n); it steers toward
-    sin(theta) = j/(n d) modulo the kernel period 1/d, folded into [-1, 1]
-    (choosing the alias closest to broadside when spacing > 1/2 makes two
-    folds land inside).
+    Column ``j`` of the basis has entries exp(-2j pi j k / n)/sqrt(n); it
+    steers toward sin(theta) = j/(n d) modulo the kernel period 1/d, folded
+    into [-1, 1] (choosing the alias closest to broadside when spacing > 1/2
+    makes two folds land inside).  Entry ``j`` of the result is that angle,
+    or NaN for a beam whose spatial frequency no physical angle reaches,
+    which can happen below half-wavelength spacing.
     """
     n, d = geom.n_antennas, geom.spacing
-    k = np.arange(n)
-    columns = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
     angles = np.full(n, np.nan)
     for j in range(n):
         f = j / n
@@ -104,17 +91,18 @@ def build_dft_basis(geom):
         cands = [c for c in cands if -1.0 <= c <= 1.0]
         if cands:
             angles[j] = np.arcsin(min(cands, key=lambda v: (abs(v), -v)))
-    return DftJammingBasis(columns, angles)
+    return angles
 
 
-def _jam_beam_indices(cfg, basis):
-    """Beams eligible to carry noise: physically mappable and outside Bob's
-    main lobe (one null-to-null width around the data beam)."""
+def _jam_beam_indices(cfg, beam_angles):
+    """Beams eligible to carry noise, as indices into ``beam_angles``:
+    physically mappable and outside Bob's main lobe (one null-to-null width
+    around the data beam)."""
     geom = cfg.geometry
     width = 1.0 / (geom.n_antennas * geom.spacing)
     with np.errstate(invalid="ignore"):
-        main = np.abs(np.sin(basis.beam_angles) - np.sin(cfg.bob_theta)) < width
-    return np.where(~np.isnan(basis.beam_angles) & ~main)[0]
+        main = np.abs(np.sin(beam_angles) - np.sin(cfg.bob_theta)) < width
+    return np.where(~np.isnan(beam_angles) & ~main)[0]
 
 
 def _in_blocks(score, phis):
@@ -311,9 +299,9 @@ def _region_beam_allocation(cfg, region, phi):
     Falls back to the uniform null-space allocation, with a warning, when
     no beam covers the region.
     """
-    basis = build_dft_basis(cfg.geometry)
+    angles = build_dft_basis(cfg.geometry)
     lo, hi = region.angle_interval
-    angles = basis.beam_angles[_jam_beam_indices(cfg, basis)]
+    angles = angles[_jam_beam_indices(cfg, angles)]
     angles = angles[(angles >= lo) & (angles <= hi)]
     if angles.size == 0:
         warnings.warn("no DFT beam covers the suspicious region; "
@@ -400,11 +388,11 @@ def algorithm2_iterative(cfg):
     """
     limit = phi_max(cfg)
     cap = limit * cfg.p_tot * (1.0 - 1e-9)
-    basis = build_dft_basis(cfg.geometry)
-    idx = _jam_beam_indices(cfg, basis)
+    angles = build_dft_basis(cfg.geometry)
+    idx = _jam_beam_indices(cfg, angles)
     if idx.size == 0:
         raise DegenerateArrayError("no eligible jamming beams")
-    angles = basis.beam_angles[idx]
+    angles = angles[idx]
     start = _two_lobe_seed(cfg, idx, cap)
     if start is None:
         start = np.full(idx.size, 0.5 * limit * cfg.p_tot / idx.size)
@@ -479,8 +467,8 @@ def _two_lobe_scan_cached(cfg):
         raise DegenerateArrayError(
             "need at least two side lobes to aim at; the array resolves "
             f"only {len(ranked)}")
-    basis = build_dft_basis(cfg.geometry)
-    eligible = _jam_beam_indices(cfg, basis)
+    beam_angles = build_dft_basis(cfg.geometry)
+    eligible = _jam_beam_indices(cfg, beam_angles)
     if eligible.size < 2:
         raise DegenerateArrayError(
             f"only {eligible.size} jamming beams clear the main lobe")
@@ -488,11 +476,11 @@ def _two_lobe_scan_cached(cfg):
     cols = []
     for _, _, lobe_angle in ranked[:2]:
         free = np.setdiff1d(eligible, np.asarray(cols, dtype=int))
-        deposit = s_kernel(np.abs(np.sin(basis.beam_angles[free])
+        deposit = s_kernel(np.abs(np.sin(beam_angles[free])
                                   - np.sin(lobe_angle)), geom)
         cols.append(int(free[int(np.argmax(deposit))]))
     cols = np.asarray(cols, dtype=int)
-    angles = basis.beam_angles[cols]
+    angles = beam_angles[cols]
     ev = _DirectionalAreaEvaluator(cfg, angles)
     limit = phi_max(cfg)
     splits = np.linspace(0.0, 1.0, _SCAN_SPLITS)
@@ -526,12 +514,3 @@ def algorithm3_two_lobes(cfg):
     alloc = PowerAllocation(phi, powers, "dft_selected", angles)
     return AllocationResult(phi, alloc, area, trace)
 
-
-def sector_area_bound(boundary):
-    """Sector overestimate of the outage area: each lobe arc is bounded by a
-    circular sector of the average arc width at the arc's peak radius."""
-    arcs = [a for a in boundary.lobes if a.lo >= 0]
-    if not arcs:
-        raise ValueError("boundary carries no lobe arcs")
-    return float(np.pi / (2.0 * len(arcs))
-                 * np.sum([a.max_radius ** 2 for a in arcs]))

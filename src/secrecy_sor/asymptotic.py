@@ -20,7 +20,7 @@ Distances are meters, powers Watts, angles radians throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -112,10 +112,9 @@ class LobeArc:
     """
 
     index: int
-    support: tuple
     max_radius: float
-    lo: int = -1
-    hi: int = -1
+    lo: int
+    hi: int
 
 
 @dataclass
@@ -125,7 +124,7 @@ class SorBoundary:
 
     thetas: np.ndarray
     radii: np.ndarray
-    lobes: list = field(default_factory=list)
+    lobes: list
 
 
 @dataclass
@@ -186,10 +185,9 @@ def boundary_scale(cfg, phi):
     returns an array.  Raises when the remaining signal power cannot reach
     the target rate at some fraction.
     """
-    scalar = np.ndim(phi) == 0
-    if scalar and not (0.0 <= phi <= 1.0):
+    phis = phi if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
+    if not (np.all(phis >= 0.0) and np.all(phis <= 1.0)):
         raise ValueError("phi must lie in [0, 1]")
-    phis = phi if scalar else np.asarray(phi, dtype=float)
     n = cfg.geometry.n_antennas
     gain = 2.0 ** cfg.r_th
     x = (1.0 - phis) * cfg.p_tilde_tot
@@ -217,7 +215,7 @@ def _area_weights(thetas, arcs):
     user grid may have) and a trapezoid for a trailing pair."""
     w = np.zeros(len(thetas))
     for arc in arcs:
-        if arc.lo < 0 or arc.hi <= arc.lo:
+        if arc.hi <= arc.lo:
             continue
         h = np.diff(thetas[arc.lo:arc.hi + 1])
         seg = w[arc.lo:arc.hi + 1]
@@ -271,8 +269,6 @@ def sor_constants(cfg, phi):
 
     ``phi`` is a fraction or a 1-D array of them; an array gives arrays,
     each entry equal to the scalar call's."""
-    if not np.all(np.greater_equal(phi, 0.0)):
-        raise ValueError("phi must be nonnegative")
     p_jam = phi * cfg.p_tilde_tot
     scale = boundary_scale(cfg, phi) + p_jam
     return SorConstants(scale, p_jam, p_jam / scale)
@@ -325,7 +321,7 @@ def _default_arcs(cfg):
         seg = np.linspace(support[0], support[1], _ARC_POINTS)
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
-        arcs.append(LobeArc(index, support, 0.0, lo, len(thetas) - 1))
+        arcs.append(LobeArc(index, 0.0, lo, len(thetas) - 1))
     return np.asarray(thetas), arcs
 
 
@@ -338,7 +334,7 @@ def _arcs_for_grid(cfg, thetas):
         raise ValueError("theta_grid must be strictly increasing")
     # a grid point sitting exactly on a null belongs to both arcs, like the
     # shared endpoints of the default grid
-    arcs = [LobeArc(index, support, 0.0,
+    arcs = [LobeArc(index, 0.0,
                     int(np.searchsorted(thetas, support[0], side="left")),
                     int(np.searchsorted(thetas, support[1], side="right")) - 1)
             for index, support in _arc_supports(cfg)]
@@ -358,7 +354,7 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     gap = _outage_gap(scale, _s_eb(cfg, thetas), noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
     for arc in arcs:
-        if arc.hi >= arc.lo >= 0:
+        if arc.hi >= arc.lo:
             arc.max_radius = float(np.max(radii[arc.lo:arc.hi + 1]))
     return SorBoundary(thetas=thetas, radii=radii, lobes=arcs)
 
@@ -412,23 +408,19 @@ def sor_boundary_directional(cfg, alloc, theta_grid=None):
 
 
 def sor_area(boundary):
-    """Area enclosed by a polar boundary, integrated arc by arc (the whole
-    grid as one arc when the boundary carries no lobes).
+    """Area enclosed by a polar boundary, integrated arc by arc.
 
     Warns (``ResolutionWarning``) when any sampled arc carries fewer grid
     points than the quadrature needs to be trustworthy.
     """
-    thetas, radii = boundary.thetas, boundary.radii
-    arcs = boundary.lobes
-    if not arcs:
-        arcs = [LobeArc(0, (thetas[0], thetas[-1]), 0.0, 0, len(thetas) - 1)]
-    for arc in arcs:
+    for arc in boundary.lobes:
         n = arc.hi - arc.lo + 1
-        if arc.lo >= 0 and 0 < n < _MIN_ARC_POINTS and arc.max_radius > 0:
+        if 0 < n < _MIN_ARC_POINTS and arc.max_radius > 0:
             warnings.warn(
                 f"lobe arc {arc.index} sampled with only {n} points; "
                 "area may be inaccurate", ResolutionWarning, stacklevel=2)
-    return float(radii ** 2 @ _area_weights(thetas, arcs))
+    return float(boundary.radii ** 2
+                 @ _area_weights(boundary.thetas, boundary.lobes))
 
 
 def lobe_radii(cfg, phi):

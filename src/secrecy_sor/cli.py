@@ -10,7 +10,6 @@ runs with the same manifest and seed are byte-identical.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -214,8 +213,7 @@ def _parse_mc(manifest):
         return None
     if not isinstance(block, dict):
         raise ManifestError("mc", "not an object")
-    _reject_unknown(block, ("n_samples", "master_seed", "rician_k",
-                            "threads"), "mc")
+    _reject_unknown(block, ("n_samples", "master_seed", "rician_k"), "mc")
     return {
         "n_samples": _number(block, "n_samples", "mc", integer=True,
                              minimum=1),
@@ -223,8 +221,6 @@ def _parse_mc(manifest):
                                integer=True, minimum=0),
         "rician_k": _number(block, "rician_k", "mc", default=None,
                             minimum=0.0),
-        "threads": _number(block, "threads", "mc", default=None, integer=True,
-                           minimum=1),
     }
 
 
@@ -579,26 +575,6 @@ def _run_sor_map(manifest, n_points):
 # ---------------------------------------------------------------------------
 # Entry point
 
-def _resolve_threads(cli_threads, mc):
-    if cli_threads is not None:
-        if cli_threads < 1:
-            raise ManifestError("--threads", "must be >= 1")
-        return cli_threads
-    if mc is not None and mc.get("threads"):
-        return mc["threads"]
-    env = os.environ.get("SECRECY_SOR_THREADS")
-    if env:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise ManifestError("SECRECY_SOR_THREADS",
-                                f"expected a positive integer, got {env!r}")
-        return value
-    return 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="secrecy-sor",
@@ -638,9 +614,8 @@ def build_parser():
     p_mc.add_argument("--phi-step", type=float, default=_PHI_STEP)
     p_mc.add_argument("--seed", type=int,
                       help="Monte Carlo master seed (overrides manifest)")
-    p_mc.add_argument("--threads", type=int,
-                      help="Monte Carlo worker threads "
-                           "(fallback: manifest, then SECRECY_SOR_THREADS)")
+    p_mc.add_argument("--threads", type=int, default=1,
+                      help="Monte Carlo worker threads (default 1)")
     return parser
 
 
@@ -690,9 +665,10 @@ def main(argv=None):
             else:
                 if args.seed is not None and args.seed < 0:
                     raise ManifestError("--seed", "must be >= 0")
-                threads = _resolve_threads(args.threads, manifest.mc)
+                if args.threads < 1:
+                    raise ManifestError("--threads", "must be >= 1")
                 header, rows, guard = _run_mc_validate(
-                    manifest, args.phi_step, args.seed, threads)
+                    manifest, args.phi_step, args.seed, args.threads)
             out = args.out or manifest.output_path \
                 or f"{args.command.replace('-', '_')}.csv"
             label = args.command

@@ -125,18 +125,6 @@ def s_kernel(x, geom):
     return val
 
 
-def normalized_crosstalk(theta_i, profile):
-    """Crosstalk K * s(|sin theta_i - sin theta_ref|) for a concrete angle."""
-    theta_i = np.asarray(theta_i, dtype=float)
-    if not np.all(np.abs(theta_i) <= _HALF_PI):
-        raise ValueError("theta_i must lie in [-pi/2, pi/2]")
-    delta = np.abs(np.sin(theta_i) - np.sin(profile.theta_ref))
-    out = profile.k_factor_product * s_kernel(delta, profile.geometry)
-    if np.ndim(theta_i) == 0:
-        return float(out)
-    return out
-
-
 def _max_side_lobe(geom):
     """Largest side-lobe index on the decreasing branch that is physically
     reachable (peak offset at most 2 in the sine domain)."""

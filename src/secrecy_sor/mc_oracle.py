@@ -83,15 +83,6 @@ class McRunSpec:
             raise ValueError("threads must be >= 1")
 
 
-@dataclass
-class ChannelDraw:
-    """One receiver's channel realization and position."""
-
-    h: np.ndarray
-    theta: float
-    dist: float
-
-
 def _sym_k(cfg):
     """Per-receiver Rician factor reproducing ``cfg.k_eb`` when Bob and the
     eavesdroppers share it: k_eb = (K/(1+K))**2."""
@@ -134,14 +125,6 @@ def _channel(los, z, rician_k):
     h *= np.sqrt(1.0 - w_los)
     h += np.sqrt(w_los) * los
     return h
-
-
-def draw_channel(geom, rician_k, theta, rng):
-    """One small-scale channel vector: deterministic steering component plus
-    circularly-symmetric scatter, mixed by the Rician factor.  Path loss is
-    not included (norm**2 concentrates near the element count)."""
-    return _channel(steering_vector(theta, geom),
-                    rng.standard_normal((geom.n_antennas, 2)), rician_k)
 
 
 def _beam_matrix(geom, angles):
@@ -193,9 +176,16 @@ def _cross(h):
 
 
 def _block_sinrs(cfg, alloc, beams, h, dist):
-    """(sinr_bob, sinr_eve) of a block: ``h`` holds (sample, receiver,
-    antenna) channels with Bob at receiver 0, ``dist`` the eavesdroppers'
-    (sample, eavesdropper) distances; see ``sinr_exact``."""
+    """(sinr_bob, sinr_eve) of a block, no approximations: ``h`` holds
+    (sample, receiver, antenna) channels with Bob at receiver 0, ``dist``
+    the eavesdroppers' (sample, eavesdropper) distances.
+
+    The transmitter beams ``(1-phi) p_tot`` at Bob by maximum ratio and
+    spreads the noise budget per ``alloc``.  Isotropic null-space noise is
+    invisible to Bob by construction and reaches an eavesdropper through
+    the norm of her channel outside the signal direction; explicit
+    ``beams`` leak to both receivers through their actual channels.
+    """
     h_b, h_e = h[:, 0], h[:, 1:]
     p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
     gain_b = cfg.bob_dist ** (-cfg.alpha)
@@ -213,21 +203,6 @@ def _block_sinrs(cfg, alloc, beams, h, dist):
     sinr_b = p_sig * gain_b * norm_b2 / (1.0 + gain_b * jam_b)
     sinr_e = p_sig * gain_e * cross2 / (1.0 + gain_e * jam_e)
     return sinr_b, sinr_e
-
-
-def sinr_exact(cfg, alloc, h_bob, eve):
-    """(sinr_bob, sinr_eve) for one channel draw, no approximations.
-
-    The transmitter beams ``(1-phi) p_tot`` at Bob by maximum ratio and
-    spreads the noise budget per ``alloc``.  Isotropic null-space noise is
-    invisible to Bob by construction and reaches the eavesdropper through
-    the norm of her channel outside the signal direction; explicit beams
-    leak to both receivers through their actual channels.
-    """
-    sinr_b, sinr_e = _block_sinrs(cfg, alloc, _beams(cfg, alloc),
-                                  np.stack([h_bob, eve.h])[None],
-                                  np.array([[float(eve.dist)]]))
-    return float(sinr_b[0]), float(sinr_e[0, 0])
 
 
 def secrecy_outage_count(sinr_bob, sinr_eve, r_th):

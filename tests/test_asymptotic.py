@@ -81,9 +81,19 @@ def test_sor_constants_on_an_array_equal_the_scalar_calls():
         for name, column in zip(got._fields, got):
             want = [getattr(sor_constants(cfg, float(p)), name) for p in phis]
             assert np.array_equal(column, want), name
-    for bad in (-0.1, np.nan):
-        with pytest.raises(ValueError):
-            sor_constants(CFG100, np.array([0.1, bad]))
+
+
+@pytest.mark.parametrize("fn", [boundary_scale, sor_constants])
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_fractions_outside_the_unit_interval_rejected(fn, bad, as_array):
+    # an array is checked as a scalar is, before any arithmetic: no NaN or
+    # out-of-range entry reaches the formulas or their overflow
+    phi = np.array([0.1, bad]) if as_array else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
+            fn(CFG50, phi)
 
 
 def test_main_lobe_radius_frozen():

@@ -219,23 +219,6 @@ def test_mc_validate_thread_invariance(tmp_path):
     assert abs(mc - closed) < 4.0 * max(se, 1e-3)
 
 
-def test_threads_env_fallback_rejects_garbage(tmp_path, capsys,
-                                              monkeypatch):
-    path = write_manifest(
-        tmp_path / "mc.json",
-        scenario={"n_antennas": 32, "r_th": 4.0, "bob_dist_m": 80.0},
-        region={"angles_deg": [-20.0, 20.0], "d_min_m": 40.0,
-                "d_max_m": 120.0},
-        sweep={"parameter": "phi", "grid": [0.3]},
-        scheme="uniform",
-        mc={"n_samples": 100})
-    monkeypatch.setenv("SECRECY_SOR_THREADS", "many")
-    rc = main(["mc-validate", "--manifest", path,
-               "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "SECRECY_SOR_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, blocks, field", [
     ("optimize", {"region": None,
                   "sweep": {"parameter": "bob_dist_m", "grid": [100.0]},
@@ -256,6 +239,8 @@ def test_threads_env_fallback_rejects_garbage(tmp_path, capsys,
     ("mc-validate", {"region": {"angles_deg": [-100.0, 100.0],
                                 "d_min_m": 50.0, "d_max_m": 200.0},
                      "mc": {"n_samples": 10}}, "region"),
+    # the thread count comes from --threads only
+    ("mc-validate", {"mc": {"n_samples": 10, "threads": 2}}, "mc.threads"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):

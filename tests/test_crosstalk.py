@@ -20,15 +20,16 @@ import secrecy_sor
 from secrecy_sor import (
     ArrayGeometry,
     CrosstalkProfile,
+    ScenarioConfig,
     cross_points,
     crosstalk_cdf,
     delta_cdf,
-    normalized_crosstalk,
     peak_value,
     s_kernel,
     s_max_feasible,
     steering_vector,
 )
+from secrecy_sor.asymptotic import _s_eb
 from secrecy_sor.crosstalk import (
     _HALF_LOBE_SAMPLES,
     _KernelTables,
@@ -96,11 +97,11 @@ def test_delta_cdf_uniform_halfspace():
 
 
 def test_normalized_crosstalk_scales_kernel():
-    prof = CrosstalkProfile(G64, 0.3, 0.7)
+    cfg = ScenarioConfig(G64, 3.0, 1.0, 1e-8, 5.0, 0.3, 100.0, k_eb=0.7)
     th = 0.45
     want = 0.7 * s_kernel(abs(np.sin(th) - np.sin(0.3)), G64)
-    assert abs(normalized_crosstalk(th, prof) - want) < 1e-15
-    assert normalized_crosstalk(0.3, prof) == 0.7
+    assert abs(_s_eb(cfg, th) - want) < 1e-15
+    assert _s_eb(cfg, 0.3) == 0.7
 
 
 def test_cross_points_solve_the_level_equation():

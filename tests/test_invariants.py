@@ -226,8 +226,8 @@ def test_area_evaluator_equals_the_boundary_area(n, alpha, bob_theta, r_th,
     limit = (1e8 * n / (2.0 ** r_th - 1.0)) ** (1.0 / alpha)
     cfg = ScenarioConfig(ArrayGeometry(n, 0.5), alpha, 1.0, 1e-8, r_th,
                          bob_theta, reach * limit)
-    basis = build_dft_basis(cfg.geometry)
-    eligible = _jam_beam_indices(cfg, basis).tolist()
+    beam_angles = build_dft_basis(cfg.geometry)
+    eligible = _jam_beam_indices(cfg, beam_angles).tolist()
     cols = data.draw(st.lists(st.sampled_from(eligible), min_size=1,
                               max_size=6, unique=True))
     shares = np.array(data.draw(st.lists(
@@ -235,7 +235,7 @@ def test_area_evaluator_equals_the_boundary_area(n, alpha, bob_theta, r_th,
         max_size=len(cols))))
     phi = frac * phi_max(cfg)
     powers = phi * cfg.p_tot * shares / max(np.sum(shares), 1.0)
-    angles = basis.beam_angles[cols]
+    angles = beam_angles[cols]
     alloc = PowerAllocation(float(np.sum(powers) / cfg.p_tot), powers,
                             "dft_selected", angles)
     got = _DirectionalAreaEvaluator(cfg, angles).area(powers)

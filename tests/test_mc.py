@@ -10,12 +10,10 @@ import pytest
 from secrecy_sor import mc_oracle
 from secrecy_sor import (
     ArrayGeometry,
-    ChannelDraw,
     McRunSpec,
     PowerAllocation,
     ScenarioConfig,
     SuspiciousRegion,
-    draw_channel,
     empirical_crosstalk,
     empirical_sinr,
     empirical_sop,
@@ -24,7 +22,6 @@ from secrecy_sor import (
     secrecy_outage_count,
     sinr_bob_uniform,
     sinr_eve_uniform,
-    sinr_exact,
     sop_closed_form,
     steering_vector,
 )
@@ -45,13 +42,19 @@ def test_run_spec_validation():
         McRunSpec(10, 1, threads=0)
 
 
+def _draw_channel(geom, rician_k, theta, rng):
+    return mc_oracle._channel(steering_vector(theta, geom),
+                              rng.standard_normal((geom.n_antennas, 2)),
+                              rician_k)
+
+
 def test_draw_channel_statistics():
     rng = np.random.default_rng(0)
     # strong Rician factor: the draw collapses onto the steering vector
-    h = draw_channel(G64, 1e12, 0.4, rng)
+    h = _draw_channel(G64, 1e12, 0.4, rng)
     assert np.max(np.abs(h - steering_vector(0.4, G64))) < 1e-5
     # pure scatter: zero mean, unit per-entry variance (many draws)
-    hs = np.stack([draw_channel(G64, 0.0, 0.0, rng) for _ in range(400)])
+    hs = np.stack([_draw_channel(G64, 0.0, 0.0, rng) for _ in range(400)])
     assert abs(np.mean(hs)) < 0.01
     assert abs(np.mean(np.abs(hs) ** 2) - 1.0) < 0.02
     # norm concentrates near the element count either way
@@ -66,6 +69,34 @@ def test_null_space_basis_orthogonal_and_complete():
     assert np.max(np.abs(h.conj() @ q)) < 1e-10
     gram = q.conj().T @ q
     assert np.max(np.abs(gram - np.eye(15))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_null_space_basis_matches_the_engine_jamming_term(n):
+    # the engine never builds the null-space basis Q: it collects the
+    # isotropic noise per_dir * ||Q^H h_e||**2 through the norm identity
+    # per_dir * (||h_e||**2 - |h_e^H h_b|**2 / ||h_b||**2)
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0,
+                         100.0)
+    alloc = mc_oracle._as_allocation(cfg, 0.4)
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((6, 3, n)) + 1j * rng.standard_normal((6, 3, n))
+    # distances where the jamming term outweighs the noise floor many times
+    dist = rng.uniform(50.0, 150.0, (6, 2))
+    _, sinr_e = mc_oracle._block_sinrs(cfg, alloc, None, h, dist)
+    p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
+    per_dir = alloc.phi * cfg.p_tilde_tot / (n - 1)
+    for s in range(6):
+        h_b = h[s, 0]
+        q = null_space_basis(h_b)
+        for e in range(2):
+            h_e = h[s, e + 1]
+            jam = per_dir * np.sum(np.abs(q.conj().T @ h_e) ** 2)
+            cross2 = abs(np.vdot(h_e, h_b)) ** 2 / np.vdot(h_b, h_b).real
+            gain = dist[s, e] ** -cfg.alpha
+            assert gain * jam > 5.0
+            want = p_sig * gain * cross2 / (1.0 + gain * jam)
+            assert abs(sinr_e[s, e] / want - 1.0) < 1e-10
 
 
 def test_outage_count_edges():
@@ -99,18 +130,17 @@ def test_empirical_sinr_rejects_nonpositive_distance(eve_dist):
 
 
 def test_explicit_beam_jams_bob_too():
-    # a steering beam dropped straight onto Bob must degrade him, unlike the
-    # null-space spread
-    h_b = draw_channel(G64, 1e9, 0.0, np.random.default_rng(1))
-    eve = ChannelDraw(draw_channel(G64, 1e9, 0.25, np.random.default_rng(2)),
-                      0.25, 80.0)
+    # a steering beam dropped straight onto Bob (at 0 rad) must degrade him,
+    # unlike the null-space spread
+    assert CFG64.bob_theta == 0.0
+    spec = McRunSpec(50, 1, rician_k=1e9)
     clean = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
     dirty = PowerAllocation(0.3, np.array([0.3]), "dft_selected",
                             np.array([0.0]))
-    sb_clean, _ = sinr_exact(CFG64, clean, h_b, eve)
-    sb_dirty, _ = sinr_exact(CFG64, dirty, h_b, eve)
-    print(f"bob clean {sb_clean:.1f} dirty {sb_dirty:.4f}")
-    assert sb_dirty < 1e-3 * sb_clean
+    sb_clean, _ = empirical_sinr(CFG64, clean, spec, 0.25, 80.0)
+    sb_dirty, _ = empirical_sinr(CFG64, dirty, spec, 0.25, 80.0)
+    print(f"bob clean {np.min(sb_clean):.1f} dirty {np.max(sb_dirty):.4f}")
+    assert np.all(sb_dirty < 1e-3 * sb_clean)
 
 
 def test_empirical_crosstalk_reaches_kernel_at_strong_k():
@@ -232,7 +262,7 @@ def _per_block(n_eves):
 def test_draw_channel_equals_kept_copy():
     for seed, k, theta in [(0, 0.0, 0.0), (1, 0.7, -1.2), (2, 3.0, 0.4),
                            (3, 1e12, 1.5)]:
-        got = draw_channel(G16, k, theta, np.random.default_rng(seed))
+        got = _draw_channel(G16, k, theta, np.random.default_rng(seed))
         want = _old_channel(G16, k, theta, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 

@@ -1,14 +1,46 @@
-"""Every parameter with a default across the public API, held to a literal
-table.
+"""The public names and every parameter with a default across them, held
+to literal tables.
 
-A parameter with a default is an option a caller may set, and each one
-multiplies the configurations tests and benchmarks must cover.  Adding,
-removing or renaming one has to be an explicit edit of this table.
+A public name is API a caller may come to rely on, and a parameter with a
+default is an option a caller may set; each option multiplies the
+configurations tests and benchmarks must cover.  Adding, removing or
+renaming either has to be an explicit edit of these tables.
 """
 
 import inspect
 
 import secrecy_sor
+
+PUBLIC_NAMES = (
+    # submodules
+    "alloc", "asymptotic", "crosstalk", "errors", "mc_oracle", "multiuser",
+    "sop",
+    # errors
+    "DegenerateArrayError", "InfeasibleRateError", "ResolutionWarning",
+    # crosstalk
+    "ArrayGeometry", "CrosstalkProfile", "LobeLandmarks", "cross_points",
+    "crosstalk_cdf", "delta_cdf", "peak_value", "s_kernel",
+    "s_max_feasible", "steering_vector",
+    # asymptotic
+    "PowerAllocation", "ScenarioConfig", "SorBoundary", "boundary_scale",
+    "delta_theta_max", "lobe_radii", "phi_max", "side_lobe_area_bound",
+    "sinr_bob_uniform", "sinr_eve_uniform", "sor_area",
+    "sor_boundary_directional", "sor_boundary_nojam", "sor_boundary_uniform",
+    "sor_constants",
+    # sop
+    "SuspiciousRegion", "is_jamming_beneficial", "jamming_beneficial_dmax",
+    "region_area", "sop_closed_form", "sop_intersection",
+    "sor_region_overlap",
+    # alloc
+    "AllocationResult", "algorithm1_directional", "algorithm2_iterative",
+    "algorithm3_two_lobes", "build_dft_basis", "grid_oracle_phi",
+    "optimize_phi_uniform", "phi_opt_closed_form",
+    # mc_oracle
+    "McRunSpec", "empirical_crosstalk", "empirical_sinr", "empirical_sop",
+    "null_space_basis", "secrecy_outage_count",
+    # multiuser
+    "MultiuserScenario", "mu_sor_boundary", "mu_worst_area",
+)
 
 OPTIONS = {
     "InfeasibleRateError": ("deficit",),
@@ -16,7 +48,6 @@ OPTIONS = {
     "MultiuserScenario": ("k_eb",),
     "PowerAllocation": ("beam_angles",),
     "ScenarioConfig": ("k_eb", "n_eves"),
-    "SorBoundary": ("lobes",),
     "algorithm1_directional": ("phi_step",),
     "empirical_crosstalk": ("angles",),
     "mu_sor_boundary": ("jam_alloc", "theta_grid"),
@@ -26,6 +57,11 @@ OPTIONS = {
     "sor_boundary_nojam": ("theta_grid",),
     "sor_boundary_uniform": ("theta_grid",),
 }
+
+
+def test_public_names_match_the_table():
+    assert sorted(secrecy_sor.__all__) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 59
 
 
 def _defaulted(obj):
@@ -41,4 +77,4 @@ def test_public_options_match_the_table():
              for name in secrecy_sor.__all__
              if callable(getattr(secrecy_sor, name))}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 18
+    assert sum(map(len, OPTIONS.values())) == 17
