@@ -47,7 +47,9 @@ _OBJECTIVES = ("sop", "sor_area")
 # the candidate blocks of algorithms 2 and 3, so no search allocates larger
 # temporaries than those
 _BLOCK_ROWS = 201
-# uniform search: the width its golden-section refinement stops at
+# uniform search (also algorithm 1's): the phi grid step, and the width its
+# golden-section refinement stops at
+_PHI_STEP = 1e-3
 _REFINE_TOL = 1e-5
 # algorithm 2: levels per beam visit; the sweeps stop once the powers move
 # less than _DESCENT_EPSILON * p_tot, or after _MAX_SWEEPS
@@ -150,10 +152,10 @@ def _golden_min(f, a, b, xtol, trace):
     return best
 
 
-def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3):
+def optimize_phi_uniform(cfg, region, objective="sop"):
     """Best uniform jamming fraction for the given objective.
 
-    Dense grid at ``phi_step`` over the feasible range, then golden-section
+    Dense grid at ``_PHI_STEP`` over the feasible range, then golden-section
     refinement around the best cell down to ``_REFINE_TOL``; ties go to the
     smaller fraction.  The grid is scored in blocks of ``_BLOCK_ROWS``
     fractions: ``sor_area`` through ``_DirectionalAreaEvaluator``, with the
@@ -166,7 +168,7 @@ def optimize_phi_uniform(cfg, region, objective="sop", phi_step=1e-3):
     limit = phi_max(cfg)
     score = _uniform_objective(cfg, region, objective)
     f = lambda p: float(score(np.array([p]))[0])
-    grid = np.arange(0.0, limit, phi_step)
+    grid = np.arange(0.0, limit, _PHI_STEP)
     vals = score(grid)
     i = int(np.argmin(vals))
     best_phi, best_val = float(grid[i]), float(vals[i])
@@ -313,16 +315,15 @@ def _region_beam_allocation(cfg, region, phi):
         basis="dft_selected", beam_angles=angles)
 
 
-def algorithm1_directional(cfg, region, phi_step=1e-3):
-    """Uniform-optimal ``phi`` (SOP searched at ``phi_step``), then
+def algorithm1_directional(cfg, region):
+    """Uniform-optimal ``phi`` (``optimize_phi_uniform`` on SOP), then
     ``_region_beam_allocation`` at it: an equal split over the DFT beams
     that cover the suspicious angles.
 
     Keeps the uniform allocation, with a warning, when no beam covers the
     region.
     """
-    uniform = optimize_phi_uniform(cfg, region, objective="sop",
-                                   phi_step=phi_step)
+    uniform = optimize_phi_uniform(cfg, region, objective="sop")
     phi = uniform.phi_opt
     alloc = _region_beam_allocation(cfg, region, phi)
     trace = [("uniform", phi, uniform.objective)]

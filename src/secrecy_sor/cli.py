@@ -42,14 +42,6 @@ from .sop import SuspiciousRegion, sop_closed_form, sop_intersection
 _SCHEMES = ("no_jam", "uniform", "algo1", "algo2", "algo3")
 _SWEEPABLE = ("phi", "bob_dist_m", "bob_theta_deg", "r_th", "n_antennas",
               "alpha", "k_eb", "p_tot_w", "n0_w", "n_eves")
-# default phi grid step of the uniform searches (the reference figures use
-# it too)
-_PHI_STEP = 1e-3
-# the options each reproduced figure reads; any other given option is an
-# error
-_FIGURE_OPTIONS = {"fig2": ("--phi-step", "--both-alpha"),
-                   "fig3": ("--phi-step",), "fig4": ("--grid",), "fig5": (),
-                   "fig6": ()}
 
 
 class ManifestError(ValueError):
@@ -159,25 +151,13 @@ def _parse_sweep(manifest):
                             f"unknown parameter {parameter!r}; "
                             f"one of {', '.join(_SWEEPABLE)}")
     grid = _field(block, "grid", "sweep")
-    if isinstance(grid, dict):
-        _reject_unknown(grid, ("start", "stop", "step"), "sweep.grid")
-        start = _number(grid, "start", "sweep.grid")
-        stop = _number(grid, "stop", "sweep.grid")
-        step = _number(grid, "step", "sweep.grid")
-        if step <= 0:
-            raise ManifestError("sweep.grid.step", "must be positive")
-        values = np.arange(start, stop + 0.5 * step, step)
-    elif isinstance(grid, list):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in grid):
-            raise ManifestError("sweep.grid", "grid entries must be numbers")
-        values = np.asarray(grid, dtype=float)
-    else:
-        raise ManifestError("sweep.grid",
-                            "expected a list or {start, stop, step}")
-    if values.size == 0:
+    if not isinstance(grid, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in grid):
+        raise ManifestError("sweep.grid", "expected a list of numbers")
+    if not grid:
         raise ManifestError("sweep.grid", "empty sweep grid")
-    return parameter, values
+    return parameter, np.asarray(grid, dtype=float)
 
 
 def _parse_scheme(manifest):
@@ -213,14 +193,12 @@ def _parse_mc(manifest):
         return None
     if not isinstance(block, dict):
         raise ManifestError("mc", "not an object")
-    _reject_unknown(block, ("n_samples", "master_seed", "rician_k"), "mc")
+    _reject_unknown(block, ("n_samples", "master_seed"), "mc")
     return {
         "n_samples": _number(block, "n_samples", "mc", integer=True,
                              minimum=1),
         "master_seed": _number(block, "master_seed", "mc", default=0,
                                integer=True, minimum=0),
-        "rician_k": _number(block, "rician_k", "mc", default=None,
-                            minimum=0.0),
     }
 
 
@@ -376,15 +354,15 @@ def _score(cfg, region, alloc, objective):
                             cfg.n_eves)
 
 
-def _scheme(cfg, region, kind, phi, objective, phi_step):
+def _scheme(cfg, region, kind, phi, objective):
     """(phi, allocation, value) of one scheme.
 
     A fixed ``phi`` sets the fraction of ``uniform``, or of ``algo1``'s
     split over the region's beams; otherwise the scheme runs its search,
-    once (``uniform`` on ``objective`` at ``phi_step``).  ``value`` scores
-    the allocation by ``objective`` ("sop" or "sor_area"), reusing the
-    search's own value where the search optimized that objective; it is
-    None when ``objective`` is None.
+    once (``uniform`` on ``objective``).  ``value`` scores the allocation
+    by ``objective`` ("sop" or "sor_area"), reusing the search's own value
+    where the search optimized that objective; it is None when
+    ``objective`` is None.
     """
     if kind == "no_jam":
         alloc = _uniform_allocation(cfg, 0.0)
@@ -393,11 +371,10 @@ def _scheme(cfg, region, kind, phi, objective, phi_step):
             else _region_beam_allocation(cfg, region, phi)
     else:
         if kind == "uniform":
-            res = optimize_phi_uniform(cfg, region, objective=objective,
-                                       phi_step=phi_step)
+            res = optimize_phi_uniform(cfg, region, objective=objective)
             searched = objective
         elif kind == "algo1":
-            res = algorithm1_directional(cfg, region, phi_step=phi_step)
+            res = algorithm1_directional(cfg, region)
             searched = "sop"
         else:
             res = algorithm2_iterative(cfg) if kind == "algo2" \
@@ -421,36 +398,32 @@ def _reference_cfg(n_antennas, r_th, bob_dist, alpha=3.0, n_eves=1):
                           bob_theta=0.0, bob_dist=bob_dist, n_eves=n_eves)
 
 
-def _fig2(phi_step, both_alpha):
+def _fig2(both_alpha):
     guard = _RowGuard()
     rows = []
     alphas = (3.0, 2.0) if both_alpha else (3.0,)
     for alpha in alphas:
         cfg = _reference_cfg(100, 10.0, 100.0, alpha=alpha)
-        for phi in np.arange(0.0, phi_max(cfg), phi_step):
+        for phi in np.arange(0.0, phi_max(cfg), 0.005):
             def metrics(cfg=cfg, phi=phi):
-                radii = lobe_radii(cfg, phi)[:7]
-                if radii.size < 7:
-                    radii = np.pad(radii, (0, 7 - radii.size),
-                                   constant_values=math.nan)
-                return tuple(radii)
+                return tuple(lobe_radii(cfg, phi)[:7])
             rows.append((alpha, phi) + guard.run(metrics, 7))
     header = ["alpha", "phi"] + [f"lobe{m}_m" for m in range(7)] + ["warning"]
     return header, rows, guard
 
 
-def _fig3(phi_step):
+def _fig3():
     region = SuspiciousRegion((math.radians(-15.0), math.radians(15.0)),
                               50.0, 100.0)
     cfg100 = _reference_cfg(100, 10.0, 100.0, n_eves=10)
     cfg50 = _reference_cfg(50, 10.0, 100.0, n_eves=10)
     guard = _RowGuard()
     rows = []
-    for phi in np.arange(0.0, 1.0 + 0.5 * phi_step, phi_step):
+    for phi in np.arange(0.0, 1.005, 0.01):
         phi = min(float(phi), 1.0)
 
         def metrics(phi=phi):
-            return tuple(_scheme(cfg, region, kind, phi, "sop", None)[2]
+            return tuple(_scheme(cfg, region, kind, phi, "sop")[2]
                          for cfg, kind in ((cfg100, "uniform"),
                                            (cfg100, "algo1"),
                                            (cfg50, "uniform")))
@@ -460,14 +433,14 @@ def _fig3(phi_step):
     return header, rows, guard
 
 
-def _fig4(n_points):
+def _fig4():
     configs = [("nt50_db100", _reference_cfg(50, 5.0, 100.0)),
                ("nt100_db100", _reference_cfg(100, 5.0, 100.0)),
                ("nt100_db150", _reference_cfg(100, 5.0, 150.0))]
     d_min = 50.0
     guard = _RowGuard()
     rows = []
-    for s_eb in np.linspace(0.05, 0.95, n_points):
+    for s_eb in np.linspace(0.05, 0.95, 20):
         def metrics(s_eb=s_eb):
             out_vals = []
             for _, cfg in configs:
@@ -489,8 +462,7 @@ def _fig5():
         cfg = _reference_cfg(50, 5.0, float(bob_dist))
 
         def metrics(cfg=cfg):
-            return tuple(_scheme(cfg, None, kind, None, "sor_area",
-                                 _PHI_STEP)[2]
+            return tuple(_scheme(cfg, None, kind, None, "sor_area")[2]
                          for kind in ("no_jam", "uniform", "algo2", "algo3"))
         rows.append((bob_dist,) + guard.run(metrics, 4))
     header = ["bob_dist_m", "area_no_jam_m2", "area_uniform_m2",
@@ -508,7 +480,7 @@ def _fig6():
 
         def metrics(cfg=cfg):
             def sop(kind, phi=None):
-                return _scheme(cfg, region, kind, phi, "sop", _PHI_STEP)
+                return _scheme(cfg, region, kind, phi, "sop")
             # algo1 splits the uniform optimum over the region's beams
             phi_u, _, uniform = sop("uniform")
             return (sop("no_jam")[2], uniform, sop("algo1", phi_u)[2],
@@ -522,7 +494,7 @@ def _fig6():
 # ---------------------------------------------------------------------------
 # Manifest-driven subcommands
 
-def _sweep(manifest, objective, phi_step, columns, extend=None):
+def _sweep(manifest, objective, columns, extend=None):
     """(header, rows, guard) over the manifest's sweep: per grid value, the
     scheme's fraction and ``objective`` value, followed by
     ``extend(cfg, allocation)`` when given."""
@@ -535,24 +507,23 @@ def _sweep(manifest, objective, phi_step, columns, extend=None):
             cfg, phi = _apply_sweep(manifest.scenario, parameter, value)
             used, alloc, score = _scheme(
                 cfg, manifest.region, kind,
-                fixed_phi if phi is None else phi, objective, phi_step)
+                fixed_phi if phi is None else phi, objective)
             return (used, score) + (extend(cfg, alloc) if extend else ())
         rows.append((value,) + guard.run(metrics, len(columns)))
     return [parameter] + columns + ["warning"], rows, guard
 
 
-def _run_mc_validate(manifest, phi_step, seed, threads):
+def _run_mc_validate(manifest, threads):
     mc = manifest.mc
     spec = McRunSpec(n_samples=mc["n_samples"],
-                     master_seed=mc["master_seed"] if seed is None else seed,
-                     rician_k=mc["rician_k"], threads=threads)
+                     master_seed=mc["master_seed"], threads=threads)
 
     def monte_carlo(cfg, alloc):
         empirical = empirical_sop(cfg, alloc, manifest.region, spec)
         se = math.sqrt(max(empirical * (1.0 - empirical), 1e-12)
                        / mc["n_samples"])
         return empirical, se
-    return _sweep(manifest, "sop", phi_step,
+    return _sweep(manifest, "sop",
                   ["phi_used", "sop_closed", "sop_mc", "binom_se"],
                   monte_carlo)
 
@@ -564,8 +535,7 @@ def _run_sor_map(manifest, n_points):
     guard = _RowGuard()
 
     def boundary_radii():
-        _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None,
-                              _PHI_STEP)
+        _, alloc, _ = _scheme(cfg, manifest.region, kind, phi, None)
         return sor_boundary_directional(cfg, alloc, thetas).radii
     *radii, note = guard.run(boundary_radii, thetas.size)
     rows = [(math.degrees(th), r, note) for th, r in zip(thetas, radii)]
@@ -587,10 +557,6 @@ def build_parser():
     rep.add_argument("figure",
                      choices=["fig2", "fig3", "fig4", "fig5", "fig6"])
     rep.add_argument("--out", help="output CSV path (default <figure>.csv)")
-    rep.add_argument("--phi-step", type=float,
-                     help="phi grid step for fig2/fig3")
-    rep.add_argument("--grid", type=int,
-                     help="number of s_eb points for fig4 (default 20)")
     rep.add_argument("--both-alpha", action="store_true",
                      help="fig2: emit an alpha=2 block after the alpha=3 one")
 
@@ -605,38 +571,22 @@ def build_parser():
                             "polar boundary samples for one scheme")
     p_map.add_argument("--grid", type=int, default=721,
                        help="number of theta samples (default 721)")
-    p_sop = manifest_parser("sop", "secrecy outage probability sweep")
-    p_sop.add_argument("--phi-step", type=float, default=_PHI_STEP)
-    p_opt = manifest_parser("optimize", "optimal jamming fraction sweep")
-    p_opt.add_argument("--phi-step", type=float, default=_PHI_STEP)
+    manifest_parser("sop", "secrecy outage probability sweep")
+    manifest_parser("optimize", "optimal jamming fraction sweep")
     p_mc = manifest_parser("mc-validate",
                            "closed form vs finite-antenna Monte Carlo")
-    p_mc.add_argument("--phi-step", type=float, default=_PHI_STEP)
-    p_mc.add_argument("--seed", type=int,
-                      help="Monte Carlo master seed (overrides manifest)")
     p_mc.add_argument("--threads", type=int, default=1,
                       help="Monte Carlo worker threads (default 1)")
     return parser
 
 
 def _reproduce(args):
-    given = {"--phi-step": args.phi_step is not None,
-             "--grid": args.grid is not None,
-             "--both-alpha": args.both_alpha}
-    for option, used in given.items():
-        if used and option not in _FIGURE_OPTIONS[args.figure]:
-            raise ManifestError(option, f"{args.figure} does not use it")
-    if args.phi_step is not None and not args.phi_step > 0.0:
-        raise ManifestError("--phi-step", "must be positive")
-    if args.grid is not None and args.grid < 1:
-        raise ManifestError("--grid", "need at least 1 sample")
+    if args.both_alpha and args.figure != "fig2":
+        raise ManifestError("--both-alpha", f"{args.figure} does not use it")
     if args.figure == "fig2":
-        return _fig2(args.phi_step or 0.005, args.both_alpha)
-    if args.figure == "fig3":
-        return _fig3(args.phi_step or 0.01)
-    if args.figure == "fig4":
-        return _fig4(args.grid or 20)
-    return _fig5() if args.figure == "fig5" else _fig6()
+        return _fig2(args.both_alpha)
+    return {"fig3": _fig3, "fig4": _fig4, "fig5": _fig5,
+            "fig6": _fig6}[args.figure]()
 
 
 def main(argv=None):
@@ -653,22 +603,17 @@ def main(argv=None):
                 if args.grid < 2:
                     raise ManifestError("--grid", "need at least 2 samples")
                 header, rows, guard = _run_sor_map(manifest, args.grid)
-            elif not args.phi_step > 0.0:
-                raise ManifestError("--phi-step", "must be positive")
             elif args.command == "sop":
-                header, rows, guard = _sweep(manifest, "sop", args.phi_step,
+                header, rows, guard = _sweep(manifest, "sop",
                                              ["phi_used", "sop"])
             elif args.command == "optimize":
-                header, rows, guard = _sweep(
-                    manifest, manifest.scheme[2], args.phi_step,
-                    ["phi_opt", "objective"])
+                header, rows, guard = _sweep(manifest, manifest.scheme[2],
+                                             ["phi_opt", "objective"])
             else:
-                if args.seed is not None and args.seed < 0:
-                    raise ManifestError("--seed", "must be >= 0")
                 if args.threads < 1:
                     raise ManifestError("--threads", "must be >= 1")
-                header, rows, guard = _run_mc_validate(
-                    manifest, args.phi_step, args.seed, args.threads)
+                header, rows, guard = _run_mc_validate(manifest,
+                                                       args.threads)
             out = args.out or manifest.output_path \
                 or f"{args.command.replace('-', '_')}.csv"
             label = args.command

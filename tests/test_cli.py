@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from secrecy_sor import (
     algorithm2_iterative,
     algorithm3_two_lobes,
     empirical_sop,
+    grid_oracle_phi,
     optimize_phi_uniform,
+    phi_max,
+    phi_opt_closed_form,
     sop_closed_form,
     sop_intersection,
     sor_area,
@@ -30,6 +34,7 @@ from secrecy_sor import (
     sor_boundary_nojam,
     sor_boundary_uniform,
 )
+from secrecy_sor.alloc import _region_beam_allocation
 from secrecy_sor.cli import main
 
 # main-lobe radius of the reference broadside setup (N_t=100, R_th=10,
@@ -65,11 +70,12 @@ def base_manifest(tmp_path, **extra):
 
 def test_reproduce_fig2_values(tmp_path, capsys):
     out = tmp_path / "fig2.csv"
-    rc = main(["reproduce", "fig2", "--out", str(out), "--phi-step", "0.2"])
+    rc = main(["reproduce", "fig2", "--out", str(out)])
     assert rc == 0
     header, rows = read_csv(out)
     assert header == ["alpha", "phi"] + [f"lobe{m}_m" for m in range(7)] \
         + ["warning"]
+    assert float(rows[1][1]) == 0.005
     first = rows[0]
     assert float(first[0]) == 3.0 and float(first[1]) == 0.0
     assert float(first[2]) == pytest.approx(MAIN_RADIUS_NOJAM, rel=1e-8)
@@ -78,6 +84,77 @@ def test_reproduce_fig2_values(tmp_path, capsys):
     assert all(radii[m] < radii[0] for m in range(1, 7))
     err = capsys.readouterr().err
     assert "reproduce fig2: wrote" in err
+
+
+def _reference_cfg(n_antennas, r_th, bob_dist, n_eves=1):
+    """The reference figures' scenario: d_0=0.5, alpha=3, P_tot=1 W,
+    N_0=1e-8 W, Bob at broadside."""
+    return ScenarioConfig(geometry=ArrayGeometry(n_antennas, 0.5), alpha=3.0,
+                          p_tot=1.0, n0=1e-8, r_th=r_th, bob_theta=0.0,
+                          bob_dist=bob_dist, n_eves=n_eves)
+
+
+def test_reproduce_fig3_and_fig4_rows(tmp_path):
+    fmt = cli._fmt
+    out3, out4 = tmp_path / "fig3.csv", tmp_path / "fig4.csv"
+    assert main(["reproduce", "fig3", "--out", str(out3)]) == 0
+    assert main(["reproduce", "fig4", "--out", str(out4)]) == 0
+
+    header, rows = read_csv(out3)
+    assert header == ["phi", "sop_uniform_nt100", "sop_directional_nt100",
+                      "sop_uniform_nt50", "warning"]
+    assert len(rows) == 101
+    cfg = _reference_cfg(100, 10.0, 100.0, n_eves=10)
+    region = SuspiciousRegion((math.radians(-15.0), math.radians(15.0)),
+                              50.0, 100.0)
+    phis = [min(float(p), 1.0) for p in np.arange(0.0, 1.005, 0.01)]
+    assert [r[0] for r in rows] == [fmt(p) for p in phis]
+    # from phi_max on Bob misses the target rate: secrecy always fails
+    beyond = [r[2] for p, r in zip(phis, rows) if p >= phi_max(cfg)]
+    assert beyond and set(beyond) == {"1"}
+    phi = phis[40]
+    boundary = sor_boundary_directional(
+        cfg, _region_beam_allocation(cfg, region, phi))
+    assert rows[40][1:3] == [
+        fmt(sop_closed_form(cfg, phi, region)),
+        fmt(sop_intersection(boundary, region, cfg.n_eves))]
+
+    header, rows = read_csv(out4)
+    configs = (_reference_cfg(50, 5.0, 100.0), _reference_cfg(100, 5.0, 100.0),
+               _reference_cfg(100, 5.0, 150.0))
+    assert header == ["s_eb"] + [
+        f"phi_{kind}_{name}"
+        for name in ("nt50_db100", "nt100_db100", "nt100_db150")
+        for kind in ("closed", "oracle")] + ["warning"]
+    assert len(rows) == 20
+    s_eb = np.linspace(0.05, 0.95, 20)[7]
+    want = [fmt(s_eb)]
+    for config in configs:
+        want += [fmt(phi_opt_closed_form(config, s_eb, 50.0)[0]),
+                 fmt(grid_oracle_phi(config, s_eb, 50.0))]
+    assert rows[7] == want + [""]
+
+
+def test_integer_sweep_parameters(tmp_path):
+    cfg = _reference_cfg(100, 10.0, 100.0)
+    region = SuspiciousRegion((math.radians(-15.0), math.radians(15.0)),
+                              50.0, 100.0)
+    scheme = {"kind": "uniform", "phi": 0.3}
+    out = tmp_path / "o.csv"
+    path = base_manifest(tmp_path, scheme=scheme,
+                         sweep={"parameter": "n_eves", "grid": [1, 3]})
+    assert main(["sop", "--manifest", path, "--out", str(out)]) == 0
+    assert read_csv(out)[1] == [
+        [str(n_eves), "0.3",
+         cli._fmt(sop_closed_form(replace(cfg, n_eves=n_eves), 0.3, region)),
+         ""] for n_eves in (1, 3)]
+    for parameter, value in (("n_antennas", 32.5), ("n_eves", 2.5)):
+        path = base_manifest(tmp_path, scheme=scheme,
+                             sweep={"parameter": parameter, "grid": [value]})
+        assert main(["sop", "--manifest", path, "--out", str(out)]) == 0
+        assert read_csv(out)[1] == [[
+            str(value), "nan", "nan",
+            f"{parameter} grid value {value} is not integer"]]
 
 
 def test_manifest_error_unknown_field(tmp_path, capsys):
@@ -137,15 +214,14 @@ def test_sop_sweep_deterministic_bytes(tmp_path):
 
 
 def test_algo1_searches_at_the_phi_step(tmp_path):
-    # algo1 splits the uniform SOP optimum over its beams, so at the same
-    # --phi-step both report the same fraction
+    # algo1 splits the uniform SOP optimum over its beams, searched on the
+    # same phi grid, so both report the same fraction
     used = {}
     for kind in ("uniform", "algo1"):
         path = base_manifest(tmp_path, scheme=kind, sweep={
             "parameter": "bob_dist_m", "grid": [100.0]})
         out = tmp_path / f"{kind}.csv"
-        assert main(["sop", "--manifest", path, "--out", str(out),
-                     "--phi-step", "0.05"]) == 0
+        assert main(["sop", "--manifest", path, "--out", str(out)]) == 0
         used[kind] = read_csv(out)[1][0][1]
     assert used["algo1"] == used["uniform"]
 
@@ -241,6 +317,13 @@ def test_mc_validate_thread_invariance(tmp_path):
                      "mc": {"n_samples": 10}}, "region"),
     # the thread count comes from --threads only
     ("mc-validate", {"mc": {"n_samples": 10, "threads": 2}}, "mc.threads"),
+    # the Monte Carlo Rician factor comes from scenario.k_eb only
+    ("mc-validate", {"mc": {"n_samples": 10, "rician_k": 2.0}},
+     "mc.rician_k"),
+    # a sweep grid is a list of numbers
+    ("sop", {"sweep": {"parameter": "phi",
+                       "grid": {"start": 0.0, "stop": 0.6, "step": 0.2}}},
+     "sweep.grid"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):
@@ -252,25 +335,44 @@ def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
     assert not out.exists()
 
 
+# flags these commands no longer have (each figure and search runs at one
+# fixed resolution, and the Monte Carlo seed comes from mc.master_seed):
+# argparse rejects them, also at values the runs once accepted, instead of
+# ignoring them
+RETIRED_FLAGS = ("--phi-step", "--seed", "--grid")
+
+
+def assert_exits_2(argv, field, capsys):
+    """``main(argv)`` exits 2 naming ``field``: argparse for a retired flag,
+    a manifest error for a bad value."""
+    if field in RETIRED_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {field}" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"manifest error at {field}:")
+
+
 @pytest.mark.parametrize("extra, field", [
-    (["--phi-step", "0"], "--phi-step"),
+    (["--phi-step", "0.01"], "--phi-step"),
     (["--threads", "0"], "--threads"),
-    (["--seed", "-1"], "--seed"),
+    (["--seed", "3"], "--seed"),
 ])
 def test_bad_command_line_values_exit_2(tmp_path, capsys, extra, field):
     path = base_manifest(tmp_path, mc={"n_samples": 10})
-    rc = main(["mc-validate", "--manifest", path,
-               "--out", str(tmp_path / "o.csv")] + extra)
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+    assert_exits_2(["mc-validate", "--manifest", path,
+                    "--out", str(tmp_path / "o.csv")] + extra, field, capsys)
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["fig2", "--phi-step", "-0.1"], "--phi-step"),
+    (["fig2", "--phi-step", "0.1"], "--phi-step"),
     (["fig3", "--phi-step", "0"], "--phi-step"),
-    (["fig4", "--grid", "-1"], "--grid"),
-    # an option the figure does not read
+    (["fig4", "--grid", "5"], "--grid"),
     (["fig2", "--grid", "3"], "--grid"),
+    # the one flag a figure reads, on a figure that does not read it
     (["fig3", "--both-alpha"], "--both-alpha"),
     (["fig4", "--phi-step", "0.3"], "--phi-step"),
     (["fig5", "--grid", "5"], "--grid"),
@@ -278,9 +380,7 @@ def test_bad_command_line_values_exit_2(tmp_path, capsys, extra, field):
 ])
 def test_bad_reproduce_arguments_exit_2(tmp_path, capsys, argv, field):
     out = tmp_path / "fig.csv"
-    rc = main(["reproduce", *argv, "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(f"manifest error at {field}:")
+    assert_exits_2(["reproduce", *argv, "--out", str(out)], field, capsys)
     assert not out.exists()
 
 

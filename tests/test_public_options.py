@@ -1,15 +1,17 @@
-"""The public names and every parameter with a default across them, held
-to literal tables.
+"""The public names, every parameter with a default across them and every
+command-line flag, held to literal tables.
 
 A public name is API a caller may come to rely on, and a parameter with a
-default is an option a caller may set; each option multiplies the
+default or a flag is an option a caller may set; each option multiplies the
 configurations tests and benchmarks must cover.  Adding, removing or
-renaming either has to be an explicit edit of these tables.
+renaming any of them has to be an explicit edit of these tables.
 """
 
+import argparse
 import inspect
 
 import secrecy_sor
+from secrecy_sor.cli import build_parser
 
 PUBLIC_NAMES = (
     # submodules
@@ -48,11 +50,10 @@ OPTIONS = {
     "MultiuserScenario": ("k_eb",),
     "PowerAllocation": ("beam_angles",),
     "ScenarioConfig": ("k_eb", "n_eves"),
-    "algorithm1_directional": ("phi_step",),
     "empirical_crosstalk": ("angles",),
     "mu_sor_boundary": ("jam_alloc", "theta_grid"),
     "mu_worst_area": ("jam_alloc",),
-    "optimize_phi_uniform": ("objective", "phi_step"),
+    "optimize_phi_uniform": ("objective",),
     "sor_boundary_directional": ("theta_grid",),
     "sor_boundary_nojam": ("theta_grid",),
     "sor_boundary_uniform": ("theta_grid",),
@@ -77,4 +78,24 @@ def test_public_options_match_the_table():
              for name in secrecy_sor.__all__
              if callable(getattr(secrecy_sor, name))}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 17
+    assert sum(map(len, OPTIONS.values())) == 15
+
+
+CLI_FLAGS = {
+    "reproduce": ("--out", "--both-alpha"),
+    "sor-map": ("--manifest", "--out", "--grid"),
+    "sop": ("--manifest", "--out"),
+    "optimize": ("--manifest", "--out"),
+    "mc-validate": ("--manifest", "--out", "--threads"),
+}
+
+
+def test_command_line_flags_match_the_table():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    found = {name: tuple(flag for action in sub._actions
+                         for flag in action.option_strings
+                         if flag.startswith("--") and flag != "--help")
+             for name, sub in commands.choices.items()}
+    assert found == CLI_FLAGS
+    assert sum(map(len, CLI_FLAGS.values())) == 12
