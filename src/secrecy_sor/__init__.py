@@ -15,7 +15,16 @@ The package is organized bottom-up:
   check of every closed form.
 - ``multiuser``:  per-user SOR boundaries when several users share the array.
 - ``cli``:        the ``secrecy-sor`` command line front end.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, before numpy loads: a second BLAS thread doubles the CPU time
+of ``reproduce`` without shortening it.  Set the variable to override it;
+it has no effect if numpy was imported first.
 """
+
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DegenerateArrayError, InfeasibleRateError, ResolutionWarning
 from .crosstalk import (

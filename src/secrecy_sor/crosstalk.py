@@ -29,10 +29,6 @@ import numpy as np
 _HALF_PI = 0.5 * np.pi
 # Sample count per monotone half lobe in the cached inverse-kernel tables.
 _HALF_LOBE_SAMPLES = 2049
-# Side lobes tabulated per block.  At n=262 (130 lobes, 8 MB of tables) a
-# build in blocks of 16 peaks 3 MB above its tables, one pass over all
-# lobes 17 MB above them.
-_TABLE_BLOCK_LOBES = 16
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # scipy.optimize.bisect's default relative tolerance
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
@@ -158,16 +154,22 @@ def peak_value(m, geom):
 
 
 class _KernelTables:
-    """Per-geometry lobe landmarks plus dense inverse tables.
+    """Per-geometry lobe landmarks plus inverse tables built on demand.
 
-    For each side lobe the kernel restricted to a half lobe is monotone, so
-    its inverse (level -> offset) can be tabulated once and evaluated for
-    whole arrays of levels with ``np.interp``.  Row ``m`` of the
-    ``(cap + 1, _HALF_LOBE_SAMPLES)`` arrays ``rise_s``/``rise_x`` and
-    ``fall_s``/``fall_x`` tabulates side lobe ``m`` (row 0, the main lobe,
-    is unused: it lives in ``main_s``/``main_x``).  ``cross_points`` itself
-    uses bisection for full precision; these tables serve the vectorized
-    CDF.
+    The landmarks are eager: ``x_peak``/``s_peak`` (side lobe ``m``'s peak
+    offset and height at index ``m``; index 0 is the main lobe's 0 and 1.0)
+    and the main lobe's inverse table ``main_s``/``main_x``.  Every CDF
+    query reads them (``_cdf_batch`` decides with ``s_peak`` which lobes a
+    level crosses, ``cross_points`` and ``sop._branch_radii`` read the
+    peaks), and they cost one array search.
+
+    The side lobes' inverse tables are lazy.  On a half lobe the kernel is
+    monotone, so its inverse (level -> offset) is tabulated on
+    ``_HALF_LOBE_SAMPLES`` points and evaluated for whole arrays of levels
+    with ``np.interp``.  ``rows(m)`` builds side lobe ``m``'s rise and fall
+    tables the first time a query crosses that lobe and keeps them; levels
+    above every side-lobe peak build none.  ``cross_points`` itself uses
+    bisection for full precision; these tables serve the vectorized CDF.
     """
 
     def __init__(self, n_antennas, spacing):
@@ -185,27 +187,31 @@ class _KernelTables:
         self.main_s = np.maximum.accumulate(s_main[::-1].copy())
         self.main_x = x_main[::-1].copy()
 
-        # lobe m spans [lo[m], hi[m]]; entry 0 (the main lobe) is unused
-        m = np.arange(cap + 1)
-        lo, hi = m * width, (m + 1) * width
+        # lobe m spans [m * width, (m + 1) * width]; entry 0 is the main lobe
+        m = np.arange(1, cap + 1)
         self.x_peak = np.zeros(cap + 1)
         self.x_peak[1:] = _golden_max(lambda x: s_kernel(x, geom),
-                                      lo[1:], hi[1:])
+                                      m * width, (m + 1) * width)
         self.s_peak = s_kernel(self.x_peak, geom)
-        shape = (cap + 1, _HALF_LOBE_SAMPLES)
-        self.rise_s, self.rise_x = np.zeros(shape), np.zeros(shape)
-        self.fall_s, self.fall_x = np.zeros(shape), np.zeros(shape)
-        for start in range(1, cap + 1, _TABLE_BLOCK_LOBES):
-            rows = slice(start, min(start + _TABLE_BLOCK_LOBES, cap + 1))
-            xp = self.x_peak[rows]
-            xr = np.linspace(lo[rows], xp, _HALF_LOBE_SAMPLES, axis=1)
-            xf = np.linspace(xp, hi[rows], _HALF_LOBE_SAMPLES, axis=1)
-            np.maximum.accumulate(s_kernel(xr, geom), axis=1,
-                                  out=self.rise_s[rows])
-            self.rise_x[rows] = xr
-            np.maximum.accumulate(s_kernel(xf, geom)[:, ::-1], axis=1,
-                                  out=self.fall_s[rows])
-            self.fall_x[rows] = xf[:, ::-1]
+        self._rows = {}
+
+    def rows(self, m):
+        """``(rise_s, rise_x, fall_s, fall_x)`` of side lobe ``m``: its
+        inverse tables from the lobe's start up to the peak and from the
+        peak down to its end, each ascending in ``s``.  Built on first use;
+        two threads that both build a row store equal arrays.
+        """
+        row = self._rows.get(m)
+        if row is None:
+            xp = self.x_peak[m]
+            xr = np.linspace(m * self.first_null, xp, _HALF_LOBE_SAMPLES)
+            xf = np.linspace(xp, (m + 1) * self.first_null,
+                             _HALF_LOBE_SAMPLES)
+            row = (np.maximum.accumulate(s_kernel(xr, self.geom)), xr,
+                   np.maximum.accumulate(s_kernel(xf, self.geom)[::-1]),
+                   xf[::-1].copy())
+            self._rows[m] = row
+        return row
 
 
 def _golden_max(f, lo, hi, tol=1e-13):
@@ -376,12 +382,14 @@ def _image_interval(mirror, offset, a, b):
 def _cdf_batch(x, profile, angle_range):
     """Vectorized crosstalk CDF.
 
-    Same math as the scalar path but the per-lobe level crossings come from
-    the cached inverse tables, so thousands of levels cost a handful of
-    ``np.interp`` calls.  The above-level set of offsets is the union of the
-    main-lobe core, every representable side lobe's bracket, and their
-    mirror/periodic images; its probability is summed with ``delta_cdf``
-    differences over the images the angle range reaches.
+    The per-lobe level crossings come from the cached inverse tables, so
+    thousands of levels cost a handful of ``np.interp`` calls.  The
+    above-level set of offsets is the union of the main-lobe core, every
+    representable side lobe's bracket, and their mirror/periodic images;
+    its probability is summed with ``delta_cdf`` differences over the
+    images the angle range reaches.  A side lobe that
+    no level crosses, or whose images the range cannot reach, is skipped
+    before its tables are read, so its rows are never built.
     """
     geom = profile.geometry
     k = profile.k_factor_product
@@ -402,14 +410,20 @@ def _cdf_batch(x, profile, angle_range):
     half = 0.5 * period
     maps = _image_maps(period, d_hi)
 
-    def add_images(contrib, a, b, span_lo, span_hi, mask):
-        """Accumulate P(Delta in image) over all images of the bracket
-        (a, b); (span_lo, span_hi) is the enclosing half-period interval
-        used to prune unreachable images."""
+    def reached(span_lo, span_hi):
+        """The symmetry transforms whose image of the half-period interval
+        (span_lo, span_hi) meets the reachable offsets."""
+        images = []
         for mirror, off in maps:
             i_lo, i_hi = _image_interval(mirror, off, span_lo, span_hi)
-            if i_lo >= d_hi - 1e-15 or i_hi <= d_lo + 1e-15:
-                continue
+            if i_lo < d_hi - 1e-15 and i_hi > d_lo + 1e-15:
+                images.append((mirror, off))
+        return images
+
+    def add_images(contrib, a, b, images, mask):
+        """Accumulate P(Delta in image) over the given images of the
+        bracket (a, b)."""
+        for mirror, off in images:
             b_lo, b_hi = _image_interval(mirror, off, a, b)
             term = fd(b_hi) - fd(b_lo)
             contrib += term if mask is None else np.where(mask, term, 0.0)
@@ -423,17 +437,22 @@ def _cdf_batch(x, profile, angle_range):
         # main lobe: offsets in [0, cp0) sit above the level
         cp0 = np.interp(ul, tables.main_s, tables.main_x)
         contrib = add_images(contrib, np.zeros_like(cp0), cp0,
-                             0.0, tables.first_null, None)
+                             reached(0.0, tables.first_null), None)
         for m in range(1, tables.cap + 1):
             lo_m, hi_m = m * tables.first_null, (m + 1) * tables.first_null
             crosses = ul < tables.s_peak[m]
             if not np.any(crosses):
                 continue
-            c1 = np.interp(ul, tables.rise_s[m], tables.rise_x[m])
+            images = reached(lo_m, min(hi_m, half))
+            if not images:
+                # a lobe the angle range cannot reach adds nothing
+                continue
+            rise_s, rise_x, fall_s, fall_x = tables.rows(m)
+            c1 = np.interp(ul, rise_s, rise_x)
             # the last lobe of an odd-count branch peaks exactly at the half
             # period; only its first half belongs to the base interval
-            c2 = np.minimum(np.interp(ul, tables.fall_s[m], tables.fall_x[m]), half)
-            contrib = add_images(contrib, c1, c2, lo_m, min(hi_m, half), crosses)
+            c2 = np.minimum(np.interp(ul, fall_s, fall_x), half)
+            contrib = add_images(contrib, c1, c2, images, crosses)
         p_above[live] = contrib
     out = np.where(u >= 1.0, 0.0, p_above)
     return np.clip(1.0 - out, 0.0, 1.0)

@@ -9,6 +9,7 @@ kept here: one golden-section search per lobe and scipy's bisection rule.
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -160,8 +161,7 @@ def _ref_bisect(f, xa, xb, xtol=1e-12, rtol=4 * np.finfo(float).eps,
     raise RuntimeError("no convergence")
 
 
-# odd and even counts, spacings below and at the grating limit, and lobe
-# counts on both sides of the table build's block size
+# odd and even counts, spacings below and at the grating limit
 LANDMARK_GEOMETRIES = [ArrayGeometry(n, d) for n in (2, 3, 5, 8, 17, 40, 100)
                        for d in (0.25, 0.37, 0.5, 1.0)]
 
@@ -171,20 +171,41 @@ LANDMARK_GEOMETRIES = [ArrayGeometry(n, d) for n in (2, 3, 5, 8, 17, 40, 100)
 def test_kernel_tables_equal_per_lobe_scalar_build(geom):
     tables = _KernelTables(geom.n_antennas, geom.spacing)
     width = 1.0 / (geom.n_antennas * geom.spacing)
-    assert tables.rise_s.shape == (tables.cap + 1, _HALF_LOBE_SAMPLES)
     for m in range(1, tables.cap + 1):
         lo, hi = m * width, (m + 1) * width
         xp = _ref_golden_max(lambda x: s_kernel(x, geom), lo, hi)
         xr = np.linspace(lo, xp, _HALF_LOBE_SAMPLES)
         xf = np.linspace(xp, hi, _HALF_LOBE_SAMPLES)
+        rise_s, rise_x, fall_s, fall_x = tables.rows(m)
         assert tables.x_peak[m] == xp
         assert tables.s_peak[m] == s_kernel(xp, geom)
-        assert np.array_equal(tables.rise_x[m], xr)
-        assert np.array_equal(tables.rise_s[m],
+        assert np.array_equal(rise_x, xr)
+        assert np.array_equal(rise_s,
                               np.maximum.accumulate(s_kernel(xr, geom)))
-        assert np.array_equal(tables.fall_x[m], xf[::-1])
-        assert np.array_equal(tables.fall_s[m], np.maximum.accumulate(
+        assert np.array_equal(fall_x, xf[::-1])
+        assert np.array_equal(fall_s, np.maximum.accumulate(
             s_kernel(xf, geom)[::-1]))
+
+
+def test_kernel_tables_build_lobe_rows_only_when_a_level_crosses_them():
+    tables = _KernelTables(100, 0.5)
+    assert tables._rows == {}
+    # cold_keys' case: every level above the highest side-lobe peak
+    _kernel_tables.cache_clear()
+    prof = CrosstalkProfile(G100, 0.3, 0.9)
+    cached = _kernel_tables(100, 0.5)
+    levels = 0.9 * np.array([1.01, 1.5, 2.0, 10.0]) * cached.s_peak[1:].max()
+    crosstalk_cdf(levels, prof, (-np.pi / 2, np.pi / 2))
+    assert cached._rows == {}
+    # the eager part of a 128-lobe table is its peaks and main lobe only
+    tracemalloc.start()
+    try:
+        _KernelTables(256, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"_KernelTables(256, 0.5) tracemalloc peak {peak / 1e6:.2f} MB")
+    assert peak <= 1_000_000
 
 
 def test_cross_points_equal_scalar_bisection():
@@ -269,6 +290,21 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
+def test_import_defaults_openblas_to_one_thread():
+    src = str(Path(secrecy_sor.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    code = ("import os, secrecy_sor; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    for preset, want in ((None, "1"), ("2", "2")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True,
+                             text=True).stdout
+        assert out.strip() == want
+
+
 def _brute_cdf(xs, profile, angle_range, n=2_000_001):
     lo, hi = angle_range
     lo, hi = max(lo, -np.pi / 2), min(hi, np.pi / 2)
@@ -310,6 +346,24 @@ def test_crosstalk_cdf_tracks_brute_force():
                       f"max cdf error {err:.2e}")
                 assert err < 2e-5
                 assert np.all(np.diff(got) >= -1e-15)
+
+
+def test_crosstalk_cdf_skips_lobes_the_range_cannot_reach():
+    # offsets reach sin(pi/2) + sin(0.15) = 1.149; side lobe m spans
+    # [m/6, (m+1)/6], so lobes 7-11 start past it (and their mirror
+    # images about the period 4 lie past it too)
+    _kernel_tables.cache_clear()
+    p = CrosstalkProfile(ArrayGeometry(24, 0.25), -0.15, 0.8)
+    full = (-np.pi / 2, np.pi / 2)
+    tables = _kernel_tables(24, 0.25)
+    assert tables.cap == 11
+    xs = np.array([1e-5, 1e-4, 1e-3])
+    assert np.all(xs / 0.8 < tables.s_peak[1:].min())
+    got = crosstalk_cdf(xs, p, full)
+    assert sorted(tables._rows) == [1, 2, 3, 4, 5, 6]
+    err = np.max(np.abs(got - _brute_cdf(xs, p, full)))
+    print(f"max cdf error {err:.2e}")
+    assert err < 2e-5
 
 
 def test_default_lobe_count_tracks_every_reachable_lobe():
