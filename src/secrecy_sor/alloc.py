@@ -15,6 +15,11 @@ implemented:
 
 Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
 is memoised on ``cfg``.
+
+Every area search scores its candidates through
+``_DirectionalAreaEvaluator.areas``, which computes only the grid columns
+whose gap can be positive (the live columns) and keeps every area
+bit-identical to the full-width computation.
 """
 
 from __future__ import annotations
@@ -56,18 +61,32 @@ _REFINE_TOL = 1e-5
 _LINE_CANDIDATES = 200
 _DESCENT_EPSILON = 1e-6
 _MAX_SWEEPS = 60
-# two-lobe scan of algorithms 2 and 3: the jamming-fraction step and the
-# number of two-way splits tried at each fraction
+# two-lobe scan of algorithms 2 and 3: the jamming-fraction step, the
+# number of two-way splits tried at each fraction, and the relative margin
+# its noise floor keeps below the rounded two-beam noise
 _SCAN_PHI_STEP = 1e-2
 _SCAN_SPLITS = 201
+_SCAN_MARGIN = 1e-12
 _ORACLE_STEP = 1e-4
+# area evaluator: the live share of a block's columns above which it is
+# scored full width (a 201-row block on its live columns alone costs 0.8x
+# the full width at a share of 0.20-0.25, 0.9x at 0.25-0.30, 1.25x at
+# 0.30-0.35 and 3-4x near 1), and the multiple that the live column count
+# is padded to with dead columns: a one-column matrix product takes a
+# matrix-vector kernel, and OpenBLAS computes 4-7 trailing columns with a
+# kernel that rounds differently from the full product's same columns
+_LIVE_SHARE_MAX = 0.25
+_LIVE_PAD = 8
 
 
 @dataclass
 class AllocationResult:
     """Outcome of an allocation search: the jamming fraction, the concrete
-    per-beam powers, the achieved objective, and the search trace
-    (step label / objective pairs, format varying per algorithm)."""
+    per-beam powers, the achieved objective, and the search trace, whose
+    entries depend on the search: ``(phi, value)`` pairs for the uniform
+    search, ``(label, phi, value)`` tuples for algorithm 1, the starting
+    area and then one area per beam visit for algorithm 2, and
+    ``(phi, split, area)`` for algorithm 3."""
 
     phi_opt: float
     allocation: PowerAllocation
@@ -251,12 +270,25 @@ def _pow_2_over_alpha(gap, alpha):
 class _DirectionalAreaEvaluator:
     """Vectorized outage-area evaluation on the default boundary grid, with
     the per-beam responses precomputed: the one place where the allocation
-    searches score areas, a block of candidate rows per call.  Every row is
-    an ``_outage_gap``: explicit beams give ``boundary_scale * s_eb`` less
-    the noise they deposit, and uniform null-space jamming, which needs no
-    beams, gives ``sor_constants``' ``scale * s_eb - offset``;
-    ``uniform_areas`` scores a ``phi`` grid in blocks of ``_BLOCK_ROWS``
-    rows."""
+    searches score areas, a block of candidate rows per call (``areas``).
+    Every row is an ``_outage_gap``: explicit beams give ``boundary_scale *
+    s_eb`` less the noise they deposit, and uniform null-space jamming,
+    which needs no beams, gives ``sor_constants``' ``scale * s_eb -
+    offset``; ``uniform_areas`` scores a ``phi`` grid in blocks of
+    ``_BLOCK_ROWS`` rows.
+
+    Only live columns are computed.  A column can have a positive gap in
+    some row only where the block's largest scale times ``s_eb`` exceeds
+    the caller's per-column lower bound on the noise (its floor); rounding
+    is monotone, so that mask is a superset of the live columns.  The gap,
+    its clip and the ``2/alpha`` power are taken on those columns alone and
+    scattered into a zeroed full-width block kept between calls, and the
+    areas are that block's full product with the weights.  The full product
+    keeps the summation order of the full-width gap, so every area keeps
+    its bits; a product over the live weights alone would reorder the sum.
+    Above ``_LIVE_SHARE_MAX`` live columns the block is scored full width,
+    as before, with the kept block as the scratch of a per-row product, or
+    freed first when the product is one row."""
 
     def __init__(self, cfg, beam_angles):
         self.cfg = cfg
@@ -266,32 +298,80 @@ class _DirectionalAreaEvaluator:
         self.weights = _area_weights(thetas, arcs)
         self.s_eb = _s_eb(cfg, thetas)
         self.response = _beam_responses(cfg, thetas, beam_angles)
+        self._block = None
+        self._dirty = False
 
     def jam(self, powers):
         return powers @ self.response
 
-    def _areas(self, gap):
-        return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights
+    def areas(self, scale, floor, noise):
+        """Areas of the rows ``radius**alpha = scale * s_eb - noise``.
 
-    def area_from_jam(self, jam, phis):
-        """Areas for the rows of deposited-noise profiles ``jam`` (a block
-        this call overwrites) at jamming fractions ``phis``: one fraction
-        per row, or one scalar fraction for every row."""
-        return self._areas(_outage_gap(boundary_scale(self.cfg, phis),
-                                       self.s_eb, jam, out=jam))
+        ``scale`` is one number or one per row.  ``noise(cols)`` builds the
+        rows' deposited noise on the grid columns ``cols`` (an index array,
+        or ``slice(None)`` for every column): a block this call overwrites,
+        or one column that holds each row's noise for every column.
+        ``floor`` bounds every row's noise from below, per column or for
+        all of them."""
+        live = np.max(scale) * self.s_eb > floor
+        count = np.count_nonzero(live)
+        if count > _LIVE_SHARE_MAX * live.size:
+            # full width: a per-row scale's product block is taken into the
+            # kept block, so a call allocates at most the caller's noise
+            # block (two fresh blocks freed together went back to the
+            # system and faulted in again on the next call: 270,000 page
+            # faults in one N=100 descent); a scalar scale's product is one
+            # row, so the kept block is freed before the noise block is built
+            product = None
+            if np.ndim(scale):
+                product = self._kept_block(len(scale), zeroed=False)
+            else:
+                self._block = None
+            return self._powered_gap(scale, self.s_eb, noise(slice(None)),
+                                     product) @ self.weights
+        pad = -count % _LIVE_PAD
+        live[np.flatnonzero(~live)[:pad]] = True
+        cols = np.flatnonzero(live)
+        gap = self._powered_gap(scale, self.s_eb[cols], noise(cols))
+        block = self._kept_block(len(gap), zeroed=True)
+        block[:, cols] = gap
+        out = block @ self.weights
+        block[:, cols] = 0.0
+        return out
+
+    def _kept_block(self, rows, zeroed):
+        """The first ``rows`` rows of the full-width block kept between
+        calls: zeroed for a scatter, else scratch that is left dirty."""
+        if self._block is None or len(self._block) < rows:
+            self._block = np.zeros((rows, self.s_eb.size))
+            self._dirty = False
+        if zeroed and self._dirty:
+            self._block.fill(0.0)
+        self._dirty = not zeroed
+        return self._block[:rows]
+
+    def _powered_gap(self, scale, s_eb, noise, product=None):
+        """``_outage_gap`` raised to ``2/alpha``, written into ``noise`` when
+        that is a block of the gap's full width."""
+        out = noise if noise.shape[-1] == s_eb.size else None
+        gap = _outage_gap(scale, s_eb, noise, out=out, product=product)
+        return _pow_2_over_alpha(gap, self.cfg.alpha)
 
     def uniform_areas(self, phis):
         """Areas under uniform null-space jamming at each fraction in
-        ``phis``, scored in blocks of at most ``_BLOCK_ROWS`` rows."""
+        ``phis``, scored in blocks of at most ``_BLOCK_ROWS`` rows; the
+        smallest offset of a block is its noise floor."""
         def block_areas(block):
             cons = sor_constants(self.cfg, block)
-            return self._areas(_outage_gap(cons.scale, self.s_eb,
-                                           cons.offset[:, None]))
+            return self.areas(cons.scale, np.min(cons.offset),
+                              lambda cols: cons.offset[:, None])
         return _in_blocks(block_areas, phis)
 
     def area(self, powers):
+        jam = self.jam(powers)
         phi = np.sum(powers) / self.cfg.p_tot
-        return float(self.area_from_jam(self.jam(powers)[None, :], phi)[0])
+        return float(self.areas(boundary_scale(self.cfg, phi), jam,
+                                lambda cols: jam[None, cols])[0])
 
 
 def _region_beam_allocation(cfg, region, phi):
@@ -335,6 +415,23 @@ def algorithm1_directional(cfg, region):
     return AllocationResult(phi, alloc, objective, trace)
 
 
+def _visit_areas(ev, powers, b, cand, jam_base):
+    """Areas with beam ``b`` set to each nonnegative level in ``cand`` and
+    the other beams at ``powers``, whose noise profile is ``jam_base``.
+    Each row's noise is ``jam_base + (level - powers[b]) * response[b]``,
+    which rounds monotonically in the level, so the level-0 row is the
+    exact noise floor."""
+    step = cand - powers[b]
+
+    def noise(cols):
+        rows = np.multiply.outer(step, ev.response[b, cols])
+        rows += jam_base[cols]
+        return rows
+    phis = (np.sum(powers) - powers[b] + cand) / ev.cfg.p_tot
+    return ev.areas(boundary_scale(ev.cfg, phis),
+                    jam_base - powers[b] * ev.response[b], noise)
+
+
 def _beam_line_descent(ev, powers, cap, max_sweeps):
     """Cyclic per-beam exhaustive line search on the exact-area objective.
     Mutates and returns ``powers``; also returns the final objective, the
@@ -352,10 +449,7 @@ def _beam_line_descent(ev, powers, cap, max_sweeps):
                 continue
             cand = np.linspace(0.0, room, _LINE_CANDIDATES, endpoint=False)
             cand = np.append(cand, powers[b])
-            jam_rows = np.multiply.outer(cand - powers[b], ev.response[b])
-            jam_rows += jam_base
-            phis = (np.sum(powers) - powers[b] + cand) / ev.cfg.p_tot
-            vals = ev.area_from_jam(jam_rows, phis)
+            vals = _visit_areas(ev, powers, b, cand, jam_base)
             j = int(np.argmin(vals))
             if vals[j] < current:
                 jam_base = jam_base + (cand[j] - powers[b]) * ev.response[b]
@@ -461,6 +555,18 @@ def _two_lobe_scan(cfg):
     return cols.copy(), angles.copy(), phi, powers.copy(), area, list(trace)
 
 
+def _split_areas(ev, phi, shares):
+    """Areas with the budget ``phi * p_tot`` split over the evaluator's two
+    beams by each row of ``shares``.  Every split deposits at least the
+    budget times the weaker beam's response; ``_SCAN_MARGIN`` covers the
+    rounding of the two-term product."""
+    budget = phi * ev.cfg.p_tot
+    drive = shares * budget
+    floor = budget * np.minimum(ev.response[0], ev.response[1])
+    return ev.areas(boundary_scale(ev.cfg, phi), floor * (1.0 - _SCAN_MARGIN),
+                    lambda cols: drive @ ev.response[:, cols])
+
+
 @lru_cache(maxsize=32)
 def _two_lobe_scan_cached(cfg):
     ranked = _side_lobe_peak_angles(cfg)
@@ -489,13 +595,12 @@ def _two_lobe_scan_cached(cfg):
     best = None
     trace = []
     for phi in np.arange(0.0, limit, _SCAN_PHI_STEP):
-        budget = phi * cfg.p_tot
-        areas = ev.area_from_jam((shares * budget) @ ev.response, phi)
+        areas = _split_areas(ev, phi, shares)
         k = int(np.argmin(areas))
         area = float(areas[k])
         trace.append((float(phi), float(splits[k]), area))
         if best is None or area < best[0]:
-            best = (area, float(phi), shares[k] * budget)
+            best = (area, float(phi), shares[k] * (phi * cfg.p_tot))
     area, phi, powers = best
     return cols, angles, phi, powers, area, tuple(trace)
 

@@ -274,13 +274,14 @@ def sor_constants(cfg, phi):
     return SorConstants(scale, p_jam, p_jam / scale)
 
 
-def _outage_gap(scale, s_eb, noise, out=None):
+def _outage_gap(scale, s_eb, noise, out=None, product=None):
     """radius**alpha of the outage boundary, ``max(scale * s_eb - noise,
     0)``, with the product taken as ``np.multiply.outer(scale, s_eb)``
     (one row per entry of an array ``scale``; at least one of the two is an
-    array).  The result goes to ``out``, which may be ``noise`` itself, or
-    else into the product's block, so no further block is allocated."""
-    gap = np.multiply.outer(scale, s_eb)
+    array), into the block ``product`` when one is given.  The result goes
+    to ``out``, which may be ``noise`` itself, or else into the product's
+    block, so no further block is allocated."""
+    gap = np.multiply.outer(scale, s_eb, out=product)
     if out is None:
         out = gap
     np.subtract(gap, noise, out=out)
@@ -395,16 +396,41 @@ def directional_jam_response(cfg, alloc, thetas):
     return alloc.beam_powers @ _beam_responses(cfg, thetas, alloc.beam_angles)
 
 
+# the key of the last default-grid response built, and its matrix once the
+# key has repeated
+_last_response = [None, None]
+
+
+def _default_grid_responses(cfg, thetas, beam_angles):
+    """``_beam_responses`` toward the tuple ``beam_angles`` on ``thetas``,
+    the default grid of ``cfg``.  The matrix is kept from the second call in
+    a row with the same key on, so a one-off allocation leaves no matrix
+    alive."""
+    key = (cfg, beam_angles)
+    last_key, response = _last_response
+    if key != last_key or response is None:
+        response = _beam_responses(cfg, thetas, beam_angles)
+        _last_response[:] = key, (response if key == last_key else None)
+    return response
+
+
 def sor_boundary_directional(cfg, alloc, theta_grid=None):
     """SOR boundary of any allocation: explicit beams subtract the noise
     they deposit, and a ``null_space_uniform`` allocation gives
-    ``sor_boundary_uniform`` at its fraction."""
+    ``sor_boundary_uniform`` at its fraction.  On the default grid,
+    consecutive allocations that differ only in their powers share one
+    response matrix (``_default_grid_responses``)."""
     _check_allocation(cfg, alloc)
     if alloc.basis == "null_space_uniform":
         return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
-    return _sor_boundary(
-        cfg, theta_grid, boundary_scale(cfg, alloc.phi),
-        lambda thetas: directional_jam_response(cfg, alloc, thetas))
+    if theta_grid is None:
+        angles = tuple(alloc.beam_angles)
+        noise = lambda thetas: alloc.beam_powers @ _default_grid_responses(
+            cfg, thetas, angles)
+    else:
+        noise = lambda thetas: directional_jam_response(cfg, alloc, thetas)
+    return _sor_boundary(cfg, theta_grid, boundary_scale(cfg, alloc.phi),
+                         noise)
 
 
 def sor_area(boundary):

@@ -18,6 +18,7 @@ from secrecy_sor import (
     algorithm1_directional,
     algorithm2_iterative,
     algorithm3_two_lobes,
+    boundary_scale,
     build_dft_basis,
     grid_oracle_phi,
     optimize_phi_uniform,
@@ -178,14 +179,153 @@ def test_uniform_areas_match_boundary_quadrature():
 
 
 def test_uniform_areas_blocked_equal_row_by_row():
-    ev = _DirectionalAreaEvaluator(CFG32, ())
-    grid = np.linspace(0.0, phi_max(CFG32), 2 * _BLOCK_ROWS + 50,
-                       endpoint=False)
-    blocked = ev.uniform_areas(grid)
-    rows = np.array([ev.uniform_areas(grid[i:i + 1])[0]
-                     for i in range(grid.size)])
-    # one dot product per row either way; only its BLAS kernel differs
-    assert np.max(np.abs(blocked / rows - 1.0)) <= 1e-14
+    # at N=50 the later blocks and the single rows score live columns only
+    for cfg in (CFG32, CFG50):
+        ev = _DirectionalAreaEvaluator(cfg, ())
+        grid = np.linspace(0.0, phi_max(cfg), 2 * _BLOCK_ROWS + 50,
+                           endpoint=False)
+        blocked = ev.uniform_areas(grid)
+        rows = np.array([ev.uniform_areas(grid[i:i + 1])[0]
+                         for i in range(grid.size)])
+        # one dot product per row either way; only its BLAS kernel differs
+        assert np.max(np.abs(blocked / rows - 1.0)) <= 1e-14
+
+
+# ------------------------------------------------------ live columns
+
+FIG6_150 = ScenarioConfig(G(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 150.0,
+                          n_eves=10)
+SHARES = np.column_stack([np.linspace(0.0, 1.0, 201),
+                          np.linspace(1.0, 0.0, 201)])
+
+
+def _scored_blocks(monkeypatch, share_max, run):
+    """(areas, live share) of every block the area evaluator scores while
+    ``run()`` runs, with the live-share threshold at ``share_max``: 1.0
+    keeps every block on its live columns, -1.0 puts every block on the
+    full width."""
+    blocks = []
+    areas = _DirectionalAreaEvaluator.areas
+
+    def recorded(ev, scale, floor, noise):
+        share = np.mean(np.max(scale) * ev.s_eb > floor)
+        out = areas(ev, scale, floor, noise)
+        blocks.append((out.copy(), share))
+        return out
+    with monkeypatch.context() as m:
+        m.setattr(alloc, "_LIVE_SHARE_MAX", share_max)
+        m.setattr(_DirectionalAreaEvaluator, "areas", recorded)
+        run()
+    return blocks
+
+
+def _scan_evaluator(cfg):
+    angles = build_dft_basis(cfg.geometry)[_two_lobe_scan(cfg)[0]]
+    return _DirectionalAreaEvaluator(cfg, angles)
+
+
+def _descent_run(cfg):
+    """Two sweeps of algorithm 2's descent from the two-lobe seed."""
+    beam_angles = build_dft_basis(cfg.geometry)
+    idx = _jam_beam_indices(cfg, beam_angles)
+    seed = alloc._two_lobe_seed(cfg, idx, phi_max(cfg) * cfg.p_tot)
+    ev = _DirectionalAreaEvaluator(cfg, beam_angles[idx])
+    cap = phi_max(cfg) * cfg.p_tot * (1.0 - 1e-9)
+    return lambda: _beam_line_descent(ev, seed.copy(), cap, 2)
+
+
+def _scan_run(cfg):
+    """The two-lobe scan's blocks, one per fraction."""
+    ev = _scan_evaluator(cfg)
+    return lambda: [alloc._split_areas(ev, phi, SHARES)
+                    for phi in np.arange(0.0, phi_max(cfg), 0.01)]
+
+
+def _uniform_run(cfg):
+    return lambda: optimize_phi_uniform(cfg, None, objective="sor_area")
+
+
+@pytest.mark.parametrize("make_run", [_scan_run, _descent_run, _uniform_run],
+                         ids=["scan", "descent", "uniform"])
+def test_live_columns_score_every_block_like_the_full_width(make_run,
+                                                            monkeypatch):
+    run = make_run(CFG50)
+    live = _scored_blocks(monkeypatch, 1.0, run)
+    full = _scored_blocks(monkeypatch, -1.0, run)
+    assert len(live) == len(full) > 1
+    for (got, share), (want, _) in zip(live, full):
+        assert np.array_equal(got, want), share
+    # the mask drops most columns: these blocks did take the live path
+    assert min(share for _, share in live) < 0.1
+
+
+def test_descent_mask_takes_the_largest_fraction_of_the_block(monkeypatch):
+    # beam 1 deposits nothing, so every row carries the same noise and only
+    # the row at the largest fraction (the largest scale) outruns it
+    ev = _scan_evaluator(CFG50)
+    ev.response[1] = 0.0
+    powers = np.array([0.2, 0.0])
+    cand = np.append(np.linspace(0.0, 0.5, 200, endpoint=False), 0.0)
+    phis = (powers[0] + cand) / CFG50.p_tot
+    top = int(np.argmax(phis))
+    jam_base = ev.jam(powers)
+    jam_base += boundary_scale(CFG50, phis[top]) * ev.s_eb * (1.0 - 1e-9)
+    # a mask from the level-0 scale would see no live column at all
+    assert not np.any(boundary_scale(CFG50, phis[0]) * ev.s_eb > jam_base)
+    live, full = (_scored_blocks(
+        monkeypatch, share_max,
+        lambda: alloc._visit_areas(ev, powers, 1, cand, jam_base))
+        for share_max in (1.0, -1.0))
+    (got, share), = live
+    assert np.array_equal(got, full[0][0])
+    assert got[top] > 0.0 and np.count_nonzero(got) == 1
+    assert share < 0.5
+
+
+def test_all_live_block_takes_the_full_width(monkeypatch):
+    # at N=100, 150 m every scan block is live nearly everywhere
+    ev = _scan_evaluator(FIG6_150)
+    run = lambda: alloc._split_areas(ev, 0.3, SHARES)
+    (live, _), = _scored_blocks(monkeypatch, 1.0, run)
+    assert ev._block is not None  # the live path scattered into it
+    (got, share), = _scored_blocks(monkeypatch, alloc._LIVE_SHARE_MAX, run)
+    assert share > 0.99
+    assert ev._block is None  # freed before the full-width blocks exist
+    assert np.array_equal(got, live)
+
+
+FIG6_100 = ScenarioConfig(G(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0,
+                          n_eves=10)
+
+
+@pytest.mark.parametrize("cfg", [CFG50, FIG6_100], ids=["n50", "n100"])
+def test_split_noise_on_live_columns_equals_the_full_product(cfg,
+                                                            monkeypatch):
+    # the scan's noise on the columns the evaluator asks for, against the
+    # same columns of the full product: OpenBLAS rounds a product's 4-7
+    # trailing columns differently, which the padding to _LIVE_PAD avoids
+    ev = _scan_evaluator(cfg)
+    built = []
+    areas = _DirectionalAreaEvaluator.areas
+
+    def spied(ev, scale, floor, noise):
+        def recorded(cols):
+            block = noise(cols)
+            built.append((cols, block.copy()))
+            return block
+        return areas(ev, scale, floor, recorded)
+    monkeypatch.setattr(_DirectionalAreaEvaluator, "areas", spied)
+    checked = 0
+    for phi in np.arange(0.0, phi_max(cfg), 0.01):
+        built.clear()
+        alloc._split_areas(ev, phi, SHARES)
+        (cols, block), = built
+        if isinstance(cols, slice):
+            continue  # scored full width
+        full = (SHARES * (phi * cfg.p_tot)) @ ev.response
+        assert np.array_equal(block, full[:, cols]), cols.size
+        checked += 1
+    assert checked > 50
 
 
 def _segment_area_loop(th, r):
@@ -270,7 +410,8 @@ def test_algorithm2_one_sweep_toy_matches_grid():
         keep = p1 + grid <= cap - 1e-12
         jam = np.outer(np.full(int(np.count_nonzero(keep)), p1),
                        ev.response[0]) + np.outer(grid[keep], ev.response[1])
-        areas = ev.area_from_jam(jam, (p1 + grid[keep]) / CFG8.p_tot)
+        areas = ev.areas(boundary_scale(CFG8, (p1 + grid[keep]) / CFG8.p_tot),
+                         np.min(jam, axis=0), lambda cols: jam[:, cols])
         j = int(np.argmin(areas))
         if areas[j] < best_area:
             best_area, best_pt = float(areas[j]), (p1, grid[keep][j])

@@ -31,6 +31,8 @@ from secrecy_sor import (
     sor_boundary_uniform,
     sor_constants,
 )
+from secrecy_sor import asymptotic
+from secrecy_sor.asymptotic import _default_arcs
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0)
 CFG50 = ScenarioConfig(ArrayGeometry(50, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
@@ -184,6 +186,31 @@ def test_directional_budget_mismatch_rejected():
     # explicit beams have one basis label
     with pytest.raises(ValueError):
         PowerAllocation(0.3, np.array([0.3]), "custom", np.array([0.0]))
+
+
+def test_directional_boundary_reuses_one_response_matrix(monkeypatch):
+    # consecutive allocations that differ only in their powers share the
+    # default-grid response matrix, kept from the second call on, and score
+    # exactly as on a user grid of the same angles
+    angles = np.arcsin(np.array([-2.5, 1.5, 3.5]) / 25.0)
+    thetas = _default_arcs(CFG50)[0]
+    builds = []
+    responses = asymptotic._beam_responses
+
+    def counted(cfg, grid, beam_angles):
+        builds.append("user" if grid is thetas else "default")
+        return responses(cfg, grid, beam_angles)
+    monkeypatch.setattr(asymptotic, "_beam_responses", counted)
+    monkeypatch.setattr(asymptotic, "_last_response", [None, None])
+    for phi in (0.2, 0.45, 0.7, 0.8):
+        alloc = PowerAllocation(phi, phi * np.array([0.5, 0.3, 0.2]),
+                                "dft_selected", angles)
+        bd = sor_boundary_directional(CFG50, alloc)
+        on_grid = sor_boundary_directional(CFG50, alloc, theta_grid=thetas)
+        assert np.array_equal(bd.radii, on_grid.radii)
+    # two default-grid builds (the one-off, then the kept one), and one per
+    # user-grid call
+    assert builds.count("default") == 2 and builds.count("user") == 4
 
 
 def test_directional_beam_kills_targeted_lobe_only():
