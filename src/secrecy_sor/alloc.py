@@ -14,12 +14,15 @@ implemented:
    (``algorithm3_two_lobes``).
 
 Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
-is memoised on ``cfg``.
+is memoised on ``cfg``, its arrays are read-only, and only
+``algorithm3_two_lobes`` hands its data out, as fresh copies.
 
 Every area search scores its candidates through
-``_DirectionalAreaEvaluator.areas``, which computes only the grid columns
-whose gap can be positive (the live columns) and keeps every area
-bit-identical to the full-width computation.
+``_DirectionalAreaEvaluator.areas`` on the scenario's default boundary grid
+(``asymptotic._default_arcs``, memoised and read-only, with its crosstalk
+and area weights).  It computes only the grid columns whose gap can be
+positive (the live columns) and keeps every area bit-identical to the
+full-width computation.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .asymptotic import (
     PowerAllocation,
-    _area_weights,
     _beam_responses,
     _default_arcs,
     _outage_gap,
@@ -269,7 +271,8 @@ def _pow_2_over_alpha(gap, alpha):
 
 class _DirectionalAreaEvaluator:
     """Vectorized outage-area evaluation on the default boundary grid, with
-    the per-beam responses precomputed: the one place where the allocation
+    the per-beam responses precomputed by ``_beam_responses`` (possibly the
+    shared, read-only matrix it keeps): the one place where the allocation
     searches score areas, a block of candidate rows per call (``areas``).
     Every row is an ``_outage_gap``: explicit beams give ``boundary_scale *
     s_eb`` less the noise they deposit, and uniform null-space jamming,
@@ -292,11 +295,7 @@ class _DirectionalAreaEvaluator:
 
     def __init__(self, cfg, beam_angles):
         self.cfg = cfg
-        thetas, arcs = _default_arcs(cfg)
-        self.thetas = thetas
-        self.arcs = arcs
-        self.weights = _area_weights(thetas, arcs)
-        self.s_eb = _s_eb(cfg, thetas)
+        thetas, _, self.s_eb, self.weights = _default_arcs(cfg)
         self.response = _beam_responses(cfg, thetas, beam_angles)
         self._block = None
         self._dirty = False
@@ -531,8 +530,7 @@ def lobe_notch_objective(cfg, phi, lobe_angles, beam_powers):
 def _side_lobe_peak_angles(cfg):
     """Angles of the side-lobe maxima of the no-jamming boundary, strongest
     arcs first."""
-    thetas, arcs = _default_arcs(cfg)
-    s_vals = _s_eb(cfg, thetas)
+    thetas, arcs, s_vals, _ = _default_arcs(cfg)
     out = []
     for arc in arcs:
         if arc.index == 0 or arc.hi <= arc.lo:
@@ -541,18 +539,6 @@ def _side_lobe_peak_angles(cfg):
         out.append((s_vals[k], arc.index, thetas[k]))
     out.sort(key=lambda t: (-t[0], t[1], t[2]))
     return out
-
-
-def _two_lobe_scan(cfg):
-    """Exhaustive (phi, split) scan with the whole noise budget on the two
-    DFT beams that deposit most strongly on the two strongest side lobes:
-    fractions every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
-    Returns (beam_columns, beam_angles, phi, split_powers, area, trace).
-
-    Memoised on ``cfg``; each call hands back fresh arrays and a fresh
-    trace list, so callers may modify what they get."""
-    cols, angles, phi, powers, area, trace = _two_lobe_scan_cached(cfg)
-    return cols.copy(), angles.copy(), phi, powers.copy(), area, list(trace)
 
 
 def _split_areas(ev, phi, shares):
@@ -568,7 +554,14 @@ def _split_areas(ev, phi, shares):
 
 
 @lru_cache(maxsize=32)
-def _two_lobe_scan_cached(cfg):
+def _two_lobe_scan(cfg):
+    """Exhaustive (phi, split) scan with the whole noise budget on the two
+    DFT beams that deposit most strongly on the two strongest side lobes:
+    fractions every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
+    Returns (beam_columns, beam_angles, phi, split_powers, area, trace).
+
+    Memoised on ``cfg`` and shared by every caller: the arrays are
+    read-only and the trace is a tuple."""
     ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
@@ -602,6 +595,8 @@ def _two_lobe_scan_cached(cfg):
         if best is None or area < best[0]:
             best = (area, float(phi), shares[k] * (phi * cfg.p_tot))
     area, phi, powers = best
+    for array in (cols, angles, powers):
+        array.flags.writeable = False
     return cols, angles, phi, powers, area, tuple(trace)
 
 
@@ -614,9 +609,10 @@ def algorithm3_two_lobes(cfg):
     The per-lobe score of ``lobe_notch_objective`` is concave in the beam
     powers, so budget-constrained minimizers concentrate power on few
     lobes; restricting to the two strongest keeps the search
-    two-dimensional.  Lobe direction means the lobe maximum.
+    two-dimensional.  Lobe direction means the lobe maximum.  The result
+    holds fresh copies of the memoised scan's powers, angles and trace.
     """
     _, angles, phi, powers, area, trace = _two_lobe_scan(cfg)
-    alloc = PowerAllocation(phi, powers, "dft_selected", angles)
-    return AllocationResult(phi, alloc, area, trace)
+    alloc = PowerAllocation(phi, powers.copy(), "dft_selected", angles.copy())
+    return AllocationResult(phi, alloc, area, list(trace))
 

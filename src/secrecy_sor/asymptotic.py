@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,18 +70,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (2.0 <= self.alpha <= 6.0):
             raise ValueError("alpha must lie in [2, 6]")
-        if self.p_tot <= 0 or self.n0 <= 0:
-            raise ValueError("p_tot and n0 must be positive")
-        if self.r_th <= 0:
-            raise ValueError("r_th must be positive")
+        for name in ("p_tot", "n0", "r_th", "bob_dist"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not abs(self.bob_theta) <= _HALF_PI:
             raise ValueError("bob_theta must lie in [-pi/2, pi/2]")
-        if self.bob_dist <= 0:
-            raise ValueError("bob_dist must be positive")
         if not (0.0 <= self.k_eb <= 1.0):
             raise ValueError("k_eb must lie in [0, 1]")
-        if self.n_eves < 1:
-            raise ValueError("n_eves must be >= 1")
+        if not (float(self.n_eves).is_integer() and self.n_eves >= 1):
+            raise ValueError("n_eves must be an integer >= 1")
 
     @property
     def p_tilde_tot(self):
@@ -117,6 +115,15 @@ class LobeArc:
     hi: int
 
 
+class _ArcSpan(NamedTuple):
+    """A lobe arc's place on a grid, as in ``LobeArc``, before a boundary
+    gives it a radius."""
+
+    index: int
+    lo: int
+    hi: int
+
+
 @dataclass
 class SorBoundary:
     """Polar boundary d(theta) of a secrecy outage region, with its
@@ -148,14 +155,16 @@ class PowerAllocation:
         if not (0.0 <= self.phi <= 1.0):
             raise ValueError("phi must lie in [0, 1]")
         self.beam_powers = np.asarray(self.beam_powers, dtype=float)
-        if np.any(self.beam_powers < 0):
-            raise ValueError("beam powers must be nonnegative")
+        if not np.all((self.beam_powers >= 0) & (self.beam_powers < np.inf)):
+            raise ValueError("beam powers must be nonnegative and finite")
         if self.basis != "null_space_uniform":
             if self.beam_angles is None:
                 raise ValueError(f"basis {self.basis!r} requires beam_angles")
             self.beam_angles = np.asarray(self.beam_angles, dtype=float)
             if self.beam_angles.shape != self.beam_powers.shape:
                 raise ValueError("beam_angles and beam_powers must align")
+            if not np.all(np.isfinite(self.beam_angles)):
+                raise ValueError("beam angles must be finite")
 
 
 def _uniform_allocation(cfg, phi):
@@ -313,17 +322,26 @@ def _arc_supports(cfg):
             for j in range(len(edges) - 1)]
 
 
+@lru_cache(maxsize=32)
 def _default_arcs(cfg):
     """Default boundary grid: each lobe arc between consecutive nulls gets an
-    odd uniform-in-theta point count, arcs sharing endpoint nulls."""
+    odd uniform-in-theta point count, arcs sharing endpoint nulls.
+
+    Returns ``(thetas, arcs, s_eb, weights)``: the angles, each arc's
+    ``_ArcSpan``, ``_s_eb`` and ``_area_weights`` on them.  Memoised on
+    ``cfg`` and shared by every caller, so the arrays are read-only."""
     thetas = []
     arcs = []
     for j, (index, support) in enumerate(_arc_supports(cfg)):
         seg = np.linspace(support[0], support[1], _ARC_POINTS)
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
-        arcs.append(LobeArc(index, 0.0, lo, len(thetas) - 1))
-    return np.asarray(thetas), arcs
+        arcs.append(_ArcSpan(index, lo, len(thetas) - 1))
+    thetas = np.asarray(thetas)
+    s_eb, weights = _s_eb(cfg, thetas), _area_weights(thetas, arcs)
+    for array in (thetas, s_eb, weights):
+        array.flags.writeable = False
+    return thetas, tuple(arcs), s_eb, weights
 
 
 def _arcs_for_grid(cfg, thetas):
@@ -335,9 +353,9 @@ def _arcs_for_grid(cfg, thetas):
         raise ValueError("theta_grid must be strictly increasing")
     # a grid point sitting exactly on a null belongs to both arcs, like the
     # shared endpoints of the default grid
-    arcs = [LobeArc(index, 0.0,
-                    int(np.searchsorted(thetas, support[0], side="left")),
-                    int(np.searchsorted(thetas, support[1], side="right")) - 1)
+    arcs = [_ArcSpan(index,
+                     int(np.searchsorted(thetas, support[0], side="left")),
+                     int(np.searchsorted(thetas, support[1], side="right")) - 1)
             for index, support in _arc_supports(cfg)]
     return thetas, arcs
 
@@ -349,15 +367,15 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     the jamming noise deposited toward them, normalized by the noise floor
     (an array, or one number for all of them)."""
     if theta_grid is None:
-        thetas, arcs = _default_arcs(cfg)
+        thetas, arcs, s_eb, _ = _default_arcs(cfg)
     else:
         thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-    gap = _outage_gap(scale, _s_eb(cfg, thetas), noise(thetas))
+        s_eb = _s_eb(cfg, thetas)
+    gap = _outage_gap(scale, s_eb, noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
-    for arc in arcs:
-        if arc.hi >= arc.lo:
-            arc.max_radius = float(np.max(radii[arc.lo:arc.hi + 1]))
-    return SorBoundary(thetas=thetas, radii=radii, lobes=arcs)
+    lobes = [LobeArc(index, float(np.max(radii[lo:hi + 1])) if hi >= lo
+                     else 0.0, lo, hi) for index, lo, hi in arcs]
+    return SorBoundary(thetas=thetas, radii=radii, lobes=lobes)
 
 
 def sor_boundary_uniform(cfg, phi, theta_grid=None):
@@ -371,66 +389,51 @@ def sor_boundary_nojam(cfg, theta_grid=None):
     return sor_boundary_uniform(cfg, 0.0, theta_grid)
 
 
+# the grid, the (scenario, beam angles) key and the matrix of the last
+# _beam_responses call; the matrix is kept only once the key has repeated
+_last_response = [None, None, None]
+
+
 def _beam_responses(cfg, thetas, beam_angles):
     """Noise per Watt of drive, normalized by the noise floor, that a beam
     steered at ``a`` deposits toward each angle: ``n_antennas * s_kernel(
     sin theta - sin a) / n0``, one row per beam.  Rows are filled one beam
-    at a time, so no temporary spans more than one row."""
+    at a time, so no temporary spans more than one row.
+
+    The matrix is kept, read-only, from the second call in a row with the
+    same scenario, grid object and beam angles on, so allocations that
+    differ only in their powers share it and a one-off call keeps none.  A
+    writable grid may change in place, so its matrix is never kept."""
+    key = (cfg, tuple(beam_angles))
+    grid, last_key, response = _last_response
+    repeat = grid is thetas and last_key == key
+    if repeat and response is not None:
+        return response
     geom = cfg.geometry
     sin_th = np.sin(thetas)
-    out = np.empty((len(beam_angles), sin_th.size))
-    for row, a in zip(out, beam_angles):
+    response = np.empty((len(beam_angles), sin_th.size))
+    for row, a in zip(response, beam_angles):
         row[:] = (geom.n_antennas / cfg.n0) * s_kernel(sin_th - np.sin(a),
                                                        geom)
-    return out
-
-
-def directional_jam_response(cfg, alloc, thetas):
-    """Noise power (normalized by the noise floor) that the allocation beams
-    deposit toward each angle, in the large-array limit.
-
-    Explicit beams at angle ``a`` couple to direction ``theta`` through
-    ``n_antennas * s_kernel(sin theta - sin a)`` (``_beam_responses``).
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    return alloc.beam_powers @ _beam_responses(cfg, thetas, alloc.beam_angles)
-
-
-# the key of the last default-grid response built, and its matrix once the
-# key has repeated
-_last_response = [None, None]
-
-
-def _default_grid_responses(cfg, thetas, beam_angles):
-    """``_beam_responses`` toward the tuple ``beam_angles`` on ``thetas``,
-    the default grid of ``cfg``.  The matrix is kept from the second call in
-    a row with the same key on, so a one-off allocation leaves no matrix
-    alive."""
-    key = (cfg, beam_angles)
-    last_key, response = _last_response
-    if key != last_key or response is None:
-        response = _beam_responses(cfg, thetas, beam_angles)
-        _last_response[:] = key, (response if key == last_key else None)
+    keep = repeat and not thetas.flags.writeable
+    response.flags.writeable = not keep
+    _last_response[:] = thetas, key, (response if keep else None)
     return response
 
 
 def sor_boundary_directional(cfg, alloc, theta_grid=None):
     """SOR boundary of any allocation: explicit beams subtract the noise
     they deposit, and a ``null_space_uniform`` allocation gives
-    ``sor_boundary_uniform`` at its fraction.  On the default grid,
-    consecutive allocations that differ only in their powers share one
-    response matrix (``_default_grid_responses``)."""
+    ``sor_boundary_uniform`` at its fraction.  Consecutive allocations on
+    the default grid that differ only in their powers share one response
+    matrix (``_beam_responses``)."""
     _check_allocation(cfg, alloc)
     if alloc.basis == "null_space_uniform":
         return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
-    if theta_grid is None:
-        angles = tuple(alloc.beam_angles)
-        noise = lambda thetas: alloc.beam_powers @ _default_grid_responses(
-            cfg, thetas, angles)
-    else:
-        noise = lambda thetas: directional_jam_response(cfg, alloc, thetas)
-    return _sor_boundary(cfg, theta_grid, boundary_scale(cfg, alloc.phi),
-                         noise)
+    return _sor_boundary(
+        cfg, theta_grid, boundary_scale(cfg, alloc.phi),
+        lambda thetas: alloc.beam_powers @ _beam_responses(
+            cfg, thetas, alloc.beam_angles))
 
 
 def sor_area(boundary):

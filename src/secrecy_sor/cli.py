@@ -70,13 +70,30 @@ def _field(block, key, prefix, default=_MISSING):
     return default
 
 
+def _finite(raw):
+    """Whether ``raw`` is a JSON number with a finite float value (``json``
+    also reads ``NaN``, ``Infinity`` and overflowing literals like 1e999)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _numbers(raw):
+    """Whether ``raw`` is a list of finite numbers."""
+    return isinstance(raw, list) and all(map(_finite, raw))
+
+
 def _number(block, key, prefix, default=_MISSING, integer=False,
             minimum=None):
     raw = _field(block, key, prefix, default)
     if raw is None and default is None:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ManifestError(f"{prefix}.{key}", f"expected a number, got {raw!r}")
+    if not _finite(raw):
+        raise ManifestError(f"{prefix}.{key}",
+                            f"expected a finite number, got {raw!r}")
     if integer and int(raw) != raw:
         raise ManifestError(f"{prefix}.{key}", f"expected an integer, got {raw!r}")
     val = int(raw) if integer else float(raw)
@@ -126,9 +143,7 @@ def _parse_region(manifest):
         raise ManifestError("region", "not an object")
     _reject_unknown(block, ("angles_deg", "d_min_m", "d_max_m"), "region")
     angles = _field(block, "angles_deg", "region")
-    if (not isinstance(angles, list) or len(angles) != 2
-            or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
-                       for a in angles)):
+    if not _numbers(angles) or len(angles) != 2:
         raise ManifestError("region.angles_deg",
                             f"expected [lo, hi] in degrees, got {angles!r}")
     d_min = _number(block, "d_min_m", "region", minimum=0.0)
@@ -151,10 +166,8 @@ def _parse_sweep(manifest):
                             f"unknown parameter {parameter!r}; "
                             f"one of {', '.join(_SWEEPABLE)}")
     grid = _field(block, "grid", "sweep")
-    if not isinstance(grid, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in grid):
-        raise ManifestError("sweep.grid", "expected a list of numbers")
+    if not _numbers(grid):
+        raise ManifestError("sweep.grid", "expected a list of finite numbers")
     if not grid:
         raise ManifestError("sweep.grid", "empty sweep grid")
     return parameter, np.asarray(grid, dtype=float)
@@ -398,18 +411,25 @@ def _reference_cfg(n_antennas, r_th, bob_dist, alpha=3.0, n_eves=1):
                           bob_theta=0.0, bob_dist=bob_dist, n_eves=n_eves)
 
 
-def _fig2(both_alpha):
+def _table(names, keys, columns, metrics):
+    """(header, rows, guard) of a figure or sweep table: one row per key
+    tuple, its values under ``names`` and then ``metrics(*key)`` under
+    ``columns``; a row whose metrics fail turns into NaNs, and its warning
+    column says why."""
     guard = _RowGuard()
-    rows = []
-    alphas = (3.0, 2.0) if both_alpha else (3.0,)
-    for alpha in alphas:
-        cfg = _reference_cfg(100, 10.0, 100.0, alpha=alpha)
-        for phi in np.arange(0.0, phi_max(cfg), 0.005):
-            def metrics(cfg=cfg, phi=phi):
-                return tuple(lobe_radii(cfg, phi)[:7])
-            rows.append((alpha, phi) + guard.run(metrics, 7))
-    header = ["alpha", "phi"] + [f"lobe{m}_m" for m in range(7)] + ["warning"]
-    return header, rows, guard
+    rows = [key + guard.run(lambda: metrics(*key), len(columns))
+            for key in keys]
+    return names + columns + ["warning"], rows, guard
+
+
+def _fig2(both_alpha):
+    cfgs = {alpha: _reference_cfg(100, 10.0, 100.0, alpha=alpha)
+            for alpha in ((3.0, 2.0) if both_alpha else (3.0,))}
+    keys = [(alpha, phi) for alpha, cfg in cfgs.items()
+            for phi in np.arange(0.0, phi_max(cfg), 0.005)]
+    return _table(["alpha", "phi"], keys,
+                  [f"lobe{m}_m" for m in range(7)],
+                  lambda alpha, phi: tuple(lobe_radii(cfgs[alpha], phi)[:7]))
 
 
 def _fig3():
@@ -417,20 +437,15 @@ def _fig3():
                               50.0, 100.0)
     cfg100 = _reference_cfg(100, 10.0, 100.0, n_eves=10)
     cfg50 = _reference_cfg(50, 10.0, 100.0, n_eves=10)
-    guard = _RowGuard()
-    rows = []
-    for phi in np.arange(0.0, 1.005, 0.01):
-        phi = min(float(phi), 1.0)
 
-        def metrics(phi=phi):
-            return tuple(_scheme(cfg, region, kind, phi, "sop")[2]
-                         for cfg, kind in ((cfg100, "uniform"),
-                                           (cfg100, "algo1"),
-                                           (cfg50, "uniform")))
-        rows.append((phi,) + guard.run(metrics, 3))
-    header = ["phi", "sop_uniform_nt100", "sop_directional_nt100",
-              "sop_uniform_nt50", "warning"]
-    return header, rows, guard
+    def metrics(phi):
+        return tuple(_scheme(cfg, region, kind, phi, "sop")[2]
+                     for cfg, kind in ((cfg100, "uniform"), (cfg100, "algo1"),
+                                       (cfg50, "uniform")))
+    return _table(["phi"], [(min(float(phi), 1.0),)
+                            for phi in np.arange(0.0, 1.005, 0.01)],
+                  ["sop_uniform_nt100", "sop_directional_nt100",
+                   "sop_uniform_nt50"], metrics)
 
 
 def _fig4():
@@ -438,57 +453,46 @@ def _fig4():
                ("nt100_db100", _reference_cfg(100, 5.0, 100.0)),
                ("nt100_db150", _reference_cfg(100, 5.0, 150.0))]
     d_min = 50.0
-    guard = _RowGuard()
-    rows = []
-    for s_eb in np.linspace(0.05, 0.95, 20):
-        def metrics(s_eb=s_eb):
-            out_vals = []
-            for _, cfg in configs:
-                out_vals.append(phi_opt_closed_form(cfg, s_eb, d_min)[0])
-                out_vals.append(grid_oracle_phi(cfg, s_eb, d_min))
-            return tuple(out_vals)
-        rows.append((s_eb,) + guard.run(metrics, 6))
-    header = ["s_eb"]
-    for name, _ in configs:
-        header += [f"phi_closed_{name}", f"phi_oracle_{name}"]
-    header.append("warning")
-    return header, rows, guard
+
+    def metrics(s_eb):
+        return tuple(phi for _, cfg in configs
+                     for phi in (phi_opt_closed_form(cfg, s_eb, d_min)[0],
+                                 grid_oracle_phi(cfg, s_eb, d_min)))
+    return _table(["s_eb"], [(s_eb,) for s_eb in np.linspace(0.05, 0.95, 20)],
+                  [f"phi_{kind}_{name}" for name, _ in configs
+                   for kind in ("closed", "oracle")], metrics)
+
+
+# fig5 and fig6: one row per Bob distance
+_FIG_DISTS = [(d,) for d in np.arange(60.0, 160.0 + 5.0, 10.0)]
 
 
 def _fig5():
-    guard = _RowGuard()
-    rows = []
-    for bob_dist in np.arange(60.0, 160.0 + 5.0, 10.0):
+    def metrics(bob_dist):
         cfg = _reference_cfg(50, 5.0, float(bob_dist))
-
-        def metrics(cfg=cfg):
-            return tuple(_scheme(cfg, None, kind, None, "sor_area")[2]
-                         for kind in ("no_jam", "uniform", "algo2", "algo3"))
-        rows.append((bob_dist,) + guard.run(metrics, 4))
-    header = ["bob_dist_m", "area_no_jam_m2", "area_uniform_m2",
-              "area_algo2_m2", "area_algo3_m2", "warning"]
-    return header, rows, guard
+        return tuple(_scheme(cfg, None, kind, None, "sor_area")[2]
+                     for kind in ("no_jam", "uniform", "algo2", "algo3"))
+    return _table(["bob_dist_m"], _FIG_DISTS,
+                  ["area_no_jam_m2", "area_uniform_m2", "area_algo2_m2",
+                   "area_algo3_m2"], metrics)
 
 
 def _fig6():
     region = SuspiciousRegion((math.radians(-30.0), math.radians(30.0)),
                               50.0, 200.0)
-    guard = _RowGuard()
-    rows = []
-    for bob_dist in np.arange(60.0, 160.0 + 5.0, 10.0):
+
+    def metrics(bob_dist):
         cfg = _reference_cfg(100, 10.0, float(bob_dist), n_eves=10)
 
-        def metrics(cfg=cfg):
-            def sop(kind, phi=None):
-                return _scheme(cfg, region, kind, phi, "sop")
-            # algo1 splits the uniform optimum over the region's beams
-            phi_u, _, uniform = sop("uniform")
-            return (sop("no_jam")[2], uniform, sop("algo1", phi_u)[2],
-                    sop("algo3")[2])
-        rows.append((bob_dist,) + guard.run(metrics, 4))
-    header = ["bob_dist_m", "sop_no_jam", "sop_uniform", "sop_algo1",
-              "sop_algo3", "warning"]
-    return header, rows, guard
+        def sop(kind, phi=None):
+            return _scheme(cfg, region, kind, phi, "sop")
+        # algo1 splits the uniform optimum over the region's beams
+        phi_u, _, uniform = sop("uniform")
+        return (sop("no_jam")[2], uniform, sop("algo1", phi_u)[2],
+                sop("algo3")[2])
+    return _table(["bob_dist_m"], _FIG_DISTS,
+                  ["sop_no_jam", "sop_uniform", "sop_algo1", "sop_algo3"],
+                  metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +504,15 @@ def _sweep(manifest, objective, columns, extend=None):
     ``extend(cfg, allocation)`` when given."""
     parameter, values = manifest.sweep
     kind, fixed_phi, _ = manifest.scheme
-    guard = _RowGuard()
-    rows = []
-    for value in values:
-        def metrics(value=value):
-            cfg, phi = _apply_sweep(manifest.scenario, parameter, value)
-            used, alloc, score = _scheme(
-                cfg, manifest.region, kind,
-                fixed_phi if phi is None else phi, objective)
-            return (used, score) + (extend(cfg, alloc) if extend else ())
-        rows.append((value,) + guard.run(metrics, len(columns)))
-    return [parameter] + columns + ["warning"], rows, guard
+
+    def metrics(value):
+        cfg, phi = _apply_sweep(manifest.scenario, parameter, value)
+        used, alloc, score = _scheme(cfg, manifest.region, kind,
+                                     fixed_phi if phi is None else phi,
+                                     objective)
+        return (used, score) + (extend(cfg, alloc) if extend else ())
+    return _table([parameter], [(value,) for value in values], columns,
+                  metrics)
 
 
 def _run_mc_validate(manifest, threads):

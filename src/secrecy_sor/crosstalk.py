@@ -42,7 +42,7 @@ class ArrayGeometry:
     spacing: float
 
     def __post_init__(self):
-        if int(self.n_antennas) != self.n_antennas or self.n_antennas < 2:
+        if not (float(self.n_antennas).is_integer() and self.n_antennas >= 2):
             raise ValueError("n_antennas must be an integer >= 2")
         if not (0.0 < self.spacing <= 1.0):
             raise ValueError("spacing must lie in (0, 1] wavelengths")

@@ -20,13 +20,10 @@ from .asymptotic import (
     _beam_responses,
     _sor_boundary,
     boundary_scale,
-    directional_jam_response,
     sor_area,
 )
 from .crosstalk import ArrayGeometry, s_kernel
 from .errors import InfeasibleRateError
-
-_HALF_PI = 0.5 * np.pi
 
 
 @dataclass(frozen=True)
@@ -51,25 +48,16 @@ class MultiuserScenario:
         for name in ("user_thetas", "user_dists", "user_powers"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
-        if not (2.0 <= self.alpha <= 6.0):
-            raise ValueError("alpha must lie in [2, 6]")
-        if self.n0 <= 0:
-            raise ValueError("n0 must be positive")
-        if self.r_th <= 0:
-            raise ValueError("r_th must be positive")
-        if not (0.0 <= self.k_eb <= 1.0):
-            raise ValueError("k_eb must lie in [0, 1]")
         n_users = len(self.user_thetas)
         if n_users < 1:
             raise ValueError("need at least one user")
         if len(self.user_dists) != n_users or len(self.user_powers) != n_users:
             raise ValueError("user_thetas, user_dists, user_powers must align")
-        if any(abs(t) > _HALF_PI for t in self.user_thetas):
-            raise ValueError("user angles must lie in [-pi/2, pi/2]")
-        if any(d <= 0 for d in self.user_dists):
-            raise ValueError("user distances must be positive")
-        if any(p <= 0 for p in self.user_powers):
-            raise ValueError("user powers must be positive")
+        for u in range(n_users):
+            try:
+                self.user_config(u)
+            except ValueError as exc:
+                raise ValueError(f"user {u}: {exc}") from exc
         geom = self.geometry
         gap = 2.0 / (geom.n_antennas * geom.spacing)
         sins = np.sin(self.user_thetas)
@@ -120,7 +108,8 @@ def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
         if jam_alloc is None:
             return jam
         if jam_alloc.basis != "null_space_uniform":
-            return jam + directional_jam_response(cfg_u, jam_alloc, thetas)
+            return jam + jam_alloc.beam_powers @ _beam_responses(
+                cfg_u, thetas, jam_alloc.beam_angles)
         sin_th = np.sin(thetas)
         covered = sum(scn.k_eb * s_kernel(sin_th - np.sin(t), scn.geometry)
                       for t in scn.user_thetas)

@@ -57,8 +57,8 @@ class SuspiciousRegion:
         self.angle_interval = (lo, hi)
         self.d_min = float(d_min)
         self.d_max = float(d_max)
-        if not 0.0 <= self.d_min < self.d_max:
-            raise ValueError("need 0 <= d_min < d_max")
+        if not 0.0 <= self.d_min < self.d_max < np.inf:
+            raise ValueError("need 0 <= d_min < d_max < inf")
 
 
 def _branch_radii(cfg, cons):

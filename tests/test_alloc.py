@@ -31,6 +31,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor import alloc
+from secrecy_sor.asymptotic import _default_arcs
 from secrecy_sor.alloc import (
     _BLOCK_ROWS,
     _DirectionalAreaEvaluator,
@@ -263,6 +264,9 @@ def test_descent_mask_takes_the_largest_fraction_of_the_block(monkeypatch):
     # beam 1 deposits nothing, so every row carries the same noise and only
     # the row at the largest fraction (the largest scale) outruns it
     ev = _scan_evaluator(CFG50)
+    # a copy: the evaluator's matrix may be the shared, read-only one that
+    # _beam_responses keeps for repeated calls
+    ev.response = ev.response.copy()
     ev.response[1] = 0.0
     powers = np.array([0.2, 0.0])
     cand = np.append(np.linspace(0.0, 0.5, 200, endpoint=False), 0.0)
@@ -491,7 +495,7 @@ def _count_descents(monkeypatch):
 def _count_scans(monkeypatch):
     """Clear the scan cache and count runs of the uncached scan body (its
     first step ranks the side lobes)."""
-    alloc._two_lobe_scan_cached.cache_clear()
+    alloc._two_lobe_scan.cache_clear()
     runs = []
     ranked = alloc._side_lobe_peak_angles
 
@@ -560,25 +564,47 @@ def test_algorithms_2_and_3_share_one_scan(order, monkeypatch):
 
 
 def test_scan_results_are_fresh_copies():
+    # the memoised scan is shared read-only; algorithm 3 hands out fresh,
+    # writable copies of its powers, angles and trace
+    cols, angles, _, powers, _, trace = _two_lobe_scan(CFG32)
+    assert isinstance(trace, tuple)
+    for array in (cols, angles, powers):
+        with pytest.raises(ValueError):
+            array[0] = 0
     descent = algorithm2_iterative(CFG32)
     first = algorithm3_two_lobes(CFG32)
-    powers = first.allocation.beam_powers.copy()
-    angles = first.allocation.beam_angles.copy()
-    trace = list(first.trace)
+    assert np.array_equal(first.allocation.beam_powers, powers)
+    assert first.trace == list(trace)
     first.allocation.beam_powers[:] = 0.0
     first.allocation.beam_angles[:] = 0.0
     first.trace.clear()
-    cols = _two_lobe_scan(CFG32)[0]
-    cols[:] = 0
     again = algorithm3_two_lobes(CFG32)
     assert np.array_equal(again.allocation.beam_powers, powers)
     assert np.array_equal(again.allocation.beam_angles, angles)
-    assert again.trace == trace
+    assert again.trace == list(trace)
     assert list(_two_lobe_scan(CFG32)[0]) == [30, 2]
     again = algorithm2_iterative(CFG32)
     assert np.array_equal(again.allocation.beam_powers,
                           descent.allocation.beam_powers)
     assert again.trace == descent.trace
+
+
+def test_default_grid_is_one_read_only_memo_per_scenario():
+    cfg = ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0, 85.0)
+    _default_arcs.cache_clear()
+    alloc._two_lobe_scan.cache_clear()
+    thetas, _, s_eb, weights = _default_arcs(cfg)
+    for array in (thetas, s_eb, weights):
+        assert not array.flags.writeable
+    first = sor_boundary_uniform(cfg, 0.0)
+    peak = first.lobes[0].max_radius
+    assert peak > 0.0
+    first.lobes[0].max_radius = -1.0
+    assert sor_boundary_uniform(cfg, 0.0).lobes[0].max_radius == peak
+    ev = _DirectionalAreaEvaluator(cfg, ())
+    assert ev.s_eb is s_eb and ev.weights is weights
+    _two_lobe_scan(cfg)
+    assert _default_arcs.cache_info().misses == 1
 
 
 def test_lobe_notch_objective_concave_at_fixed_fraction():

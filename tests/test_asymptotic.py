@@ -14,9 +14,11 @@ import pytest
 from secrecy_sor import (
     ArrayGeometry,
     InfeasibleRateError,
+    MultiuserScenario,
     PowerAllocation,
     ResolutionWarning,
     ScenarioConfig,
+    SuspiciousRegion,
     boundary_scale,
     delta_theta_max,
     lobe_radii,
@@ -189,28 +191,66 @@ def test_directional_budget_mismatch_rejected():
 
 
 def test_directional_boundary_reuses_one_response_matrix(monkeypatch):
-    # consecutive allocations that differ only in their powers share the
-    # default-grid response matrix, kept from the second call on, and score
+    # consecutive allocations that differ only in their powers share one
+    # response matrix, kept read-only from the second call in a row on; a
+    # one-off call keeps none, and boundaries on the default grid score
     # exactly as on a user grid of the same angles
     angles = np.arcsin(np.array([-2.5, 1.5, 3.5]) / 25.0)
     thetas = _default_arcs(CFG50)[0]
-    builds = []
-    responses = asymptotic._beam_responses
+    slot = [None, None, None]
+    monkeypatch.setattr(asymptotic, "_last_response", slot)
+    one_off = asymptotic._beam_responses(CFG50, thetas, angles)
+    assert slot[2] is None and one_off.flags.writeable
+    kept = [asymptotic._beam_responses(CFG50, thetas, angles)
+            for _ in range(3)]
+    assert kept[0] is not one_off and np.array_equal(kept[0], one_off)
+    assert kept[1] is kept[0] and kept[2] is kept[0] and slot[2] is kept[0]
+    assert not kept[0].flags.writeable
+    asymptotic._beam_responses(CFG50, thetas, angles[:2])
+    assert slot[2] is None
+    allocs = [PowerAllocation(phi, phi * np.array([0.5, 0.3, 0.2]),
+                              "dft_selected", angles)
+              for phi in (0.2, 0.45, 0.7, 0.8)]
+    radii, matrices = [], []
+    for alloc in allocs:
+        radii.append(sor_boundary_directional(CFG50, alloc).radii)
+        matrices.append(slot[2])
+    assert matrices[0] is None
+    assert all(m is matrices[1] for m in matrices[1:])
+    # a writable grid may change between calls, so its matrix is never kept
+    user = np.array(thetas)
+    for alloc, r in zip(allocs, radii):
+        assert np.array_equal(
+            r, sor_boundary_directional(CFG50, alloc, theta_grid=user).radii)
+        assert slot[2] is None
 
-    def counted(cfg, grid, beam_angles):
-        builds.append("user" if grid is thetas else "default")
-        return responses(cfg, grid, beam_angles)
-    monkeypatch.setattr(asymptotic, "_beam_responses", counted)
-    monkeypatch.setattr(asymptotic, "_last_response", [None, None])
-    for phi in (0.2, 0.45, 0.7, 0.8):
-        alloc = PowerAllocation(phi, phi * np.array([0.5, 0.3, 0.2]),
-                                "dft_selected", angles)
-        bd = sor_boundary_directional(CFG50, alloc)
-        on_grid = sor_boundary_directional(CFG50, alloc, theta_grid=thetas)
-        assert np.array_equal(bd.radii, on_grid.radii)
-    # two default-grid builds (the one-off, then the kept one), and one per
-    # user-grid call
-    assert builds.count("default") == 2 and builds.count("user") == 4
+
+def test_constructors_reject_non_finite_inputs():
+    geom = ArrayGeometry(16, 0.5)
+    args = dict(geometry=geom, alpha=3.0, p_tot=1.0, n0=1e-8, r_th=5.0,
+                bob_theta=0.0, bob_dist=100.0)
+    bad = [("p_tot", np.inf), ("n0", np.nan), ("r_th", np.inf),
+           ("bob_dist", np.nan), ("bob_dist", np.inf), ("n_eves", 2.5),
+           ("n_eves", np.nan)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{**args, name: value})
+    for n in (np.inf, np.nan, 2.5):
+        with pytest.raises(ValueError, match="n_antennas"):
+            ArrayGeometry(n, 0.5)
+    with pytest.raises(ValueError):
+        SuspiciousRegion((-0.5, 0.5), 50.0, np.inf)
+    with pytest.raises(ValueError, match="beam powers"):
+        PowerAllocation(0.0, np.array([np.nan]), "null_space_uniform")
+    with pytest.raises(ValueError, match="beam powers"):
+        PowerAllocation(1.0, np.array([np.inf]), "dft_selected",
+                        np.array([0.3]))
+    with pytest.raises(ValueError, match="beam angles"):
+        PowerAllocation(0.5, np.array([0.5]), "dft_selected",
+                        np.array([np.nan]))
+    with pytest.raises(ValueError, match="user 1: bob_dist"):
+        MultiuserScenario(geom, 3.0, 1e-8, 5.0, (0.0, 0.5), (90.0, np.nan),
+                          (1.0, 1.0))
 
 
 def test_directional_beam_kills_targeted_lobe_only():

@@ -1,10 +1,17 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps library functions
 by name; a name that no longer resolves makes ``run.py --trace 1`` fail.
-Every such name must stay defined in the modules the tracer scans."""
+Every such name must stay defined in the modules the tracer scans, and so
+must the parameters and attributes the benchmark reads by name."""
 
 import ast
 import importlib
+import inspect
+from dataclasses import fields
 from pathlib import Path
+
+from secrecy_sor import AllocationResult, McRunSpec, SorBoundary
+from secrecy_sor import crosstalk
+from secrecy_sor.mc_oracle import empirical_sop
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +37,18 @@ def test_every_traced_name_resolves():
     # the tracer also wraps these two by attribute
     cli = importlib.import_module("secrecy_sor.cli")
     assert callable(cli._apply_sweep) and callable(cli.main)
+
+
+def test_attributes_the_benchmark_reads_resolve():
+    # spans.py binds empirical_sop's arguments by name and reads the run
+    # spec, the boundary's angles and algorithm 2's trace; rep.py and the
+    # tracer read the kernel-table cache statistics on every repetition
+
+    params = inspect.signature(empirical_sop).parameters
+    assert {"cfg", "alloc", "region", "spec"} <= set(params)
+    spec = McRunSpec(n_samples=4, master_seed=0)
+    for name in ("n_samples", "master_seed", "rician_k", "threads"):
+        assert hasattr(spec, name), name
+    assert callable(crosstalk._kernel_tables.cache_info)
+    assert "thetas" in {f.name for f in fields(SorBoundary)}
+    assert "trace" in {f.name for f in fields(AllocationResult)}

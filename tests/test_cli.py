@@ -324,6 +324,17 @@ def test_mc_validate_thread_invariance(tmp_path):
     ("sop", {"sweep": {"parameter": "phi",
                        "grid": {"start": 0.0, "stop": 0.6, "step": 0.2}}},
      "sweep.grid"),
+    # json reads NaN, Infinity and overflowing literals such as 1e999 (as
+    # inf); a non-finite number is a manifest error, not a NaN row
+    ("sop", {"scenario": {"n_antennas": math.nan, "r_th": 10.0,
+                          "bob_dist_m": 100.0}}, "scenario.n_antennas"),
+    ("mc-validate", {"mc": {"n_samples": math.inf}}, "mc.n_samples"),
+    ("sop", {"scenario": {"n_antennas": 100, "r_th": 10.0,
+                          "bob_dist_m": math.nan}}, "scenario.bob_dist_m"),
+    ("sop", {"region": {"angles_deg": [-15.0, 15.0], "d_min_m": 50.0,
+                        "d_max_m": 1e999}}, "region.d_max_m"),
+    ("sop", {"sweep": {"parameter": "bob_dist_m", "grid": [math.nan]}},
+     "sweep.grid"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):
