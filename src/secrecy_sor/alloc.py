@@ -15,7 +15,9 @@ implemented:
 
 Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
 is memoised on ``cfg``, its arrays are read-only, and only
-``algorithm3_two_lobes`` hands its data out, as fresh copies.
+``algorithm3_two_lobes`` hands its data out, as fresh copies.  Likewise the
+uniform search of ``optimize_phi_uniform``, which algorithm 1 starts from,
+runs once per (scenario, region, objective) (``_uniform_search``).
 
 Every area search scores its candidates through
 ``_DirectionalAreaEvaluator.areas`` on the scenario's default boundary grid
@@ -183,25 +185,44 @@ def optimize_phi_uniform(cfg, region, objective="sop"):
     uniform null-space noise as each row's jamming profile, and ``sop``
     through the array form of ``sop_closed_form``; the refinement uses the
     same scorer.
+
+    The search runs once per (scenario, region, objective), compared by
+    value (``_uniform_search``); every call returns fresh objects and
+    raises again the warnings the search raised.
     """
     if objective == "sop" and region is None:
         raise ValueError(f"objective {objective!r} needs a region")
-    limit = phi_max(cfg)
-    score = _uniform_objective(cfg, region, objective)
-    f = lambda p: float(score(np.array([p]))[0])
-    grid = np.arange(0.0, limit, _PHI_STEP)
-    vals = score(grid)
-    i = int(np.argmin(vals))
-    best_phi, best_val = float(grid[i]), float(vals[i])
-    trace = [(best_phi, best_val)]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi > lo:
-        g_phi, g_val = _golden_min(f, lo, hi, _REFINE_TOL, trace)
-        if g_val < best_val:
-            best_phi, best_val = float(g_phi), float(g_val)
-    return AllocationResult(best_phi, _uniform_allocation(cfg, best_phi),
-                            best_val, trace)
+    phi, value, trace, caught = _uniform_search(cfg, region, objective)
+    for message, category in caught:
+        warnings.warn(message, category, stacklevel=2)
+    return AllocationResult(phi, _uniform_allocation(cfg, phi), value,
+                            list(trace))
+
+
+@lru_cache(maxsize=32)
+def _uniform_search(cfg, region, objective):
+    """The search of ``optimize_phi_uniform``, memoised on its arguments.
+    Returns ``(phi, value, trace, warnings)``: the trace as a tuple and the
+    ``(message, category)`` of each warning the search raised, so a memo
+    hit warns like the search did."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        limit = phi_max(cfg)
+        score = _uniform_objective(cfg, region, objective)
+        f = lambda p: float(score(np.array([p]))[0])
+        grid = np.arange(0.0, limit, _PHI_STEP)
+        vals = score(grid)
+        i = int(np.argmin(vals))
+        best_phi, best_val = float(grid[i]), float(vals[i])
+        trace = [(best_phi, best_val)]
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, len(grid) - 1)]
+        if hi > lo:
+            g_phi, g_val = _golden_min(f, lo, hi, _REFINE_TOL, trace)
+            if g_val < best_val:
+                best_phi, best_val = float(g_phi), float(g_val)
+    return (best_phi, best_val, tuple(trace),
+            tuple((w.message, w.category) for w in caught))
 
 
 def phi_opt_closed_form(cfg, s_eb, d_min):
@@ -400,7 +421,9 @@ def algorithm1_directional(cfg, region):
     that cover the suspicious angles.
 
     Keeps the uniform allocation, with a warning, when no beam covers the
-    region.
+    region.  The uniform search is the one ``optimize_phi_uniform`` runs
+    once per (scenario, region, objective), so after the ``uniform``
+    scheme it costs nothing; the result holds fresh objects.
     """
     uniform = optimize_phi_uniform(cfg, region, objective="sop")
     phi = uniform.phi_opt

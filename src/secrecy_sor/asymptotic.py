@@ -322,23 +322,38 @@ def _arc_supports(cfg):
             for j in range(len(edges) - 1)]
 
 
-@lru_cache(maxsize=32)
+class _GridKey(NamedTuple):
+    """The scenario fields the default grid depends on; the grid's helpers
+    read them as they read a ``ScenarioConfig``'s."""
+
+    geometry: ArrayGeometry
+    bob_theta: float
+    k_eb: float
+
+
 def _default_arcs(cfg):
     """Default boundary grid: each lobe arc between consecutive nulls gets an
     odd uniform-in-theta point count, arcs sharing endpoint nulls.
 
     Returns ``(thetas, arcs, s_eb, weights)``: the angles, each arc's
-    ``_ArcSpan``, ``_s_eb`` and ``_area_weights`` on them.  Memoised on
-    ``cfg`` and shared by every caller, so the arrays are read-only."""
+    ``_ArcSpan``, ``_s_eb`` and ``_area_weights`` on them.  Memoised
+    (``_default_grid``) on the geometry, ``bob_theta`` and ``k_eb``, the
+    only fields it reads, so scenarios that differ in anything else share
+    one grid; the arrays are read-only."""
+    return _default_grid(_GridKey(cfg.geometry, cfg.bob_theta, cfg.k_eb))
+
+
+@lru_cache(maxsize=32)
+def _default_grid(key):
     thetas = []
     arcs = []
-    for j, (index, support) in enumerate(_arc_supports(cfg)):
+    for j, (index, support) in enumerate(_arc_supports(key)):
         seg = np.linspace(support[0], support[1], _ARC_POINTS)
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
         arcs.append(_ArcSpan(index, lo, len(thetas) - 1))
     thetas = np.asarray(thetas)
-    s_eb, weights = _s_eb(cfg, thetas), _area_weights(thetas, arcs)
+    s_eb, weights = _s_eb(key, thetas), _area_weights(thetas, arcs)
     for array in (thetas, s_eb, weights):
         array.flags.writeable = False
     return thetas, tuple(arcs), s_eb, weights

@@ -483,13 +483,8 @@ def _fig6():
 
     def metrics(bob_dist):
         cfg = _reference_cfg(100, 10.0, float(bob_dist), n_eves=10)
-
-        def sop(kind, phi=None):
-            return _scheme(cfg, region, kind, phi, "sop")
-        # algo1 splits the uniform optimum over the region's beams
-        phi_u, _, uniform = sop("uniform")
-        return (sop("no_jam")[2], uniform, sop("algo1", phi_u)[2],
-                sop("algo3")[2])
+        return tuple(_scheme(cfg, region, kind, None, "sop")[2]
+                     for kind in ("no_jam", "uniform", "algo1", "algo3"))
     return _table(["bob_dist_m"], _FIG_DISTS,
                   ["sop_no_jam", "sop_uniform", "sop_algo1", "sop_algo3"],
                   metrics)

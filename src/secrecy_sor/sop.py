@@ -16,6 +16,7 @@ them to it.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,34 +44,45 @@ _BENEFIT_PHI_POINTS = 400
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
+@dataclass(frozen=True)
 class SuspiciousRegion:
     """Annular sector the eavesdroppers are confined to:
     ``SuspiciousRegion((th_lo, th_hi), d_min, d_max)``.  The angles lie in
-    the front half space [-pi/2, pi/2]."""
+    the front half space [-pi/2, pi/2].  Regions are immutable and compare
+    and hash by value, so equal regions built apart are one memo key."""
 
-    def __init__(self, angle_interval, d_min, d_max):
-        lo, hi = float(angle_interval[0]), float(angle_interval[1])
+    angle_interval: tuple
+    d_min: float
+    d_max: float
+
+    def __post_init__(self):
+        lo, hi = float(self.angle_interval[0]), float(self.angle_interval[1])
         if not lo < hi:
             raise ValueError("angle interval must be nonempty")
         if not (-_HALF_PI <= lo and hi <= _HALF_PI):
             raise ValueError("angle interval must lie within [-pi/2, pi/2]")
-        self.angle_interval = (lo, hi)
-        self.d_min = float(d_min)
-        self.d_max = float(d_max)
+        object.__setattr__(self, "angle_interval", (lo, hi))
+        object.__setattr__(self, "d_min", float(self.d_min))
+        object.__setattr__(self, "d_max", float(self.d_max))
         if not 0.0 <= self.d_min < self.d_max < np.inf:
             raise ValueError("need 0 <= d_min < d_max < inf")
 
 
 def _branch_radii(cfg, cons):
     """Radii at which the radial integrand changes analytic branch: one per
-    lobe peak of the crosstalk CDF (where a new lobe starts crossing)."""
+    lobe peak of the crosstalk CDF (where a new lobe starts crossing), one
+    row per entry of the array constants ``cons``; NaN where the lobe has
+    no outage radius."""
     geom = cfg.geometry
     # s_peak[0] is the main lobe's 1.0
     peaks = _kernel_tables(geom.n_antennas, geom.spacing).s_peak
-    gaps = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset)
+    gaps = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset[:, None])
+    radii = np.full(gaps.shape, np.nan)
+    live = gaps > 0
     # the scalar power on each gap keeps libm's rounding, which numpy's
     # array power may not share
-    return [g ** (1.0 / cfg.alpha) for g in gaps.tolist() if g > 0]
+    radii[live] = [g ** (1.0 / cfg.alpha) for g in gaps[live].tolist()]
+    return radii
 
 
 def _simpson(fx, h):
@@ -158,28 +170,27 @@ def _sop_below_limit(cfg, phis, region):
     d_min, d_max = region.d_min, region.d_max
     profile = bob_profile(cfg)
     angle_range = region.angle_interval
-    # one quadrature segment per pair of consecutive cuts of each fraction
-    owner, a, b, scale, offset = [], [], [], [], []
-    for i, p in enumerate(phis):
-        cons = sor_constants(cfg, p)
-        cuts = sorted({d_min, d_max} | {r for r in _branch_radii(cfg, cons)
-                                        if d_min < r < d_max})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            owner.append(i)
-            a.append(lo)
-            b.append(hi)
-            scale.append(cons.scale)
-            offset.append(cons.offset)
-    scale = np.array(scale)[:, None]
-    offset = np.array(offset)[:, None]
+    cons = sor_constants(cfg, phis)
+    radii = _branch_radii(cfg, cons)
+    # each fraction's cuts in ascending order: d_min, the branch radii
+    # strictly between d_min and d_max, d_max, then inf as padding; one
+    # quadrature segment per pair of consecutive distinct finite cuts
+    inside = (d_min < radii) & (radii < d_max)
+    cuts = np.sort(np.column_stack((np.full(phis.size, d_min),
+                                    np.where(inside, radii, np.inf),
+                                    np.full(phis.size, d_max))), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    owner, col = np.nonzero((hi > lo) & (hi < np.inf))
+    scale = cons.scale[owner, None]
+    offset = cons.offset[owner, None]
 
     def p_outside(z, rows):
         lvl = (z ** cfg.alpha + offset[rows]) / scale[rows]
         return _cdf_batch(lvl, profile, angle_range) * 2.0 * z
 
     norm = d_max ** 2 - d_min ** 2
-    parts, capped = _segment_integrals(p_outside, np.array(a), np.array(b),
-                                       norm * 0.01)
+    parts, capped = _segment_integrals(p_outside, lo[owner, col],
+                                       hi[owner, col], norm * 0.01)
     if capped:
         warnings.warn(
             f"sop_closed_form: a radial segment did not converge to "
@@ -187,7 +198,7 @@ def _sop_below_limit(cfg, phis, region):
             ResolutionWarning, stacklevel=3)
     # add each fraction's segments in cut order
     integral = np.zeros(phis.size)
-    np.add.at(integral, np.array(owner), parts)
+    np.add.at(integral, owner, parts)
     # the scalar power keeps libm's rounding, which numpy's array power may
     # not share
     return [1.0 - min(max(v / norm, 0.0), 1.0) ** cfg.n_eves

@@ -13,6 +13,7 @@ import pytest
 from secrecy_sor import (
     ArrayGeometry,
     DegenerateArrayError,
+    ResolutionWarning,
     ScenarioConfig,
     SuspiciousRegion,
     algorithm1_directional,
@@ -31,7 +32,8 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor import alloc
-from secrecy_sor.asymptotic import _default_arcs
+from secrecy_sor import sop as sop_module
+from secrecy_sor.asymptotic import _default_arcs, _default_grid
 from secrecy_sor.alloc import (
     _BLOCK_ROWS,
     _DirectionalAreaEvaluator,
@@ -243,7 +245,11 @@ def _scan_run(cfg):
 
 
 def _uniform_run(cfg):
-    return lambda: optimize_phi_uniform(cfg, None, objective="sor_area")
+    def run():
+        # a memo hit would score no block
+        alloc._uniform_search.cache_clear()
+        return optimize_phi_uniform(cfg, None, objective="sor_area")
+    return run
 
 
 @pytest.mark.parametrize("make_run", [_scan_run, _descent_run, _uniform_run],
@@ -296,6 +302,75 @@ def test_all_live_block_takes_the_full_width(monkeypatch):
     assert share > 0.99
     assert ev._block is None  # freed before the full-width blocks exist
     assert np.array_equal(got, live)
+
+
+def _counted_closed_forms(monkeypatch):
+    """Clear the uniform-search memo and record every ``sop_closed_form``
+    call the searches make."""
+    alloc._uniform_search.cache_clear()
+    calls = []
+    closed = alloc.sop_closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return closed(*args)
+    monkeypatch.setattr(alloc, "sop_closed_form", counted)
+    return calls
+
+
+def test_uniform_search_runs_once_per_scenario_and_region(monkeypatch):
+    calls = _counted_closed_forms(monkeypatch)
+    uniform = optimize_phi_uniform(CFG32, REG15, objective="sop")
+    searched = len(calls)
+    assert searched > 1
+    # equal scenario and region objects built anew are the same key
+    cfg = ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0)
+    region = SuspiciousRegion((-np.pi / 12, np.pi / 12), 50.0, 100.0)
+    assert cfg is not CFG32 and region is not REG15
+    directional = algorithm1_directional(cfg, region)
+    assert len(calls) == searched
+    assert directional.phi_opt == uniform.phi_opt
+    assert directional.trace[0] == ("uniform", uniform.phi_opt,
+                                    uniform.objective)
+    info = alloc._uniform_search.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # another region, or the other objective, is another search
+    optimize_phi_uniform(cfg, SuspiciousRegion(region.angle_interval, 50.0,
+                                               101.0), objective="sop")
+    assert len(calls) > searched
+    optimize_phi_uniform(cfg, region, objective="sor_area")
+    assert alloc._uniform_search.cache_info().misses == 3
+
+
+def test_uniform_results_are_fresh_objects():
+    first = optimize_phi_uniform(CFG32, None, objective="sor_area")
+    trace = list(first.trace)
+    powers = first.allocation.beam_powers.copy()
+    first.trace.clear()
+    first.allocation.beam_powers[:] = 0.0
+    again = optimize_phi_uniform(CFG32, None, objective="sor_area")
+    assert again.trace == trace and len(trace) > 1
+    assert np.array_equal(again.allocation.beam_powers, powers)
+    assert again.phi_opt == first.phi_opt
+    assert again.objective == first.objective
+
+
+def test_a_memo_hit_warns_like_the_search(monkeypatch):
+    # with no panel doublings every radial segment stops unconverged
+    calls = _counted_closed_forms(monkeypatch)
+    monkeypatch.setattr(sop_module, "_MAX_DOUBLINGS", 0)
+    try:
+        for _ in range(2):
+            with pytest.warns(ResolutionWarning, match="did not converge"):
+                optimize_phi_uniform(CFG8, REG15, objective="sop")
+        searched = len(calls)
+        with pytest.warns(ResolutionWarning, match="did not converge"):
+            algorithm1_directional(CFG8, REG15)
+        assert len(calls) == searched
+        assert alloc._uniform_search.cache_info().misses == 1
+    finally:
+        # the memo holds the unconverged search
+        alloc._uniform_search.cache_clear()
 
 
 FIG6_100 = ScenarioConfig(G(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0,
@@ -591,7 +666,7 @@ def test_scan_results_are_fresh_copies():
 
 def test_default_grid_is_one_read_only_memo_per_scenario():
     cfg = ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0, 85.0)
-    _default_arcs.cache_clear()
+    _default_grid.cache_clear()
     alloc._two_lobe_scan.cache_clear()
     thetas, _, s_eb, weights = _default_arcs(cfg)
     for array in (thetas, s_eb, weights):
@@ -604,7 +679,19 @@ def test_default_grid_is_one_read_only_memo_per_scenario():
     ev = _DirectionalAreaEvaluator(cfg, ())
     assert ev.s_eb is s_eb and ev.weights is weights
     _two_lobe_scan(cfg)
-    assert _default_arcs.cache_info().misses == 1
+    assert _default_grid.cache_info().misses == 1
+
+
+def test_default_grid_is_shared_by_scenarios_at_other_distances():
+    # the grid reads only the geometry, bob_theta and k_eb
+    _default_grid.cache_clear()
+    grids = [_default_arcs(ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0,
+                                          0.0, dist))
+             for dist in (70.0, 85.0, 100.0)]
+    assert _default_grid.cache_info().misses == 1
+    assert all(grid is grids[0] for grid in grids)
+    _default_arcs(ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.1, 85.0))
+    assert _default_grid.cache_info().misses == 2
 
 
 def test_lobe_notch_objective_concave_at_fixed_fraction():

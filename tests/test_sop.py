@@ -26,6 +26,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
     sor_region_overlap,
 )
+from secrecy_sor.asymptotic import sor_constants
 from secrecy_sor.errors import InfeasibleRateError, ResolutionWarning
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
@@ -33,6 +34,18 @@ CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
 CFG50 = ScenarioConfig(ArrayGeometry(50, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
 REG15 = SuspiciousRegion((-np.pi / 12, np.pi / 12), 50.0, 100.0)
 REG60 = SuspiciousRegion((-np.pi / 3, np.pi / 3), 50.0, 350.0)
+
+
+def test_regions_compare_and_hash_by_value():
+    same = SuspiciousRegion(np.array([-np.pi / 12, np.pi / 12]), 50, 100)
+    assert same is not REG15
+    assert same == REG15 and hash(same) == hash(REG15)
+    assert same.angle_interval == REG15.angle_interval
+    wider = SuspiciousRegion(REG15.angle_interval, 50.0, 100.5)
+    assert wider != REG15
+    assert len({REG15, same, wider}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        same.d_max = 120.0
 
 
 def test_region_validation_and_area():
@@ -143,6 +156,19 @@ def test_sop_array_form_equals_scalar_calls(bob_dist):
     got = sop_closed_form(cfg, grid, FIG6_REGION)
     want = np.array([sop_closed_form(cfg, p, FIG6_REGION) for p in grid])
     assert got.shape == grid.shape
+    assert np.array_equal(got, want)
+
+
+def test_sop_block_with_varying_cut_counts_equals_scalar_calls():
+    # lobe 1's radius falls through d_max and then d_min across the block,
+    # and the higher lobes die out: 0 to 6 branch radii cut the region
+    region = SuspiciousRegion((-np.pi / 6, np.pi / 6), 120.0, 300.0)
+    phis = np.linspace(0.0, phi_max(CFG100), 41)[:-1]
+    radii = sop_module._branch_radii(CFG100, sor_constants(CFG100, phis))
+    inside = (radii > region.d_min) & (radii < region.d_max)
+    assert set(np.sum(inside, axis=1)) == {0, 1, 2, 3, 6}
+    got = sop_closed_form(CFG100, phis, region)
+    want = np.array([sop_closed_form(CFG100, p, region) for p in phis])
     assert np.array_equal(got, want)
 
 
