@@ -13,11 +13,10 @@ implemented:
    (phi, split) plane with a cheap per-lobe surrogate inside
    (``algorithm3_two_lobes``).
 
-Algorithms 2 and 3 share one two-lobe scan per scenario: ``_two_lobe_scan``
-is memoised on ``cfg``, its arrays are read-only, and only
-``algorithm3_two_lobes`` hands its data out, as fresh copies.  Likewise the
-uniform search of ``optimize_phi_uniform``, which algorithm 1 starts from,
-runs once per (scenario, region, objective) (``_uniform_search``).
+Every search returns an immutable ``AllocationResult``.  Algorithms 2 and 3
+share one two-lobe scan per scenario (``_two_lobe_scan``), and the uniform
+search, which algorithm 1 starts from, runs once per (scenario, region,
+objective) (``_uniform_search``); a memo hit returns the memoised result.
 
 Every area search scores its candidates through
 ``_DirectionalAreaEvaluator.areas`` on the scenario's default boundary grid
@@ -40,6 +39,7 @@ from .asymptotic import (
     _beam_responses,
     _default_arcs,
     _outage_gap,
+    _read_only,
     _s_eb,
     _uniform_allocation,
     boundary_scale,
@@ -83,19 +83,18 @@ _LIVE_SHARE_MAX = 0.25
 _LIVE_PAD = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationResult:
     """Outcome of an allocation search: the jamming fraction, the concrete
-    per-beam powers, the achieved objective, and the search trace, whose
-    entries depend on the search: ``(phi, value)`` pairs for the uniform
-    search, ``(label, phi, value)`` tuples for algorithm 1, the starting
-    area and then one area per beam visit for algorithm 2, and
-    ``(phi, split, area)`` for algorithm 3."""
+    per-beam powers, the achieved objective, and the search trace, a tuple
+    of ``(phi, value)`` float pairs, one per step the search took, that
+    holds ``(phi_opt, objective)``.  Immutable, like its allocation, so the
+    memoised searches hand out the one result they keep."""
 
     phi_opt: float
     allocation: PowerAllocation
     objective: float
-    trace: list
+    trace: tuple
 
 
 def build_dft_basis(geom):
@@ -187,22 +186,21 @@ def optimize_phi_uniform(cfg, region, objective="sop"):
     same scorer.
 
     The search runs once per (scenario, region, objective), compared by
-    value (``_uniform_search``); every call returns fresh objects and
+    value (``_uniform_search``); every call returns its one result and
     raises again the warnings the search raised.
     """
     if objective == "sop" and region is None:
         raise ValueError(f"objective {objective!r} needs a region")
-    phi, value, trace, caught = _uniform_search(cfg, region, objective)
+    result, caught = _uniform_search(cfg, region, objective)
     for message, category in caught:
         warnings.warn(message, category, stacklevel=2)
-    return AllocationResult(phi, _uniform_allocation(cfg, phi), value,
-                            list(trace))
+    return result
 
 
 @lru_cache(maxsize=32)
 def _uniform_search(cfg, region, objective):
     """The search of ``optimize_phi_uniform``, memoised on its arguments.
-    Returns ``(phi, value, trace, warnings)``: the trace as a tuple and the
+    Returns ``(result, warnings)``: the ``AllocationResult`` and the
     ``(message, category)`` of each warning the search raised, so a memo
     hit warns like the search did."""
     with warnings.catch_warnings(record=True) as caught:
@@ -221,8 +219,9 @@ def _uniform_search(cfg, region, objective):
             g_phi, g_val = _golden_min(f, lo, hi, _REFINE_TOL, trace)
             if g_val < best_val:
                 best_phi, best_val = float(g_phi), float(g_val)
-    return (best_phi, best_val, tuple(trace),
-            tuple((w.message, w.category) for w in caught))
+    result = AllocationResult(best_phi, _uniform_allocation(cfg, best_phi),
+                              best_val, tuple(trace))
+    return result, tuple((w.message, w.category) for w in caught)
 
 
 def phi_opt_closed_form(cfg, s_eb, d_min):
@@ -236,6 +235,8 @@ def phi_opt_closed_form(cfg, s_eb, d_min):
     """
     if not 0.0 < s_eb:
         raise ValueError("s_eb must be positive")
+    if not 0.0 <= d_min < np.inf:
+        raise ValueError("d_min must be finite and >= 0")
     if s_eb >= 1.0:
         raise DegenerateArrayError(
             "eavesdropper perfectly aligned with the user (s_eb >= 1): "
@@ -268,6 +269,8 @@ def grid_oracle_phi(cfg, s_eb, d_min):
     direction already sits inside ``d_min``, else the minimizer of it."""
     if not 0.0 < s_eb < 1.0:
         raise ValueError("s_eb must lie in (0, 1)")
+    if not 0.0 <= d_min < np.inf:
+        raise ValueError("d_min must be finite and >= 0")
     limit = phi_max(cfg)
     grid = np.arange(0.0, limit, _ORACLE_STEP)
     cons = sor_constants(cfg, grid)
@@ -420,21 +423,20 @@ def algorithm1_directional(cfg, region):
     ``_region_beam_allocation`` at it: an equal split over the DFT beams
     that cover the suspicious angles.
 
-    Keeps the uniform allocation, with a warning, when no beam covers the
-    region.  The uniform search is the one ``optimize_phi_uniform`` runs
-    once per (scenario, region, objective), so after the ``uniform``
-    scheme it costs nothing; the result holds fresh objects.
+    The trace is the uniform, then the directional SOP.  When no beam
+    covers the region, the result is the uniform one, with a warning.  The
+    uniform search runs once per (scenario, region, objective), so after
+    the ``uniform`` scheme it costs nothing.
     """
     uniform = optimize_phi_uniform(cfg, region, objective="sop")
     phi = uniform.phi_opt
     alloc = _region_beam_allocation(cfg, region, phi)
-    trace = [("uniform", phi, uniform.objective)]
     if alloc.basis == "null_space_uniform":
-        return AllocationResult(phi, alloc, uniform.objective, trace)
+        return uniform
     objective = sop_intersection(
         sor_boundary_directional(cfg, alloc), region, cfg.n_eves)
-    trace.append(("directional", phi, objective))
-    return AllocationResult(phi, alloc, objective, trace)
+    return AllocationResult(phi, alloc, objective,
+                            ((phi, uniform.objective), (phi, objective)))
 
 
 def _visit_areas(ev, powers, b, cand, jam_base):
@@ -457,10 +459,11 @@ def _visit_areas(ev, powers, b, cand, jam_base):
 def _beam_line_descent(ev, powers, cap, max_sweeps):
     """Cyclic per-beam exhaustive line search on the exact-area objective.
     Mutates and returns ``powers``; also returns the final objective, the
-    per-visit objective trace, and whether the sweep loop converged."""
+    trace (the start, then (phi, area) after each visit) and whether the
+    sweep loop converged."""
     epsilon = _DESCENT_EPSILON * ev.cfg.p_tot
     current = ev.area(powers)
-    trace = [current]
+    trace = [(float(np.sum(powers) / ev.cfg.p_tot), current)]
     converged = False
     for _ in range(max_sweeps):
         previous = powers.copy()
@@ -477,11 +480,11 @@ def _beam_line_descent(ev, powers, cap, max_sweeps):
                 jam_base = jam_base + (cand[j] - powers[b]) * ev.response[b]
                 powers[b] = cand[j]
                 current = float(vals[j])
-            trace.append(current)
+            trace.append((float(np.sum(powers) / ev.cfg.p_tot), current))
         if np.linalg.norm(powers - previous) < epsilon:
             converged = True
             break
-    return powers, current, trace, converged
+    return powers, current, tuple(trace), converged
 
 
 def algorithm2_iterative(cfg):
@@ -529,11 +532,11 @@ def _two_lobe_seed(cfg, idx, cap):
     the two-lobe scan's split on its two beams, or None when the scan finds
     the array degenerate or the split exceeds ``cap``."""
     try:
-        cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
+        cols, scan = _two_lobe_scan(cfg)
     except DegenerateArrayError:
         return None
     seed = np.zeros(idx.size)
-    seed[np.searchsorted(idx, cols)] = two_powers
+    seed[np.searchsorted(idx, cols)] = scan.allocation.beam_powers
     return seed if np.sum(seed) <= cap else None
 
 
@@ -581,10 +584,9 @@ def _two_lobe_scan(cfg):
     """Exhaustive (phi, split) scan with the whole noise budget on the two
     DFT beams that deposit most strongly on the two strongest side lobes:
     fractions every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
-    Returns (beam_columns, beam_angles, phi, split_powers, area, trace).
-
-    Memoised on ``cfg`` and shared by every caller: the arrays are
-    read-only and the trace is a tuple."""
+    Returns ``(beam_columns, result)``: the two beams' read-only columns in
+    the DFT basis and the best split's ``AllocationResult``, whose trace is
+    the best area at each fraction.  Memoised on ``cfg``."""
     ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
@@ -602,7 +604,7 @@ def _two_lobe_scan(cfg):
         deposit = s_kernel(np.abs(np.sin(beam_angles[free])
                                   - np.sin(lobe_angle)), geom)
         cols.append(int(free[int(np.argmax(deposit))]))
-    cols = np.asarray(cols, dtype=int)
+    cols = _read_only(np.asarray(cols, dtype=int))
     angles = beam_angles[cols]
     ev = _DirectionalAreaEvaluator(cfg, angles)
     limit = phi_max(cfg)
@@ -614,13 +616,12 @@ def _two_lobe_scan(cfg):
         areas = _split_areas(ev, phi, shares)
         k = int(np.argmin(areas))
         area = float(areas[k])
-        trace.append((float(phi), float(splits[k]), area))
+        trace.append((float(phi), area))
         if best is None or area < best[0]:
             best = (area, float(phi), shares[k] * (phi * cfg.p_tot))
     area, phi, powers = best
-    for array in (cols, angles, powers):
-        array.flags.writeable = False
-    return cols, angles, phi, powers, area, tuple(trace)
+    alloc = PowerAllocation(phi, powers, "dft_selected", angles)
+    return cols, AllocationResult(phi, alloc, area, tuple(trace))
 
 
 def algorithm3_two_lobes(cfg):
@@ -633,9 +634,7 @@ def algorithm3_two_lobes(cfg):
     powers, so budget-constrained minimizers concentrate power on few
     lobes; restricting to the two strongest keeps the search
     two-dimensional.  Lobe direction means the lobe maximum.  The result
-    holds fresh copies of the memoised scan's powers, angles and trace.
+    is the memoised scan's; its trace is the best area at each fraction.
     """
-    _, angles, phi, powers, area, trace = _two_lobe_scan(cfg)
-    alloc = PowerAllocation(phi, powers.copy(), "dft_selected", angles.copy())
-    return AllocationResult(phi, alloc, area, list(trace))
+    return _two_lobe_scan(cfg)[1]
 

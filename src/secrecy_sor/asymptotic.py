@@ -134,7 +134,13 @@ class SorBoundary:
     lobes: list
 
 
-@dataclass
+def _read_only(array):
+    """``array``, marked read-only, to be shared with every caller."""
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class PowerAllocation:
     """How the artificial-noise budget ``phi * p_tot`` is spread.
 
@@ -142,6 +148,7 @@ class PowerAllocation:
     budget isotropically in the signal's null space (``beam_angles`` unused),
     while ``dft_selected`` drives explicit beams whose steering angles are
     listed in ``beam_angles`` (one per entry of ``beam_powers``, in Watts).
+    Immutable: the arrays are read-only float copies of the ones given.
     """
 
     phi: float
@@ -154,13 +161,15 @@ class PowerAllocation:
             raise ValueError(f"basis must be one of {_BASIS_KINDS}")
         if not (0.0 <= self.phi <= 1.0):
             raise ValueError("phi must lie in [0, 1]")
-        self.beam_powers = np.asarray(self.beam_powers, dtype=float)
+        object.__setattr__(self, "beam_powers", _read_only(
+            np.array(self.beam_powers, dtype=float)))
         if not np.all((self.beam_powers >= 0) & (self.beam_powers < np.inf)):
             raise ValueError("beam powers must be nonnegative and finite")
         if self.basis != "null_space_uniform":
             if self.beam_angles is None:
                 raise ValueError(f"basis {self.basis!r} requires beam_angles")
-            self.beam_angles = np.asarray(self.beam_angles, dtype=float)
+            object.__setattr__(self, "beam_angles", _read_only(
+                np.array(self.beam_angles, dtype=float)))
             if self.beam_angles.shape != self.beam_powers.shape:
                 raise ValueError("beam_angles and beam_powers must align")
             if not np.all(np.isfinite(self.beam_angles)):
@@ -352,11 +361,9 @@ def _default_grid(key):
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
         arcs.append(_ArcSpan(index, lo, len(thetas) - 1))
-    thetas = np.asarray(thetas)
-    s_eb, weights = _s_eb(key, thetas), _area_weights(thetas, arcs)
-    for array in (thetas, s_eb, weights):
-        array.flags.writeable = False
-    return thetas, tuple(arcs), s_eb, weights
+    thetas = _read_only(np.asarray(thetas))
+    return (thetas, tuple(arcs), _read_only(_s_eb(key, thetas)),
+            _read_only(_area_weights(thetas, arcs)))
 
 
 def _arcs_for_grid(cfg, thetas):
@@ -364,8 +371,8 @@ def _arcs_for_grid(cfg, thetas):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size < 2:
         raise ValueError("theta_grid must be a 1-D array with >= 2 points")
-    if np.any(np.diff(thetas) <= 0):
-        raise ValueError("theta_grid must be strictly increasing")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.diff(thetas) > 0)):
+        raise ValueError("theta_grid must be finite and strictly increasing")
     # a grid point sitting exactly on a null belongs to both arcs, like the
     # shared endpoints of the default grid
     arcs = [_ArcSpan(index,

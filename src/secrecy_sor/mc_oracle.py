@@ -73,14 +73,16 @@ class McRunSpec:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        # a fractional seed would alias a whole one (Philox truncates its
+        # key), so the counts and the seed must be integers, and not bools
+        for name, least in (("n_samples", 1), ("master_seed", 0),
+                            ("threads", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.rician_k is not None and self.rician_k < 0:
             raise ValueError("rician_k must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _sym_k(cfg):

@@ -6,6 +6,7 @@ numbers were produced by those same grids at higher resolution.
 """
 
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -330,8 +331,7 @@ def test_uniform_search_runs_once_per_scenario_and_region(monkeypatch):
     directional = algorithm1_directional(cfg, region)
     assert len(calls) == searched
     assert directional.phi_opt == uniform.phi_opt
-    assert directional.trace[0] == ("uniform", uniform.phi_opt,
-                                    uniform.objective)
+    assert directional.trace[0] == (uniform.phi_opt, uniform.objective)
     info = alloc._uniform_search.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     # another region, or the other objective, is another search
@@ -342,17 +342,24 @@ def test_uniform_search_runs_once_per_scenario_and_region(monkeypatch):
     assert alloc._uniform_search.cache_info().misses == 3
 
 
-def test_uniform_results_are_fresh_objects():
+def _assert_immutable(result):
+    """Writing to ``result``'s arrays or fields raises."""
+    for array in (result.allocation.beam_powers,
+                  result.allocation.beam_angles):
+        if array is not None:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        result.objective = 0.0
+    with pytest.raises(FrozenInstanceError):
+        result.allocation.phi = 0.0
+
+
+def test_uniform_results_are_the_memoised_result():
     first = optimize_phi_uniform(CFG32, None, objective="sor_area")
-    trace = list(first.trace)
-    powers = first.allocation.beam_powers.copy()
-    first.trace.clear()
-    first.allocation.beam_powers[:] = 0.0
-    again = optimize_phi_uniform(CFG32, None, objective="sor_area")
-    assert again.trace == trace and len(trace) > 1
-    assert np.array_equal(again.allocation.beam_powers, powers)
-    assert again.phi_opt == first.phi_opt
-    assert again.objective == first.objective
+    assert len(first.trace) > 1
+    _assert_immutable(first)
+    assert optimize_phi_uniform(CFG32, None, objective="sor_area") is first
 
 
 def test_a_memo_hit_warns_like_the_search(monkeypatch):
@@ -503,7 +510,7 @@ def test_algorithm2_one_sweep_toy_matches_grid():
 
 def test_algorithm2_trace_monotone_and_budget():
     res = algorithm2_iterative(CFG32)
-    tr = np.asarray(res.trace)
+    tr = np.asarray(res.trace)[:, 1]
     assert np.all(np.diff(tr) <= 1e-9)
     total = float(np.sum(res.allocation.beam_powers))
     assert abs(total - res.phi_opt * CFG32.p_tot) < 1e-9
@@ -585,9 +592,9 @@ def _count_scans(monkeypatch):
 def test_algorithm2_is_one_descent_from_the_two_lobe_seed(cfg, monkeypatch):
     beam_angles = build_dft_basis(cfg.geometry)
     idx = _jam_beam_indices(cfg, beam_angles)
-    cols, _, _, two_powers, _, _ = _two_lobe_scan(cfg)
+    cols, scan = _two_lobe_scan(cfg)
     seed = np.zeros(idx.size)
-    for col, p in zip(cols, two_powers):
+    for col, p in zip(cols, scan.allocation.beam_powers):
         seed[int(np.nonzero(idx == col)[0][0])] = p
     ev = _DirectionalAreaEvaluator(cfg, beam_angles[idx])
     cap = phi_max(cfg) * cfg.p_tot * (1.0 - 1e-9)
@@ -621,7 +628,7 @@ def test_algorithm2_falls_back_to_one_spread_descent(cfg, monkeypatch):
     spread = np.full(idx.size, 0.5 * phi_max(cfg) * cfg.p_tot / idx.size)
     assert np.array_equal(starts[0], spread)
     assert res.allocation.beam_powers.size == idx.size
-    assert res.trace[-1] == res.objective <= res.trace[0]
+    assert res.trace[-1][1] == res.objective <= res.trace[0][1]
 
 
 @pytest.mark.parametrize("order", ["algo2_first", "algo3_first"])
@@ -638,30 +645,36 @@ def test_algorithms_2_and_3_share_one_scan(order, monkeypatch):
     assert len(runs) == 1
 
 
-def test_scan_results_are_fresh_copies():
-    # the memoised scan is shared read-only; algorithm 3 hands out fresh,
-    # writable copies of its powers, angles and trace
-    cols, angles, _, powers, _, trace = _two_lobe_scan(CFG32)
-    assert isinstance(trace, tuple)
-    for array in (cols, angles, powers):
-        with pytest.raises(ValueError):
-            array[0] = 0
+def test_scan_results_are_the_memoised_result():
+    # the memoised scan is shared: algorithm 3 hands out its result itself,
+    # and neither it nor the scan's columns can be written to
+    cols, scan = _two_lobe_scan(CFG32)
+    with pytest.raises(ValueError):
+        cols[0] = 0
+    _assert_immutable(scan)
     descent = algorithm2_iterative(CFG32)
     first = algorithm3_two_lobes(CFG32)
-    assert np.array_equal(first.allocation.beam_powers, powers)
-    assert first.trace == list(trace)
-    first.allocation.beam_powers[:] = 0.0
-    first.allocation.beam_angles[:] = 0.0
-    first.trace.clear()
-    again = algorithm3_two_lobes(CFG32)
-    assert np.array_equal(again.allocation.beam_powers, powers)
-    assert np.array_equal(again.allocation.beam_angles, angles)
-    assert again.trace == list(trace)
+    assert first is scan and algorithm3_two_lobes(CFG32) is first
     assert list(_two_lobe_scan(CFG32)[0]) == [30, 2]
     again = algorithm2_iterative(CFG32)
     assert np.array_equal(again.allocation.beam_powers,
                           descent.allocation.beam_powers)
     assert again.trace == descent.trace
+
+
+@pytest.mark.parametrize("search", [
+    lambda: optimize_phi_uniform(CFG32, REG15, objective="sop"),
+    lambda: algorithm1_directional(CFG32, REG15),
+    lambda: algorithm2_iterative(CFG32),
+    lambda: algorithm3_two_lobes(CFG32),
+], ids=["uniform", "algo1", "algo2", "algo3"])
+def test_every_trace_is_phi_value_pairs(search):
+    res = search()
+    assert isinstance(res.trace, tuple) and len(res.trace) > 1
+    for step in res.trace:
+        assert isinstance(step, tuple) and len(step) == 2
+        assert all(isinstance(v, float) for v in step)
+    assert (res.phi_opt, res.objective) in res.trace
 
 
 def test_default_grid_is_one_read_only_memo_per_scenario():

@@ -21,8 +21,10 @@ from secrecy_sor import (
     SuspiciousRegion,
     boundary_scale,
     delta_theta_max,
+    grid_oracle_phi,
     lobe_radii,
     phi_max,
+    phi_opt_closed_form,
     s_kernel,
     side_lobe_area_bound,
     sinr_bob_uniform,
@@ -251,6 +253,26 @@ def test_constructors_reject_non_finite_inputs():
     with pytest.raises(ValueError, match="user 1: bob_dist"):
         MultiuserScenario(geom, 3.0, 1e-8, 5.0, (0.0, 0.5), (90.0, np.nan),
                           (1.0, 1.0))
+    cfg = ScenarioConfig(**args)
+    for grid in ([0.0, np.nan, 0.5], [-np.inf, 0.0, 0.5], [0.0, 0.5, np.inf]):
+        with pytest.raises(ValueError, match="theta_grid"):
+            sor_boundary_uniform(cfg, 0.1, grid)
+    for d_min in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="d_min"):
+            phi_opt_closed_form(cfg, 0.3, d_min)
+        with pytest.raises(ValueError, match="d_min"):
+            grid_oracle_phi(cfg, 0.3, d_min)
+
+
+def test_power_allocation_copies_the_callers_arrays():
+    powers, angles = np.array([0.1, 0.2]), np.array([0.3, -0.3])
+    alloc = PowerAllocation(0.3, powers, "dft_selected", angles)
+    for mine, held in ((powers, alloc.beam_powers),
+                       (angles, alloc.beam_angles)):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(mine, held)
+        mine[0] = 9.0
+        assert held[0] != 9.0
 
 
 def test_directional_beam_kills_targeted_lobe_only():

@@ -4,11 +4,13 @@ Everything runs through ``main(argv)`` in-process; no subprocesses, so the
 exit codes and stderr text are asserted directly.
 """
 
+import hashlib
 import json
 import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,17 @@ from secrecy_sor.cli import main
 # d_b=100 m) with the whole budget on the data signal; frozen from
 # sor_boundary_nojam at theta=0
 MAIN_RADIUS_NOJAM = 1044.8555257055427
+
+
+# the expected sha256 of every benchmark and figure CSV, by file name, as
+# tools/csv_digests.py prints them
+DIGESTS = {name: digest for digest, name in (
+    line.split() for line in (Path(__file__).resolve().parent.parent / "tools"
+                              / "csv_digests.sha256").read_text().splitlines())}
+
+
+def assert_digest(path, name):
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
 
 
 def write_manifest(path, **blocks):
@@ -84,6 +97,10 @@ def test_reproduce_fig2_values(tmp_path, capsys):
     assert all(radii[m] < radii[0] for m in range(1, 7))
     err = capsys.readouterr().err
     assert "reproduce fig2: wrote" in err
+    assert_digest(out, "fig2.csv")
+    both = tmp_path / "fig2_both-alpha.csv"
+    assert main(["reproduce", "fig2", "--both-alpha", "--out", str(both)]) == 0
+    assert_digest(both, "fig2_both-alpha.csv")
 
 
 def _reference_cfg(n_antennas, r_th, bob_dist, n_eves=1):
@@ -99,6 +116,8 @@ def test_reproduce_fig3_and_fig4_rows(tmp_path):
     out3, out4 = tmp_path / "fig3.csv", tmp_path / "fig4.csv"
     assert main(["reproduce", "fig3", "--out", str(out3)]) == 0
     assert main(["reproduce", "fig4", "--out", str(out4)]) == 0
+    assert_digest(out3, "fig3.csv")
+    assert_digest(out4, "fig4.csv")
 
     header, rows = read_csv(out3)
     assert header == ["phi", "sop_uniform_nt100", "sop_directional_nt100",

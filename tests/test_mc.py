@@ -40,6 +40,14 @@ def test_run_spec_validation():
         McRunSpec(10, 1, rician_k=-2.0)
     with pytest.raises(ValueError):
         McRunSpec(10, 1, threads=0)
+    # a fractional seed would alias seed 0 (Philox truncates its key)
+    for bad in (dict(n_samples=2.5), dict(n_samples=True),
+                dict(master_seed=0.5), dict(master_seed=1.0),
+                dict(master_seed=False), dict(threads=2.0),
+                dict(threads=True)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            McRunSpec(**{"n_samples": 10, "master_seed": 1, **bad})
+    McRunSpec(np.int64(10), np.uint32(1), threads=np.int32(2))
 
 
 def _draw_channel(geom, rician_k, theta, rng):
