@@ -22,8 +22,7 @@ Every area search scores its candidates through
 ``_DirectionalAreaEvaluator.areas`` on the scenario's default boundary grid
 (``asymptotic._default_arcs``, memoised and read-only, with its crosstalk
 and area weights).  It computes only the grid columns whose gap can be
-positive (the live columns) and keeps every area bit-identical to the
-full-width computation.
+positive (the live columns) and sums each area over those columns alone.
 """
 
 from __future__ import annotations
@@ -72,24 +71,16 @@ _SCAN_PHI_STEP = 1e-2
 _SCAN_SPLITS = 201
 _SCAN_MARGIN = 1e-12
 _ORACLE_STEP = 1e-4
-# area evaluator: the live share of a block's columns above which it is
-# scored full width (a 201-row block on its live columns alone costs 0.8x
-# the full width at a share of 0.20-0.25, 0.9x at 0.25-0.30, 1.25x at
-# 0.30-0.35 and 3-4x near 1), and the multiple that the live column count
-# is padded to with dead columns: a one-column matrix product takes a
-# matrix-vector kernel, and OpenBLAS computes 4-7 trailing columns with a
-# kernel that rounds differently from the full product's same columns
-_LIVE_SHARE_MAX = 0.25
-_LIVE_PAD = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
     """Outcome of an allocation search: the jamming fraction, the concrete
     per-beam powers, the achieved objective, and the search trace, a tuple
     of ``(phi, value)`` float pairs, one per step the search took, that
     holds ``(phi_opt, objective)``.  Immutable, like its allocation, so the
-    memoised searches hand out the one result they keep."""
+    memoised searches hand out the one result they keep; compared and
+    hashed by identity."""
 
     phi_opt: float
     allocation: PowerAllocation
@@ -308,21 +299,15 @@ class _DirectionalAreaEvaluator:
     some row only where the block's largest scale times ``s_eb`` exceeds
     the caller's per-column lower bound on the noise (its floor); rounding
     is monotone, so that mask is a superset of the live columns.  The gap,
-    its clip and the ``2/alpha`` power are taken on those columns alone and
-    scattered into a zeroed full-width block kept between calls, and the
-    areas are that block's full product with the weights.  The full product
-    keeps the summation order of the full-width gap, so every area keeps
-    its bits; a product over the live weights alone would reorder the sum.
-    Above ``_LIVE_SHARE_MAX`` live columns the block is scored full width,
-    as before, with the kept block as the scratch of a per-row product, or
-    freed first when the product is one row."""
+    its clip and the ``2/alpha`` power are taken on those columns alone,
+    and the areas are their product with the same columns' weights.  The
+    full-width sum only adds zeros to it, in another order, so the two
+    agree to rounding."""
 
     def __init__(self, cfg, beam_angles):
         self.cfg = cfg
         thetas, _, self.s_eb, self.weights = _default_arcs(cfg)
         self.response = _beam_responses(cfg, thetas, beam_angles)
-        self._block = None
-        self._dirty = False
 
     def jam(self, powers):
         return powers @ self.response
@@ -331,54 +316,16 @@ class _DirectionalAreaEvaluator:
         """Areas of the rows ``radius**alpha = scale * s_eb - noise``.
 
         ``scale`` is one number or one per row.  ``noise(cols)`` builds the
-        rows' deposited noise on the grid columns ``cols`` (an index array,
-        or ``slice(None)`` for every column): a block this call overwrites,
-        or one column that holds each row's noise for every column.
-        ``floor`` bounds every row's noise from below, per column or for
-        all of them."""
-        live = np.max(scale) * self.s_eb > floor
-        count = np.count_nonzero(live)
-        if count > _LIVE_SHARE_MAX * live.size:
-            # full width: a per-row scale's product block is taken into the
-            # kept block, so a call allocates at most the caller's noise
-            # block (two fresh blocks freed together went back to the
-            # system and faulted in again on the next call: 270,000 page
-            # faults in one N=100 descent); a scalar scale's product is one
-            # row, so the kept block is freed before the noise block is built
-            product = None
-            if np.ndim(scale):
-                product = self._kept_block(len(scale), zeroed=False)
-            else:
-                self._block = None
-            return self._powered_gap(scale, self.s_eb, noise(slice(None)),
-                                     product) @ self.weights
-        pad = -count % _LIVE_PAD
-        live[np.flatnonzero(~live)[:pad]] = True
-        cols = np.flatnonzero(live)
-        gap = self._powered_gap(scale, self.s_eb[cols], noise(cols))
-        block = self._kept_block(len(gap), zeroed=True)
-        block[:, cols] = gap
-        out = block @ self.weights
-        block[:, cols] = 0.0
-        return out
-
-    def _kept_block(self, rows, zeroed):
-        """The first ``rows`` rows of the full-width block kept between
-        calls: zeroed for a scatter, else scratch that is left dirty."""
-        if self._block is None or len(self._block) < rows:
-            self._block = np.zeros((rows, self.s_eb.size))
-            self._dirty = False
-        if zeroed and self._dirty:
-            self._block.fill(0.0)
-        self._dirty = not zeroed
-        return self._block[:rows]
-
-    def _powered_gap(self, scale, s_eb, noise, product=None):
-        """``_outage_gap`` raised to ``2/alpha``, written into ``noise`` when
-        that is a block of the gap's full width."""
-        out = noise if noise.shape[-1] == s_eb.size else None
-        gap = _outage_gap(scale, s_eb, noise, out=out, product=product)
-        return _pow_2_over_alpha(gap, self.cfg.alpha)
+        rows' deposited noise on the grid columns ``cols`` (an index
+        array): a block this call overwrites, or one fresh column that holds
+        each row's noise for every column (overwritten too when ``cols`` has
+        one entry).  ``floor`` bounds every row's noise from below, per
+        column or for all of them."""
+        cols = np.flatnonzero(np.max(scale) * self.s_eb > floor)
+        rows = noise(cols)
+        out = rows if rows.shape[-1] == cols.size else None
+        gap = _outage_gap(scale, self.s_eb[cols], rows, out=out)
+        return _pow_2_over_alpha(gap, self.cfg.alpha) @ self.weights[cols]
 
     def uniform_areas(self, phis):
         """Areas under uniform null-space jamming at each fraction in
@@ -387,7 +334,7 @@ class _DirectionalAreaEvaluator:
         def block_areas(block):
             cons = sor_constants(self.cfg, block)
             return self.areas(cons.scale, np.min(cons.offset),
-                              lambda cols: cons.offset[:, None])
+                              lambda cols: cons.offset[:, None].copy())
         return _in_blocks(block_areas, phis)
 
     def area(self, powers):

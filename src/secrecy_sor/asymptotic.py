@@ -20,7 +20,7 @@ Distances are meters, powers Watts, angles radians throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -132,6 +132,10 @@ class SorBoundary:
     thetas: np.ndarray
     radii: np.ndarray
     lobes: list
+    # (thetas, area weights) of the default grid the boundary was built on,
+    # so sor_area reads the memoised weights while ``thetas`` is that grid
+    _grid_weights: tuple = field(default=(None, None), init=False,
+                                 repr=False, compare=False)
 
 
 def _read_only(array):
@@ -140,7 +144,7 @@ def _read_only(array):
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerAllocation:
     """How the artificial-noise budget ``phi * p_tot`` is spread.
 
@@ -149,6 +153,7 @@ class PowerAllocation:
     while ``dft_selected`` drives explicit beams whose steering angles are
     listed in ``beam_angles`` (one per entry of ``beam_powers``, in Watts).
     Immutable: the arrays are read-only float copies of the ones given.
+    Compared and hashed by identity.
     """
 
     phi: float
@@ -292,14 +297,13 @@ def sor_constants(cfg, phi):
     return SorConstants(scale, p_jam, p_jam / scale)
 
 
-def _outage_gap(scale, s_eb, noise, out=None, product=None):
+def _outage_gap(scale, s_eb, noise, out=None):
     """radius**alpha of the outage boundary, ``max(scale * s_eb - noise,
     0)``, with the product taken as ``np.multiply.outer(scale, s_eb)``
     (one row per entry of an array ``scale``; at least one of the two is an
-    array), into the block ``product`` when one is given.  The result goes
-    to ``out``, which may be ``noise`` itself, or else into the product's
-    block, so no further block is allocated."""
-    gap = np.multiply.outer(scale, s_eb, out=product)
+    array).  The result goes to ``out``, which may be ``noise`` itself, or
+    else into the product, so no further block is allocated."""
+    gap = np.multiply.outer(scale, s_eb)
     if out is None:
         out = gap
     np.subtract(gap, noise, out=out)
@@ -389,15 +393,17 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     the jamming noise deposited toward them, normalized by the noise floor
     (an array, or one number for all of them)."""
     if theta_grid is None:
-        thetas, arcs, s_eb, _ = _default_arcs(cfg)
+        thetas, arcs, s_eb, weights = _default_arcs(cfg)
     else:
         thetas, arcs = _arcs_for_grid(cfg, theta_grid)
-        s_eb = _s_eb(cfg, thetas)
+        s_eb, weights = _s_eb(cfg, thetas), None
     gap = _outage_gap(scale, s_eb, noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
     lobes = [LobeArc(index, float(np.max(radii[lo:hi + 1])) if hi >= lo
                      else 0.0, lo, hi) for index, lo, hi in arcs]
-    return SorBoundary(thetas=thetas, radii=radii, lobes=lobes)
+    boundary = SorBoundary(thetas=thetas, radii=radii, lobes=lobes)
+    boundary._grid_weights = (thetas, weights)
+    return boundary
 
 
 def sor_boundary_uniform(cfg, phi, theta_grid=None):
@@ -459,7 +465,8 @@ def sor_boundary_directional(cfg, alloc, theta_grid=None):
 
 
 def sor_area(boundary):
-    """Area enclosed by a polar boundary, integrated arc by arc.
+    """Area enclosed by a polar boundary, integrated arc by arc; on the
+    default grid with the memoised quadrature weights.
 
     Warns (``ResolutionWarning``) when any sampled arc carries fewer grid
     points than the quadrature needs to be trustworthy.
@@ -470,8 +477,10 @@ def sor_area(boundary):
             warnings.warn(
                 f"lobe arc {arc.index} sampled with only {n} points; "
                 "area may be inaccurate", ResolutionWarning, stacklevel=2)
-    return float(boundary.radii ** 2
-                 @ _area_weights(boundary.thetas, boundary.lobes))
+    thetas, weights = boundary._grid_weights
+    if weights is None or thetas is not boundary.thetas:
+        weights = _area_weights(boundary.thetas, boundary.lobes)
+    return float(boundary.radii ** 2 @ weights)
 
 
 def lobe_radii(cfg, phi):

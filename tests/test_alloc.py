@@ -5,6 +5,7 @@ Brute-force grids in this file re-derive the optima independently; frozen
 numbers were produced by those same grids at higher resolution.
 """
 
+import dataclasses
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -31,6 +32,7 @@ from secrecy_sor import (
     sor_area,
     sor_boundary_directional,
     sor_boundary_uniform,
+    sor_constants,
 )
 from secrecy_sor import alloc
 from secrecy_sor import sop as sop_module
@@ -203,24 +205,38 @@ SHARES = np.column_stack([np.linspace(0.0, 1.0, 201),
                           np.linspace(1.0, 0.0, 201)])
 
 
-def _scored_blocks(monkeypatch, share_max, run):
-    """(areas, live share) of every block the area evaluator scores while
-    ``run()`` runs, with the live-share threshold at ``share_max``: 1.0
-    keeps every block on its live columns, -1.0 puts every block on the
-    full width."""
+def _full_width(ev, scale, noise):
+    """Reference: the areas of a block's rows over every grid column, with
+    no mask."""
+    every = np.arange(ev.s_eb.size)
+    gap = np.maximum(np.multiply.outer(scale, ev.s_eb) - noise(every), 0.0)
+    return _pow_2_over_alpha(gap, ev.cfg.alpha) @ ev.weights
+
+
+def _scored_blocks(monkeypatch, run):
+    """(areas, full-width reference, live share) of every block the area
+    evaluator scores while ``run()`` runs."""
     blocks = []
     areas = _DirectionalAreaEvaluator.areas
 
     def recorded(ev, scale, floor, noise):
         share = np.mean(np.max(scale) * ev.s_eb > floor)
+        want = _full_width(ev, scale, noise)
         out = areas(ev, scale, floor, noise)
-        blocks.append((out.copy(), share))
+        blocks.append((out.copy(), want, share))
         return out
     with monkeypatch.context() as m:
-        m.setattr(alloc, "_LIVE_SHARE_MAX", share_max)
         m.setattr(_DirectionalAreaEvaluator, "areas", recorded)
         run()
     return blocks
+
+
+def _assert_like_full_width(got, want):
+    """Exact zeros where the reference is zero, else within 1e-14
+    relative."""
+    dead = want == 0.0
+    assert np.all(got[dead] == 0.0)
+    assert np.all(np.abs(got[~dead] / want[~dead] - 1.0) <= 1e-14)
 
 
 def _scan_evaluator(cfg):
@@ -257,14 +273,12 @@ def _uniform_run(cfg):
                          ids=["scan", "descent", "uniform"])
 def test_live_columns_score_every_block_like_the_full_width(make_run,
                                                             monkeypatch):
-    run = make_run(CFG50)
-    live = _scored_blocks(monkeypatch, 1.0, run)
-    full = _scored_blocks(monkeypatch, -1.0, run)
-    assert len(live) == len(full) > 1
-    for (got, share), (want, _) in zip(live, full):
-        assert np.array_equal(got, want), share
-    # the mask drops most columns: these blocks did take the live path
-    assert min(share for _, share in live) < 0.1
+    blocks = _scored_blocks(monkeypatch, make_run(CFG50))
+    assert len(blocks) > 1
+    for got, want, _ in blocks:
+        _assert_like_full_width(got, want)
+    # the mask drops most columns of some blocks
+    assert min(share for _, _, share in blocks) < 0.1
 
 
 def test_descent_mask_takes_the_largest_fraction_of_the_block(monkeypatch):
@@ -283,26 +297,55 @@ def test_descent_mask_takes_the_largest_fraction_of_the_block(monkeypatch):
     jam_base += boundary_scale(CFG50, phis[top]) * ev.s_eb * (1.0 - 1e-9)
     # a mask from the level-0 scale would see no live column at all
     assert not np.any(boundary_scale(CFG50, phis[0]) * ev.s_eb > jam_base)
-    live, full = (_scored_blocks(
-        monkeypatch, share_max,
-        lambda: alloc._visit_areas(ev, powers, 1, cand, jam_base))
-        for share_max in (1.0, -1.0))
-    (got, share), = live
-    assert np.array_equal(got, full[0][0])
+    (got, want, share), = _scored_blocks(
+        monkeypatch, lambda: alloc._visit_areas(ev, powers, 1, cand, jam_base))
+    _assert_like_full_width(got, want)
     assert got[top] > 0.0 and np.count_nonzero(got) == 1
     assert share < 0.5
 
 
 def test_all_live_block_takes_the_full_width(monkeypatch):
-    # at N=100, 150 m every scan block is live nearly everywhere
+    # at N=100, 150 m the unjammed scan block is live on every column
     ev = _scan_evaluator(FIG6_150)
-    run = lambda: alloc._split_areas(ev, 0.3, SHARES)
-    (live, _), = _scored_blocks(monkeypatch, 1.0, run)
-    assert ev._block is not None  # the live path scattered into it
-    (got, share), = _scored_blocks(monkeypatch, alloc._LIVE_SHARE_MAX, run)
-    assert share > 0.99
-    assert ev._block is None  # freed before the full-width blocks exist
-    assert np.array_equal(got, live)
+    kept = dict(vars(ev))
+    (got, want, share), = _scored_blocks(
+        monkeypatch, lambda: alloc._split_areas(ev, 0.0, SHARES))
+    assert share == 1.0
+    _assert_like_full_width(got, want)
+    # the evaluator keeps no block between calls
+    assert vars(ev).keys() == kept.keys()
+    assert all(vars(ev)[name] is value for name, value in kept.items())
+
+
+def test_block_with_no_live_column_scores_exact_zeros():
+    ev = _scan_evaluator(CFG50)
+    scale = boundary_scale(CFG50, 0.3)
+    floor = scale * ev.s_eb  # no column's gap can be positive
+    got = ev.areas(scale, floor, lambda cols: np.tile(floor[cols], (3, 1)))
+    assert np.array_equal(got, np.zeros(3))
+
+
+def test_uniform_block_with_one_live_column_keeps_the_offset(monkeypatch):
+    # at 20 m some fractions leave only the grid point on Bob live
+    cfg = dataclasses.replace(CFG50, bob_dist=20.0)
+    ev = _DirectionalAreaEvaluator(cfg, ())
+    grid = np.linspace(0.0, phi_max(cfg), 2001, endpoint=False)
+    cons = sor_constants(cfg, grid)
+    live = np.count_nonzero(np.multiply.outer(cons.scale, ev.s_eb)
+                            > cons.offset[:, None], axis=1)
+    phis = grid[np.flatnonzero(live == 1)[:1]]
+    assert phis.size == 1
+    built = []
+
+    def recorded(cfg, phi):
+        built.append(sor_constants(cfg, phi))
+        return built[-1]
+    monkeypatch.setattr(alloc, "sor_constants", recorded)
+    (got,) = ev.uniform_areas(phis)
+    (cons,) = built
+    assert np.array_equal(cons.offset, phis * cfg.p_tilde_tot)
+    want = sor_area(sor_boundary_uniform(cfg, float(phis[0])))
+    assert got > 0.0 and abs(got / want - 1.0) <= 1e-14
 
 
 def _counted_closed_forms(monkeypatch):
@@ -355,6 +398,17 @@ def _assert_immutable(result):
         result.allocation.phi = 0.0
 
 
+def test_results_and_allocations_compare_by_identity():
+    result = algorithm3_two_lobes(CFG32)
+    twin = dataclasses.replace(
+        result, allocation=dataclasses.replace(result.allocation))
+    for one, other in ((result, twin), (result.allocation, twin.allocation)):
+        assert one == one and one != other
+        assert one in [other, one] and one not in [other]
+        assert hash(one) == hash(one)
+        assert len({one, other}) == 2
+
+
 def test_uniform_results_are_the_memoised_result():
     first = optimize_phi_uniform(CFG32, None, objective="sor_area")
     assert len(first.trace) > 1
@@ -387,31 +441,14 @@ FIG6_100 = ScenarioConfig(G(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0,
 @pytest.mark.parametrize("cfg", [CFG50, FIG6_100], ids=["n50", "n100"])
 def test_split_noise_on_live_columns_equals_the_full_product(cfg,
                                                             monkeypatch):
-    # the scan's noise on the columns the evaluator asks for, against the
-    # same columns of the full product: OpenBLAS rounds a product's 4-7
-    # trailing columns differently, which the padding to _LIVE_PAD avoids
-    ev = _scan_evaluator(cfg)
-    built = []
-    areas = _DirectionalAreaEvaluator.areas
-
-    def spied(ev, scale, floor, noise):
-        def recorded(cols):
-            block = noise(cols)
-            built.append((cols, block.copy()))
-            return block
-        return areas(ev, scale, floor, recorded)
-    monkeypatch.setattr(_DirectionalAreaEvaluator, "areas", spied)
-    checked = 0
-    for phi in np.arange(0.0, phi_max(cfg), 0.01):
-        built.clear()
-        alloc._split_areas(ev, phi, SHARES)
-        (cols, block), = built
-        if isinstance(cols, slice):
-            continue  # scored full width
-        full = (SHARES * (phi * cfg.p_tot)) @ ev.response
-        assert np.array_equal(block, full[:, cols]), cols.size
-        checked += 1
-    assert checked > 50
+    # every block of the two-lobe scan, with its split noise built on the
+    # live columns alone, against the full-width block, at three distances
+    for dist in (60.0, 100.0, 150.0):
+        blocks = _scored_blocks(
+            monkeypatch, _scan_run(dataclasses.replace(cfg, bob_dist=dist)))
+        assert len(blocks) > 50
+        for got, want, _ in blocks:
+            _assert_like_full_width(got, want)
 
 
 def _segment_area_loop(th, r):

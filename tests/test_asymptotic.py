@@ -275,6 +275,31 @@ def test_power_allocation_copies_the_callers_arrays():
         assert held[0] != 9.0
 
 
+def test_default_grid_areas_read_the_memoised_weights(monkeypatch):
+    angles = np.arcsin(np.array([-2.5, 1.5]) / 25.0)
+    alloc = PowerAllocation(0.4, [0.3, 0.1], "dft_selected", angles)
+    default = [sor_boundary_uniform(CFG50, 0.3),
+               sor_boundary_directional(CFG50, alloc)]
+    want = [bd.radii ** 2 @ asymptotic._area_weights(bd.thetas, bd.lobes)
+            for bd in default]
+    user = sor_boundary_uniform(CFG50, 0.3,
+                                theta_grid=np.array(default[0].thetas))
+    moved = sor_boundary_uniform(CFG50, 0.3)
+    moved.thetas = np.array(moved.thetas)
+    calls = []
+    weights = asymptotic._area_weights
+
+    def counted(thetas, arcs):
+        calls.append(thetas)
+        return weights(thetas, arcs)
+    monkeypatch.setattr(asymptotic, "_area_weights", counted)
+    assert [sor_area(bd) for bd in default] == want
+    assert calls == []
+    # a user grid, or a boundary whose angles were replaced, computes its own
+    assert sor_area(user) == sor_area(moved) == want[0]
+    assert len(calls) == 2
+
+
 def test_directional_beam_kills_targeted_lobe_only():
     # a single explicit beam at the first right side lobe peak should carve
     # that lobe down while leaving the mirror lobe almost unchanged

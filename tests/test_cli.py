@@ -154,6 +154,13 @@ def test_reproduce_fig3_and_fig4_rows(tmp_path):
     assert rows[7] == want + [""]
 
 
+def test_reproduce_fig5_bytes(tmp_path):
+    # every allocation search scores its areas here, on the default grid
+    out = tmp_path / "fig5.csv"
+    assert main(["reproduce", "fig5", "--out", str(out)]) == 0
+    assert_digest(out, "fig5.csv")
+
+
 def test_integer_sweep_parameters(tmp_path):
     cfg = _reference_cfg(100, 10.0, 100.0)
     region = SuspiciousRegion((math.radians(-15.0), math.radians(15.0)),

@@ -241,3 +241,29 @@ def test_area_evaluator_equals_the_boundary_area(n, alpha, bob_theta, r_th,
     got = _DirectionalAreaEvaluator(cfg, angles).area(powers)
     want = sor_area(sor_boundary_directional(cfg, alloc))
     assert abs(got - want) <= 1e-12 * want
+
+
+# algorithm 2's evaluator drives every eligible DFT beam, some of them off;
+# its area must be the area of the boundary the allocation draws, so the
+# live-column mask may drop no column that boundary reads
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([32, 50]),
+       st.floats(min_value=40.0, max_value=160.0),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.data())
+def test_descent_evaluator_area_equals_the_boundary_area(n, bob_dist, frac,
+                                                         data):
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0,
+                         bob_dist)
+    beam_angles = build_dft_basis(cfg.geometry)
+    angles = beam_angles[_jam_beam_indices(cfg, beam_angles)]
+    shares = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), unit), min_size=angles.size,
+        max_size=angles.size)))
+    powers = (frac * phi_max(cfg) * cfg.p_tot * shares
+              / max(np.sum(shares), 1.0))
+    alloc = PowerAllocation(float(np.sum(powers) / cfg.p_tot), powers,
+                            "dft_selected", angles)
+    got = _DirectionalAreaEvaluator(cfg, angles).area(powers)
+    want = sor_area(sor_boundary_directional(cfg, alloc))
+    assert abs(got - want) <= 1e-12 * want
