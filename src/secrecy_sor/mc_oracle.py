@@ -1,28 +1,41 @@
 """Finite-array Monte Carlo reference.
 
 Everything else in this package works in the large-array limit; this module
-checks those formulas the hard way.  It draws explicit Rician channel
-vectors for Bob and each eavesdropper, forms the actual transmit covariance
-(maximum-ratio beam plus artificial noise in the chosen basis), and counts
-secrecy outages.
+checks those formulas the hard way.  Each sample draws a Rician channel
+h = sqrt(w) a + sqrt(1 - w) g for Bob and for each eavesdropper (``a`` the
+line-of-sight steering vector, ``g`` circularly-symmetric unit scatter),
+applies the actual transmit covariance (maximum-ratio beam plus artificial
+noise in the chosen basis), and counts secrecy outages.
+
+The SINRs depend on a channel only through |h|**2 and its inner products
+with a few known unit or steering directions F: for Bob, his own and every
+eavesdropper's line of sight and the jamming beams; for an eavesdropper,
+u = h_b/|h_b|, her own line of sight and the beams.  So the engine never
+builds an N-length vector.  It draws (F^H g, |g|**2) exactly: with
+L L^H = F^H F (the Gram, closed-form array-factor sums), F^H g = L c for
+standard complex normals c, and |g|**2 is the sum of |c_j|**2 over the
+min(D, N) counted coordinates (see ``_factor``) plus a Gamma(N - min(D, N))
+variable for the part of ``g`` outside the span of F.  That holds for any
+directions, coincident ones and more of them than antennas included.
 
 Reproducibility contract: sample ``i`` of receiver ``l`` (Bob is 0) always
 reads from the counter-based substream ``(master_seed, i, l)``: the numbers
 a fresh ``Philox(key=master_seed, counter=[0, i, l, 0])`` produces.  Within
 a receiver's substream the draw order is fixed: position first
 (eavesdroppers only: angle, then radius, each where the caller draws it),
-then the channel entries (real before imaginary, entry by entry).
+then 2 min(D, N) standard normals (the real, then the imaginary part of
+each coordinate of c) and one standard gamma variate.  ``D`` and ``N``
+depend on the scenario only, so the counts never depend on the data.
 
 The engine works in blocks of samples.  A block holds about
-``_BLOCK_ENTRIES`` channel entries (samples x receivers x antennas), a
-constant, so the block boundaries depend on the scenario only.  Each worker
-thread owns one Philox generator, moves it to each substream of its blocks
-in turn, draws the block's normals into one preallocated array, and
-computes the block's channels and SINRs with array operations.  Blocks are
-spread over at most as many workers as there are blocks or usable CPUs
-(one worker for small arrays, see ``_THREADED_MIN_ANTENNAS``), and
-per-block results are combined in block order, so results are
-byte-identical across runs and thread counts.
+``_BLOCK_DRAWS`` drawn numbers, a constant, so the block boundaries depend
+on the scenario only.  Each worker thread owns one Philox generator, moves
+it to each substream of its blocks in turn, draws into preallocated
+arrays, and computes the block's Grams, factors and SINRs with array
+operations.  Blocks are spread over at most as many workers as there are
+blocks or usable CPUs (one worker below ``_THREADED_MIN_ANTENNAS``
+elements, today every array), and per-block results are combined in block
+order, so results are byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,20 +52,27 @@ from .asymptotic import (
     _check_allocation,
     _uniform_allocation,
 )
-from .crosstalk import steering_vector
 
+_HALF_PI = 0.5 * np.pi
 # a Rician factor large enough to be numerically pure line of sight
 _K_CAP = 1e12
-# channel entries (samples x receivers x antennas) drawn per block: sets a
-# block's memory (16 bytes of normals per entry), not the results
-_BLOCK_ENTRIES = 8192
-# smallest array that runs on more than one thread.  Each (sample,
-# receiver) draw holds the GIL for a few microseconds of Python and
-# releases it while numpy fills the 2N normals.  On a 2-vCPU host two
-# threads ran 1.3-1.8x faster than one at N = 400, broke even at N = 200
-# and ran up to 1.3x slower at N = 100, where the fills are too short to
-# overlap the other thread's Python work.
-_THREADED_MIN_ANTENNAS = 256
+# numbers drawn per block (positions, normals and gammas over the block's
+# samples and receivers): sets a block's memory, not the results
+_BLOCK_DRAWS = 8192
+# a Cholesky pivot at most this fraction of its Gram diagonal is zero: its
+# direction lies in the span of the earlier ones, up to rounding.  On 2000
+# random steering sets per shape this found every rank; 1e-8 and up zeroed
+# independent directions
+_PIVOT_RTOL = 1e-10
+# Gram entries whose phase-form denominator |exp(jx) - 1| is below this
+# are recomputed from the Dirichlet form, where the phase form cancels
+_NEAR_PHASE = 1e-3
+# smallest array that runs on more than one thread: none.  The draw loop
+# holds the interpreter lock and its cost does not grow with the array.
+# In alternated pairs on a host lending two CPUs, two threads never beat
+# one: ties at N = 400 (1 eavesdropper) and N = 1000 (10), 14% slower at
+# N = 100 (10), 2x slower at N = 2000 (1).
+_THREADED_MIN_ANTENNAS = float("inf")
 
 
 @dataclass(frozen=True)
@@ -62,9 +83,9 @@ class McRunSpec:
     derived from the scenario's ``k_eb`` assuming both ends share the same
     factor.  ``threads`` caps the worker threads the sample blocks are
     spread over, at most one per block and per usable CPU; arrays below
-    ``_THREADED_MIN_ANTENNAS`` elements run on the calling thread, where
-    more threads only contend for the GIL.  The substream scheme makes the
-    result independent of either.
+    ``_THREADED_MIN_ANTENNAS`` elements (today every array) run on the
+    calling thread, where more threads only contend for the GIL.  The
+    substream scheme makes the result independent of either.
     """
 
     n_samples: int
@@ -118,36 +139,102 @@ class _Substreams:
         return self._gen
 
 
-def _channel(los, z, rician_k):
-    """Rician channels from line-of-sight responses and ``(..., n, 2)``
-    standard normals (real, imaginary) for the circularly-symmetric
-    scatter."""
-    w_los = rician_k / (1.0 + rician_k)
-    h = z.view(complex)[..., 0] / np.sqrt(2.0)
-    h *= np.sqrt(1.0 - w_los)
-    h += np.sqrt(w_los) * los
-    return h
+def _phases(geom, thetas):
+    """Phase step 2 pi d sin(theta) between neighbouring elements of the
+    steering vector exp(-2j pi d k sin(theta)), k = 0..N-1."""
+    return 2.0 * np.pi * geom.spacing * np.sin(thetas)
 
 
-def _beam_matrix(geom, angles):
-    """Unit-norm steering columns for explicit jamming beams."""
-    k = np.arange(geom.n_antennas)
-    sins = np.sin(np.asarray(angles, dtype=float))
-    return np.exp(-2j * np.pi * geom.spacing * np.outer(k, sins)) \
-        / np.sqrt(geom.n_antennas)
+def _steering_gram(psi, n):
+    """a_i^H a_j for the steering vectors of phase steps ``psi`` (..., D):
+    the array-factor sums sum_k exp(jk x), x = psi_i - psi_j, as
+    (exp(jnx) - 1) / (exp(jx) - 1) from per-direction phases.  Entries near
+    x = 0 modulo 2 pi (the diagonal among them) take the Dirichlet form
+    exp(j(n-1)x/2) sin(nx/2) / sin(x/2) on the wrapped difference."""
+    step, span = np.exp(1j * psi), np.exp(1j * n * psi)
+    den = step[..., :, None] * step[..., None, :].conj() - 1.0
+    near = np.abs(den) < _NEAR_PHASE
+    den[near] = 1.0
+    gram = span[..., :, None] * span[..., None, :].conj() - 1.0
+    gram /= den
+    *lead, i, j = np.nonzero(near)
+    x = psi[(*lead, i)] - psi[(*lead, j)]
+    half = 0.5 * (x - 2.0 * np.pi * np.round(x / (2.0 * np.pi)))
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(half == 0.0, float(n),
+                         np.sin(n * half) / np.sin(half))
+    gram[near] = np.exp(1j * (n - 1) * half) * ratio
+    return gram
 
 
-def _beams(cfg, alloc):
+def _factor(gram, n):
+    """Lower factor of a stack of Hermitian Grams (..., D, D) of directions
+    in C^n, one column at a time, and the counted coordinates.
+
+    ``low @ low^H`` equals ``gram``.  A pivot at most ``_PIVOT_RTOL`` of its
+    diagonal zeroes its column, and at most ``n`` pivots stay live (no more
+    directions are independent in C^n).  The counted coordinates, a
+    (..., D) mask, are the live columns plus the first min(D, n) - rank dead
+    ones: exactly min(D, n) per Gram.  With c standard complex normal on the
+    counted coordinates (zero elsewhere), ``low @ c`` has the law of F^H g
+    and the sum of |c_j|**2 that of |P g|**2 plus the first
+    min(D, n) - rank coordinates of the rest of ``g``.
+    """
+    d = gram.shape[-1]
+    low = np.zeros_like(gram)
+    live = np.zeros(gram.shape[:-1], dtype=bool)
+    rank = np.zeros(gram.shape[:-2], dtype=int)
+    for k in range(d):
+        col = gram[..., k:, k] - np.einsum(
+            "...ij,...j->...i", low[..., k:, :k], low[..., k, :k].conj())
+        pivot = col[..., 0].real
+        ok = (pivot > _PIVOT_RTOL * gram[..., k, k].real) & (rank < n)
+        root = np.sqrt(np.where(ok, pivot, 1.0))
+        low[..., k:, k] = np.where(ok[..., None], col / root[..., None], 0.0)
+        live[..., k] = ok
+        rank += ok
+    dead = ~live
+    spare = min(d, n) - rank
+    return low, live | (dead & (np.cumsum(dead, axis=-1) <= spare[..., None]))
+
+
+def _scatter_stats(gram, n, z, gamma):
+    """(F^H g, |g|**2) for g ~ CN(0, I_n) and directions F of Gram ``gram``
+    (..., D, D), from 2 min(D, n) standard normals ``z`` (..., 2 min(D, n))
+    and standard gamma variates ``gamma`` (...) of shape n - min(D, n)."""
+    low, counted = _factor(gram, n)
+    c = np.zeros(counted.shape, dtype=complex)
+    c[counted] = z.view(complex).reshape(-1) / np.sqrt(2.0)
+    proj = np.einsum("...ij,...j->...i", low, c)
+    return proj, 0.5 * np.einsum("...j,...j->...", z, z) + gamma
+
+
+class _Stats(NamedTuple):
+    """What the SINRs of a block of samples depend on: squared magnitudes
+    of Bob's and the eavesdroppers' channels and of their projections,
+    with u = h_b/|h_b| and b_m the unit-norm jamming beams."""
+
+    bob_norm2: np.ndarray   # |h_b|**2, (sample,)
+    bob_beams: np.ndarray   # |b_m^H h_b|**2, (sample, beam)
+    cross2: np.ndarray      # |u^H h_e|**2, (sample, eavesdropper)
+    eve_norm2: np.ndarray   # |h_e|**2, (sample, eavesdropper)
+    eve_beams: np.ndarray   # |b_m^H h_e|**2, (sample, eavesdropper, beam)
+    dist: np.ndarray | None  # eavesdropper distances, (sample, eavesdropper)
+
+
+def _beam_angles(alloc):
     if alloc.basis == "null_space_uniform":
-        return None
-    return _beam_matrix(cfg.geometry, alloc.beam_angles)
+        return np.empty(0)
+    return alloc.beam_angles
 
 
 def null_space_basis(h):
     """Orthonormal basis of the beamforming directions orthogonal to ``h``
-    (columns of the result).  The jamming power a receiver collects from an
-    isotropic spread over these columns reduces to a norm identity, which
-    the fast path uses instead; this explicit basis exists for checking it.
+    (columns of the result).  Isotropic noise spread over these columns
+    reaches a receiver of channel ``h_e`` with power proportional to
+    |h_e|**2 - |h^H h_e|**2 / |h|**2; the engine evaluates that identity
+    from its drawn statistics and never builds this basis, which exists for
+    checking it.
     """
     h = np.asarray(h, dtype=complex)
     _, s, vh = np.linalg.svd(h.conj()[None, :], full_matrices=True)
@@ -164,46 +251,28 @@ def _as_allocation(cfg, alloc):
     return _uniform_allocation(cfg, float(alloc))
 
 
-def _sq_norms(h):
-    """Squared norms along the last axis of a complex array."""
-    v = h.view(float)
-    return np.einsum("...i,...i->...", v, v)
-
-
-def _cross(h):
-    """|h_e^H h_b|**2 per sample and eavesdropper of a block ``h`` of
-    (sample, receiver, antenna) channels with Bob at receiver 0."""
-    inner = h[:, 1:] @ h[:, 0].conj()[:, :, None]
-    return np.abs(inner[..., 0]) ** 2
-
-
-def _block_sinrs(cfg, alloc, beams, h, dist):
-    """(sinr_bob, sinr_eve) of a block, no approximations: ``h`` holds
-    (sample, receiver, antenna) channels with Bob at receiver 0, ``dist``
-    the eavesdroppers' (sample, eavesdropper) distances.
+def _sinrs(cfg, alloc, stats):
+    """(sinr_bob, sinr_eve) of a block of ``_Stats``, no approximations.
 
     The transmitter beams ``(1-phi) p_tot`` at Bob by maximum ratio and
     spreads the noise budget per ``alloc``.  Isotropic null-space noise is
     invisible to Bob by construction and reaches an eavesdropper through
-    the norm of her channel outside the signal direction; explicit
-    ``beams`` leak to both receivers through their actual channels.
+    the norm of her channel outside the signal direction; explicit beams
+    leak to both receivers through their actual channels.
     """
-    h_b, h_e = h[:, 0], h[:, 1:]
     p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
     gain_b = cfg.bob_dist ** (-cfg.alpha)
-    gain_e = dist ** (-cfg.alpha)
-    norm_b2 = _sq_norms(h_b)
-    cross2 = _cross(h) / norm_b2[:, None]
-    if beams is None:
+    gain_e = stats.dist ** (-cfg.alpha)
+    if alloc.basis == "null_space_uniform":
         jam_b = 0.0
         per_dir = alloc.phi * cfg.p_tilde_tot / (cfg.geometry.n_antennas - 1)
-        jam_e = per_dir * (_sq_norms(h_e) - cross2)
+        jam_e = per_dir * (stats.eve_norm2 - stats.cross2)
     else:
         p_beams = alloc.beam_powers / cfg.n0
-        jam_b = np.abs(h_b.conj() @ beams) ** 2 @ p_beams
-        jam_e = np.abs(h_e.conj() @ beams) ** 2 @ p_beams
-    sinr_b = p_sig * gain_b * norm_b2 / (1.0 + gain_b * jam_b)
-    sinr_e = p_sig * gain_e * cross2 / (1.0 + gain_e * jam_e)
+        jam_b = stats.bob_beams @ p_beams
+        jam_e = stats.eve_beams @ p_beams
+    sinr_b = p_sig * gain_b * stats.bob_norm2 / (1.0 + gain_b * jam_b)
+    sinr_e = p_sig * gain_e * stats.cross2 / (1.0 + gain_e * jam_e)
     return sinr_b, sinr_e
 
 
@@ -220,56 +289,130 @@ def secrecy_outage_count(sinr_bob, sinr_eve, r_th):
     return int(np.count_nonzero(ratio <= 1.0))
 
 
-def _sample_blocks(cfg, spec, n_eves, angles, radii, score):
-    """``score(h, dist)`` of every block of samples, in block order.
+def _block_stats(n, n_eves, w_los, psi, bob_scatter, eve_scatter, dist):
+    """``_Stats`` of a block of samples on an ``n``-element array.
 
-    ``h`` holds the block's (sample, receiver, antenna) channels, Bob at
-    receiver 0 and ``n_eves`` eavesdroppers after him.  Each eavesdropper
-    sits at the fixed angle ``angles`` or draws hers uniformly from the
-    interval ``angles``; with ``radii = (d_min, d_max)`` she then draws her
-    distance uniformly over that annulus, and ``dist`` holds the
-    (sample, eavesdropper) distances (else it is None).
+    ``psi`` (sample, D) holds the phase steps of Bob's directions: his line
+    of sight, the ``n_eves`` eavesdroppers' lines of sight, then the jamming
+    beams.  ``bob_scatter(gram)`` and ``eve_scatter(gram)`` return
+    (F^H g, |g|**2) for Bob's and the eavesdroppers' scatter ``g``, given
+    the Grams of their directions F, (sample, D, D) and (sample,
+    eavesdropper, D_e, D_e).  The engine draws them (``_scatter_stats``);
+    a check can compute them from explicit channels.  A channel
+    h = sqrt(w) a + sqrt(1 - w) g then has F^H h = sqrt(w) F^H a +
+    sqrt(1 - w) F^H g, where F^H a is a column of the Gram, and
+    |h|**2 = w n + (1 - w) |g|**2 + 2 sqrt(w (1 - w)) Re(a^H g).
     """
+    d_bob = psi.shape[-1]
+    sw, sg = np.sqrt(w_los), np.sqrt(1.0 - w_los)
+    scale = np.ones(d_bob)
+    scale[1 + n_eves:] = 1.0 / np.sqrt(n)
+    gram = _steering_gram(psi, n) * np.multiply.outer(scale, scale)
+    proj, g2 = bob_scatter(gram)
+    y = sw * gram[..., 0] + sg * proj                # F^H h_b
+    bob_norm2 = w_los * n + (1.0 - w_los) * g2 \
+        + 2.0 * sw * sg * proj[:, 0].real
+    # an eavesdropper's directions: u = h_b/|h_b|, then her line of sight
+    # and the beams (row l of ``pick``), with u^H f = conj(f^H h_b)/|h_b|
+    pick = np.column_stack([np.arange(1, 1 + n_eves),
+                            np.tile(np.arange(1 + n_eves, d_bob),
+                                    (n_eves, 1))])
+    d_eve = pick.shape[1] + 1
+    eve_gram = np.empty((len(psi), n_eves, d_eve, d_eve), dtype=complex)
+    eve_gram[..., 0, 0] = 1.0
+    top = y[:, pick].conj() / np.sqrt(bob_norm2)[:, None, None]
+    eve_gram[..., 0, 1:] = top
+    eve_gram[..., 1:, 0] = top.conj()
+    eve_gram[..., 1:, 1:] = gram[:, pick[:, :, None], pick[:, None, :]]
+    proj_e, g2_e = eve_scatter(eve_gram)
+    x = sw * eve_gram[..., 1] + sg * proj_e          # F_e^H h_e
+    eve_norm2 = w_los * n + (1.0 - w_los) * g2_e \
+        + 2.0 * sw * sg * proj_e[..., 1].real
+    return _Stats(bob_norm2, np.abs(y[:, 1 + n_eves:]) ** 2,
+                  np.abs(x[..., 0]) ** 2, eve_norm2, np.abs(x[..., 2:]) ** 2,
+                  dist)
+
+
+def _block_samples(n, n_eves, n_beams, n_pos):
+    """Samples per block: about ``_BLOCK_DRAWS`` numbers, counting each
+    receiver's ``n_pos`` position variates, 2 min(D, n) normals and one
+    gamma (D = 1 + n_eves + n_beams for Bob, 2 + n_beams for an
+    eavesdropper)."""
+    draws = 2 * min(1 + n_eves + n_beams, n) + 1 \
+        + n_eves * (n_pos + 2 * min(2 + n_beams, n) + 1)
+    return max(1, _BLOCK_DRAWS // draws)
+
+
+def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
+    """``score(stats)`` of every block of samples, in block order.
+
+    ``stats`` are the block's ``_Stats`` for Bob and ``n_eves``
+    eavesdroppers under unit jamming beams at ``beam_angles``.  Each
+    eavesdropper sits at the fixed angle ``angles`` or draws hers uniformly
+    from the interval ``angles``; with ``radii = (d_min, d_max)`` she then
+    draws her distance uniformly over that annulus (else ``stats.dist`` is
+    None).
+    """
+    if not np.all(np.abs(angles) <= _HALF_PI):
+        raise ValueError("theta must lie in [-pi/2, pi/2]")
     geom = cfg.geometry
-    n, n_rx = geom.n_antennas, n_eves + 1
+    n, n_beams = geom.n_antennas, len(beam_angles)
     k_rx = spec.rician_k if spec.rician_k is not None else _sym_k(cfg)
+    w_los = k_rx / (1.0 + k_rx)
     fixed = np.isscalar(angles)
     n_pos = (not fixed) + (radii is not None)
-    bob_los = steering_vector(cfg.bob_theta, geom)
-    eve_los = steering_vector(angles, geom) if fixed else None
-    per_block = max(1, _BLOCK_ENTRIES // (n_rx * n))
+    m_bob, m_eve = min(1 + n_eves + n_beams, n), min(2 + n_beams, n)
+    per_block = _block_samples(n, n_eves, n_beams, n_pos)
     blocks = [(s, min(s + per_block, spec.n_samples))
               for s in range(0, spec.n_samples, per_block)]
+    psi_bob = _phases(geom, cfg.bob_theta)
+    psi_beams = _phases(geom, np.asarray(beam_angles, dtype=float))
 
     def run(chunk):
         streams = _Substreams(spec.master_seed)
-        z = np.empty((per_block, n_rx, n, 2))
+        gen = streams.seek(0, 0)
+        normal, gamma, uniform = \
+            gen.standard_normal, gen.standard_gamma, gen.random
+        seek = streams.seek
+        shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
+        z_bob = np.empty((per_block, 2 * m_bob))
+        gam_bob = np.empty(per_block)
+        z_eve = np.empty((per_block, n_eves, 2 * m_eve))
+        gam_eve = np.empty((per_block, n_eves))
         pos = np.empty((per_block, n_eves, n_pos))
-        los = np.empty((per_block, n_rx, n), dtype=complex)
-        los[:, 0] = bob_los
-        if fixed:
-            los[:, 1:] = eve_los
         out = []
         for start, stop in chunk:
             for j, i in enumerate(range(start, stop)):
-                streams.seek(i, 0).standard_normal(out=z[j, 0])
-                for l in range(1, n_rx):
-                    gen = streams.seek(i, l)
+                seek(i, 0)
+                normal(out=z_bob[j])
+                gam_bob[j] = gamma(shape_bob)
+                for l in range(n_eves):
+                    seek(i, l + 1)
                     if n_pos:
-                        gen.random(out=pos[j, l - 1])
-                    gen.standard_normal(out=z[j, l])
+                        uniform(out=pos[j, l])
+                    normal(out=z_eve[j, l])
+                    gam_eve[j, l] = gamma(shape_eve)
             m = stop - start
-            if not fixed:
+            if fixed:
+                thetas = np.full((m, n_eves), angles)
+            else:
                 # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
                 lo, hi = angles
-                los[:m, 1:] = steering_vector(lo + (hi - lo) * pos[:m, :, 0],
-                                              geom)
+                thetas = lo + (hi - lo) * pos[:m, :, 0]
+            psi = np.concatenate([np.full((m, 1), psi_bob),
+                                  _phases(geom, thetas),
+                                  np.broadcast_to(psi_beams, (m, n_beams))],
+                                 axis=1)
             dist = None
             if radii is not None:
                 d_min, d_max = radii
                 dist = np.sqrt(d_min ** 2 + pos[:m, :, -1]
                                * (d_max ** 2 - d_min ** 2))
-            out.append(score(_channel(los[:m], z[:m], k_rx), dist))
+            out.append(score(_block_stats(
+                n, n_eves, w_los, psi,
+                lambda gram: _scatter_stats(gram, n, z_bob[:m], gam_bob[:m]),
+                lambda gram: _scatter_stats(gram, n, z_eve[:m], gam_eve[:m]),
+                dist)))
         return out
 
     cpus = len(os.sched_getaffinity(0)) \
@@ -293,13 +436,13 @@ def empirical_sop(cfg, alloc, region, spec):
     is a PowerAllocation or a bare uniform jamming fraction.
     """
     alloc = _as_allocation(cfg, alloc)
-    beams = _beams(cfg, alloc)
 
-    def outages(h, dist):
-        sinr_b, sinr_e = _block_sinrs(cfg, alloc, beams, h, dist)
+    def outages(stats):
+        sinr_b, sinr_e = _sinrs(cfg, alloc, stats)
         return secrecy_outage_count(sinr_b, sinr_e.max(axis=1), cfg.r_th)
     counts = _sample_blocks(cfg, spec, cfg.n_eves, region.angle_interval,
-                            (region.d_min, region.d_max), outages)
+                            (region.d_min, region.d_max),
+                            _beam_angles(alloc), outages)
     return sum(counts) / spec.n_samples
 
 
@@ -309,11 +452,10 @@ def empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
     if not eve_dist > 0:
         raise ValueError("eve_dist must be positive")
     alloc = _as_allocation(cfg, alloc)
-    beams = _beams(cfg, alloc)
     dist = np.array([[float(eve_dist)]])
     parts = _sample_blocks(
-        cfg, spec, 1, eve_theta, None,
-        lambda h, _: _block_sinrs(cfg, alloc, beams, h, dist))
+        cfg, spec, 1, eve_theta, None, _beam_angles(alloc),
+        lambda stats: _sinrs(cfg, alloc, stats._replace(dist=dist)))
     return (np.concatenate([b for b, _ in parts]),
             np.concatenate([e[:, 0] for _, e in parts]))
 
@@ -327,6 +469,7 @@ def empirical_crosstalk(cfg, spec, angles=(-np.pi / 2, np.pi / 2)):
     uniformly from (using the eavesdropper's substream, angle first).
     """
     n2 = float(cfg.geometry.n_antennas) ** 2
-    parts = _sample_blocks(cfg, spec, 1, angles, None,
-                           lambda h, _: _cross(h)[:, 0] / n2)
+    parts = _sample_blocks(
+        cfg, spec, 1, angles, None, (),
+        lambda stats: stats.cross2[:, 0] * stats.bob_norm2 / n2)
     return np.concatenate(parts)

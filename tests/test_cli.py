@@ -5,6 +5,7 @@ exit codes and stderr text are asserted directly.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -296,6 +297,29 @@ def test_infeasible_row_becomes_nan_with_note(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"optimize: wrote .* \(2 rows, 1 warnings\) "
                      r"in \d+\.\d\ds", err)
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, the one home of the benchmark's
+    manifests, loaded by path (``perfbench`` is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mc_validate_pool_bytes(tmp_path):
+    # both Monte Carlo shapes of the benchmark pool (master seed 1) at one
+    # and two threads: every CSV byte, not only the SOP within 3 SE
+    workloads = _benchmark_workloads()
+    invocations = workloads.build("mc_validate", 0)
+    assert sorted(inv.name for inv in invocations) == [
+        "mc_n100_e10_t1", "mc_n100_e10_t2", "mc_n400_e1_t1", "mc_n400_e1_t2"]
+    for inv, argv, out in workloads.write_manifests(invocations, tmp_path):
+        assert inv.manifest["mc"]["master_seed"] == 1
+        assert main(argv) == 0
+        assert_digest(out, out.name)
 
 
 def test_mc_validate_thread_invariance(tmp_path):

@@ -245,11 +245,14 @@ def test_area_evaluator_equals_the_boundary_area(n, alpha, bob_theta, r_th,
 
 # algorithm 2's evaluator drives every eligible DFT beam, some of them off;
 # its area must be the area of the boundary the allocation draws, so the
-# live-column mask may drop no column that boundary reads
+# live-column mask may drop no column that boundary reads.  The budget
+# stays a billionth below phi_max: within a few ulps of it the summed beam
+# powers round past phi_max, where Bob misses the rate and no boundary
+# exists (frac = 1 - 2**-53 raised InfeasibleRateError)
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([32, 50]),
        st.floats(min_value=40.0, max_value=160.0),
-       st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.floats(min_value=0.0, max_value=1.0 - 1e-9),
        st.data())
 def test_descent_evaluator_area_equals_the_boundary_area(n, bob_dist, frac,
                                                          data):

@@ -51,18 +51,21 @@ def test_run_spec_validation():
 
 
 def _draw_channel(geom, rician_k, theta, rng):
-    return mc_oracle._channel(steering_vector(theta, geom),
-                              rng.standard_normal((geom.n_antennas, 2)),
-                              rician_k)
+    """A Rician channel from the package's steering vector and ``rng``'s
+    normals, (real, imaginary) per entry."""
+    w_los = rician_k / (1.0 + rician_k)
+    z = rng.standard_normal((geom.n_antennas, 2))
+    return np.sqrt(w_los) * steering_vector(theta, geom) \
+        + np.sqrt(1.0 - w_los) * ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
 
 
 def test_draw_channel_statistics():
     rng = np.random.default_rng(0)
     # strong Rician factor: the draw collapses onto the steering vector
-    h = _draw_channel(G64, 1e12, 0.4, rng)
+    h = _old_channel(G64, 1e12, 0.4, rng)
     assert np.max(np.abs(h - steering_vector(0.4, G64))) < 1e-5
     # pure scatter: zero mean, unit per-entry variance (many draws)
-    hs = np.stack([_draw_channel(G64, 0.0, 0.0, rng) for _ in range(400)])
+    hs = np.stack([_old_channel(G64, 0.0, 0.0, rng) for _ in range(400)])
     assert abs(np.mean(hs)) < 0.01
     assert abs(np.mean(np.abs(hs) ** 2) - 1.0) < 0.02
     # norm concentrates near the element count either way
@@ -79,6 +82,57 @@ def test_null_space_basis_orthogonal_and_complete():
     assert np.max(np.abs(gram - np.eye(15))) < 1e-10
 
 
+def _explicit_gram(rows):
+    """Gram of direction vectors stored as rows (..., D, n)."""
+    return rows.conj() @ np.swapaxes(rows, -1, -2)
+
+
+def _explicit_block(cfg, w_los, thetas, beam_angles, g, dist):
+    """``mc_oracle._block_stats`` on explicit channels: ``g`` holds the
+    (sample, receiver, antenna) scatter, Bob at receiver 0 and eavesdropper
+    ``l`` at angle ``thetas[:, l]``.  The projections it is handed are
+    computed on explicit direction vectors, after checking the Grams the
+    engine built against them.  Returns the stats and the channels."""
+    geom = cfg.geometry
+    n = geom.n_antennas
+    m, n_eves = thetas.shape
+    beam_angles = np.asarray(beam_angles, dtype=float)
+    a_b = steering_vector(cfg.bob_theta, geom)
+    a_e = steering_vector(thetas, geom)
+    beams = steering_vector(beam_angles, geom).reshape(-1, n) / np.sqrt(n)
+    h_b = np.sqrt(w_los) * a_b + np.sqrt(1.0 - w_los) * g[:, 0]
+    h_e = np.sqrt(w_los) * a_e + np.sqrt(1.0 - w_los) * g[:, 1:]
+    u = h_b / np.linalg.norm(h_b, axis=-1, keepdims=True)
+    # direction vectors as rows: Bob's (sample, D, n), the eavesdroppers'
+    # (sample, eavesdropper, D_e, n)
+    f_b = np.concatenate([np.broadcast_to(a_b, (m, 1, n)), a_e,
+                          np.broadcast_to(beams, (m, len(beams), n))], axis=1)
+    f_e = np.concatenate([
+        np.broadcast_to(u[:, None, None], (m, n_eves, 1, n)), a_e[:, :, None],
+        np.broadcast_to(beams, (m, n_eves, len(beams), n))], axis=2)
+
+    def explicit(f, g_rx):
+        def project(gram):
+            assert np.max(np.abs(gram - _explicit_gram(f))) < 1e-10 * n
+            return ((f.conj() @ g_rx[..., None])[..., 0],
+                    np.sum(np.abs(g_rx) ** 2, axis=-1))
+        return project
+    psi = np.concatenate([
+        np.full((m, 1), mc_oracle._phases(geom, cfg.bob_theta)),
+        mc_oracle._phases(geom, thetas),
+        np.broadcast_to(mc_oracle._phases(geom, beam_angles),
+                        (m, len(beams)))], axis=1)
+    stats = mc_oracle._block_stats(n, n_eves, w_los, psi,
+                                   explicit(f_b, g[:, 0]),
+                                   explicit(f_e, g[:, 1:]), dist)
+    return stats, h_b, h_e
+
+
+def _complex_normals(rng, shape):
+    return (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_null_space_basis_matches_the_engine_jamming_term(n):
     # the engine never builds the null-space basis Q: it collects the
@@ -88,23 +142,105 @@ def test_null_space_basis_matches_the_engine_jamming_term(n):
                          100.0)
     alloc = mc_oracle._as_allocation(cfg, 0.4)
     rng = np.random.default_rng(n)
-    h = rng.standard_normal((6, 3, n)) + 1j * rng.standard_normal((6, 3, n))
+    thetas = rng.uniform(-1.2, 1.2, (6, 2))
     # distances where the jamming term outweighs the noise floor many times
     dist = rng.uniform(50.0, 150.0, (6, 2))
-    _, sinr_e = mc_oracle._block_sinrs(cfg, alloc, None, h, dist)
+    stats, h_b, h_e = _explicit_block(cfg, 0.5, thetas, (),
+                                      _complex_normals(rng, (6, 3, n)), dist)
+    _, sinr_e = mc_oracle._sinrs(cfg, alloc, stats)
     p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
     per_dir = alloc.phi * cfg.p_tilde_tot / (n - 1)
     for s in range(6):
-        h_b = h[s, 0]
-        q = null_space_basis(h_b)
+        q = null_space_basis(h_b[s])
         for e in range(2):
-            h_e = h[s, e + 1]
-            jam = per_dir * np.sum(np.abs(q.conj().T @ h_e) ** 2)
-            cross2 = abs(np.vdot(h_e, h_b)) ** 2 / np.vdot(h_b, h_b).real
+            jam = per_dir * np.sum(np.abs(q.conj().T @ h_e[s, e]) ** 2)
+            cross2 = abs(np.vdot(h_e[s, e], h_b[s])) ** 2 \
+                / np.vdot(h_b[s], h_b[s]).real
             gain = dist[s, e] ** -cfg.alpha
             assert gain * jam > 5.0
             want = p_sig * gain * cross2 / (1.0 + gain * jam)
             assert abs(sinr_e[s, e] / want - 1.0) < 1e-10
+
+
+_BEAMS2 = PowerAllocation(0.3, np.array([0.1, 0.2]), "dft_selected",
+                          np.array([0.2, -0.4]))
+_BEAMS5 = PowerAllocation(0.3, np.full(5, 0.06), "dft_selected",
+                          np.array([-0.9, -0.3, 0.1, 0.5, 1.3]))
+
+
+@pytest.mark.parametrize("n, n_eves, alloc", [
+    (16, 3, 0.4), (16, 3, _BEAMS2), (4, 6, 0.3), (4, 1, _BEAMS5)],
+    ids=["null", "beams", "eves_over_n", "beams_over_n"])
+def test_sinrs_from_projections_equal_per_sample_sinr(n, n_eves, alloc):
+    # the engine's algebra from projections to SINRs, on explicit channels:
+    # the first eavesdropper sits at Bob's angle, and the last two cases
+    # have more directions than antennas
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
+                         80.0, n_eves=n_eves)
+    full = mc_oracle._as_allocation(cfg, alloc)
+    rng = np.random.default_rng(n_eves)
+    thetas = rng.uniform(-1.5, 1.5, (5, n_eves))
+    thetas[:, 0] = cfg.bob_theta
+    dist = rng.uniform(40.0, 120.0, (5, n_eves))
+    stats, h_b, h_e = _explicit_block(
+        cfg, 2.0 / 3.0, thetas, mc_oracle._beam_angles(full),
+        _complex_normals(rng, (5, 1 + n_eves, n)), dist)
+    sinr_b, sinr_e = mc_oracle._sinrs(cfg, full, stats)
+    for s in range(5):
+        for e in range(n_eves):
+            want = _old_sinr(cfg, full, h_b[s], h_e[s, e], dist[s, e])
+            assert sinr_b[s] == pytest.approx(want[0], rel=1e-10, abs=0.0)
+            assert sinr_e[s, e] == pytest.approx(want[1], rel=1e-10,
+                                                 abs=0.0)
+
+
+@pytest.mark.parametrize("n, angles", [
+    (2, [0.3, -1.0, -1.0]),
+    (4, [0.0, 0.0, 0.3, -np.pi / 2, np.pi / 2, 0.3 + 1e-9, -0.8]),
+    (3, np.linspace(-1.5, 1.5, 12)),
+    (64, [0.2, 0.2 + 1e-7, 0.2 + 1e-3, -0.2, 0.5]),
+    (400, [0.0, 1e-9, 0.005, 0.9, -np.pi / 2])])
+def test_steering_gram_equals_explicit_products(n, angles):
+    # coincident, nearly coincident and grating-lobe (+-90 degrees at half
+    # wavelength) pairs take the Dirichlet form, the rest the phase form
+    geom = ArrayGeometry(n, 0.5)
+    angles = np.array(angles)
+    got = mc_oracle._steering_gram(mc_oracle._phases(geom, angles), n)
+    want = _explicit_gram(steering_vector(angles, geom))
+    assert np.max(np.abs(got - want)) < 1e-11 * n
+    assert np.all(np.diag(got) == n)
+
+
+@pytest.mark.parametrize("steering", [False, True])
+@pytest.mark.parametrize("n, rows", [
+    (4, 7), (3, 12), (16, 5), (2, 2)])
+def test_factor_reproduces_the_gram_and_counts_min_d_n(n, rows, steering):
+    # 200 sets of random or steering directions, then copies of some of
+    # them: duplicates always, and more directions than antennas in the
+    # first two cases, where rounding leaves a pivot above the tolerance
+    # past the n-th in about 1% of steering sets
+    rng = np.random.default_rng(n * rows)
+    if steering:
+        f = steering_vector(rng.uniform(-1.5, 1.5, (200, rows)),
+                            ArrayGeometry(n, 0.5))
+    else:
+        f = _complex_normals(rng, (200, rows, n))
+    f[:, -1] = f[:, 0]
+    f[1, 1] = 2.0 * f[1, 0]
+    gram = _explicit_gram(f)
+    low, counted = mc_oracle._factor(gram, n)
+    # past the n-th live pivot the Schur complement is rounding noise,
+    # which near-dependent directions amplify: up to 5e-6 of the Gram's
+    # scale in 2000 steering sets, and the cap at n pivots zeroes it
+    tol = 1e-5 if rows > n else 1e-12
+    assert np.max(np.abs(low @ np.swapaxes(low.conj(), -1, -2) - gram)) \
+        < tol * np.max(np.abs(gram))
+    assert np.all(np.triu(low, 1) == 0.0)
+    rank = np.linalg.matrix_rank(f)
+    live = np.any(low != 0.0, axis=-2)
+    assert np.array_equal(live.sum(axis=-1), rank)
+    assert np.all(counted[live])
+    assert np.all(counted.sum(axis=-1) == min(rows, n))
 
 
 def test_outage_count_edges():
@@ -197,9 +333,9 @@ def test_directional_allocation_through_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the block engine against a kept copy of the per-sample engine: one new
-# generator per (sample, receiver) substream, one channel and one SINR pair
-# at a time
+# the block engine against a kept copy of the per-sample engine it replaced:
+# one new generator per (sample, receiver) substream, 2N normals per
+# channel, one channel and one SINR pair at a time
 
 G16 = ArrayGeometry(16, 0.5)
 REG16 = SuspiciousRegion((-np.pi / 6, np.pi / 4), 40.0, 120.0)
@@ -223,6 +359,13 @@ def _old_channel(geom, rician_k, theta, rng):
     return np.sqrt(w_los) * los + np.sqrt(1.0 - w_los) * scatter
 
 
+def _old_beam_matrix(geom, angles):
+    k = np.arange(geom.n_antennas)
+    sins = np.sin(np.asarray(angles, dtype=float))
+    return np.exp(-2j * np.pi * geom.spacing * np.outer(k, sins)) \
+        / np.sqrt(geom.n_antennas)
+
+
 def _old_sinr(cfg, alloc, h_bob, h_eve, dist):
     p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
     gain_b = cfg.bob_dist ** (-cfg.alpha)
@@ -234,7 +377,7 @@ def _old_sinr(cfg, alloc, h_bob, h_eve, dist):
         per_dir = alloc.phi * cfg.p_tilde_tot / (cfg.geometry.n_antennas - 1)
         jam_e = per_dir * (float(np.vdot(h_eve, h_eve).real) - cross2)
     else:
-        beams = mc_oracle._beam_matrix(cfg.geometry, alloc.beam_angles)
+        beams = _old_beam_matrix(cfg.geometry, alloc.beam_angles)
         p_beams = alloc.beam_powers / cfg.n0
         jam_b = float(p_beams @ (np.abs(h_bob.conj() @ beams) ** 2))
         jam_e = float(p_beams @ (np.abs(h_eve.conj() @ beams) ** 2))
@@ -264,10 +407,14 @@ def _old_sop(cfg, alloc, region, spec):
 
 
 def _per_block(n_eves):
-    return mc_oracle._BLOCK_ENTRIES // ((n_eves + 1) * G16.n_antennas)
+    """Samples per block of an SOP run on G16 with null-space jamming (two
+    position variates per eavesdropper)."""
+    return mc_oracle._block_samples(G16.n_antennas, n_eves, 0, 2)
 
 
 def test_draw_channel_equals_kept_copy():
+    # the kept copy's line of sight is the package's steering vector, whose
+    # Gram the engine builds in closed form
     for seed, k, theta in [(0, 0.0, 0.0), (1, 0.7, -1.2), (2, 3.0, 0.4),
                            (3, 1e12, 1.5)]:
         got = _draw_channel(G16, k, theta, np.random.default_rng(seed))
@@ -311,33 +458,110 @@ def test_block_sop_equals_per_sample_loop(monkeypatch, n_eves, directional):
                              McRunSpec(n, 21, threads=threads)) == want
 
 
-@pytest.mark.parametrize("alloc", [
-    0.4, PowerAllocation(0.3, np.array([0.1, 0.2]), "dft_selected",
-                         np.array([0.2, -0.4]))])
-def test_block_sinr_equals_per_sample_loop(alloc):
-    spec = McRunSpec(_per_block(1) + 5, 8, rician_k=2.0)
-    sb, se = empirical_sinr(_cfg16(1), alloc, spec, 0.3, 90.0)
-    full = mc_oracle._as_allocation(_cfg16(1), alloc)
-    for i in range(spec.n_samples):
-        h_b = _old_channel(G16, 2.0, 0.0, _old_stream(8, i, 0))
-        h_e = _old_channel(G16, 2.0, 0.3, _old_stream(8, i, 1))
-        want = _old_sinr(_cfg16(1), full, h_b, h_e, 90.0)
-        assert sb[i] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-        assert se[i] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+# two-sample tests: the engine's SINRs against the per-entry engine's, in
+# law.  Away from pure line of sight, where the scatter carries the outcome.
+
+# Kolmogorov-Smirnov level per comparison; the seeds are fixed, so a pass
+# stays a pass
+_KS_ALPHA = 1e-4
+_LAW_SAMPLES = 3000
+G4 = ArrayGeometry(4, 0.5)
 
 
-@pytest.mark.parametrize("angles", [0.21, (-0.7, 1.1)])
-def test_block_crosstalk_equals_per_sample_loop(angles):
-    spec = McRunSpec(_per_block(1) + 5, 13)
-    got = empirical_crosstalk(_cfg16(1), spec, angles)
-    k_rx = mc_oracle._sym_k(_cfg16(1))
-    for i in range(spec.n_samples):
-        h_b = _old_channel(G16, k_rx, 0.0, _old_stream(13, i, 0))
-        rng = _old_stream(13, i, 1)
-        theta = angles if np.isscalar(angles) else rng.uniform(*angles)
-        h_e = _old_channel(G16, k_rx, theta, rng)
-        want = np.abs(np.vdot(h_e, h_b) / 16) ** 2
-        assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+def _ks_distance(a, b):
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, both, side="right") / len(a)
+                         - np.searchsorted(b, both, side="right") / len(b)))
+
+
+def _assert_same_law(got, want, what):
+    n, m = len(got), len(want)
+    crit = np.sqrt(-0.5 * np.log(_KS_ALPHA / 2.0) * (n + m) / (n * m))
+    dist = _ks_distance(got, want)
+    print(f"{what}: KS distance {dist:.4f} (critical {crit:.4f})")
+    assert dist < crit, what
+
+
+def _engine_sinrs(cfg, alloc, rician_k, angles):
+    """(sinr_bob, sinr_eve) of ``_LAW_SAMPLES`` engine samples, every
+    eavesdropper at 90 m."""
+    dist = np.full((1, cfg.n_eves), 90.0)
+    parts = mc_oracle._sample_blocks(
+        cfg, McRunSpec(_LAW_SAMPLES, 5, rician_k=rician_k), cfg.n_eves,
+        angles, None, mc_oracle._beam_angles(alloc),
+        lambda stats: mc_oracle._sinrs(cfg, alloc, stats._replace(dist=dist)))
+    return (np.concatenate([b for b, _ in parts]),
+            np.concatenate([e for _, e in parts]))
+
+
+def _old_sinrs(cfg, alloc, rician_k, angles):
+    """The same from the kept per-entry engine, on one plain generator."""
+    rng = np.random.default_rng(6)
+    sinr_b = np.empty(_LAW_SAMPLES)
+    sinr_e = np.empty((_LAW_SAMPLES, cfg.n_eves))
+    for i in range(_LAW_SAMPLES):
+        h_b = _old_channel(cfg.geometry, rician_k, cfg.bob_theta, rng)
+        for e in range(cfg.n_eves):
+            theta = angles if np.isscalar(angles) else rng.uniform(*angles)
+            h_e = _old_channel(cfg.geometry, rician_k, theta, rng)
+            sinr_b[i], sinr_e[i, e] = _old_sinr(cfg, alloc, h_b, h_e, 90.0)
+    return sinr_b, sinr_e
+
+
+@pytest.mark.parametrize("rician_k", [0.5, 2.0])
+@pytest.mark.parametrize("geom, n_eves, alloc, angles", [
+    (G16, 1, 0.4, (-0.7, 1.1)),
+    (G16, 1, _BEAMS2, (-0.7, 1.1)),
+    (G4, 6, 0.3, (-1.2, 1.2)),
+    (G4, 1, _BEAMS5, (-1.2, 1.2)),
+    (G16, 1, 0.4, 0.0)],
+    ids=["null", "beams", "eves_over_n", "beams_over_n", "eve_at_bob"])
+def test_sinrs_match_the_per_entry_engine_in_law(geom, n_eves, alloc, angles,
+                                                 rician_k):
+    cfg = ScenarioConfig(geom, 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0,
+                         n_eves=n_eves)
+    full = mc_oracle._as_allocation(cfg, alloc)
+    got_b, got_e = _engine_sinrs(cfg, full, rician_k, angles)
+    want_b, want_e = _old_sinrs(cfg, full, rician_k, angles)
+    _assert_same_law(got_b, want_b, "sinr_bob")
+    _assert_same_law(got_e[:, 0], want_e[:, 0], "sinr_eve[0]")
+    _assert_same_law(got_e.max(axis=1), want_e.max(axis=1), "max sinr_eve")
+    # the joint law of Bob and the eavesdroppers, as the outage test sees it
+    _assert_same_law((1.0 + got_b) / (1.0 + got_e.max(axis=1)),
+                     (1.0 + want_b) / (1.0 + want_e.max(axis=1)),
+                     "secrecy ratio")
+
+
+@pytest.mark.parametrize("rician_k", [0.5, 2.0])
+def test_crosstalk_matches_the_per_entry_engine_in_law(rician_k):
+    got = empirical_crosstalk(
+        _cfg16(1), McRunSpec(_LAW_SAMPLES, 13, rician_k=rician_k),
+        (-0.7, 1.1))
+    rng = np.random.default_rng(14)
+    want = np.empty(_LAW_SAMPLES)
+    for i in range(_LAW_SAMPLES):
+        h_b = _old_channel(G16, rician_k, 0.0, rng)
+        h_e = _old_channel(G16, rician_k, rng.uniform(-0.7, 1.1), rng)
+        want[i] = np.abs(np.vdot(h_e, h_b) / 16) ** 2
+    _assert_same_law(got, want, "crosstalk")
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: empirical_sinr(CFG64, 0.4, spec, 2.0, 90.0),
+    lambda spec: empirical_sinr(CFG64, 0.4, spec, float("nan"), 90.0),
+    lambda spec: empirical_crosstalk(CFG64, spec, angles=(-2.0, 0.0)),
+    lambda spec: empirical_crosstalk(CFG64, spec, angles=float("nan")),
+    lambda spec: empirical_crosstalk(CFG64, spec, angles=(0.0, np.nan))],
+    ids=["sinr_past_90", "sinr_nan", "crosstalk_past_90", "crosstalk_nan",
+         "crosstalk_nan_bound"])
+def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
+    # up front: before a single substream is opened
+    def no_draws(master_seed):
+        raise AssertionError("drew before checking the angles")
+    monkeypatch.setattr(mc_oracle, "_Substreams", no_draws)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        call(McRunSpec(10 ** 9, 3))
 
 
 def _record_pools(monkeypatch, cpus):
@@ -388,9 +612,13 @@ def test_threads_capped_at_usable_cpus(monkeypatch):
     asked = _record_pools(monkeypatch, cpus=2)
     cfg = ScenarioConfig(ArrayGeometry(256, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
                          80.0)
-    assert cfg.geometry.n_antennas >= mc_oracle._THREADED_MIN_ANTENNAS
-    n_samples = 5 * (mc_oracle._BLOCK_ENTRIES // (2 * 256))  # five blocks
+    n_samples = 5 * mc_oracle._block_samples(256, 1, 0, 2)  # five blocks
     want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9))
+    # by default no array runs on more than one thread
+    assert empirical_sop(cfg, 0.3, REG16,
+                         McRunSpec(n_samples, 9, threads=64)) == want
+    assert asked == []
+    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
     got = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9, threads=64))
     assert asked == [2]
     assert got == want
