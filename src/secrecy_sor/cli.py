@@ -573,7 +573,8 @@ def build_parser():
     p_mc = manifest_parser("mc-validate",
                            "closed form vs finite-antenna Monte Carlo")
     p_mc.add_argument("--threads", type=int, default=1,
-                      help="Monte Carlo worker threads (default 1)")
+                      help="accepted and checked (at least 1); results "
+                           "do not depend on it (default 1)")
     return parser
 
 

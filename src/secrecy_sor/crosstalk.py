@@ -198,8 +198,7 @@ class _KernelTables:
     def rows(self, m):
         """``(rise_s, rise_x, fall_s, fall_x)`` of side lobe ``m``: its
         inverse tables from the lobe's start up to the peak and from the
-        peak down to its end, each ascending in ``s``.  Built on first use;
-        two threads that both build a row store equal arrays.
+        peak down to its end, each ascending in ``s``.  Built on first use.
         """
         row = self._rows.get(m)
         if row is None:

@@ -29,19 +29,15 @@ depend on the scenario only, so the counts never depend on the data.
 
 The engine works in blocks of samples.  A block holds about
 ``_BLOCK_DRAWS`` drawn numbers, a constant, so the block boundaries depend
-on the scenario only.  Each worker thread owns one Philox generator, moves
-it to each substream of its blocks in turn, draws into preallocated
-arrays, and computes the block's Grams, factors and SINRs with array
-operations.  Blocks are spread over at most as many workers as there are
-blocks or usable CPUs (one worker below ``_THREADED_MIN_ANTENNAS``
-elements, today every array), and per-block results are combined in block
-order, so results are byte-identical across runs and thread counts.
+on the scenario only.  One Philox generator visits each sample's
+substreams in turn, draws into preallocated arrays, and the block's Grams,
+factors and SINRs follow with array operations.  Everything runs on the
+calling thread and per-block results are combined in block order, so
+results are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,12 +63,6 @@ _PIVOT_RTOL = 1e-10
 # Gram entries whose phase-form denominator |exp(jx) - 1| is below this
 # are recomputed from the Dirichlet form, where the phase form cancels
 _NEAR_PHASE = 1e-3
-# smallest array that runs on more than one thread: none.  The draw loop
-# holds the interpreter lock and its cost does not grow with the array.
-# In alternated pairs on a host lending two CPUs, two threads never beat
-# one: ties at N = 400 (1 eavesdropper) and N = 1000 (10), 14% slower at
-# N = 100 (10), 2x slower at N = 2000 (1).
-_THREADED_MIN_ANTENNAS = float("inf")
 
 
 @dataclass(frozen=True)
@@ -81,11 +71,8 @@ class McRunSpec:
 
     ``rician_k`` overrides the per-receiver Rician factor; by default it is
     derived from the scenario's ``k_eb`` assuming both ends share the same
-    factor.  ``threads`` caps the worker threads the sample blocks are
-    spread over, at most one per block and per usable CPU; arrays below
-    ``_THREADED_MIN_ANTENNAS`` elements (today every array) run on the
-    calling thread, where more threads only contend for the GIL.  The
-    substream scheme makes the result independent of either.
+    factor.  ``threads`` is checked (an integer >= 1) but changes neither
+    the work nor the result: the engine runs on the calling thread.
     """
 
     n_samples: int
@@ -102,8 +89,9 @@ class McRunSpec:
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.rician_k is not None and self.rician_k < 0:
-            raise ValueError("rician_k must be nonnegative")
+        # a NaN or infinite factor would make the line-of-sight weight NaN
+        if self.rician_k is not None and not 0 <= self.rician_k < np.inf:
+            raise ValueError("rician_k must be nonnegative and finite")
 
 
 def _sym_k(cfg):
@@ -359,72 +347,59 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
     n, n_beams = geom.n_antennas, len(beam_angles)
     k_rx = spec.rician_k if spec.rician_k is not None else _sym_k(cfg)
     w_los = k_rx / (1.0 + k_rx)
-    fixed = np.isscalar(angles)
+    fixed = np.ndim(angles) == 0
     n_pos = (not fixed) + (radii is not None)
     m_bob, m_eve = min(1 + n_eves + n_beams, n), min(2 + n_beams, n)
     per_block = _block_samples(n, n_eves, n_beams, n_pos)
-    blocks = [(s, min(s + per_block, spec.n_samples))
-              for s in range(0, spec.n_samples, per_block)]
     psi_bob = _phases(geom, cfg.bob_theta)
     psi_beams = _phases(geom, np.asarray(beam_angles, dtype=float))
 
-    def run(chunk):
-        streams = _Substreams(spec.master_seed)
-        gen = streams.seek(0, 0)
-        normal, gamma, uniform = \
-            gen.standard_normal, gen.standard_gamma, gen.random
-        seek = streams.seek
-        shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
-        z_bob = np.empty((per_block, 2 * m_bob))
-        gam_bob = np.empty(per_block)
-        z_eve = np.empty((per_block, n_eves, 2 * m_eve))
-        gam_eve = np.empty((per_block, n_eves))
-        pos = np.empty((per_block, n_eves, n_pos))
-        out = []
-        for start, stop in chunk:
-            for j, i in enumerate(range(start, stop)):
-                seek(i, 0)
-                normal(out=z_bob[j])
-                gam_bob[j] = gamma(shape_bob)
-                for l in range(n_eves):
-                    seek(i, l + 1)
-                    if n_pos:
-                        uniform(out=pos[j, l])
-                    normal(out=z_eve[j, l])
-                    gam_eve[j, l] = gamma(shape_eve)
-            m = stop - start
-            if fixed:
-                thetas = np.full((m, n_eves), angles)
-            else:
-                # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
-                lo, hi = angles
-                thetas = lo + (hi - lo) * pos[:m, :, 0]
-            psi = np.concatenate([np.full((m, 1), psi_bob),
-                                  _phases(geom, thetas),
-                                  np.broadcast_to(psi_beams, (m, n_beams))],
-                                 axis=1)
-            dist = None
-            if radii is not None:
-                d_min, d_max = radii
-                dist = np.sqrt(d_min ** 2 + pos[:m, :, -1]
-                               * (d_max ** 2 - d_min ** 2))
-            out.append(score(_block_stats(
-                n, n_eves, w_los, psi,
-                lambda gram: _scatter_stats(gram, n, z_bob[:m], gam_bob[:m]),
-                lambda gram: _scatter_stats(gram, n, z_eve[:m], gam_eve[:m]),
-                dist)))
-        return out
-
-    cpus = len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(spec.threads, len(blocks), cpus)
-    if workers == 1 or n < _THREADED_MIN_ANTENNAS:
-        return run(blocks)
-    edges = np.linspace(0, len(blocks), workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(run, [blocks[a:b]
-                               for a, b in zip(edges[:-1], edges[1:])])
-        return [r for part in parts for r in part]
+    streams = _Substreams(spec.master_seed)
+    gen = streams.seek(0, 0)
+    normal, gamma, uniform = \
+        gen.standard_normal, gen.standard_gamma, gen.random
+    seek = streams.seek
+    shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
+    z_bob = np.empty((per_block, 2 * m_bob))
+    gam_bob = np.empty(per_block)
+    z_eve = np.empty((per_block, n_eves, 2 * m_eve))
+    gam_eve = np.empty((per_block, n_eves))
+    pos = np.empty((per_block, n_eves, n_pos))
+    out = []
+    for start in range(0, spec.n_samples, per_block):
+        stop = min(start + per_block, spec.n_samples)
+        for j, i in enumerate(range(start, stop)):
+            seek(i, 0)
+            normal(out=z_bob[j])
+            gam_bob[j] = gamma(shape_bob)
+            for l in range(n_eves):
+                seek(i, l + 1)
+                if n_pos:
+                    uniform(out=pos[j, l])
+                normal(out=z_eve[j, l])
+                gam_eve[j, l] = gamma(shape_eve)
+        m = stop - start
+        if fixed:
+            thetas = np.full((m, n_eves), angles)
+        else:
+            # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
+            lo, hi = angles
+            thetas = lo + (hi - lo) * pos[:m, :, 0]
+        psi = np.concatenate([np.full((m, 1), psi_bob),
+                              _phases(geom, thetas),
+                              np.broadcast_to(psi_beams, (m, n_beams))],
+                             axis=1)
+        dist = None
+        if radii is not None:
+            d_min, d_max = radii
+            dist = np.sqrt(d_min ** 2 + pos[:m, :, -1]
+                           * (d_max ** 2 - d_min ** 2))
+        out.append(score(_block_stats(
+            n, n_eves, w_los, psi,
+            lambda gram: _scatter_stats(gram, n, z_bob[:m], gam_bob[:m]),
+            lambda gram: _scatter_stats(gram, n, z_eve[:m], gam_eve[:m]),
+            dist)))
+    return out
 
 
 def empirical_sop(cfg, alloc, region, spec):

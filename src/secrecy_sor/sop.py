@@ -143,23 +143,23 @@ def sop_closed_form(cfg, phi, region):
     an array whose entries equal the scalar calls exactly (each fraction
     keeps its own branch cuts and quadrature nodes, and every doubling round
     evaluates the crosstalk CDF for all fractions in one call).  Fractions
-    at or beyond the feasibility limit return 1.0: Bob cannot reach the
-    target rate, so secrecy always fails.  Warns (``ResolutionWarning``)
-    when a radial segment stops at the doubling limit unconverged.
+    must lie in [0, 1]; those at or beyond the feasibility limit return
+    1.0: Bob cannot reach the target rate, so secrecy always fails.  Warns
+    (``ResolutionWarning``) when a radial segment stops at the doubling
+    limit unconverged.
     """
     phis = np.asarray(phi, dtype=float)
     if phis.ndim > 1:
         raise ValueError("phi must be a scalar or a 1-D array")
-    if np.any(phis < 0.0):
-        raise ValueError("phi must be nonnegative")
+    if not (np.all(phis >= 0.0) and np.all(phis <= 1.0)):
+        raise ValueError("phi must lie in [0, 1]")
     flat = np.atleast_1d(phis)
     out = np.ones(flat.size)
     try:
         limit = phi_max(cfg)
     except InfeasibleRateError:
         limit = -np.inf
-    # a NaN fraction is not at the limit: sor_constants rejects it below
-    below = np.flatnonzero(~(flat >= limit))
+    below = np.flatnonzero(flat < limit)
     if below.size:
         out[below] = _sop_below_limit(cfg, flat[below], region)
     return float(out[0]) if phis.ndim == 0 else out

@@ -98,8 +98,9 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 @given(bob_dists, st.lists(unit, min_size=1, max_size=6))
 def test_sop_array_call_equals_scalar_calls(bob_dist, fractions):
     cfg = _sop_cfg(bob_dist)
-    # spread over [0, 1.1 * phi_max], so some land past the limit
-    phis = np.array(fractions) * 1.1 * phi_max(cfg)
+    # spread over [0, 1.1 * phi_max] and clipped at 1 (no fraction lies
+    # above), so some land past the limit
+    phis = np.minimum(np.array(fractions) * 1.1 * phi_max(cfg), 1.0)
     got = sop_closed_form(cfg, phis, _SOP_REGION)
     want = [sop_closed_form(cfg, p, _SOP_REGION) for p in phis]
     assert np.array_equal(got, want)

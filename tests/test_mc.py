@@ -2,7 +2,7 @@
 exact SINRs, agreement with a kept copy of the per-sample engine it
 replaced, and agreement with the closed forms it exists to check."""
 
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -36,8 +36,10 @@ def test_run_spec_validation():
         McRunSpec(0, 1)
     with pytest.raises(ValueError):
         McRunSpec(10, -1)
-    with pytest.raises(ValueError):
-        McRunSpec(10, 1, rician_k=-2.0)
+    # a NaN or infinite factor would make the line-of-sight weight NaN
+    for k in (-2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rician_k"):
+            McRunSpec(10, 1, rician_k=k)
     with pytest.raises(ValueError):
         McRunSpec(10, 1, threads=0)
     # a fractional seed would alias seed 0 (Philox truncates its key)
@@ -438,9 +440,7 @@ def test_reseeked_generator_reproduces_fresh_substreams():
 
 @pytest.mark.parametrize("n_eves", [1, 3])
 @pytest.mark.parametrize("directional", [False, True])
-def test_block_sop_equals_per_sample_loop(monkeypatch, n_eves, directional):
-    # threads for any array size, so the split over workers is checked too
-    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
+def test_block_sop_equals_per_sample_loop(n_eves, directional):
     cfg = _cfg16(n_eves)
     if directional:
         # DFT beams at the first sidelobe sines on both sides of the user
@@ -564,61 +564,22 @@ def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
         call(McRunSpec(10 ** 9, 3))
 
 
-def _record_pools(monkeypatch, cpus):
-    """Show the engine ``cpus`` usable CPUs and swap its thread pool for a
-    stub that records the worker counts asked for and runs the work on the
-    calling thread, so no real pool starts at a huge count.  Returns the
-    list the counts go to."""
-    asked = []
+def test_any_thread_count_runs_on_the_calling_thread(monkeypatch):
+    cfg = _cfg16(1)
+    n_samples = 3 * _per_block(1) + 5
+    want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 4))
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return asked
-
-
-def test_threads_capped_at_block_count(monkeypatch):
-    asked = _record_pools(monkeypatch, cpus=64)
-    cfg, per_block = _cfg16(1), _per_block(1)
-    # an array below the threading size runs on the calling thread
-    empirical_sop(cfg, 0.3, REG16, McRunSpec(3 * per_block, 4, threads=2))
-    assert asked == []
-    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
-    for n_samples, n_blocks in ((per_block, 1), (per_block + 1, 2)):
-        asked.clear()
-        want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 4))
-        got = empirical_sop(cfg, 0.3, REG16,
-                            McRunSpec(n_samples, 4, threads=10 ** 6))
-        assert got == want
-        assert all(w <= n_blocks for w in asked)
-        assert asked == ([] if n_blocks == 1 else [n_blocks])
-
-
-def test_threads_capped_at_usable_cpus(monkeypatch):
-    asked = _record_pools(monkeypatch, cpus=2)
-    cfg = ScenarioConfig(ArrayGeometry(256, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
-                         80.0)
-    n_samples = 5 * mc_oracle._block_samples(256, 1, 0, 2)  # five blocks
-    want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9))
-    # by default no array runs on more than one thread
+    def no_thread(self):
+        raise AssertionError("the engine started a thread")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert empirical_sop(cfg, 0.3, REG16,
-                         McRunSpec(n_samples, 9, threads=64)) == want
-    assert asked == []
-    monkeypatch.setattr(mc_oracle, "_THREADED_MIN_ANTENNAS", 1)
-    got = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 9, threads=64))
-    assert asked == [2]
-    assert got == want
+                         McRunSpec(n_samples, 4, threads=64)) == want
+
+
+def test_zero_dim_angle_is_a_fixed_angle():
+    spec = McRunSpec(50, 8)
+    got = empirical_sinr(CFG64, 0.3, spec, np.array(0.2), 50.0)
+    want = empirical_sinr(CFG64, 0.3, spec, 0.2, 50.0)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(empirical_crosstalk(CFG64, spec, np.array(0.2)),
+                          empirical_crosstalk(CFG64, spec, 0.2))

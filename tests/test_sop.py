@@ -200,6 +200,10 @@ def test_sop_rejects_negative_and_keeps_scalar_type():
         sop_closed_form(CFG100, np.array([0.1, -1e-9, 0.2]), REG15)
     with pytest.raises(ValueError):
         sop_closed_form(CFG100, -0.1, REG15)
+    # above 1 is no jamming fraction, like below 0
+    for phi in (1.5, np.inf, np.array([0.2, 7.0])):
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
+            sop_closed_form(CFG100, phi, REG15)
     for phi in (0.3, np.float64(0.3), np.array(0.3), 1.0):
         assert type(sop_closed_form(CFG100, phi, REG15)) is float
 
