@@ -3,10 +3,11 @@ array that superimposes artificial noise on its data beam.
 
 The package is organized bottom-up:
 
-- ``crosstalk``:  array steering, the angular crosstalk kernel and its lobe
-  landmarks, and the crosstalk distribution for a uniformly random angle.
+- ``crosstalk``:  the angular crosstalk kernel and the crosstalk
+  distribution for a uniformly random angle.
 - ``asymptotic``: large-array secrecy outage region (SOR) boundaries for
-  uniform and directional jamming, lobe radii, and region areas.
+  uniform and directional jamming, lobe radii, angular reach, region areas
+  and the uniform-jamming SINRs.
 - ``sop``:        secrecy outage probability (SOP) against randomly located
   eavesdroppers, closed form and geometric, plus the "does jamming help" test.
 - ``alloc``:      jamming power optimization - closed forms, grid oracles, and
@@ -30,14 +31,8 @@ from .errors import DegenerateArrayError, InfeasibleRateError, ResolutionWarning
 from .crosstalk import (
     ArrayGeometry,
     CrosstalkProfile,
-    LobeLandmarks,
-    cross_points,
     crosstalk_cdf,
-    delta_cdf,
-    peak_value,
     s_kernel,
-    s_max_feasible,
-    steering_vector,
 )
 from .asymptotic import (
     PowerAllocation,
@@ -60,10 +55,8 @@ from .sop import (
     SuspiciousRegion,
     is_jamming_beneficial,
     jamming_beneficial_dmax,
-    region_area,
     sop_closed_form,
     sop_intersection,
-    sor_region_overlap,
 )
 from .alloc import (
     AllocationResult,
@@ -75,14 +68,7 @@ from .alloc import (
     optimize_phi_uniform,
     phi_opt_closed_form,
 )
-from .mc_oracle import (
-    McRunSpec,
-    empirical_crosstalk,
-    empirical_sinr,
-    empirical_sop,
-    null_space_basis,
-    secrecy_outage_count,
-)
+from .mc_oracle import McRunSpec, empirical_sop
 from .multiuser import MultiuserScenario, mu_sor_boundary, mu_worst_area
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,11 +29,11 @@ import numpy as np
 from .crosstalk import (
     ArrayGeometry,
     CrosstalkProfile,
+    _cross_points,
     _image_interval,
     _image_maps,
     _max_side_lobe,
-    cross_points,
-    peak_value,
+    _peak_value,
     s_kernel,
 )
 from .errors import InfeasibleRateError, ResolutionWarning
@@ -79,6 +79,7 @@ class ScenarioConfig:
             raise ValueError("k_eb must lie in [0, 1]")
         if not (float(self.n_eves).is_integer() and self.n_eves >= 1):
             raise ValueError("n_eves must be an integer >= 1")
+        object.__setattr__(self, "n_eves", int(self.n_eves))
 
     @property
     def p_tilde_tot(self):
@@ -217,11 +218,9 @@ def boundary_scale(cfg, phi):
     snr_bob = x * cfg.bob_dist ** (-cfg.alpha) * n
     denom = 1.0 + snr_bob - gain
     if np.any(denom <= 0.0):
-        deficit = np.max((gain - 1.0 - snr_bob)
-                         / np.maximum(snr_bob, np.finfo(float).tiny))
         raise InfeasibleRateError(
             f"target rate {cfg.r_th} unreachable with signal fraction "
-            f"{1.0 - np.max(phis):.6g}", deficit=float(deficit))
+            f"{1.0 - np.max(phis):.6g}")
     return x * n * gain / denom
 
 
@@ -262,10 +261,13 @@ def sinr_bob_uniform(cfg, phi):
 
 
 def sinr_eve_uniform(cfg, phi, eve_theta, eve_dist):
-    """An eavesdropper's asymptotic SINR under uniform null-space jamming."""
+    """An eavesdropper's asymptotic SINR under uniform null-space jamming,
+    at angle ``eve_theta`` in [-pi/2, pi/2] and distance ``eve_dist``."""
     if not (0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
-    if eve_dist <= 0:
+    if not np.all(np.abs(eve_theta) <= _HALF_PI):
+        raise ValueError("theta must lie in [-pi/2, pi/2]")
+    if not eve_dist > 0:
         raise ValueError("eve_dist must be positive")
     n = cfg.geometry.n_antennas
     s = _s_eb(cfg, eve_theta)
@@ -282,8 +284,7 @@ def phi_max(cfg):
     value = 1.0 - (2.0 ** cfg.r_th - 1.0) / avail
     if value <= 0.0:
         raise InfeasibleRateError(
-            f"rate {cfg.r_th} infeasible even with all power on the signal",
-            deficit=(2.0 ** cfg.r_th - 1.0 - avail) / avail)
+            f"rate {cfg.r_th} infeasible even with all power on the signal")
     return value
 
 
@@ -485,7 +486,7 @@ def sor_area(boundary):
 
 def lobe_radii(cfg, phi):
     """Outage radius of the main lobe and each representable side lobe under
-    uniform jamming, taken at each lobe's ``peak_value`` height (zeros
+    uniform jamming, taken at each lobe's ``_peak_value`` height (zeros
     where jamming kills the lobe).
 
     The main-lobe entry is the boundary's maximum radius.  A side-lobe
@@ -495,7 +496,7 @@ def lobe_radii(cfg, phi):
     gives 371.8 m against an arc maximum of 377.6 m."""
     cons = sor_constants(cfg, phi)
     geom = cfg.geometry
-    peaks = np.array([1.0] + [peak_value(m, geom)
+    peaks = np.array([1.0] + [_peak_value(m, geom)
                               for m in range(1, _max_side_lobe(geom) + 1)])
     gap = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset)
     return gap ** (1.0 / cfg.alpha)
@@ -512,7 +513,7 @@ def delta_theta_max(cfg, phi):
         return 0.0
     geom = cfg.geometry
     u = cons.cutoff / cfg.k_eb
-    lm = cross_points(u, bob_profile(cfg))
+    lm = _cross_points(u, bob_profile(cfg))
     period = 1.0 / geom.spacing
     half = 0.5 * period
     brackets = [(0.0, min(lm.cross_points_main, half))]

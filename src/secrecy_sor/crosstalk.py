@@ -1,4 +1,4 @@
-"""Array steering, the angular crosstalk kernel, and its distribution.
+"""The angular crosstalk kernel and its distribution.
 
 For a uniform linear array with ``n`` elements at spacing ``d`` (in carrier
 wavelengths), two directions whose sines differ by ``x`` couple through
@@ -44,6 +44,7 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (float(self.n_antennas).is_integer() and self.n_antennas >= 2):
             raise ValueError("n_antennas must be an integer >= 2")
+        object.__setattr__(self, "n_antennas", int(self.n_antennas))
         if not (0.0 < self.spacing <= 1.0):
             raise ValueError("spacing must lie in (0, 1] wavelengths")
 
@@ -68,12 +69,12 @@ class CrosstalkProfile:
 
 
 @dataclass
-class LobeLandmarks:
+class _LobeLandmarks:
     """Where the kernel crosses a level u.
 
     ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe,
     1.0), numerically located: the peaks the crossings are decided by, not
-    ``peak_value``'s midpoint envelope.
+    ``_peak_value``'s midpoint envelope.
     ``cross_points_main`` is the offset where the main lobe falls through u.
     ``cross_points_side[m-1]`` is the ``(rising, falling)`` crossing pair of
     side lobe ``m``, or ``None`` when that lobe does not rise above u.
@@ -82,19 +83,6 @@ class LobeLandmarks:
     peak_values: list
     cross_points_main: float
     cross_points_side: list
-
-
-def steering_vector(theta, geom):
-    """Unit-modulus array response for direction ``theta`` (radians).
-
-    Element ``k`` is exp(-2j pi k d sin(theta)); the squared norm is the
-    element count.  An array of directions gives one response per entry,
-    along a new last axis, each equal to the scalar call's.
-    """
-    if not np.all(np.abs(theta) <= _HALF_PI):
-        raise ValueError("theta must lie in [-pi/2, pi/2]")
-    phase = -2j * np.pi * geom.spacing * np.sin(theta)
-    return np.exp(np.multiply.outer(phase, np.arange(geom.n_antennas)))
 
 
 def s_kernel(x, geom):
@@ -131,7 +119,7 @@ def _max_side_lobe(geom):
     return max(m, 0)
 
 
-def peak_value(m, geom):
+def _peak_value(m, geom):
     """Peak height of lobe ``m`` (1.0 for the main lobe).
 
     Side lobes use the exact lobe-midpoint envelope
@@ -160,7 +148,7 @@ class _KernelTables:
     offset and height at index ``m``; index 0 is the main lobe's 0 and 1.0)
     and the main lobe's inverse table ``main_s``/``main_x``.  Every CDF
     query reads them (``_cdf_batch`` decides with ``s_peak`` which lobes a
-    level crosses, ``cross_points`` and ``sop._branch_radii`` read the
+    level crosses, ``_cross_points`` and ``sop._branch_radii`` read the
     peaks), and they cost one array search.
 
     The side lobes' inverse tables are lazy.  On a half lobe the kernel is
@@ -168,7 +156,7 @@ class _KernelTables:
     ``_HALF_LOBE_SAMPLES`` points and evaluated for whole arrays of levels
     with ``np.interp``.  ``rows(m)`` builds side lobe ``m``'s rise and fall
     tables the first time a query crosses that lobe and keeps them; levels
-    above every side-lobe peak build none.  ``cross_points`` itself uses
+    above every side-lobe peak build none.  ``_cross_points`` itself uses
     bisection for full precision; these tables serve the vectorized CDF.
     """
 
@@ -290,7 +278,7 @@ def _kernel_tables(n_antennas, spacing):
     return _KernelTables(n_antennas, spacing)
 
 
-def cross_points(u, profile):
+def _cross_points(u, profile):
     """Offsets where the kernel crosses level ``u`` (0 < u < 1).
 
     Root-finding is bisection on each monotone half lobe, to 1e-12 in the
@@ -318,7 +306,7 @@ def cross_points(u, profile):
                      zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
     cp_main = float(roots[0])
     side = [pairs.get(m) for m in range(1, tables.cap + 1)]
-    return LobeLandmarks(tables.s_peak.tolist(), cp_main, side)
+    return _LobeLandmarks(tables.s_peak.tolist(), cp_main, side)
 
 
 def _clipped_range(angle_range):
@@ -330,7 +318,7 @@ def _clipped_range(angle_range):
     return lo, hi
 
 
-def delta_cdf(z, theta_ref, angle_range):
+def _delta_cdf(z, theta_ref, angle_range):
     """CDF of Delta = |sin theta - sin theta_ref| for theta uniform on the
     (clipped) angle range.  Accepts scalar or array ``z``; negative z -> 0.
     """
@@ -385,7 +373,7 @@ def _cdf_batch(x, profile, angle_range):
     thousands of levels cost a handful of ``np.interp`` calls.  The
     above-level set of offsets is the union of the main-lobe core, every
     representable side lobe's bracket, and their mirror/periodic images;
-    its probability is summed with ``delta_cdf`` differences over the
+    its probability is summed with ``_delta_cdf`` differences over the
     images the angle range reaches.  A side lobe that
     no level crosses, or whose images the range cannot reach, is skipped
     before its tables are read, so its rows are never built.
@@ -404,7 +392,7 @@ def _cdf_batch(x, profile, angle_range):
     period = 1.0 / geom.spacing
 
     def fd(z):
-        return delta_cdf(z, profile.theta_ref, angle_range)
+        return _delta_cdf(z, profile.theta_ref, angle_range)
 
     half = 0.5 * period
     maps = _image_maps(period, d_hi)
@@ -473,7 +461,7 @@ def crosstalk_cdf(x, profile, angle_range):
     return out
 
 
-def s_max_feasible(profile, angle_range):
+def _s_max_feasible(profile, angle_range):
     """Largest crosstalk reachable from the angle range.
 
     Equals ``k_factor_product`` whenever the reference angle lies inside the

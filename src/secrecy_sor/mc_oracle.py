@@ -43,11 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotic import (
-    PowerAllocation,
-    _check_allocation,
-    _uniform_allocation,
-)
+from .asymptotic import _check_allocation
 
 _HALF_PI = 0.5 * np.pi
 # a Rician factor large enough to be numerically pure line of sight
@@ -216,29 +212,6 @@ def _beam_angles(alloc):
     return alloc.beam_angles
 
 
-def null_space_basis(h):
-    """Orthonormal basis of the beamforming directions orthogonal to ``h``
-    (columns of the result).  Isotropic noise spread over these columns
-    reaches a receiver of channel ``h_e`` with power proportional to
-    |h_e|**2 - |h^H h_e|**2 / |h|**2; the engine evaluates that identity
-    from its drawn statistics and never builds this basis, which exists for
-    checking it.
-    """
-    h = np.asarray(h, dtype=complex)
-    _, s, vh = np.linalg.svd(h.conj()[None, :], full_matrices=True)
-    # rank cutoff: singular values above eps * max(shape) * largest
-    tol = np.finfo(float).eps * h.size * s.max(initial=0.0)
-    rank = np.count_nonzero(s > tol)
-    return vh[rank:].conj().T
-
-
-def _as_allocation(cfg, alloc):
-    if isinstance(alloc, PowerAllocation):
-        _check_allocation(cfg, alloc)
-        return alloc
-    return _uniform_allocation(cfg, float(alloc))
-
-
 def _sinrs(cfg, alloc, stats):
     """(sinr_bob, sinr_eve) of a block of ``_Stats``, no approximations.
 
@@ -264,7 +237,7 @@ def _sinrs(cfg, alloc, stats):
     return sinr_b, sinr_e
 
 
-def secrecy_outage_count(sinr_bob, sinr_eve, r_th):
+def _secrecy_outage_count(sinr_bob, sinr_eve, r_th):
     """Number of samples whose secrecy rate misses the target.
 
     The secrecy rate is log2((1+sinr_bob)/(1+sinr_eve)) clamped at zero; a
@@ -407,26 +380,26 @@ def empirical_sop(cfg, alloc, region, spec):
 
     Each sample drops ``cfg.n_eves`` eavesdroppers uniformly over the
     suspicious region, redraws every channel, and declares outage when the
-    strongest eavesdropper pushes the secrecy rate below target.  ``alloc``
-    is a PowerAllocation or a bare uniform jamming fraction.
+    strongest eavesdropper pushes the secrecy rate below target under the
+    ``PowerAllocation`` ``alloc``.
     """
-    alloc = _as_allocation(cfg, alloc)
+    _check_allocation(cfg, alloc)
 
     def outages(stats):
         sinr_b, sinr_e = _sinrs(cfg, alloc, stats)
-        return secrecy_outage_count(sinr_b, sinr_e.max(axis=1), cfg.r_th)
+        return _secrecy_outage_count(sinr_b, sinr_e.max(axis=1), cfg.r_th)
     counts = _sample_blocks(cfg, spec, cfg.n_eves, region.angle_interval,
                             (region.d_min, region.d_max),
                             _beam_angles(alloc), outages)
     return sum(counts) / spec.n_samples
 
 
-def empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
+def _empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
     """Per-sample (sinr_bob, sinr_eve) arrays for one fixed eavesdropper
     position; her substream is spent on the channel only."""
     if not eve_dist > 0:
         raise ValueError("eve_dist must be positive")
-    alloc = _as_allocation(cfg, alloc)
+    _check_allocation(cfg, alloc)
     dist = np.array([[float(eve_dist)]])
     parts = _sample_blocks(
         cfg, spec, 1, eve_theta, None, _beam_angles(alloc),
@@ -435,7 +408,7 @@ def empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
             np.concatenate([e[:, 0] for _, e in parts]))
 
 
-def empirical_crosstalk(cfg, spec, angles=(-np.pi / 2, np.pi / 2)):
+def _empirical_crosstalk(cfg, spec, angles):
     """Samples of the squared normalized inner product between an
     eavesdropper channel and Bob's, |h_e^H h_b / n|**2 — the finite-array
     quantity whose large-array limit is the crosstalk kernel.

@@ -82,7 +82,7 @@ class MultiuserScenario:
             bob_dist=self.user_dists[user_index], k_eb=self.k_eb)
 
 
-def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
+def mu_sor_boundary(scn, user_index, jam_alloc=None):
     """Secrecy outage boundary for one user.
 
     An eavesdropper after user ``u`` receives u's beam through the crosstalk
@@ -90,6 +90,7 @@ def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
     dedicated noise allocation.  A ``null_space_uniform`` allocation avoids
     all user beams at once, so the noise an eavesdropper collects scales
     with whatever fraction of her channel the beams leave uncovered.
+    An ``InfeasibleRateError`` names the user (``"user 1: ..."``).
     """
     if not 0 <= user_index < scn.n_users:
         raise ValueError("user_index out of range")
@@ -97,8 +98,7 @@ def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
     try:
         scale = boundary_scale(cfg_u, 0.0)
     except InfeasibleRateError as err:
-        err.user_index = user_index
-        raise
+        raise InfeasibleRateError(f"user {user_index}: {err}") from err
     others = [v for v in range(scn.n_users) if v != user_index]
     powers = np.array(scn.user_powers)[others]
     angles = np.array(scn.user_thetas)[others]
@@ -115,7 +115,7 @@ def mu_sor_boundary(scn, user_index, jam_alloc=None, theta_grid=None):
                       for t in scn.user_thetas)
         return jam + (np.sum(jam_alloc.beam_powers) / scn.n0) \
             * np.maximum(1.0 - covered, 0.0)
-    return _sor_boundary(cfg_u, theta_grid, scale, noise)
+    return _sor_boundary(cfg_u, None, scale, noise)
 
 
 def mu_worst_area(scn, jam_alloc=None):

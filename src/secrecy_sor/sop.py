@@ -27,11 +27,7 @@ from .asymptotic import (
     phi_max,
     sor_constants,
 )
-from .crosstalk import (
-    _cdf_batch,
-    _kernel_tables,
-    s_max_feasible,
-)
+from .crosstalk import _cdf_batch, _kernel_tables, _s_max_feasible
 from .errors import InfeasibleRateError, ResolutionWarning
 
 _HALF_PI = 0.5 * np.pi
@@ -41,7 +37,6 @@ _RTOL = 1e-6
 _MAX_DOUBLINGS = 11
 # is_jamming_beneficial splits (0, phi_max) into this many grid intervals
 _BENEFIT_PHI_POINTS = 400
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -205,13 +200,13 @@ def _sop_below_limit(cfg, phis, region):
             for v in integral]
 
 
-def region_area(region):
+def _region_area(region):
     """Area of the suspicious region."""
     lo, hi = region.angle_interval
     return 0.5 * (hi - lo) * (region.d_max ** 2 - region.d_min ** 2)
 
 
-def sor_region_overlap(boundary, region):
+def _sor_region_overlap(boundary, region):
     """Area of the intersection of an outage region (sampled boundary) with
     the suspicious region: the boundary is clipped radially into the
     region's annular band and the clipped polar integral is taken."""
@@ -222,7 +217,8 @@ def sor_region_overlap(boundary, region):
     r = np.interp(th, thetas, boundary.radii)
     covered = 0.5 * np.clip(np.square(np.minimum(r, region.d_max))
                             - np.square(region.d_min), 0.0, None)
-    return float(_trapz(covered, th))
+    # the trapezoid rule over th
+    return float(np.sum(np.diff(th) * (covered[1:] + covered[:-1]) / 2.0))
 
 
 def sop_intersection(boundary, region, n_eves):
@@ -231,10 +227,11 @@ def sop_intersection(boundary, region, n_eves):
     eavesdroppers."""
     if n_eves < 1:
         raise ValueError("n_eves must be >= 1")
-    area_total = region_area(region)
+    area_total = _region_area(region)
     if area_total <= 0:
         raise ValueError("suspicious region has zero area")
-    p1 = min(max(sor_region_overlap(boundary, region) / area_total, 0.0), 1.0)
+    p1 = min(max(_sor_region_overlap(boundary, region) / area_total, 0.0),
+             1.0)
     return 1.0 - (1.0 - p1) ** n_eves
 
 
@@ -242,7 +239,7 @@ def jamming_beneficial_dmax(cfg):
     """Distance limit below which artificial noise can strictly lower the
     SOP: the no-jamming outage radius at the strongest reachable crosstalk
     over the whole front half space."""
-    s_max = s_max_feasible(bob_profile(cfg), (-_HALF_PI, _HALF_PI))
+    s_max = _s_max_feasible(bob_profile(cfg), (-_HALF_PI, _HALF_PI))
     return (s_max * boundary_scale(cfg, 0.0)) ** (1.0 / cfg.alpha)
 
 

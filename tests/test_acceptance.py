@@ -44,6 +44,7 @@ from secrecy_sor.asymptotic import (
     sor_boundary_directional,
     sor_boundary_nojam,
     sor_boundary_uniform,
+    _uniform_allocation,
 )
 from secrecy_sor.cli import main
 from secrecy_sor.crosstalk import (
@@ -339,7 +340,7 @@ def test_06c_finite_antenna_monte_carlo():
     closed = sop_closed_form(cfg, 0.5, region)
     spec = McRunSpec(n_samples=10_000, master_seed=2026, rician_k=None,
                      threads=4)
-    mc = empirical_sop(cfg, 0.5, region, spec)
+    mc = empirical_sop(cfg, _uniform_allocation(cfg, 0.5), region, spec)
     se = math.sqrt(closed * (1.0 - closed) / spec.n_samples)
     clause(f"|mc - closed| = |{mc:.4f} - {closed:.6f}| <= 3 SE = {3 * se:.4f}",
            abs(mc - closed) <= 3.0 * se, failures)

@@ -14,13 +14,16 @@ import pytest
 from secrecy_sor import (
     ArrayGeometry,
     InfeasibleRateError,
+    McRunSpec,
     MultiuserScenario,
     PowerAllocation,
     ResolutionWarning,
     ScenarioConfig,
     SuspiciousRegion,
     boundary_scale,
+    build_dft_basis,
     delta_theta_max,
+    empirical_sop,
     grid_oracle_phi,
     lobe_radii,
     phi_max,
@@ -36,7 +39,7 @@ from secrecy_sor import (
     sor_constants,
 )
 from secrecy_sor import asymptotic
-from secrecy_sor.asymptotic import _default_arcs
+from secrecy_sor.asymptotic import _default_arcs, _uniform_allocation
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0)
 CFG50 = ScenarioConfig(ArrayGeometry(50, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
@@ -55,6 +58,20 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(geom, 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0, n_eves=0)
     assert CFG100.p_tilde_tot == 1e8
+
+
+def test_whole_counts_given_as_floats_are_stored_as_ints():
+    # a float count used to be kept as given, and range() then raised in
+    # build_dft_basis, the allocation algorithms and the Monte Carlo engine
+    geom = ArrayGeometry(16.0, 0.5)
+    cfg = ScenarioConfig(geom, 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0, n_eves=2.0)
+    assert type(geom.n_antennas) is int and type(cfg.n_eves) is int
+    assert geom == ArrayGeometry(16, 0.5)
+    assert len(build_dft_basis(geom)) == 16
+    region = SuspiciousRegion((-0.5, 0.5), 40.0, 120.0)
+    sop = empirical_sop(cfg, _uniform_allocation(cfg, 0.3), region,
+                        McRunSpec(8, 1))
+    assert 0.0 <= sop <= 1.0
 
 
 def test_boundary_scale_frozen():

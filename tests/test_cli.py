@@ -38,6 +38,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor.alloc import _region_beam_allocation
+from secrecy_sor.asymptotic import _uniform_allocation
 from secrecy_sor.cli import main
 
 # main-lobe radius of the reference broadside setup (N_t=100, R_th=10,
@@ -489,7 +490,8 @@ def _library_values(kind):
         return dict(phi=0.0, phi_sop=0.0, phi_area=0.0,
                     sop=sop_closed_form(cfg, 0.0, region),
                     area=sor_area(sor_boundary_nojam(cfg)),
-                    radii=sor_boundary_nojam(cfg, thetas).radii, mc=0.0)
+                    radii=sor_boundary_nojam(cfg, thetas).radii,
+                    mc=_uniform_allocation(cfg, 0.0))
     if kind == "uniform":
         by_sop = optimize_phi_uniform(cfg, region, objective="sop")
         by_area = optimize_phi_uniform(cfg, None, objective="sor_area")
@@ -497,7 +499,7 @@ def _library_values(kind):
                     phi_area=by_area.phi_opt, sop=by_sop.objective,
                     area=by_area.objective,
                     radii=sor_boundary_uniform(cfg, MATRIX_PHI, thetas).radii,
-                    mc=by_sop.phi_opt)
+                    mc=_uniform_allocation(cfg, by_sop.phi_opt))
     res = {"algo1": lambda: algorithm1_directional(cfg, region),
            "algo2": lambda: algorithm2_iterative(cfg),
            "algo3": lambda: algorithm3_two_lobes(cfg)}[kind]()

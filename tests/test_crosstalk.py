@@ -1,4 +1,4 @@
-"""Kernel, steering, and crosstalk-distribution checks.
+"""Kernel, lobe-landmark and crosstalk-distribution checks.
 
 Frozen reference numbers come from brute-force quadrature (20e6-point angle
 grids) run once and pinned here; the tests hold the closed forms to them.
@@ -22,36 +22,24 @@ from secrecy_sor import (
     ArrayGeometry,
     CrosstalkProfile,
     ScenarioConfig,
-    cross_points,
     crosstalk_cdf,
-    delta_cdf,
-    peak_value,
     s_kernel,
-    s_max_feasible,
-    steering_vector,
 )
 from secrecy_sor.asymptotic import _s_eb
 from secrecy_sor.crosstalk import (
     _HALF_LOBE_SAMPLES,
     _KernelTables,
     _bisect,
+    _cross_points,
+    _delta_cdf,
     _kernel_tables,
+    _peak_value,
+    _s_max_feasible,
 )
 
 G16 = ArrayGeometry(16, 0.5)
 G64 = ArrayGeometry(64, 0.5)
 G100 = ArrayGeometry(100, 0.5)
-
-
-def test_steering_vector_hand_values():
-    v = steering_vector(np.pi / 6, ArrayGeometry(4, 0.5))
-    # sin(pi/6) = 1/2, spacing 1/2 -> per-element phase step -pi/2
-    assert v[0] == 1.0
-    assert abs(v[1] - (-1j)) < 1e-12
-    assert abs(v[2] - (-1.0)) < 1e-12
-    assert abs(np.vdot(v, v).real - 4.0) < 1e-12
-    with pytest.raises(ValueError):
-        steering_vector(2.0, G16)
 
 
 def test_kernel_limits_and_nulls():
@@ -75,25 +63,25 @@ def test_peak_value_is_kernel_at_lobe_midpoint():
         n, d = geom.n_antennas, geom.spacing
         for m in (1, 2, 5):
             mid = (m + 0.5) / (n * d)
-            assert abs(peak_value(m, geom) - s_kernel(mid, geom)) < 1e-14
+            assert abs(_peak_value(m, geom) - s_kernel(mid, geom)) < 1e-14
     # the large-array limit 1/(pi(m+1/2))^2 sits below the exact midpoint
     # value and converges to it
-    rel = 1.0 / (1.5 * np.pi) ** 2 / peak_value(1, G100) - 1.0
+    rel = 1.0 / (1.5 * np.pi) ** 2 / _peak_value(1, G100) - 1.0
     assert -1e-3 < rel < 0.0
     with pytest.raises(ValueError):
-        peak_value(999, G16)
+        _peak_value(999, G16)
     with pytest.raises(ValueError):
-        peak_value(-1, G16)
+        _peak_value(-1, G16)
 
 
 def test_delta_cdf_uniform_halfspace():
     # theta ~ U(-pi/2, pi/2): P(|sin theta| <= 1/2) = (2 arcsin .5)/pi = 1/3
     full = (-np.pi / 2, np.pi / 2)
-    assert abs(delta_cdf(0.5, 0.0, full) - 1.0 / 3.0) < 1e-12
-    assert delta_cdf(-0.1, 0.0, full) == 0.0
-    assert delta_cdf(2.5, 0.0, full) == 1.0
+    assert abs(_delta_cdf(0.5, 0.0, full) - 1.0 / 3.0) < 1e-12
+    assert _delta_cdf(-0.1, 0.0, full) == 0.0
+    assert _delta_cdf(2.5, 0.0, full) == 1.0
     z = np.linspace(0, 2, 301)
-    c = delta_cdf(z, 0.3, (-0.2, 1.1))
+    c = _delta_cdf(z, 0.3, (-0.2, 1.1))
     assert np.all(np.diff(c) >= -1e-15) and c[-1] == 1.0
 
 
@@ -108,7 +96,7 @@ def test_normalized_crosstalk_scales_kernel():
 def test_cross_points_solve_the_level_equation():
     prof = CrosstalkProfile(G16, 0.0, 1.0)
     for u in (0.5, 0.1, 0.01):
-        lm = cross_points(u, prof)
+        lm = _cross_points(u, prof)
         assert abs(s_kernel(lm.cross_points_main, G16) - u) < 1e-9
         for pair in lm.cross_points_side:
             if pair is not None:
@@ -221,7 +209,7 @@ def test_cross_points_equal_scalar_bisection():
             for u in np.concatenate([rng.uniform(0.0, 1.0, 3),
                                      10.0 ** rng.uniform(-6.0, -1.0, 3)]):
                 u = float(u)
-                lm = cross_points(u, prof)
+                lm = _cross_points(u, prof)
 
                 def f(x):
                     return s_kernel(x, geom) - u
@@ -239,7 +227,7 @@ def test_cross_points_equal_scalar_bisection():
 
 
 def test_cross_points_report_the_peaks_they_decide_by():
-    # levels between a side lobe's midpoint envelope (peak_value) and its
+    # levels between a side lobe's midpoint envelope (_peak_value) and its
     # true peak: the lobe crosses them, so its reported peak lies above
     for geom in (G16, ArrayGeometry(50, 0.5), G100):
         width = 1.0 / (geom.n_antennas * geom.spacing)
@@ -248,9 +236,9 @@ def test_cross_points_report_the_peaks_they_decide_by():
         for m in range(1, cap + 1):
             true = s_kernel(_ref_golden_max(lambda x: s_kernel(x, geom),
                                             m * width, (m + 1) * width), geom)
-            u = 0.5 * (peak_value(m, geom) + true)
-            assert peak_value(m, geom) < u < true
-            lm = cross_points(u, prof)
+            u = 0.5 * (_peak_value(m, geom) + true)
+            assert _peak_value(m, geom) < u < true
+            lm = _cross_points(u, prof)
             assert lm.peak_values[0] == 1.0
             assert lm.peak_values[m] == true
             assert all(a >= b for a, b in zip(lm.peak_values,
@@ -266,7 +254,7 @@ def test_cross_points_report_the_peaks_they_decide_by():
        st.floats(min_value=1e-7, max_value=0.999))
 def test_cross_points_solve_the_level_inside_their_half_lobes(geom,
                                                              theta_ref, u):
-    lm = cross_points(u, CrosstalkProfile(geom, theta_ref, 1.0))
+    lm = _cross_points(u, CrosstalkProfile(geom, theta_ref, 1.0))
     width = 1.0 / (geom.n_antennas * geom.spacing)
     assert 0.0 <= lm.cross_points_main <= width
     assert abs(s_kernel(lm.cross_points_main, geom) - u) < 1e-9
@@ -392,11 +380,11 @@ def test_crosstalk_cdf_support_edges():
 def test_s_max_feasible_matches_dense_scan():
     # reference inside the range -> the global kernel maximum
     p_in = CrosstalkProfile(G64, 0.2, 0.85)
-    assert s_max_feasible(p_in, (-np.pi / 2, np.pi / 2)) == 0.85
+    assert _s_max_feasible(p_in, (-np.pi / 2, np.pi / 2)) == 0.85
     # reference outside -> reachable maximum over the clipped range
     p_out = CrosstalkProfile(G64, 1.2, 1.0)
     rng = (-0.5, 0.5)
-    got = s_max_feasible(p_out, rng)
+    got = _s_max_feasible(p_out, rng)
     th = np.linspace(-0.5, 0.5, 4_000_001)
     brute = np.max(s_kernel(np.abs(np.sin(th) - np.sin(1.2)), G64))
     print(f"s_max got {got:.8e} brute {brute:.8e}")

@@ -19,7 +19,6 @@ from secrecy_sor import (
     SuspiciousRegion,
     build_dft_basis,
     crosstalk_cdf,
-    delta_cdf,
     lobe_radii,
     phi_max,
     s_kernel,
@@ -30,6 +29,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor.alloc import _DirectionalAreaEvaluator, _jam_beam_indices
+from secrecy_sor.crosstalk import _delta_cdf
 
 geometries = st.builds(
     ArrayGeometry,
@@ -57,7 +57,7 @@ def test_delta_cdf_is_a_cdf(theta_ref, lo, width):
     theta_ref = float(np.clip(theta_ref, -np.pi / 2, np.pi / 2))
     rng = (lo, lo + width)
     z = np.linspace(-0.1, 2.2, 97)
-    c = delta_cdf(z, theta_ref, rng)
+    c = _delta_cdf(z, theta_ref, rng)
     assert np.all(c >= 0.0) and np.all(c <= 1.0)
     assert np.all(np.diff(c) >= -1e-12)
     assert c[0] == 0.0 and c[-1] == 1.0

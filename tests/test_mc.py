@@ -14,21 +14,70 @@ from secrecy_sor import (
     PowerAllocation,
     ScenarioConfig,
     SuspiciousRegion,
-    empirical_crosstalk,
-    empirical_sinr,
     empirical_sop,
-    null_space_basis,
     s_kernel,
-    secrecy_outage_count,
     sinr_bob_uniform,
     sinr_eve_uniform,
     sop_closed_form,
-    steering_vector,
+)
+from secrecy_sor.asymptotic import _uniform_allocation
+from secrecy_sor.mc_oracle import (
+    _empirical_crosstalk,
+    _empirical_sinr,
+    _secrecy_outage_count,
 )
 
 G64 = ArrayGeometry(64, 0.5)
 CFG64 = ScenarioConfig(G64, 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
 REG = SuspiciousRegion((-np.pi / 6, np.pi / 6), 50.0, 150.0)
+# uniform null-space jamming on CFG64 at fractions 0, 0.3 and 0.4
+NO_JAM64, UNIFORM03, UNIFORM04 = (_uniform_allocation(CFG64, phi)
+                                  for phi in (0.0, 0.3, 0.4))
+
+
+def _as_allocation(cfg, alloc):
+    """``alloc``, with a bare jamming fraction read as uniform null-space
+    jamming."""
+    if isinstance(alloc, PowerAllocation):
+        return alloc
+    return _uniform_allocation(cfg, alloc)
+
+
+def _steering_vector(theta, geom):
+    """Unit-modulus array response for direction ``theta``: element ``k`` is
+    exp(-2j pi k d sin(theta)).  An array of directions gives one response
+    per entry, along a new last axis.  The engine builds the Grams of these
+    vectors in closed form and never the vectors themselves; the tests
+    build them to check it."""
+    if not np.all(np.abs(theta) <= np.pi / 2):
+        raise ValueError("theta must lie in [-pi/2, pi/2]")
+    phase = -2j * np.pi * geom.spacing * np.sin(theta)
+    return np.exp(np.multiply.outer(phase, np.arange(geom.n_antennas)))
+
+
+def _null_space_basis(h):
+    """Orthonormal basis of the beamforming directions orthogonal to ``h``
+    (columns of the result).  Isotropic noise spread over these columns
+    reaches a receiver of channel ``h_e`` with power proportional to
+    |h_e|**2 - |h^H h_e|**2 / |h|**2; the engine evaluates that identity
+    from its drawn statistics and never builds this basis."""
+    h = np.asarray(h, dtype=complex)
+    _, s, vh = np.linalg.svd(h.conj()[None, :], full_matrices=True)
+    # rank cutoff: singular values above eps * max(shape) * largest
+    tol = np.finfo(float).eps * h.size * s.max(initial=0.0)
+    rank = np.count_nonzero(s > tol)
+    return vh[rank:].conj().T
+
+
+def test_steering_vector_hand_values():
+    v = _steering_vector(np.pi / 6, ArrayGeometry(4, 0.5))
+    # sin(pi/6) = 1/2, spacing 1/2 -> per-element phase step -pi/2
+    assert v[0] == 1.0
+    assert abs(v[1] - (-1j)) < 1e-12
+    assert abs(v[2] - (-1.0)) < 1e-12
+    assert abs(np.vdot(v, v).real - 4.0) < 1e-12
+    with pytest.raises(ValueError):
+        _steering_vector(2.0, ArrayGeometry(16, 0.5))
 
 
 def test_run_spec_validation():
@@ -53,11 +102,11 @@ def test_run_spec_validation():
 
 
 def _draw_channel(geom, rician_k, theta, rng):
-    """A Rician channel from the package's steering vector and ``rng``'s
-    normals, (real, imaginary) per entry."""
+    """A Rician channel from ``_steering_vector`` and ``rng``'s normals,
+    (real, imaginary) per entry."""
     w_los = rician_k / (1.0 + rician_k)
     z = rng.standard_normal((geom.n_antennas, 2))
-    return np.sqrt(w_los) * steering_vector(theta, geom) \
+    return np.sqrt(w_los) * _steering_vector(theta, geom) \
         + np.sqrt(1.0 - w_los) * ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
 
 
@@ -65,7 +114,7 @@ def test_draw_channel_statistics():
     rng = np.random.default_rng(0)
     # strong Rician factor: the draw collapses onto the steering vector
     h = _old_channel(G64, 1e12, 0.4, rng)
-    assert np.max(np.abs(h - steering_vector(0.4, G64))) < 1e-5
+    assert np.max(np.abs(h - _steering_vector(0.4, G64))) < 1e-5
     # pure scatter: zero mean, unit per-entry variance (many draws)
     hs = np.stack([_old_channel(G64, 0.0, 0.0, rng) for _ in range(400)])
     assert abs(np.mean(hs)) < 0.01
@@ -77,7 +126,7 @@ def test_draw_channel_statistics():
 def test_null_space_basis_orthogonal_and_complete():
     rng = np.random.default_rng(3)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    q = null_space_basis(h)
+    q = _null_space_basis(h)
     assert q.shape == (16, 15)
     assert np.max(np.abs(h.conj() @ q)) < 1e-10
     gram = q.conj().T @ q
@@ -99,9 +148,9 @@ def _explicit_block(cfg, w_los, thetas, beam_angles, g, dist):
     n = geom.n_antennas
     m, n_eves = thetas.shape
     beam_angles = np.asarray(beam_angles, dtype=float)
-    a_b = steering_vector(cfg.bob_theta, geom)
-    a_e = steering_vector(thetas, geom)
-    beams = steering_vector(beam_angles, geom).reshape(-1, n) / np.sqrt(n)
+    a_b = _steering_vector(cfg.bob_theta, geom)
+    a_e = _steering_vector(thetas, geom)
+    beams = _steering_vector(beam_angles, geom).reshape(-1, n) / np.sqrt(n)
     h_b = np.sqrt(w_los) * a_b + np.sqrt(1.0 - w_los) * g[:, 0]
     h_e = np.sqrt(w_los) * a_e + np.sqrt(1.0 - w_los) * g[:, 1:]
     u = h_b / np.linalg.norm(h_b, axis=-1, keepdims=True)
@@ -142,7 +191,7 @@ def test_null_space_basis_matches_the_engine_jamming_term(n):
     # per_dir * (||h_e||**2 - |h_e^H h_b|**2 / ||h_b||**2)
     cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0,
                          100.0)
-    alloc = mc_oracle._as_allocation(cfg, 0.4)
+    alloc = _uniform_allocation(cfg, 0.4)
     rng = np.random.default_rng(n)
     thetas = rng.uniform(-1.2, 1.2, (6, 2))
     # distances where the jamming term outweighs the noise floor many times
@@ -153,7 +202,7 @@ def test_null_space_basis_matches_the_engine_jamming_term(n):
     p_sig = (1.0 - alloc.phi) * cfg.p_tilde_tot
     per_dir = alloc.phi * cfg.p_tilde_tot / (n - 1)
     for s in range(6):
-        q = null_space_basis(h_b[s])
+        q = _null_space_basis(h_b[s])
         for e in range(2):
             jam = per_dir * np.sum(np.abs(q.conj().T @ h_e[s, e]) ** 2)
             cross2 = abs(np.vdot(h_e[s, e], h_b[s])) ** 2 \
@@ -179,7 +228,7 @@ def test_sinrs_from_projections_equal_per_sample_sinr(n, n_eves, alloc):
     # have more directions than antennas
     cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
                          80.0, n_eves=n_eves)
-    full = mc_oracle._as_allocation(cfg, alloc)
+    full = _as_allocation(cfg, alloc)
     rng = np.random.default_rng(n_eves)
     thetas = rng.uniform(-1.5, 1.5, (5, n_eves))
     thetas[:, 0] = cfg.bob_theta
@@ -208,7 +257,7 @@ def test_steering_gram_equals_explicit_products(n, angles):
     geom = ArrayGeometry(n, 0.5)
     angles = np.array(angles)
     got = mc_oracle._steering_gram(mc_oracle._phases(geom, angles), n)
-    want = _explicit_gram(steering_vector(angles, geom))
+    want = _explicit_gram(_steering_vector(angles, geom))
     assert np.max(np.abs(got - want)) < 1e-11 * n
     assert np.all(np.diag(got) == n)
 
@@ -223,7 +272,7 @@ def test_factor_reproduces_the_gram_and_counts_min_d_n(n, rows, steering):
     # past the n-th in about 1% of steering sets
     rng = np.random.default_rng(n * rows)
     if steering:
-        f = steering_vector(rng.uniform(-1.5, 1.5, (200, rows)),
+        f = _steering_vector(rng.uniform(-1.5, 1.5, (200, rows)),
                             ArrayGeometry(n, 0.5))
     else:
         f = _complex_normals(rng, (200, rows, n))
@@ -247,16 +296,16 @@ def test_factor_reproduces_the_gram_and_counts_min_d_n(n, rows, steering):
 
 def test_outage_count_edges():
     # equal strengths: outage only at a zero target
-    assert secrecy_outage_count(1.0, 1.0, 0.0) == 1
-    assert secrecy_outage_count(1.0, 1.0, 0.5) == 1
-    assert secrecy_outage_count(np.array([3.0, 1.0]), np.array([0.0, 0.9]),
-                                1.0) == 1
-    assert secrecy_outage_count(np.array([3.0]), np.array([0.0]), 2.0) == 0
+    assert _secrecy_outage_count(1.0, 1.0, 0.0) == 1
+    assert _secrecy_outage_count(1.0, 1.0, 0.5) == 1
+    assert _secrecy_outage_count(np.array([3.0, 1.0]), np.array([0.0, 0.9]),
+                                 1.0) == 1
+    assert _secrecy_outage_count(np.array([3.0]), np.array([0.0]), 2.0) == 0
 
 
 def test_sinr_exact_tracks_asymptotics_at_strong_k():
     spec = McRunSpec(200, 3, rician_k=1e9)
-    sb, se = empirical_sinr(CFG64, 0.4, spec, 0.3, 120.0)
+    sb, se = _empirical_sinr(CFG64, UNIFORM04, spec, 0.3, 120.0)
     want_b = sinr_bob_uniform(CFG64, 0.4)
     want_e = sinr_eve_uniform(CFG64, 0.4, 0.3, 120.0)
     rel_b = abs(np.mean(sb) / want_b - 1.0)
@@ -270,9 +319,11 @@ def test_sinr_exact_tracks_asymptotics_at_strong_k():
 
 @pytest.mark.parametrize("eve_dist", [0.0, -5.0, float("nan")])
 def test_empirical_sinr_rejects_nonpositive_distance(eve_dist):
-    # as sinr_eve_uniform does: no distance gives a meaningful SINR here
+    # the closed form rejects the same: no such distance gives an SINR
     with pytest.raises(ValueError, match="eve_dist must be positive"):
-        empirical_sinr(CFG64, 0.4, McRunSpec(4, 3), 0.3, eve_dist)
+        _empirical_sinr(CFG64, UNIFORM04, McRunSpec(4, 3), 0.3, eve_dist)
+    with pytest.raises(ValueError, match="eve_dist must be positive"):
+        sinr_eve_uniform(CFG64, 0.4, 0.3, eve_dist)
 
 
 def test_explicit_beam_jams_bob_too():
@@ -283,8 +334,8 @@ def test_explicit_beam_jams_bob_too():
     clean = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
     dirty = PowerAllocation(0.3, np.array([0.3]), "dft_selected",
                             np.array([0.0]))
-    sb_clean, _ = empirical_sinr(CFG64, clean, spec, 0.25, 80.0)
-    sb_dirty, _ = empirical_sinr(CFG64, dirty, spec, 0.25, 80.0)
+    sb_clean, _ = _empirical_sinr(CFG64, clean, spec, 0.25, 80.0)
+    sb_dirty, _ = _empirical_sinr(CFG64, dirty, spec, 0.25, 80.0)
     print(f"bob clean {np.min(sb_clean):.1f} dirty {np.max(sb_dirty):.4f}")
     assert np.all(sb_dirty < 1e-3 * sb_clean)
 
@@ -292,7 +343,7 @@ def test_explicit_beam_jams_bob_too():
 def test_empirical_crosstalk_reaches_kernel_at_strong_k():
     spec = McRunSpec(4, 11, rician_k=1e9)
     for th in (0.013, 0.21):
-        got = float(np.mean(empirical_crosstalk(CFG64, spec, angles=th)))
+        got = float(np.mean(_empirical_crosstalk(CFG64, spec, angles=th)))
         want = s_kernel(abs(np.sin(th)), G64)
         print(f"theta={th}: mc {got:.8f} kernel {want:.8f}")
         assert abs(got - want) <= 1e-3 * max(want, 1e-6)
@@ -301,7 +352,7 @@ def test_empirical_crosstalk_reaches_kernel_at_strong_k():
 def test_empirical_sop_matches_closed_form():
     closed = sop_closed_form(CFG64, 0.3, REG)
     spec = McRunSpec(3000, 7)
-    got = empirical_sop(CFG64, 0.3, REG, spec)
+    got = empirical_sop(CFG64, UNIFORM03, REG, spec)
     se = np.sqrt(closed * (1.0 - closed) / spec.n_samples)
     print(f"closed {closed:.6f} mc {got:.6f} (3se = {3 * se:.6f})")
     assert abs(closed - 0.02621308508522613) < 1e-9
@@ -311,12 +362,12 @@ def test_empirical_sop_matches_closed_form():
 def test_empirical_sop_deterministic_across_threads():
     spec1 = McRunSpec(600, 42, threads=1)
     spec4 = McRunSpec(600, 42, threads=4)
-    a = empirical_sop(CFG64, 0.3, REG, spec1)
-    b = empirical_sop(CFG64, 0.3, REG, spec4)
+    a = empirical_sop(CFG64, UNIFORM03, REG, spec1)
+    b = empirical_sop(CFG64, UNIFORM03, REG, spec4)
     assert a == b
     # same seed reproduces; a different seed moves the estimate
-    assert empirical_sop(CFG64, 0.3, REG, spec1) == a
-    c = empirical_sop(CFG64, 0.3, REG, McRunSpec(600, 43, threads=1))
+    assert empirical_sop(CFG64, UNIFORM03, REG, spec1) == a
+    c = empirical_sop(CFG64, UNIFORM03, REG, McRunSpec(600, 43, threads=1))
     assert c != a
 
 
@@ -328,7 +379,7 @@ def test_directional_allocation_through_the_oracle():
     alloc = PowerAllocation(0.3, np.array([0.15, 0.15]), "dft_selected",
                             angles)
     spec = McRunSpec(1500, 9)
-    p_no = empirical_sop(CFG64, 0.0, REG, spec)
+    p_no = empirical_sop(CFG64, NO_JAM64, REG, spec)
     p_dir = empirical_sop(CFG64, alloc, REG, spec)
     print(f"no-jam {p_no:.4f} directional {p_dir:.4f}")
     assert p_dir < 0.5 * p_no
@@ -404,7 +455,7 @@ def _old_sop(cfg, alloc, region, spec):
             h_e = _old_channel(cfg.geometry, k_rx, theta, rng)
             sinr_b, sinr_e = _old_sinr(cfg, alloc, h_b, h_e, dist)
             worst = max(worst, sinr_e)
-        count += secrecy_outage_count(sinr_b, worst, cfg.r_th)
+        count += _secrecy_outage_count(sinr_b, worst, cfg.r_th)
     return count / spec.n_samples
 
 
@@ -415,8 +466,8 @@ def _per_block(n_eves):
 
 
 def test_draw_channel_equals_kept_copy():
-    # the kept copy's line of sight is the package's steering vector, whose
-    # Gram the engine builds in closed form
+    # the kept copy's line of sight is ``_steering_vector``, whose Gram the
+    # engine builds in closed form
     for seed, k, theta in [(0, 0.0, 0.0), (1, 0.7, -1.2), (2, 3.0, 0.4),
                            (3, 1e12, 1.5)]:
         got = _draw_channel(G16, k, theta, np.random.default_rng(seed))
@@ -521,7 +572,7 @@ def test_sinrs_match_the_per_entry_engine_in_law(geom, n_eves, alloc, angles,
                                                  rician_k):
     cfg = ScenarioConfig(geom, 3.0, 1.0, 1e-8, 4.0, 0.0, 80.0,
                          n_eves=n_eves)
-    full = mc_oracle._as_allocation(cfg, alloc)
+    full = _as_allocation(cfg, alloc)
     got_b, got_e = _engine_sinrs(cfg, full, rician_k, angles)
     want_b, want_e = _old_sinrs(cfg, full, rician_k, angles)
     _assert_same_law(got_b, want_b, "sinr_bob")
@@ -535,7 +586,7 @@ def test_sinrs_match_the_per_entry_engine_in_law(geom, n_eves, alloc, angles,
 
 @pytest.mark.parametrize("rician_k", [0.5, 2.0])
 def test_crosstalk_matches_the_per_entry_engine_in_law(rician_k):
-    got = empirical_crosstalk(
+    got = _empirical_crosstalk(
         _cfg16(1), McRunSpec(_LAW_SAMPLES, 13, rician_k=rician_k),
         (-0.7, 1.1))
     rng = np.random.default_rng(14)
@@ -548,15 +599,18 @@ def test_crosstalk_matches_the_per_entry_engine_in_law(rician_k):
 
 
 @pytest.mark.parametrize("call", [
-    lambda spec: empirical_sinr(CFG64, 0.4, spec, 2.0, 90.0),
-    lambda spec: empirical_sinr(CFG64, 0.4, spec, float("nan"), 90.0),
-    lambda spec: empirical_crosstalk(CFG64, spec, angles=(-2.0, 0.0)),
-    lambda spec: empirical_crosstalk(CFG64, spec, angles=float("nan")),
-    lambda spec: empirical_crosstalk(CFG64, spec, angles=(0.0, np.nan))],
+    lambda spec: _empirical_sinr(CFG64, UNIFORM04, spec, 2.0, 90.0),
+    lambda spec: _empirical_sinr(CFG64, UNIFORM04, spec, float("nan"), 90.0),
+    lambda spec: _empirical_crosstalk(CFG64, spec, angles=(-2.0, 0.0)),
+    lambda spec: _empirical_crosstalk(CFG64, spec, angles=float("nan")),
+    lambda spec: _empirical_crosstalk(CFG64, spec, angles=(0.0, np.nan)),
+    lambda spec: sinr_eve_uniform(CFG64, 0.4, 3.0, 90.0),
+    lambda spec: sinr_eve_uniform(CFG64, 0.4, float("nan"), 90.0)],
     ids=["sinr_past_90", "sinr_nan", "crosstalk_past_90", "crosstalk_nan",
-         "crosstalk_nan_bound"])
+         "crosstalk_nan_bound", "closed_form_past_90", "closed_form_nan"])
 def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
-    # up front: before a single substream is opened
+    # up front: before a single substream is opened; the closed form
+    # rejects the same angles
     def no_draws(master_seed):
         raise AssertionError("drew before checking the angles")
     monkeypatch.setattr(mc_oracle, "_Substreams", no_draws)
@@ -567,19 +621,20 @@ def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
 def test_any_thread_count_runs_on_the_calling_thread(monkeypatch):
     cfg = _cfg16(1)
     n_samples = 3 * _per_block(1) + 5
-    want = empirical_sop(cfg, 0.3, REG16, McRunSpec(n_samples, 4))
+    alloc = _uniform_allocation(cfg, 0.3)
+    want = empirical_sop(cfg, alloc, REG16, McRunSpec(n_samples, 4))
 
     def no_thread(self):
         raise AssertionError("the engine started a thread")
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert empirical_sop(cfg, 0.3, REG16,
+    assert empirical_sop(cfg, alloc, REG16,
                          McRunSpec(n_samples, 4, threads=64)) == want
 
 
 def test_zero_dim_angle_is_a_fixed_angle():
     spec = McRunSpec(50, 8)
-    got = empirical_sinr(CFG64, 0.3, spec, np.array(0.2), 50.0)
-    want = empirical_sinr(CFG64, 0.3, spec, 0.2, 50.0)
+    got = _empirical_sinr(CFG64, UNIFORM03, spec, np.array(0.2), 50.0)
+    want = _empirical_sinr(CFG64, UNIFORM03, spec, 0.2, 50.0)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert np.array_equal(empirical_crosstalk(CFG64, spec, np.array(0.2)),
-                          empirical_crosstalk(CFG64, spec, 0.2))
+    assert np.array_equal(_empirical_crosstalk(CFG64, spec, np.array(0.2)),
+                          _empirical_crosstalk(CFG64, spec, 0.2))

@@ -20,13 +20,12 @@ from secrecy_sor import (
     jamming_beneficial_dmax,
     lobe_radii,
     phi_max,
-    region_area,
     sop_closed_form,
     sop_intersection,
     sor_boundary_uniform,
-    sor_region_overlap,
 )
 from secrecy_sor.asymptotic import sor_constants
+from secrecy_sor.sop import _region_area, _sor_region_overlap
 from secrecy_sor.errors import InfeasibleRateError, ResolutionWarning
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
@@ -63,7 +62,7 @@ def test_region_validation_and_area():
     SuspiciousRegion((-np.pi / 2, np.pi / 2), 50.0, 200.0)
     # annular sector area: (hi-lo)/2 * (d_max^2 - d_min^2)
     want = (np.pi / 6) / 2.0 * (100.0 ** 2 - 50.0 ** 2)
-    assert abs(region_area(REG15) - want) < 1e-9
+    assert abs(_region_area(REG15) - want) < 1e-9
 
 
 def test_sop_frozen_values():
@@ -117,12 +116,12 @@ def test_sop_monotone_in_region_distance_band():
 
 def test_overlap_against_region_area():
     bd = sor_boundary_uniform(CFG100, 0.0)
-    ov = sor_region_overlap(bd, REG15)
-    assert 0.0 < ov <= region_area(REG15) + 1e-9
+    ov = _sor_region_overlap(bd, REG15)
+    assert 0.0 < ov <= _region_area(REG15) + 1e-9
     # a sliver tucked entirely inside the no-jam main lobe is fully covered
     inner = SuspiciousRegion((-0.002, 0.002), 50.0, 60.0)
-    ov_in = sor_region_overlap(bd, inner)
-    assert abs(ov_in - region_area(inner)) < 1e-3 * region_area(inner)
+    ov_in = _sor_region_overlap(bd, inner)
+    assert abs(ov_in - _region_area(inner)) < 1e-3 * _region_area(inner)
     assert sop_intersection(bd, inner, 1) == pytest.approx(1.0, abs=1e-9)
 
 
