@@ -36,7 +36,7 @@ from .asymptotic import (
 )
 from .crosstalk import ArrayGeometry
 from .errors import DegenerateArrayError, InfeasibleRateError
-from .mc_oracle import McRunSpec, empirical_sop
+from .mc_oracle import _SEED_LIMIT, McRunSpec, empirical_sop
 from .sop import SuspiciousRegion, sop_closed_form, sop_intersection
 
 _SCHEMES = ("no_jam", "uniform", "algo1", "algo2", "algo3")
@@ -207,12 +207,13 @@ def _parse_mc(manifest):
     if not isinstance(block, dict):
         raise ManifestError("mc", "not an object")
     _reject_unknown(block, ("n_samples", "master_seed"), "mc")
-    return {
-        "n_samples": _number(block, "n_samples", "mc", integer=True,
-                             minimum=1),
-        "master_seed": _number(block, "master_seed", "mc", default=0,
-                               integer=True, minimum=0),
-    }
+    n_samples = _number(block, "n_samples", "mc", integer=True, minimum=1)
+    seed = _number(block, "master_seed", "mc", default=0, integer=True,
+                   minimum=0)
+    if seed >= _SEED_LIMIT:
+        raise ManifestError("mc.master_seed",
+                            f"must be below 2**128, got {seed}")
+    return {"n_samples": n_samples, "master_seed": seed}
 
 
 @dataclass

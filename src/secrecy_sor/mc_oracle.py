@@ -29,11 +29,18 @@ depend on the scenario only, so the counts never depend on the data.
 
 The engine works in blocks of samples.  A block holds about
 ``_BLOCK_DRAWS`` drawn numbers, a constant, so the block boundaries depend
-on the scenario only.  One Philox generator visits each sample's
-substreams in turn, draws into preallocated arrays, and the block's Grams,
-factors and SINRs follow with array operations.  Everything runs on the
-calling thread and per-block results are combined in block order, so
-results are byte-identical across runs.
+on the scenario only.  Philox is counter-based (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), so ``_draw`` computes the
+raw words of every substream of a block in one vectorized pass and turns
+them into variates the way numpy's Generator does: uniforms from the top 53
+bits, normals by the ziggurat's first-word test (its tables in
+``_ziggurat``), gammas by Marsaglia and Tsang's first try.  A substream
+whose every draw returns on those first words is done; any other (about 8%
+of them in the benchmark shapes) draws again through the Generator itself,
+which stays the reference.  The block's Grams, factors and SINRs follow
+with array operations.  Everything runs on the calling thread and
+per-block results are combined in block order, so results are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._ziggurat import KI, WI
 from .asymptotic import _check_allocation
 
 _HALF_PI = 0.5 * np.pi
@@ -59,6 +67,19 @@ _PIVOT_RTOL = 1e-10
 # Gram entries whose phase-form denominator |exp(jx) - 1| is below this
 # are recomputed from the Dirichlet form, where the phase form cancels
 _NEAR_PHASE = 1e-3
+# numpy's Philox4x64-10: rounds, round multipliers and key increments
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                       dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
+                        dtype=np.uint64)
+_WORD = 2 ** 64 - 1
+# master seeds are Philox keys: two 64-bit words
+_SEED_LIMIT = 2 ** 128
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# numpy's ziggurat tables for the standard normal (see ``_ziggurat``)
+_KI = np.array(KI, dtype=np.uint64)
+_WI = np.array(WI)
 
 
 @dataclass(frozen=True)
@@ -85,6 +106,9 @@ class McRunSpec:
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
+        if self.master_seed >= _SEED_LIMIT:
+            raise ValueError("master_seed must be below 2**128 (a Philox "
+                             "key is two 64-bit words)")
         # a NaN or infinite factor would make the line-of-sight weight NaN
         if self.rician_k is not None and not 0 <= self.rician_k < np.inf:
             raise ValueError("rician_k must be nonnegative and finite")
@@ -103,9 +127,13 @@ class _Substreams:
     """One Philox generator moved to substream ``(master_seed, i, l)`` on
     demand: counter ``[0, i, l, 0]`` and an empty buffer, the state a new
     ``Philox(key=master_seed, counter=[0, i, l, 0])`` starts in, at a
-    fraction of the cost of building one."""
+    fraction of the cost of building one.
+
+    This is the reference for every draw, and ``_draw`` falls back to it for
+    each substream that leaves numpy's first-word fast paths."""
 
     def __init__(self, master_seed):
+        self.master_seed = int(master_seed)
         self._bitgen = np.random.Philox(key=master_seed)
         self._gen = np.random.Generator(self._bitgen)
         state = self._bitgen.state
@@ -121,6 +149,121 @@ class _Substreams:
         self._counter[2] = receiver_id
         self._bitgen.state = self._state
         return self._gen
+
+
+def _mulhilo(x, m):
+    """(high, low) 64-bit halves of the products of uint64 arrays ``x`` and
+    ``m``, the high half from four 32-bit partial products."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    high = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) \
+        + (mid >> _SHIFT32)
+    return high, x * m
+
+
+def _philox(master_seed, c0, c1, c2):
+    """Philox4x64-10 of key ``master_seed`` at counters ``[c0, c1, c2, 0]``
+    (uint64 arrays (n,)): (n, 4) words, the four a
+    ``Philox(key=master_seed, counter=[c0 - 1, c1, c2, 0])`` draws first
+    (numpy steps the counter, then runs the rounds)."""
+    key = np.array([[master_seed & _WORD], [master_seed >> 64]],
+                   dtype=np.uint64)
+    # counter words 0 and 2 are multiplied, words 1 and 3 are xored in
+    mul = np.stack([c0, c2])
+    xor = np.stack([c1, np.zeros_like(c1)])
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_BUMP
+        high, low = _mulhilo(mul, _PHILOX_MUL)
+        mul, xor = high[::-1] ^ xor ^ key, low[::-1]
+    return np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1)
+
+
+def _uniforms(words):
+    """numpy's doubles in [0, 1) from raw words: their top 53 bits."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _normals(words):
+    """numpy's ziggurat standard normals from one raw word each, and
+    whether each word returns on the first try: layer ``idx`` from the low
+    byte, the sign from the next bit, a 52-bit magnitude from the bits
+    above."""
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(0xFFFFFFFFFFFFF)
+    x = rabs * _WI[idx]
+    return np.where(words & np.uint64(0x100), -x, x), rabs < _KI[idx]
+
+
+def _gammas(words, shape):
+    """numpy's standard gammas of integer ``shape`` >= 1 by Marsaglia and
+    Tsang's method, from the two raw words (..., 2) of a first try (a
+    normal, then a uniform), and whether each first try returns.
+
+    The squeeze test runs as numpy's C code does.  The log test runs in
+    numpy's ``log``, which may differ from C's in the last bits, so only a
+    pass clear of a tie by 1e-9 of the terms' size counts.  Shape 1 never
+    returns here: numpy draws it as an exponential.
+    """
+    b = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * b)
+    x, ok = _normals(words[..., 0])
+    v = 1.0 + c * x
+    ok &= v > 0.0
+    v = v * v * v
+    u = _uniforms(words[..., 1])
+    x2 = x * x
+    squeeze = u < 1.0 - 0.0331 * x2 * x2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u, log_v = np.log(u), np.log(v)
+        gap = 0.5 * x2 + b * (1.0 - v + log_v) - log_u
+        band = 1e-9 * (np.abs(log_u) + 0.5 * x2
+                       + b * (np.abs(1.0 - v) + np.abs(log_v)))
+    return b * v, ok & (squeeze | (gap > band)) & (shape != 1.0)
+
+
+def _draw(streams, groups):
+    """The variates of groups of substreams of ``streams``, a group being
+    (sample ids, receiver ids, uniforms, normals, gamma shape), with ids
+    uint64 arrays (S,), and its result (uniforms (S, ·), normals (S, ·),
+    gammas (S,)).
+
+    Every substream's raw words come from one vectorized Philox pass; a
+    gamma of shape 0 is 0.0 and draws nothing.  A substream whose every
+    normal and whose gamma return on their first words is done; any other
+    draws again through ``streams``, the reference.
+    """
+    words_per = [n_u + n_z + 2 * (shape != 0.0)
+                 for _, _, n_u, n_z, shape in groups]
+    blocks_per = [-(-w // 4) for w in words_per]
+    c0, c1, c2 = [], [], []
+    for (ids, rx, *_), k in zip(groups, blocks_per):
+        c0.append(np.tile(np.arange(1, k + 1, dtype=np.uint64), len(ids)))
+        c1.append(np.repeat(ids, k))
+        c2.append(np.repeat(rx, k))
+    raw = _philox(streams.master_seed, *map(np.concatenate, (c0, c1, c2)))
+    out, at = [], 0
+    for (ids, rx, n_u, n_z, shape), w, k in zip(groups, words_per,
+                                                 blocks_per):
+        n_s = len(ids)
+        words = raw[at:at + n_s * k].reshape(n_s, 4 * k)
+        at += n_s * k
+        u = _uniforms(words[:, :n_u])
+        z, ok = _normals(words[:, n_u:n_u + n_z])
+        ok = ok.all(axis=1)
+        g = np.zeros(n_s)
+        if shape != 0.0:
+            g, g_ok = _gammas(words[:, w - 2:w], shape)
+            ok &= g_ok
+        for j in np.flatnonzero(~ok):
+            gen = streams.seek(int(ids[j]), int(rx[j]))
+            gen.random(out=u[j])
+            gen.standard_normal(out=z[j])
+            g[j] = gen.standard_gamma(shape)
+        out.append((u, z, g))
+    return out
 
 
 def _phases(geom, thetas):
@@ -328,36 +471,26 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
     psi_beams = _phases(geom, np.asarray(beam_angles, dtype=float))
 
     streams = _Substreams(spec.master_seed)
-    gen = streams.seek(0, 0)
-    normal, gamma, uniform = \
-        gen.standard_normal, gen.standard_gamma, gen.random
-    seek = streams.seek
     shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
-    z_bob = np.empty((per_block, 2 * m_bob))
-    gam_bob = np.empty(per_block)
-    z_eve = np.empty((per_block, n_eves, 2 * m_eve))
-    gam_eve = np.empty((per_block, n_eves))
-    pos = np.empty((per_block, n_eves, n_pos))
+    eve_rx = np.arange(1, n_eves + 1, dtype=np.uint64)
     out = []
     for start in range(0, spec.n_samples, per_block):
         stop = min(start + per_block, spec.n_samples)
-        for j, i in enumerate(range(start, stop)):
-            seek(i, 0)
-            normal(out=z_bob[j])
-            gam_bob[j] = gamma(shape_bob)
-            for l in range(n_eves):
-                seek(i, l + 1)
-                if n_pos:
-                    uniform(out=pos[j, l])
-                normal(out=z_eve[j, l])
-                gam_eve[j, l] = gamma(shape_eve)
+        ids = np.arange(start, stop, dtype=np.uint64)
+        (_, z_bob, gam_bob), (pos, z_eve, gam_eve) = _draw(streams, (
+            (ids, np.zeros_like(ids), 0, 2 * m_bob, shape_bob),
+            (np.repeat(ids, n_eves), np.tile(eve_rx, len(ids)), n_pos,
+             2 * m_eve, shape_eve)))
         m = stop - start
+        pos = pos.reshape(m, n_eves, n_pos)
+        z_eve = z_eve.reshape(m, n_eves, 2 * m_eve)
+        gam_eve = gam_eve.reshape(m, n_eves)
         if fixed:
             thetas = np.full((m, n_eves), angles)
         else:
             # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
             lo, hi = angles
-            thetas = lo + (hi - lo) * pos[:m, :, 0]
+            thetas = lo + (hi - lo) * pos[..., 0]
         psi = np.concatenate([np.full((m, 1), psi_bob),
                               _phases(geom, thetas),
                               np.broadcast_to(psi_beams, (m, n_beams))],
@@ -365,12 +498,12 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
         dist = None
         if radii is not None:
             d_min, d_max = radii
-            dist = np.sqrt(d_min ** 2 + pos[:m, :, -1]
+            dist = np.sqrt(d_min ** 2 + pos[..., -1]
                            * (d_max ** 2 - d_min ** 2))
         out.append(score(_block_stats(
             n, n_eves, w_los, psi,
-            lambda gram: _scatter_stats(gram, n, z_bob[:m], gam_bob[:m]),
-            lambda gram: _scatter_stats(gram, n, z_eve[:m], gam_eve[:m]),
+            lambda gram: _scatter_stats(gram, n, z_bob, gam_bob),
+            lambda gram: _scatter_stats(gram, n, z_eve, gam_eve),
             dist)))
     return out
 

@@ -386,6 +386,9 @@ def test_mc_validate_thread_invariance(tmp_path):
                         "d_max_m": 1e999}}, "region.d_max_m"),
     ("sop", {"sweep": {"parameter": "bob_dist_m", "grid": [math.nan]}},
      "sweep.grid"),
+    # a master seed is a Philox key: two 64-bit words
+    ("mc-validate", {"mc": {"n_samples": 10, "master_seed": 2 ** 128}},
+     "mc.master_seed"),
 ])
 def test_command_scheme_requirements_fail_at_load(tmp_path, capsys, command,
                                                   blocks, field):

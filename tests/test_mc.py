@@ -98,6 +98,11 @@ def test_run_spec_validation():
                 dict(threads=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             McRunSpec(**{"n_samples": 10, "master_seed": 1, **bad})
+    # a Philox key is two 64-bit words
+    for seed in (2 ** 128, 2 ** 200):
+        with pytest.raises(ValueError, match="master_seed"):
+            McRunSpec(10, seed)
+    McRunSpec(10, 2 ** 128 - 1)
     McRunSpec(np.int64(10), np.uint32(1), threads=np.int32(2))
 
 
@@ -489,24 +494,139 @@ def test_reseeked_generator_reproduces_fresh_substreams():
                               fresh.integers(0, 2 ** 32, 3, dtype=np.uint32))
 
 
-@pytest.mark.parametrize("n_eves", [1, 3])
-@pytest.mark.parametrize("directional", [False, True])
-def test_block_sop_equals_per_sample_loop(n_eves, directional):
-    cfg = _cfg16(n_eves)
-    if directional:
-        # DFT beams at the first sidelobe sines on both sides of the user
-        alloc = PowerAllocation(0.3, np.array([0.15, 0.15]), "dft_selected",
-                                np.arcsin(np.array([1.0, -1.0]) / 8.0))
-    else:
-        alloc = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
+def _draw_one_by_one(streams, groups):
+    """``mc_oracle._draw`` as a loop over the substreams, each one drawn
+    through the Generator, the reference."""
+    out = []
+    for ids, rx, n_u, n_z, shape in groups:
+        u, z, g = (np.empty((len(ids), n_u)), np.empty((len(ids), n_z)),
+                   np.empty(len(ids)))
+        for j, (i, l) in enumerate(zip(ids.tolist(), rx.tolist())):
+            gen = streams.seek(i, l)
+            gen.random(out=u[j])
+            gen.standard_normal(out=z[j])
+            g[j] = gen.standard_gamma(shape)
+        out.append((u, z, g))
+    return out
+
+
+def _assert_block_sop_equals_loop(monkeypatch, cfg, alloc, master_seed):
     # two partial blocks' worth past whole ones
-    n = 2 * _per_block(n_eves) + 37
-    want = _old_sop(cfg, alloc, REG16, McRunSpec(n, 21))
-    print(f"n_eves={n_eves} {alloc.basis}: sop {want}")
+    n = 2 * mc_oracle._block_samples(
+        cfg.geometry.n_antennas, cfg.n_eves,
+        len(mc_oracle._beam_angles(alloc)), 2) + 37
+    want = _old_sop(cfg, alloc, REG16, McRunSpec(n, master_seed))
+    print(f"N={cfg.geometry.n_antennas} n_eves={cfg.n_eves} {alloc.basis}: "
+          f"sop {want}")
     assert 5 <= want * n <= n - 5
     for threads in (1, 2, 3):
         assert empirical_sop(cfg, alloc, REG16,
-                             McRunSpec(n, 21, threads=threads)) == want
+                             McRunSpec(n, master_seed,
+                                       threads=threads)) == want
+
+    # the scenario is pure line of sight, where the scatter draws barely
+    # reach the outcome; at Rician factor 0.5 they do, and the SINRs equal
+    # those of a Generator loop over the substreams bit for bit
+    def sinrs():
+        parts = mc_oracle._sample_blocks(
+            cfg, McRunSpec(n, master_seed, rician_k=0.5), cfg.n_eves,
+            REG16.angle_interval, (REG16.d_min, REG16.d_max),
+            mc_oracle._beam_angles(alloc),
+            lambda stats: mc_oracle._sinrs(cfg, alloc, stats))
+        return [np.concatenate(sinr) for sinr in zip(*parts)]
+    got = sinrs()
+    monkeypatch.setattr(mc_oracle, "_draw", _draw_one_by_one)
+    assert all(map(np.array_equal, got, sinrs()))
+
+
+# DFT beams at the first sidelobe sines on both sides of the user
+_SIDELOBE_BEAMS = PowerAllocation(0.3, np.array([0.15, 0.15]),
+                                  "dft_selected",
+                                  np.arcsin(np.array([1.0, -1.0]) / 8.0))
+
+
+# draw-level checks of the vectorized pass: 100k substreams at random
+# 64-bit sample and receiver ids, under a key with both words nonzero, in
+# four layouts (uniforms, normals, gamma shape) that cover every gamma path.
+# The reference draws come through ``_Substreams``, which
+# ``test_reseeked_generator_reproduces_fresh_substreams`` ties to fresh
+# generators at a fifth of their cost
+_DRAW_SEED = 3 * 2 ** 64 + 17
+_DRAW_LAYOUTS = ((2, 4, 7.0), (0, 22, 398.0), (1, 2, 1.0), (2, 6, 0.0))
+_DRAW_STREAMS = 25_000
+
+
+def _draw_ids(layout):
+    rng = np.random.default_rng(layout)
+    return (rng.integers(0, 2 ** 64, _DRAW_STREAMS, dtype=np.uint64),
+            rng.integers(0, 2 ** 64, _DRAW_STREAMS, dtype=np.uint64))
+
+
+def test_vectorized_raw_words_equal_philox():
+    streams = mc_oracle._Substreams(_DRAW_SEED)
+    for layout in range(len(_DRAW_LAYOUTS)):
+        ids, rx = _draw_ids(layout)
+        got = np.concatenate([
+            mc_oracle._philox(_DRAW_SEED, np.full_like(ids, block), ids, rx)
+            for block in (1, 2)], axis=1)
+        for j in range(_DRAW_STREAMS):
+            bitgen = streams.seek(int(ids[j]), int(rx[j])).bit_generator
+            assert np.array_equal(got[j], bitgen.random_raw(8)), (layout, j)
+
+
+def test_vectorized_draws_equal_the_generator():
+    streams = mc_oracle._Substreams(_DRAW_SEED)
+    for layout, (n_u, n_z, shape) in enumerate(_DRAW_LAYOUTS):
+        ids, rx = _draw_ids(layout)
+        (u, z, g), = mc_oracle._draw(streams, [(ids, rx, n_u, n_z, shape)])
+        for j in range(_DRAW_STREAMS):
+            gen = streams.seek(int(ids[j]), int(rx[j]))
+            assert np.array_equal(u[j], gen.random(n_u)), (layout, j)
+            assert np.array_equal(z[j], gen.standard_normal(n_z)), (layout, j)
+            assert g[j] == gen.standard_gamma(shape), (layout, j)
+
+
+def test_fast_paths_take_nearly_every_draw():
+    # a wrong table entry would send its layer to the fallback: still
+    # exact, but slow
+    ids, rx = _draw_ids(0)
+    words = mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx)
+    for column in words.T:
+        _, fast = mc_oracle._normals(column)
+        assert fast.mean() >= 0.98
+    for shape in (2.0, 7.0, 398.0):
+        _, fast = mc_oracle._gammas(words[:, :2], shape)
+        assert fast.mean() >= 0.96, shape
+    _, fast = mc_oracle._gammas(words[:, :2], 1.0)
+    assert not fast.any()
+
+
+@pytest.mark.parametrize("n_eves", [1, 3])
+@pytest.mark.parametrize("directional", [False, True])
+def test_block_sop_equals_per_sample_loop(monkeypatch, n_eves, directional):
+    if directional:
+        alloc = _SIDELOBE_BEAMS
+    else:
+        alloc = PowerAllocation(0.3, np.array([0.3]), "null_space_uniform")
+    _assert_block_sop_equals_loop(monkeypatch, _cfg16(n_eves), alloc, 21)
+
+
+@pytest.mark.parametrize("geom, n_eves, alloc, r_th, master_seed", [
+    # every receiver has D >= N directions: gamma shape 0, no words drawn
+    (ArrayGeometry(4, 0.5), 1, _SIDELOBE_BEAMS, 1.0, 21),
+    # Bob has D = N - 1 directions: shape 1, which numpy draws as an
+    # exponential
+    (ArrayGeometry(4, 0.5), 2, 0.3, 2.0, 21),
+    # keys with a nonzero second 64-bit word
+    (G16, 3, _SIDELOBE_BEAMS, 4.0, 2 ** 64 + 21),
+    (G16, 1, 0.3, 4.0, 2 ** 128 - 1)],
+    ids=["shape_0", "shape_1", "key_word_1", "largest_key"])
+def test_block_sop_equals_per_sample_loop_at_the_edges(
+        monkeypatch, geom, n_eves, alloc, r_th, master_seed):
+    cfg = ScenarioConfig(geom, 3.0, 1.0, 1e-8, r_th, 0.0, 80.0,
+                         n_eves=n_eves)
+    _assert_block_sop_equals_loop(monkeypatch, cfg,
+                                  _as_allocation(cfg, alloc), master_seed)
 
 
 # two-sample tests: the engine's SINRs against the per-entry engine's, in
@@ -611,9 +731,10 @@ def test_crosstalk_matches_the_per_entry_engine_in_law(rician_k):
 def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
     # up front: before a single substream is opened; the closed form
     # rejects the same angles
-    def no_draws(master_seed):
+    def no_draws(*args):
         raise AssertionError("drew before checking the angles")
     monkeypatch.setattr(mc_oracle, "_Substreams", no_draws)
+    monkeypatch.setattr(mc_oracle, "_draw", no_draws)
     with pytest.raises(ValueError, match="theta must lie in"):
         call(McRunSpec(10 ** 9, 3))
 
