@@ -147,16 +147,19 @@ class _KernelTables:
     The landmarks are eager: ``x_peak``/``s_peak`` (side lobe ``m``'s peak
     offset and height at index ``m``; index 0 is the main lobe's 0 and 1.0)
     and the main lobe's inverse table ``main_s``/``main_x``.  Every CDF
-    query reads them (``_cdf_batch`` decides with ``s_peak`` which lobes a
-    level crosses, ``_cross_points`` and ``sop._branch_radii`` read the
-    peaks), and they cost one array search.
+    query reads them (``_cdf_batch`` searches its sorted levels for each
+    ``s_peak`` to find the prefix of levels a lobe crosses,
+    ``_cross_points`` and ``sop._branch_radii`` read the peaks), and they
+    cost one array search.
 
     The side lobes' inverse tables are lazy.  On a half lobe the kernel is
     monotone, so its inverse (level -> offset) is tabulated on
     ``_HALF_LOBE_SAMPLES`` points and evaluated for whole arrays of levels
     with ``np.interp``.  ``rows(m)`` builds side lobe ``m``'s rise and fall
-    tables the first time a query crosses that lobe and keeps them; levels
-    above every side-lobe peak build none.  ``_cross_points`` itself uses
+    tables the first time a query has a level below ``s_peak[m]`` and the
+    angle range reaches the lobe, and keeps them: levels between the peaks
+    of lobes ``m`` and ``m + 1`` build rows ``1..m`` only, and levels above
+    every side-lobe peak build none.  ``_cross_points`` itself uses
     bisection for full precision; these tables serve the vectorized CDF.
     """
 
@@ -369,19 +372,26 @@ def _image_interval(mirror, offset, a, b):
 def _cdf_batch(x, profile, angle_range):
     """Vectorized crosstalk CDF.
 
-    The per-lobe level crossings come from the cached inverse tables, so
-    thousands of levels cost a handful of ``np.interp`` calls.  The
-    above-level set of offsets is the union of the main-lobe core, every
-    representable side lobe's bracket, and their mirror/periodic images;
-    its probability is summed with ``_delta_cdf`` differences over the
-    images the angle range reaches.  A side lobe that
-    no level crosses, or whose images the range cannot reach, is skipped
-    before its tables are read, so its rows are never built.
+    The above-level set of offsets is the union of the main-lobe core,
+    every representable side lobe's bracket, and their mirror/periodic
+    images; its probability is summed with ``_delta_cdf`` differences over
+    the images the angle range reaches.  The levels below 1 are sorted
+    once.  Side lobe ``m`` rises above exactly the levels below its peak
+    ``s_peak[m]``, a prefix of the sorted levels that one
+    ``np.searchsorted`` finds, so its crossings (``np.interp`` on the
+    cached inverse tables) and its image terms are computed on that prefix
+    only.  A side lobe with an empty prefix, or whose images the range
+    cannot reach, is skipped before ``rows(m)`` is called, so its rows are
+    never built.  Every level sums its nonzero terms in the order of a
+    sweep of all lobes over all levels (main lobe, then the side lobes by
+    index, each lobe's images in map order); the terms left out are the
+    0.0 a lobe adds to a level it does not cross.
     """
     geom = profile.geometry
     k = profile.k_factor_product
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    # written so that NaN levels fail too
+    if not np.all(x >= 0):
         raise ValueError("crosstalk level must be nonnegative")
     if k == 0.0:
         return np.ones_like(x)
@@ -407,42 +417,39 @@ def _cdf_batch(x, profile, angle_range):
                 images.append((mirror, off))
         return images
 
-    def add_images(contrib, a, b, images, mask):
-        """Accumulate P(Delta in image) over the given images of the
-        bracket (a, b)."""
-        for mirror, off in images:
-            b_lo, b_hi = _image_interval(mirror, off, a, b)
-            term = fd(b_hi) - fd(b_lo)
-            contrib += term if mask is None else np.where(mask, term, 0.0)
-        return contrib
-
     p_above = np.zeros_like(u)
     live = u < 1.0
     if np.any(live):
         ul = u[live]
-        contrib = np.zeros_like(ul)
-        # main lobe: offsets in [0, cp0) sit above the level
-        cp0 = np.interp(ul, tables.main_s, tables.main_x)
-        contrib = add_images(contrib, np.zeros_like(cp0), cp0,
-                             reached(0.0, tables.first_null), None)
-        for m in range(1, tables.cap + 1):
-            lo_m, hi_m = m * tables.first_null, (m + 1) * tables.first_null
-            crosses = ul < tables.s_peak[m]
-            if not np.any(crosses):
-                continue
-            images = reached(lo_m, min(hi_m, half))
+        order = np.argsort(ul)
+        us = ul[order]
+        contrib = np.zeros_like(us)
+        # main lobe: offsets in [0, cp0) sit above the level; each image's
+        # end at 0 maps to a scalar, so its term is one scalar evaluation
+        cp0 = np.interp(us, tables.main_s, tables.main_x)
+        for mirror, off in reached(0.0, tables.first_null):
+            b_lo, b_hi = _image_interval(mirror, off, 0.0, cp0)
+            contrib += fd(b_hi) - fd(b_lo)
+        crossed = np.searchsorted(us, tables.s_peak[1:], side="left")
+        for m in (np.flatnonzero(crossed) + 1).tolist():
+            images = reached(m * tables.first_null,
+                             min((m + 1) * tables.first_null, half))
             if not images:
                 # a lobe the angle range cannot reach adds nothing
                 continue
+            head = us[:crossed[m - 1]]
             rise_s, rise_x, fall_s, fall_x = tables.rows(m)
-            c1 = np.interp(ul, rise_s, rise_x)
+            c1 = np.interp(head, rise_s, rise_x)
             # the last lobe of an odd-count branch peaks exactly at the half
             # period; only its first half belongs to the base interval
-            c2 = np.minimum(np.interp(ul, fall_s, fall_x), half)
-            contrib = add_images(contrib, c1, c2, images, crosses)
-        p_above[live] = contrib
-    out = np.where(u >= 1.0, 0.0, p_above)
-    return np.clip(1.0 - out, 0.0, 1.0)
+            c2 = np.minimum(np.interp(head, fall_s, fall_x), half)
+            for mirror, off in images:
+                b_lo, b_hi = _image_interval(mirror, off, c1, c2)
+                contrib[:head.size] += fd(b_hi) - fd(b_lo)
+        unsorted = np.empty_like(contrib)
+        unsorted[order] = contrib
+        p_above[live] = unsorted
+    return np.clip(1.0 - p_above, 0.0, 1.0)
 
 
 def crosstalk_cdf(x, profile, angle_range):
@@ -453,7 +460,7 @@ def crosstalk_cdf(x, profile, angle_range):
     so no reachable lobe is left out.
     """
     scalar = np.ndim(x) == 0
-    if scalar and x < 0:
+    if scalar and not x >= 0:
         raise ValueError("crosstalk level must be nonnegative")
     out = _cdf_batch(np.atleast_1d(x), profile, angle_range)
     if scalar:

@@ -323,6 +323,17 @@ def test_mc_validate_pool_bytes(tmp_path):
         assert_digest(out, out.name)
 
 
+def test_crosstalk_cdf_pool_bytes(tmp_path):
+    # every CSV of the sop_fig6 and cold_keys reference pools: the two
+    # workloads whose rows run through the crosstalk CDF
+    workloads = _benchmark_workloads()
+    invocations = workloads.pool("sop_fig6") + workloads.pool("cold_keys")
+    assert len(invocations) == 122
+    for _, argv, out in workloads.write_manifests(invocations, tmp_path):
+        assert main(argv) == 0
+        assert_digest(out, out.name)
+
+
 def test_mc_validate_thread_invariance(tmp_path):
     path = write_manifest(
         tmp_path / "mc.json",

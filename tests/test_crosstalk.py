@@ -30,8 +30,12 @@ from secrecy_sor.crosstalk import (
     _HALF_LOBE_SAMPLES,
     _KernelTables,
     _bisect,
+    _cdf_batch,
     _cross_points,
     _delta_cdf,
+    _delta_span,
+    _image_interval,
+    _image_maps,
     _kernel_tables,
     _peak_value,
     _s_max_feasible,
@@ -336,6 +340,132 @@ def test_crosstalk_cdf_tracks_brute_force():
                 assert np.all(np.diff(got) >= -1e-15)
 
 
+def _cdf_batch_reference(x, profile, angle_range):
+    """The crosstalk CDF as one sweep of every side lobe over every level,
+    masking out the levels a lobe does not cross (the masked loop that
+    ``_cdf_batch`` replaced); the bit-for-bit reference."""
+    geom = profile.geometry
+    k = profile.k_factor_product
+    x = np.asarray(x, dtype=float)
+    if k == 0.0:
+        return np.ones_like(x)
+    u = x / k
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    d_lo, d_hi = _delta_span(profile, angle_range)
+    period = 1.0 / geom.spacing
+    half = 0.5 * period
+    maps = _image_maps(period, d_hi)
+
+    def fd(z):
+        return _delta_cdf(z, profile.theta_ref, angle_range)
+
+    def reached(span_lo, span_hi):
+        images = []
+        for mirror, off in maps:
+            i_lo, i_hi = _image_interval(mirror, off, span_lo, span_hi)
+            if i_lo < d_hi - 1e-15 and i_hi > d_lo + 1e-15:
+                images.append((mirror, off))
+        return images
+
+    def add_images(contrib, a, b, images, mask):
+        for mirror, off in images:
+            b_lo, b_hi = _image_interval(mirror, off, a, b)
+            term = fd(b_hi) - fd(b_lo)
+            contrib += term if mask is None else np.where(mask, term, 0.0)
+        return contrib
+
+    p_above = np.zeros_like(u)
+    live = u < 1.0
+    if np.any(live):
+        ul = u[live]
+        contrib = np.zeros_like(ul)
+        cp0 = np.interp(ul, tables.main_s, tables.main_x)
+        contrib = add_images(contrib, np.zeros_like(cp0), cp0,
+                             reached(0.0, tables.first_null), None)
+        for m in range(1, tables.cap + 1):
+            lo_m, hi_m = m * tables.first_null, (m + 1) * tables.first_null
+            crosses = ul < tables.s_peak[m]
+            if not np.any(crosses):
+                continue
+            images = reached(lo_m, min(hi_m, half))
+            if not images:
+                continue
+            rise_s, rise_x, fall_s, fall_x = tables.rows(m)
+            c1 = np.interp(ul, rise_s, rise_x)
+            c2 = np.minimum(np.interp(ul, fall_s, fall_x), half)
+            contrib = add_images(contrib, c1, c2, images, crosses)
+        p_above[live] = contrib
+    out = np.where(u >= 1.0, 0.0, p_above)
+    return np.clip(1.0 - out, 0.0, 1.0)
+
+
+def _segment_nodes(rng, k):
+    """Levels shaped like ``sop._segment_integrals``' nodes: one row of
+    Simpson nodes per radial segment, each row mapped through z^3 times
+    its own scale, so that the rows spread over the CDF's whole support."""
+    a = rng.uniform(50.0, 150.0, 12)
+    z = np.linspace(a, a + rng.uniform(1.0, 50.0, 12), 33, axis=1)
+    lvl = z ** 3.0 / 200.0 ** 3.0
+    return k * lvl * 10.0 ** rng.uniform(-7.0, 0.3, (12, 1))
+
+
+def _cdf_equality_cases():
+    """``(id, x, profile, angle_range)`` for the bit-identity check."""
+    rng = np.random.default_rng(25)
+    full = (-np.pi / 2, np.pi / 2)
+    fig6 = (-np.pi / 6, np.pi / 6)
+    t100 = _kernel_tables(100, 0.5)
+    t5 = _kernel_tables(5, 0.5)
+    spread = np.concatenate([10.0 ** rng.uniform(-8.0, 0.0, 200),
+                             rng.uniform(0.0, 1.2, 40)])
+    yield ("segment_nodes", _segment_nodes(rng, 0.9),
+           CrosstalkProfile(G100, 0.0, 0.9), fig6)
+    # k = 1 (and 0.5), so that u equals each peak exactly: lobe m crosses
+    # only the levels strictly below s_peak[m]
+    yield ("at_the_peaks", t100.s_peak[::-1].copy(),
+           CrosstalkProfile(G100, 0.2, 1.0), full)
+    yield ("at_the_peaks_half_k", 0.5 * np.concatenate([
+        t100.s_peak, np.nextafter(t100.s_peak, 0.0),
+        np.nextafter(t100.s_peak, 2.0)]),
+        CrosstalkProfile(G100, -0.4, 0.5), fig6)
+    yield ("duplicates", np.repeat(rng.choice(spread, 30), 4)[::-1] * 0.7,
+           CrosstalkProfile(G64, 0.5, 0.7), full)
+    yield ("at_or_above_k", 0.6 * np.array([1.0, 1.5, 2.0, 1e300, np.inf,
+                                            0.3, 1e-3, 1.0]),
+           CrosstalkProfile(G16, 0.1, 0.6), full)
+    yield ("zero_k", spread.reshape(-1, 4), CrosstalkProfile(G16, 0.1, 0.0),
+           full)
+    yield ("ref_outside_range", spread, CrosstalkProfile(G64, -0.7, 1.0),
+           (-0.3, 1.2))
+    # spacing 1: the period is 1, and offsets up to sin(1.5) + sin(1.4)
+    # reach mirror images about 1 and the periodic image past it
+    yield ("endfire_images", spread * 0.8,
+           CrosstalkProfile(ArrayGeometry(40, 1.0), -1.4, 0.8), (-1.5, 1.5))
+    # odd n: side lobe (n - 1) / 2 peaks at the half period, where the
+    # fall crossings are clamped
+    yield ("odd_half_period_peak",
+           np.concatenate([spread * t5.s_peak[-1],
+                           np.linspace(0.0, t5.s_peak[-1], 50)]),
+           CrosstalkProfile(ArrayGeometry(5, 0.5), 0.0, 1.0), (0.0, 1.0))
+    for geom in LANDMARK_GEOMETRIES:
+        peaks = _kernel_tables(geom.n_antennas, geom.spacing).s_peak
+        x = rng.permutation(np.concatenate([spread, peaks, peaks[1:4]]))
+        yield (f"n{geom.n_antennas}-d{geom.spacing}", 0.75 * x,
+               CrosstalkProfile(geom, 0.6, 0.75), (-1.2, 0.9))
+
+
+def test_cdf_batch_equals_the_masked_sweep_bit_for_bit():
+    # the odd case's last lobe peaks at the half period 1.0
+    t5 = _kernel_tables(5, 0.5)
+    assert t5.cap == 2 and abs(t5.x_peak[2] - 1.0) < 1e-8
+    assert len(_image_maps(1.0, np.sin(1.5) + np.sin(1.4))) == 4
+    for name, x, profile, angle_range in _cdf_equality_cases():
+        got = _cdf_batch(x, profile, angle_range)
+        want = _cdf_batch_reference(x, profile, angle_range)
+        assert got.shape == want.shape == np.shape(x), name
+        assert np.array_equal(got, want), name
+
+
 def test_crosstalk_cdf_skips_lobes_the_range_cannot_reach():
     # offsets reach sin(pi/2) + sin(0.15) = 1.149; side lobe m spans
     # [m/6, (m+1)/6], so lobes 7-11 start past it (and their mirror
@@ -352,6 +482,16 @@ def test_crosstalk_cdf_skips_lobes_the_range_cannot_reach():
     err = np.max(np.abs(got - _brute_cdf(xs, p, full)))
     print(f"max cdf error {err:.2e}")
     assert err < 2e-5
+    # levels between the peaks of side lobes m and m + 1 cross lobes 1..m
+    # only: the lobes past them have an empty prefix and build no rows
+    assert np.all(np.diff(tables.s_peak) < 0)
+    for m in range(1, 7):
+        _kernel_tables.cache_clear()
+        tables = _kernel_tables(24, 0.25)
+        between = tables.s_peak[m + 1] + np.array([0.1, 0.5, 0.5, 0.9]) * (
+            tables.s_peak[m] - tables.s_peak[m + 1])
+        crosstalk_cdf(0.8 * between, p, full)
+        assert sorted(tables._rows) == list(range(1, m + 1))
 
 
 def test_default_lobe_count_tracks_every_reachable_lobe():
@@ -373,8 +513,10 @@ def test_crosstalk_cdf_support_edges():
     assert crosstalk_cdf(0.9, p, full) == 1.0
     assert crosstalk_cdf(5.0, p, full) == 1.0
     assert crosstalk_cdf(0.0, p, full) == 0.0
-    with pytest.raises(ValueError):
-        crosstalk_cdf(-0.1, p, full)
+    for bad in (-0.1, float("nan"), np.array([0.1, np.nan]),
+                np.array([[0.1], [-0.1]])):
+        with pytest.raises(ValueError):
+            crosstalk_cdf(bad, p, full)
 
 
 def test_s_max_feasible_matches_dense_scan():
