@@ -17,6 +17,9 @@ Every search returns an immutable ``AllocationResult``.  Algorithms 2 and 3
 share one two-lobe scan per scenario (``_two_lobe_scan``), and the uniform
 search, which algorithm 1 starts from, runs once per (scenario, region,
 objective) (``_uniform_search``); a memo hit returns the memoised result.
+The two-lobe scan skips every fraction whose lower bound
+(``_split_lower_bounds``) exceeds the best area found, and returns what a
+scan of every fraction would, bit for bit.
 
 Every area search scores its candidates through
 ``_DirectionalAreaEvaluator.areas`` on the scenario's default boundary grid
@@ -66,7 +69,8 @@ _DESCENT_EPSILON = 1e-6
 _MAX_SWEEPS = 60
 # two-lobe scan of algorithms 2 and 3: the jamming-fraction step, the
 # number of two-way splits tried at each fraction, and the relative margin
-# its noise floor keeps below the rounded two-beam noise
+# that keeps its noise floor below, and its per-fraction lower bound's
+# deposit above, the rounded two-beam noise
 _SCAN_PHI_STEP = 1e-2
 _SCAN_SPLITS = 201
 _SCAN_MARGIN = 1e-12
@@ -526,14 +530,63 @@ def _split_areas(ev, phi, shares):
                     lambda cols: drive @ ev.response[:, cols])
 
 
+def _split_lower_bounds(ev, phis):
+    """For each fraction in ``phis`` (ascending, from 0), a number no split
+    scored by ``_split_areas`` at that fraction falls below.
+
+    A split of the budget ``phi * p_tot`` deposits at most the budget times
+    the stronger beam's response on each column, so the area with that
+    deposit everywhere, LB(phi) = sum_c w_c (B(phi) s_c - budget
+    max(R0_c, R1_c))+^(2/alpha), is below every split's: the default grid's
+    Simpson weights are positive, and the gap only falls as the noise
+    rises.  Rounding cannot break this:
+
+    - the split's noise ``drive @ response`` is two products of drives
+      (rounded shares of the budget, the shares summing to at most 1 + u,
+      u = 2**-53) and one sum: a few roundings, so it exceeds budget *
+      max(R0_c, R1_c) by a few u relative at most.  The bound's deposit,
+      taken ``1 + _SCAN_MARGIN`` times larger, exceeds it by about 1e-12,
+      so its gap, subtracted from the same product ``B(phi) s_c`` and
+      rounded monotonically, is no larger than any split's;
+    - the ``2/alpha`` power is within an ulp or two of monotone, and each
+      area is a sum of at most n nonnegative terms, n the grid's columns,
+      which rounds by at most (n - 1) u relative in any order; so the
+      bound, taken ``1 - n * _SCAN_MARGIN`` times smaller, stays below
+      every computed split area.
+
+    The fractions are scored in blocks that double in length (1, 2, 4,
+    ...), so each block's noise floor, set by its first and smallest
+    budget, is about half its last: the fractions near zero, which leave
+    nearly every column live, fill the smallest blocks.  With at most 100
+    fractions no block exceeds 64 rows."""
+    reach = np.maximum(ev.response[0], ev.response[1]) * (1.0 + _SCAN_MARGIN)
+    bounds = np.empty(phis.size)
+    lo = 0
+    while lo < phis.size:
+        hi = 2 * lo + 1
+        budgets = phis[lo:hi] * ev.cfg.p_tot
+        bounds[lo:hi] = ev.areas(
+            boundary_scale(ev.cfg, phis[lo:hi]), budgets[0] * reach,
+            lambda cols: np.multiply.outer(budgets, reach[cols]))
+        lo = hi
+    return bounds * (1.0 - ev.s_eb.size * _SCAN_MARGIN)
+
+
 @lru_cache(maxsize=32)
 def _two_lobe_scan(cfg):
-    """Exhaustive (phi, split) scan with the whole noise budget on the two
-    DFT beams that deposit most strongly on the two strongest side lobes:
-    fractions every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
-    Returns ``(beam_columns, result)``: the two beams' read-only columns in
-    the DFT basis and the best split's ``AllocationResult``, whose trace is
-    the best area at each fraction.  Memoised on ``cfg``."""
+    """(phi, split) scan with the whole noise budget on the two DFT beams
+    that deposit most strongly on the two strongest side lobes: fractions
+    every ``_SCAN_PHI_STEP``, ``_SCAN_SPLITS`` splits at each.
+
+    The fractions are scored in ascending order of their lower bound
+    (``_split_lower_bounds``, a stable sort), and the scan stops at the
+    first whose bound exceeds the best area so far: no split there or at
+    any later fraction can reach it.  Among the scored fractions the first
+    minimum in ``phi`` order wins, as in a scan of every fraction, so the
+    result is the exhaustive scan's, bit for bit.  Returns ``(beam_columns,
+    result)``: the two beams' read-only columns in the DFT basis and the
+    best split's ``AllocationResult``, whose trace is the best area at each
+    scored fraction, in ``phi`` order.  Memoised on ``cfg``."""
     ranked = _side_lobe_peak_angles(cfg)
     if len(ranked) < 2:
         raise DegenerateArrayError(
@@ -545,43 +598,52 @@ def _two_lobe_scan(cfg):
         raise DegenerateArrayError(
             f"only {eligible.size} jamming beams clear the main lobe")
     geom = cfg.geometry
+    free = eligible
     cols = []
     for _, _, lobe_angle in ranked[:2]:
-        free = np.setdiff1d(eligible, np.asarray(cols, dtype=int))
         deposit = s_kernel(np.abs(np.sin(beam_angles[free])
                                   - np.sin(lobe_angle)), geom)
         cols.append(int(free[int(np.argmax(deposit))]))
+        free = free[free != cols[-1]]
     cols = _read_only(np.asarray(cols, dtype=int))
     angles = beam_angles[cols]
     ev = _DirectionalAreaEvaluator(cfg, angles)
-    limit = phi_max(cfg)
+    phis = np.arange(0.0, phi_max(cfg), _SCAN_PHI_STEP)
+    bounds = _split_lower_bounds(ev, phis)
     splits = np.linspace(0.0, 1.0, _SCAN_SPLITS)
     shares = np.column_stack([splits, 1.0 - splits])
-    best = None
-    trace = []
-    for phi in np.arange(0.0, limit, _SCAN_PHI_STEP):
-        areas = _split_areas(ev, phi, shares)
+    scored = []
+    lowest = np.inf
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > lowest:
+            break
+        areas = _split_areas(ev, phis[i], shares)
         k = int(np.argmin(areas))
-        area = float(areas[k])
-        trace.append((float(phi), area))
-        if best is None or area < best[0]:
-            best = (area, float(phi), shares[k] * (phi * cfg.p_tot))
-    area, phi, powers = best
+        scored.append((int(i), float(areas[k]), k))
+        lowest = min(lowest, scored[-1][1])
+    scored.sort()
+    # the first of the smallest areas in phi order
+    i, area, k = min(scored, key=lambda s: s[1])
+    phi = float(phis[i])
+    powers = shares[k] * (phis[i] * cfg.p_tot)
+    trace = tuple((float(phis[j]), a) for j, a, _ in scored)
     alloc = PowerAllocation(phi, powers, "dft_selected", angles)
-    return cols, AllocationResult(phi, alloc, area, tuple(trace))
+    return cols, AllocationResult(phi, alloc, area, trace)
 
 
 def algorithm3_two_lobes(cfg):
     """Put the whole noise budget on the two DFT beams nearest the two
     strongest side lobes and search the jamming fraction (step 0.01) and
-    the two-way split (201 splits) exhaustively, scoring by the exact
-    outage area.
+    the two-way split (201 splits), scoring by the exact outage area.  A
+    fraction whose lower bound exceeds the best area found is skipped; the
+    result is the exhaustive search's, bit for bit.
 
     The per-lobe score of ``lobe_notch_objective`` is concave in the beam
     powers, so budget-constrained minimizers concentrate power on few
     lobes; restricting to the two strongest keeps the search
     two-dimensional.  Lobe direction means the lobe maximum.  The result
-    is the memoised scan's; its trace is the best area at each fraction.
+    is the memoised scan's; its trace is the best area at each fraction the
+    scan scored, in ``phi`` order.
     """
     return _two_lobe_scan(cfg)[1]
 

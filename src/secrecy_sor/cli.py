@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -543,7 +544,9 @@ def _run_sor_map(manifest, n_points):
 # ---------------------------------------------------------------------------
 # Entry point
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="secrecy-sor",
         description="Secrecy outage regions and probabilities for a massive "

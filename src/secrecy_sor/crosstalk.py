@@ -328,9 +328,10 @@ def _delta_cdf(z, theta_ref, angle_range):
     lo, hi = _clipped_range(angle_range)
     z = np.asarray(z, dtype=float)
     sr = np.sin(theta_ref)
-    upper = np.minimum(np.arcsin(np.minimum(1.0, sr + np.maximum(z, 0.0))), hi)
-    lower = np.maximum(np.arcsin(np.maximum(-1.0, sr - np.maximum(z, 0.0))), lo)
-    val = np.clip(upper - lower, 0.0, None) / (hi - lo)
+    zc = np.maximum(z, 0.0)
+    upper = np.minimum(np.arcsin(np.minimum(1.0, sr + zc)), hi)
+    lower = np.maximum(np.arcsin(np.maximum(-1.0, sr - zc)), lo)
+    val = np.maximum(upper - lower, 0.0) / (hi - lo)
     val = np.where(z < 0.0, 0.0, val)
     if val.ndim == 0:
         return float(val)

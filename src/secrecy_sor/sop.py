@@ -213,7 +213,9 @@ def _sor_region_overlap(boundary, region):
     lo, hi = region.angle_interval
     thetas = np.asarray(boundary.thetas, dtype=float)
     inside = (thetas >= lo) & (thetas <= hi)
-    th = np.unique(np.concatenate((thetas[inside], [lo, hi])))
+    # sorted, each value once (np.unique would import numpy.ma)
+    th = np.sort(np.concatenate((thetas[inside], [lo, hi])))
+    th = th[np.concatenate(([True], th[1:] != th[:-1]))]
     r = np.interp(th, thetas, boundary.radii)
     covered = 0.5 * np.clip(np.square(np.minimum(r, region.d_max))
                             - np.square(region.d_min), 0.0, None)

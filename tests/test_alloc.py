@@ -11,10 +11,12 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from secrecy_sor import (
     ArrayGeometry,
     DegenerateArrayError,
+    InfeasibleRateError,
     ResolutionWarning,
     ScenarioConfig,
     SuspiciousRegion,
@@ -697,6 +699,90 @@ def test_scan_results_are_the_memoised_result():
     assert np.array_equal(again.allocation.beam_powers,
                           descent.allocation.beam_powers)
     assert again.trace == descent.trace
+
+
+# ------------------------------------------- the scan's per-fraction bound
+
+def _fig_rows(n_antennas, r_th, dists, **kw):
+    return [ScenarioConfig(G(n_antennas, 0.5), 3.0, 1.0, 1e-8, r_th, 0.0,
+                           dist, **kw) for dist in dists]
+
+
+# fig5's 60/100/160 m rows and fig6's 60/100/150 m rows
+FIG_ROWS = (_fig_rows(50, 5.0, (60.0, 100.0, 160.0))
+            + _fig_rows(100, 10.0, (60.0, 100.0, 150.0), n_eves=10))
+FIG_IDS = ["fig5_60m", "fig5_100m", "fig5_160m",
+           "fig6_60m", "fig6_100m", "fig6_150m"]
+
+
+def _every_fraction(cfg):
+    """Reference: the scan's fractions, its split shares, and the areas of
+    every split at every fraction, each fraction a ``_split_areas`` block
+    as the scan scores it."""
+    ev = _scan_evaluator(cfg)
+    phis = np.arange(0.0, phi_max(cfg), 0.01)
+    splits = np.linspace(0.0, 1.0, 201)
+    shares = np.column_stack([splits, 1.0 - splits])
+    return ev, phis, shares, [alloc._split_areas(ev, phi, shares)
+                              for phi in phis]
+
+
+def _assert_pruned_scan_is_exhaustive(cfg):
+    """The bound lies below every split at its fraction, and the pruned
+    scan returns the exhaustive loop's split bit for bit: the first
+    minimum in phi order.  Returns (fractions scored, fractions)."""
+    ev, phis, shares, areas = _every_fraction(cfg)
+    bounds = alloc._split_lower_bounds(ev, phis)
+    best = None
+    for phi, bound, block in zip(phis, bounds, areas):
+        k = int(np.argmin(block))
+        assert bound <= block[k]
+        if best is None or block[k] < best[0]:
+            best = (float(block[k]), float(phi), shares[k] * (phi * cfg.p_tot))
+    scan = _two_lobe_scan(cfg)[1]
+    assert scan.phi_opt == best[1]
+    assert np.array_equal(scan.allocation.beam_powers, best[2])
+    assert scan.objective == best[0]
+    # the trace is the best area of each scored fraction, in phi order
+    mins = {float(phi): float(np.min(block))
+            for phi, block in zip(phis, areas)}
+    phis_scored = [phi for phi, _ in scan.trace]
+    assert phis_scored == sorted(phis_scored)
+    assert all(mins[phi] == area for phi, area in scan.trace)
+    assert (scan.phi_opt, scan.objective) in scan.trace
+    # every fraction left out has a bound above the optimum
+    left_out = ~np.isin(phis, phis_scored)
+    assert np.all(bounds[left_out] > scan.objective)
+    return len(scan.trace), phis.size
+
+
+@pytest.mark.parametrize("cfg", FIG_ROWS, ids=FIG_IDS)
+def test_pruned_scan_equals_the_exhaustive_scan(cfg):
+    scored, total = _assert_pruned_scan_is_exhaustive(cfg)
+    # the bound skips at least 40% of every figure row's fractions
+    assert 1 < scored < 0.6 * total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=64),
+       st.sampled_from([0.4, 0.5, 0.7]),
+       st.sampled_from([2.0, 3.0, 3.5, 4.0]),
+       st.floats(min_value=0.5, max_value=6.0),
+       st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=20.0, max_value=200.0),
+       st.floats(min_value=0.2, max_value=1.0))
+# 97 fractions tie at area 0, each with bound 0: all are scored, and the
+# first in phi order wins
+@example(24, 0.7, 2.0, 1.93, -0.92, 30.1, 0.27)
+def test_pruned_scan_equals_the_exhaustive_scan_anywhere(
+        n, spacing, alpha, r_th, bob_theta, bob_dist, k_eb):
+    cfg = ScenarioConfig(G(n, spacing), alpha, 1.0, 1e-8, r_th, bob_theta,
+                         bob_dist, k_eb=k_eb)
+    try:
+        _two_lobe_scan(cfg)
+    except (DegenerateArrayError, InfeasibleRateError):
+        reject()
+    _assert_pruned_scan_is_exhaustive(cfg)
 
 
 @pytest.mark.parametrize("search", [

@@ -1,7 +1,8 @@
 """End-to-end checks of the manifest-driven command line front end.
 
-Everything runs through ``main(argv)`` in-process; no subprocesses, so the
-exit codes and stderr text are asserted directly.
+Everything runs through ``main(argv)`` in-process, so the exit codes and
+stderr text are asserted directly; only the check of what a fresh run
+imports starts a subprocess.
 """
 
 import hashlib
@@ -10,6 +11,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,6 +335,35 @@ def test_crosstalk_cdf_pool_bytes(tmp_path):
     for _, argv, out in workloads.write_manifests(invocations, tmp_path):
         assert main(argv) == 0
         assert_digest(out, out.name)
+
+
+@pytest.mark.parametrize("workload, schemes", [
+    ("area_fig5", {"no_jam", "uniform", "algo2", "algo3"}),
+    ("sop_fig6", {"no_jam", "uniform", "algo1", "algo3"}),
+])
+def test_a_run_imports_no_numpy_ma_and_builds_one_parser(workload, schemes,
+                                                         tmp_path):
+    # np.unique and np.setdiff1d import numpy.ma (about 9 ms and 1 MB) on
+    # their first call; every scheme of the benchmark's fig5 and fig6 rows
+    # runs in one fresh process without it, and the parser is built on the
+    # first main call, not at import
+    workloads = _benchmark_workloads()
+    invocations = workloads.pool(workload)
+    assert {inv.manifest["scheme"]["kind"] for inv in invocations} == schemes
+    argvs = [argv for _, argv, _ in
+             workloads.write_manifests(invocations, tmp_path)]
+    code = ("import json, sys\n"
+            "from secrecy_sor.cli import build_parser, main\n"
+            "assert build_parser.cache_info().currsize == 0\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "assert build_parser.cache_info().misses == 1\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_mc_validate_thread_invariance(tmp_path):
