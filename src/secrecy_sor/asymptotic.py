@@ -325,15 +325,15 @@ def _null_sins(cfg):
     return np.sort(sins[(sins > -1.0 + 1e-12) & (sins < 1.0 - 1e-12)])
 
 
-def _arc_supports(cfg):
-    """``(index, (theta_lo, theta_hi))`` of every lobe arc between
-    consecutive kernel nulls (and the ends of the front half space), left to
-    right; ``index`` counts nulls between the arc and Bob's."""
+def _arc_edges(cfg):
+    """``(index, edges)`` of the lobe arcs between consecutive kernel nulls
+    (and the ends of the front half space), left to right: arc ``j`` spans
+    ``[edges[j], edges[j + 1]]`` and ``index[j]`` counts nulls between it
+    and Bob's arc."""
     bounds = np.concatenate(([-1.0], _null_sins(cfg), [1.0]))
     edges = np.arcsin(bounds)
     main = int(np.searchsorted(bounds, np.sin(cfg.bob_theta))) - 1
-    return [(abs(j - main), (edges[j], edges[j + 1]))
-            for j in range(len(edges) - 1)]
+    return np.abs(np.arange(edges.size - 1) - main), edges
 
 
 class _GridKey(NamedTuple):
@@ -361,18 +361,21 @@ def _default_arcs(cfg):
 def _default_grid(key):
     thetas = []
     arcs = []
-    for j, (index, support) in enumerate(_arc_supports(key)):
-        seg = np.linspace(support[0], support[1], _ARC_POINTS)
+    index, edges = _arc_edges(key)
+    for j in range(index.size):
+        seg = np.linspace(edges[j], edges[j + 1], _ARC_POINTS)
         lo = len(thetas) - (1 if j > 0 else 0)
         thetas.extend(seg if j == 0 else seg[1:])
-        arcs.append(_ArcSpan(index, lo, len(thetas) - 1))
+        arcs.append(_ArcSpan(int(index[j]), lo, len(thetas) - 1))
     thetas = _read_only(np.asarray(thetas))
     return (thetas, tuple(arcs), _read_only(_s_eb(key, thetas)),
             _read_only(_area_weights(thetas, arcs)))
 
 
 def _arcs_for_grid(cfg, thetas):
-    """Assign a user-supplied (sorted) grid to the analytic lobe arcs."""
+    """Assign a user-supplied (sorted) grid to the analytic lobe arcs:
+    ``(thetas, (index, lo, hi))``, one array entry per arc as in
+    ``LobeArc``."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size < 2:
         raise ValueError("theta_grid must be a 1-D array with >= 2 points")
@@ -380,11 +383,25 @@ def _arcs_for_grid(cfg, thetas):
         raise ValueError("theta_grid must be finite and strictly increasing")
     # a grid point sitting exactly on a null belongs to both arcs, like the
     # shared endpoints of the default grid
-    arcs = [_ArcSpan(index,
-                     int(np.searchsorted(thetas, support[0], side="left")),
-                     int(np.searchsorted(thetas, support[1], side="right")) - 1)
-            for index, support in _arc_supports(cfg)]
-    return thetas, arcs
+    index, edges = _arc_edges(cfg)
+    lo = np.searchsorted(thetas, edges[:-1], side="left")
+    hi = np.searchsorted(thetas, edges[1:], side="right") - 1
+    return thetas, (index, lo, hi)
+
+
+def _lobe_arcs(radii, index, lo, hi):
+    """``LobeArc`` of each arc ``[lo[j], hi[j]]`` of ``radii`` (arrays, one
+    entry per arc; ``lo > hi`` marks an empty arc, whose maximum is 0.0).
+
+    Each maximum is one ``np.maximum.reduceat`` segment.  The segment ends
+    ``hi + 1`` sit between the starts, so arcs that share an end point keep
+    their own segments, and a trailing 0.0 keeps every end in range.
+    """
+    ends = np.column_stack((lo, hi + 1)).ravel()
+    peaks = np.maximum.reduceat(np.append(radii, 0.0), ends)[::2]
+    peaks = np.where(hi >= lo, peaks, 0.0)
+    return [LobeArc(*arc) for arc in zip(index.tolist(), peaks.tolist(),
+                                         lo.tolist(), hi.tolist())]
 
 
 def _sor_boundary(cfg, theta_grid, scale, noise):
@@ -395,14 +412,14 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     (an array, or one number for all of them)."""
     if theta_grid is None:
         thetas, arcs, s_eb, weights = _default_arcs(cfg)
+        spans = np.array(arcs).T
     else:
-        thetas, arcs = _arcs_for_grid(cfg, theta_grid)
+        thetas, spans = _arcs_for_grid(cfg, theta_grid)
         s_eb, weights = _s_eb(cfg, thetas), None
     gap = _outage_gap(scale, s_eb, noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
-    lobes = [LobeArc(index, float(np.max(radii[lo:hi + 1])) if hi >= lo
-                     else 0.0, lo, hi) for index, lo, hi in arcs]
-    boundary = SorBoundary(thetas=thetas, radii=radii, lobes=lobes)
+    boundary = SorBoundary(thetas=thetas, radii=radii,
+                           lobes=_lobe_arcs(radii, *spans))
     boundary._grid_weights = (thetas, weights)
     return boundary
 

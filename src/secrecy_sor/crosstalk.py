@@ -72,17 +72,22 @@ class CrosstalkProfile:
 class _LobeLandmarks:
     """Where the kernel crosses a level u.
 
-    ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe,
-    1.0), numerically located: the peaks the crossings are decided by, not
-    ``_peak_value``'s midpoint envelope.
     ``cross_points_main`` is the offset where the main lobe falls through u.
     ``cross_points_side[m-1]`` is the ``(rising, falling)`` crossing pair of
     side lobe ``m``, or ``None`` when that lobe does not rise above u.
+    ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe,
+    1.0), numerically located: the peaks the crossings are decided by, not
+    ``_peak_value``'s midpoint envelope.  Reading it locates every peak of
+    ``tables``.
     """
 
-    peak_values: list
+    tables: "_KernelTables"
     cross_points_main: float
     cross_points_side: list
+
+    @property
+    def peak_values(self):
+        return self.tables.s_peak.tolist()
 
 
 def s_kernel(x, geom):
@@ -142,23 +147,33 @@ def _peak_value(m, geom):
 
 
 class _KernelTables:
-    """Per-geometry lobe landmarks plus inverse tables built on demand.
+    """Per-geometry lobe landmarks plus inverse tables, each built when a
+    query first needs it.
 
-    The landmarks are eager: ``x_peak``/``s_peak`` (side lobe ``m``'s peak
-    offset and height at index ``m``; index 0 is the main lobe's 0 and 1.0)
-    and the main lobe's inverse table ``main_s``/``main_x``.  Every CDF
-    query reads them (``_cdf_batch`` searches its sorted levels for each
-    ``s_peak`` to find the prefix of levels a lobe crosses,
-    ``_cross_points`` and ``sop._branch_radii`` read the peaks), and they
-    cost one array search.
+    Eager: the main lobe's inverse table ``main_s``/``main_x`` and
+    ``bound``, the kernel's envelope 1/(n sin(pi m/n))^2 at side lobe
+    ``m``'s left edge (index 0 is the main lobe's 1.0).  The envelope falls
+    across every representable lobe, so ``bound[m]`` is an upper bound on
+    lobe ``m``'s peak and strictly decreases in ``m``.
 
-    The side lobes' inverse tables are lazy.  On a half lobe the kernel is
-    monotone, so its inverse (level -> offset) is tabulated on
+    Lazy: the side-lobe peaks (offset and height), each a golden-section
+    search of some 55 steps in its lobe.  ``peaks(k)`` locates lobes ``1..k``
+    on first use, and ``reach(level)`` is the last lobe whose bound exceeds
+    ``level``: no later lobe rises above it.  So a query locates only the
+    prefix of lobes its lowest level can reach, and levels above every
+    bound locate none.  The located prefix grows at least twofold, so a
+    falling sequence of levels costs O(log cap) searches; each lobe's
+    search does not depend on which others run with it, so every peak is
+    the same whenever it is located.  ``x_peak``/``s_peak`` read the whole
+    arrays and locate every peak.
+
+    The side lobes' inverse tables are lazy too.  On a half lobe the kernel
+    is monotone, so its inverse (level -> offset) is tabulated on
     ``_HALF_LOBE_SAMPLES`` points and evaluated for whole arrays of levels
     with ``np.interp``.  ``rows(m)`` builds side lobe ``m``'s rise and fall
-    tables the first time a query has a level below ``s_peak[m]`` and the
-    angle range reaches the lobe, and keeps them: levels between the peaks
-    of lobes ``m`` and ``m + 1`` build rows ``1..m`` only, and levels above
+    tables the first time a query has a level below its peak and the angle
+    range reaches the lobe, and keeps them: levels between the peaks of
+    lobes ``m`` and ``m + 1`` build rows ``1..m`` only, and levels above
     every side-lobe peak build none.  ``_cross_points`` itself uses
     bisection for full precision; these tables serve the vectorized CDF.
     """
@@ -178,13 +193,41 @@ class _KernelTables:
         self.main_s = np.maximum.accumulate(s_main[::-1].copy())
         self.main_x = x_main[::-1].copy()
 
-        # lobe m spans [m * width, (m + 1) * width]; entry 0 is the main lobe
-        m = np.arange(1, cap + 1)
-        self.x_peak = np.zeros(cap + 1)
-        self.x_peak[1:] = _golden_max(lambda x: s_kernel(x, geom),
-                                      m * width, (m + 1) * width)
-        self.s_peak = s_kernel(self.x_peak, geom)
+        self.bound = np.ones(cap + 1)
+        self.bound[1:] = 1.0 / (n_antennas * np.sin(
+            np.pi * np.arange(1, cap + 1) / n_antennas)) ** 2
+        # peaks of lobes 0.._located are known; entry 0 is the main lobe's
+        self._located = 0
+        self._x_peak = np.zeros(cap + 1)
+        self._s_peak = np.ones(cap + 1)
         self._rows = {}
+
+    def reach(self, level):
+        """Last side lobe whose bound exceeds ``level`` (0 when none does):
+        no later lobe's peak rises above the level."""
+        return int(np.count_nonzero(self.bound[1:] > level))
+
+    def peaks(self, k):
+        """``(x_peak, s_peak)`` of lobes ``0..k``, locating the side-lobe
+        peaks up to ``k`` on first use (lobe ``m`` spans ``[m * width,
+        (m + 1) * width]``)."""
+        if k > self._located:
+            grow = min(max(k, 2 * self._located), self.cap)
+            m = np.arange(self._located + 1, grow + 1)
+            x = _golden_max(lambda x: s_kernel(x, self.geom),
+                            m * self.first_null, (m + 1) * self.first_null)
+            self._x_peak[m] = x
+            self._s_peak[m] = s_kernel(x, self.geom)
+            self._located = grow
+        return self._x_peak[:k + 1], self._s_peak[:k + 1]
+
+    @property
+    def x_peak(self):
+        return self.peaks(self.cap)[0]
+
+    @property
+    def s_peak(self):
+        return self.peaks(self.cap)[1]
 
     def rows(self, m):
         """``(rise_s, rise_x, fall_s, fall_x)`` of side lobe ``m``: its
@@ -193,7 +236,7 @@ class _KernelTables:
         """
         row = self._rows.get(m)
         if row is None:
-            xp = self.x_peak[m]
+            xp = self.peaks(m)[0][m]
             xr = np.linspace(m * self.first_null, xp, _HALF_LOBE_SAMPLES)
             xf = np.linspace(xp, (m + 1) * self.first_null,
                              _HALF_LOBE_SAMPLES)
@@ -295,12 +338,12 @@ def _cross_points(u, profile):
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
 
     # one bisection for the main lobe and both halves of every side lobe
-    # that rises above u
-    m_side = np.arange(1, tables.cap + 1)
-    crossing = m_side[tables.s_peak[m_side] > u]
+    # that rises above u; no lobe past reach(u) does
+    x_peak, s_peak = tables.peaks(tables.reach(u))
+    crossing = np.flatnonzero(s_peak[1:] > u) + 1
     lo = crossing * tables.first_null
     hi = (crossing + 1) * tables.first_null
-    xp = tables.x_peak[crossing]
+    xp = x_peak[crossing]
     roots = _bisect(lambda x: s_kernel(x, geom) - u,
                     np.concatenate(([0.0], lo, xp)),
                     np.concatenate(([tables.first_null], xp, hi)))
@@ -309,7 +352,7 @@ def _cross_points(u, profile):
                      zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
     cp_main = float(roots[0])
     side = [pairs.get(m) for m in range(1, tables.cap + 1)]
-    return _LobeLandmarks(tables.s_peak.tolist(), cp_main, side)
+    return _LobeLandmarks(tables, cp_main, side)
 
 
 def _clipped_range(angle_range):
@@ -331,8 +374,8 @@ def _delta_cdf(z, theta_ref, angle_range):
     zc = np.maximum(z, 0.0)
     upper = np.minimum(np.arcsin(np.minimum(1.0, sr + zc)), hi)
     lower = np.maximum(np.arcsin(np.maximum(-1.0, sr - zc)), lo)
+    # a negative z clamps to 0, where upper <= lower: the value is 0.0
     val = np.maximum(upper - lower, 0.0) / (hi - lo)
-    val = np.where(z < 0.0, 0.0, val)
     if val.ndim == 0:
         return float(val)
     return val
@@ -377,11 +420,12 @@ def _cdf_batch(x, profile, angle_range):
     every representable side lobe's bracket, and their mirror/periodic
     images; its probability is summed with ``_delta_cdf`` differences over
     the images the angle range reaches.  The levels below 1 are sorted
-    once.  Side lobe ``m`` rises above exactly the levels below its peak
-    ``s_peak[m]``, a prefix of the sorted levels that one
-    ``np.searchsorted`` finds, so its crossings (``np.interp`` on the
-    cached inverse tables) and its image terms are computed on that prefix
-    only.  A side lobe with an empty prefix, or whose images the range
+    once.  Only the side lobes whose bound exceeds the lowest level can
+    cross a level, so only their peaks are located.  Side lobe ``m`` rises
+    above exactly the levels below its peak ``s_peak[m]``, a prefix of the
+    sorted levels that one ``np.searchsorted`` finds, so its crossings
+    (``np.interp`` on the cached inverse tables) and its image terms are
+    computed on that prefix only.  A side lobe with an empty prefix, or whose images the range
     cannot reach, is skipped before ``rows(m)`` is called, so its rows are
     never built.  Every level sums its nonzero terms in the order of a
     sweep of all lobes over all levels (main lobe, then the side lobes by
@@ -431,7 +475,9 @@ def _cdf_batch(x, profile, angle_range):
         for mirror, off in reached(0.0, tables.first_null):
             b_lo, b_hi = _image_interval(mirror, off, 0.0, cp0)
             contrib += fd(b_hi) - fd(b_lo)
-        crossed = np.searchsorted(us, tables.s_peak[1:], side="left")
+        # lobes past reach(us[0]) cross no level
+        s_peak = tables.peaks(tables.reach(us[0]))[1]
+        crossed = np.searchsorted(us, s_peak[1:], side="left")
         for m in (np.flatnonzero(crossed) + 1).tolist():
             images = reached(m * tables.first_null,
                              min((m + 1) * tables.first_null, half))

@@ -67,10 +67,18 @@ def _branch_radii(cfg, cons):
     """Radii at which the radial integrand changes analytic branch: one per
     lobe peak of the crosstalk CDF (where a new lobe starts crossing), one
     row per entry of the array constants ``cons``; NaN where the lobe has
-    no outage radius."""
+    no outage radius.  The columns stop at the last lobe whose peak bound
+    leaves some row a gap: no later lobe has a radius."""
     geom = cfg.geometry
-    # s_peak[0] is the main lobe's 1.0
-    peaks = _kernel_tables(geom.n_antennas, geom.spacing).s_peak
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    # bound >= s_peak, scale and k_eb are nonnegative and rounding is
+    # monotone, so a lobe whose bound leaves no gap has no gap at its peak
+    # either; only the lobes before it are located.  Entry 0 of both is the
+    # main lobe's 1.0.
+    reached = np.flatnonzero(np.any(_outage_gap(
+        cons.scale, cfg.k_eb * tables.bound, cons.offset[:, None]) > 0,
+        axis=0))
+    peaks = tables.peaks(int(reached[-1]) if reached.size else 0)[1]
     gaps = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset[:, None])
     radii = np.full(gaps.shape, np.nan)
     live = gaps > 0

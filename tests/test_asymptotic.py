@@ -366,3 +366,51 @@ def test_coarse_grid_warns():
                                   theta_grid=np.linspace(-1.5, 1.5, 301))
         sor_area(bd)
     assert any(issubclass(w.category, ResolutionWarning) for w in caught)
+
+
+def _per_arc_lobes(cfg, boundary, default):
+    """``(index, max_radius, lo, hi)`` of each arc by the per-arc loop the
+    vectorized arcs replaced: a searchsorted pair and an ``np.max`` each."""
+    bounds = np.concatenate(([-1.0], asymptotic._null_sins(cfg), [1.0]))
+    edges = np.arcsin(bounds)
+    main = int(np.searchsorted(bounds, np.sin(cfg.bob_theta))) - 1
+    thetas, radii = boundary.thetas, boundary.radii
+    if default:
+        spans = _default_arcs(cfg)[1]
+    else:
+        spans = [(abs(j - main),
+                  int(np.searchsorted(thetas, edges[j], side="left")),
+                  int(np.searchsorted(thetas, edges[j + 1], side="right"))
+                  - 1) for j in range(len(edges) - 1)]
+    return [(index, float(np.max(radii[lo:hi + 1])) if hi >= lo else 0.0,
+             lo, hi) for index, lo, hi in spans]
+
+
+def test_lobe_arcs_equal_the_per_arc_loop():
+    off_axis = dataclasses.replace(CFG50, bob_theta=0.4, k_eb=0.7)
+    big = dataclasses.replace(CFG50, geometry=ArrayGeometry(262, 0.5))
+    edges = np.arcsin(np.concatenate(
+        ([-1.0], asymptotic._null_sins(off_axis), [1.0])))
+    sor_map = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 91)
+    cases = [
+        (CFG100, 0.0, None), (CFG50, 0.3 * phi_max(CFG50), None),
+        (off_axis, 0.5 * phi_max(off_axis), None),
+        (CFG100, 0.0, sor_map), (big, 0.0, sor_map),
+        (big, 0.5 * phi_max(big), sor_map),
+        # grid points on every null: neighbouring arcs share them
+        (off_axis, 0.0, np.sort(np.concatenate(
+            [edges, 0.5 * (edges[:-1] + edges[1:])]))),
+        # a grid short of both ends: the outer arcs are empty
+        (CFG50, 0.0, np.linspace(-0.3, 0.2, 7)),
+        (CFG50, 0.0, np.array([0.05, 0.06])),
+    ]
+    empty = 0
+    for cfg, phi, grid in cases:
+        boundary = sor_boundary_uniform(cfg, phi, grid)
+        got = [(a.index, a.max_radius, a.lo, a.hi) for a in boundary.lobes]
+        want = _per_arc_lobes(cfg, boundary, grid is None)
+        assert got == want
+        assert all(type(v) is type(w) for g, h in zip(got, want)
+                   for v, w in zip(g, h))
+        empty += sum(a.lo > a.hi for a in boundary.lobes)
+    assert empty > 0

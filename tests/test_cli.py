@@ -43,6 +43,7 @@ from secrecy_sor import (
 from secrecy_sor.alloc import _region_beam_allocation
 from secrecy_sor.asymptotic import _uniform_allocation
 from secrecy_sor.cli import main
+from secrecy_sor.crosstalk import _kernel_tables
 
 # main-lobe radius of the reference broadside setup (N_t=100, R_th=10,
 # d_b=100 m) with the whole budget on the data signal; frozen from
@@ -340,16 +341,23 @@ def test_crosstalk_cdf_pool_bytes(tmp_path):
 @pytest.mark.parametrize("workload, schemes", [
     ("area_fig5", {"no_jam", "uniform", "algo2", "algo3"}),
     ("sop_fig6", {"no_jam", "uniform", "algo1", "algo3"}),
+    ("cold_keys", {"uniform", "no_jam"}),
 ])
 def test_a_run_imports_no_numpy_ma_and_builds_one_parser(workload, schemes,
                                                          tmp_path):
     # np.unique and np.setdiff1d import numpy.ma (about 9 ms and 1 MB) on
     # their first call; every scheme of the benchmark's fig5 and fig6 rows
-    # runs in one fresh process without it, and the parser is built on the
-    # first main call, not at import
+    # runs in one fresh process without it, and so do cold_keys' sop sweeps
+    # over n_antennas and bob_theta_deg and its sor-maps (one repetition's
+    # invocations), and the parser is built on the first main call, not at
+    # import
     workloads = _benchmark_workloads()
-    invocations = workloads.pool(workload)
-    assert {inv.manifest["scheme"]["kind"] for inv in invocations} == schemes
+    if workload == "cold_keys":
+        invocations = workloads.build(workload, 0)
+        assert {inv.command for inv in invocations} == {"sop", "sor-map"}
+    else:
+        invocations = workloads.pool(workload)
+    assert {_scheme_kind(inv.manifest) for inv in invocations} == schemes
     argvs = [argv for _, argv, _ in
              workloads.write_manifests(invocations, tmp_path)]
     code = ("import json, sys\n"
@@ -364,6 +372,33 @@ def test_a_run_imports_no_numpy_ma_and_builds_one_parser(workload, schemes,
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _scheme_kind(manifest):
+    scheme = manifest["scheme"]
+    return scheme if isinstance(scheme, str) else scheme["kind"]
+
+
+def test_cold_keys_sop_rows_locate_no_side_lobe_peak(tmp_path):
+    # every cold_keys level lies above every side lobe's peak bound, so the
+    # sweeps over n_antennas and bob_theta_deg build each geometry's main
+    # lobe table and bound only: no peak search and no side-lobe row
+    workloads = _benchmark_workloads()
+    invocations = [inv for inv in workloads.build("cold_keys", 0)
+                   if inv.command == "sop"]
+    assert {inv.manifest["sweep"]["parameter"] for inv in invocations} == {
+        "n_antennas", "bob_theta_deg"}
+    _kernel_tables.cache_clear()
+    for _, argv, _ in workloads.write_manifests(invocations, tmp_path):
+        assert main(argv) == 0
+    # the theta sweep's scenario has 100 elements
+    n_values = set(invocations[0].manifest["sweep"]["grid"]) | {100}
+    assert _kernel_tables.cache_info().currsize == len(n_values)
+    for n in n_values:
+        tables = _kernel_tables(n, 0.5)
+        assert tables.cap >= 15
+        assert tables._located == 0 and tables._rows == {}
+    _kernel_tables.cache_clear()
 
 
 def test_mc_validate_thread_invariance(tmp_path):

@@ -34,6 +34,7 @@ from secrecy_sor.crosstalk import (
     _cross_points,
     _delta_cdf,
     _delta_span,
+    _golden_max,
     _image_interval,
     _image_maps,
     _kernel_tables,
@@ -87,6 +88,26 @@ def test_delta_cdf_uniform_halfspace():
     z = np.linspace(0, 2, 301)
     c = _delta_cdf(z, 0.3, (-0.2, 1.1))
     assert np.all(np.diff(c) >= -1e-15) and c[-1] == 1.0
+
+
+@pytest.mark.parametrize("theta_ref", [0.3, -0.9, 1.4],
+                         ids=["inside", "below", "above"])
+def test_delta_cdf_is_zero_below_zero_wherever_the_reference_lies(theta_ref):
+    # the reference angle inside, below and above the range (-0.2, 1.1):
+    # a negative z clamps to 0, where the upper end never exceeds the lower
+    angle_range = (-0.2, 1.1)
+    neg = -np.array([5e-324, 1e-12, 0.1, 0.7, 2.0, np.inf])
+    assert np.all(_delta_cdf(neg, theta_ref, angle_range) == 0.0)
+    assert _delta_cdf(-0.1, theta_ref, angle_range) == 0.0
+    assert np.isnan(_delta_cdf(np.nan, theta_ref, angle_range))
+    # and nonnegative z keep their values: the clamp leaves them alone
+    z = np.linspace(0.0, 2.0, 41)
+    lo, hi = angle_range
+    sr = np.sin(theta_ref)
+    upper = np.minimum(np.arcsin(np.minimum(1.0, sr + z)), hi)
+    lower = np.maximum(np.arcsin(np.maximum(-1.0, sr - z)), lo)
+    assert np.array_equal(_delta_cdf(z, theta_ref, angle_range),
+                          np.maximum(upper - lower, 0.0) / (hi - lo))
 
 
 def test_normalized_crosstalk_scales_kernel():
@@ -179,6 +200,88 @@ def test_kernel_tables_equal_per_lobe_scalar_build(geom):
             s_kernel(xf, geom)[::-1]))
 
 
+# every n up to 600, each at one of these spacings in turn, and a few large n
+BOUND_GEOMETRIES = [(n, (0.1, 0.25, 0.37, 0.5, 0.75, 1.0)[n % 6])
+                    for n in range(2, 601)] + [
+    (n, d) for n in (1000, 2049, 4096) for d in (0.1, 0.5, 1.0)]
+
+
+def test_peak_bound_lies_above_every_peak_and_falls():
+    worst = 0.0
+    for n, d in BOUND_GEOMETRIES:
+        tables = _KernelTables(n, d)
+        bound = tables.bound.copy()
+        assert bound[0] == 1.0 and tables.s_peak[0] == 1.0
+        assert np.all(tables.s_peak <= bound), (n, d)
+        assert np.all(np.diff(bound) < 0), (n, d)
+        if tables.cap:
+            worst = max(worst, np.max(tables.s_peak[1:] / bound[1:]))
+    print(f"largest peak / bound {worst:.7f}")
+    assert worst < 1.0
+
+
+@pytest.mark.parametrize("geom", [G16, ArrayGeometry(101, 0.37),
+                                  ArrayGeometry(262, 0.5)],
+                         ids=lambda g: f"n{g.n_antennas}-d{g.spacing}")
+def test_golden_max_on_a_subset_of_brackets_equals_the_full_call(geom):
+    width = 1.0 / (geom.n_antennas * geom.spacing)
+    m = np.arange(1, _kernel_tables(geom.n_antennas, geom.spacing).cap + 1)
+
+    def f(x):
+        return s_kernel(x, geom)
+    full = _golden_max(f, m * width, (m + 1) * width)
+    rng = np.random.default_rng(geom.n_antennas)
+    subsets = [m[:1], m[-1:], m[:3], m[2:9], m[m.size // 2:],
+               *(np.sort(rng.choice(m, k, replace=False))
+                 for k in (1, 2, 5, m.size // 3))]
+    for sub in subsets:
+        got = _golden_max(f, sub * width, (sub + 1) * width)
+        assert np.array_equal(got, full[sub - 1]), sub
+        assert np.array_equal(f(got), f(full)[sub - 1]), sub
+
+
+def test_kernel_tables_locate_the_same_peaks_in_any_order():
+    eager = _KernelTables(262, 0.5)
+    x_all, s_all = eager.x_peak.copy(), eager.s_peak.copy()
+    rng = np.random.default_rng(27)
+    for order in ([1, 2, 3, 130], [130], [7, 3, 60, 2, 128, 130],
+                  rng.integers(0, 131, 12).tolist()):
+        tables = _KernelTables(262, 0.5)
+        for k in order:
+            x, s = tables.peaks(k)
+            assert np.array_equal(x, x_all[:k + 1])
+            assert np.array_equal(s, s_all[:k + 1])
+            assert tables._located >= k
+        assert np.array_equal(tables.x_peak, x_all)
+        assert np.array_equal(tables.s_peak, s_all)
+    # a falling sequence of levels locates a prefix that at least doubles
+    tables = _KernelTables(262, 0.5)
+    searches = 0
+    for level in tables.bound[1:][::-1]:
+        before = tables._located
+        tables.peaks(tables.reach(0.999 * level))
+        searches += tables._located > before
+    assert tables._located == tables.cap == 130
+    assert searches <= 1 + int(np.log2(130))
+    # rows(m) locates lobe m itself
+    tables = _KernelTables(100, 0.5)
+    tables.rows(5)
+    assert tables._located >= 5
+    assert tables.x_peak[5] == _KernelTables(100, 0.5).x_peak[5]
+
+
+def test_reach_covers_every_lobe_above_the_level():
+    tables = _KernelTables(100, 0.5)
+    s_all = tables.s_peak
+    levels = np.concatenate([tables.bound, np.nextafter(tables.bound, 0.0),
+                             np.nextafter(tables.bound, 2.0), s_all,
+                             np.nextafter(s_all, 0.0), [0.0, 0.5, 1.0]])
+    for level in levels:
+        k = tables.reach(level)
+        assert np.all(s_all[k + 1:] <= level)
+        assert np.all(tables.bound[1:k + 1] > level)
+
+
 def test_kernel_tables_build_lobe_rows_only_when_a_level_crosses_them():
     tables = _KernelTables(100, 0.5)
     assert tables._rows == {}
@@ -189,7 +292,7 @@ def test_kernel_tables_build_lobe_rows_only_when_a_level_crosses_them():
     levels = 0.9 * np.array([1.01, 1.5, 2.0, 10.0]) * cached.s_peak[1:].max()
     crosstalk_cdf(levels, prof, (-np.pi / 2, np.pi / 2))
     assert cached._rows == {}
-    # the eager part of a 128-lobe table is its peaks and main lobe only
+    # the eager part of a 128-lobe table is its bound and main lobe only
     tracemalloc.start()
     try:
         _KernelTables(256, 0.5)
@@ -464,6 +567,70 @@ def test_cdf_batch_equals_the_masked_sweep_bit_for_bit():
         want = _cdf_batch_reference(x, profile, angle_range)
         assert got.shape == want.shape == np.shape(x), name
         assert np.array_equal(got, want), name
+
+
+def _fresh_tables(geom, eager):
+    """A fresh cached table for ``geom``, with every peak located when
+    ``eager``."""
+    _kernel_tables.cache_clear()
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    if eager:
+        tables.s_peak
+    return tables
+
+
+def _lazy_levels(geom, rng):
+    """Random levels plus each peak and bound, and one ulp either side."""
+    tables = _KernelTables(geom.n_antennas, geom.spacing)
+    marks = np.concatenate([tables.s_peak[1:], tables.bound[1:]])
+    return np.concatenate([10.0 ** rng.uniform(-6.0, 0.0, 30), marks,
+                           np.nextafter(marks, 0.0),
+                           np.nextafter(marks, 2.0)])
+
+
+LAZY_GEOMETRIES = [G16, G64, ArrayGeometry(5, 0.5), ArrayGeometry(37, 0.25),
+                   ArrayGeometry(40, 1.0)]
+
+
+@pytest.mark.parametrize("geom", LAZY_GEOMETRIES,
+                         ids=lambda g: f"n{g.n_antennas}-d{g.spacing}")
+def test_cdf_batch_and_cross_points_locate_lazily_bit_for_bit(geom):
+    # each call on a fresh table that locates peaks as it needs them, then
+    # on one with every peak located
+    rng = np.random.default_rng(geom.n_antennas)
+    levels = _lazy_levels(geom, rng)
+    cases = [(CrosstalkProfile(geom, 0.2, 1.0), (-np.pi / 2, np.pi / 2)),
+             (CrosstalkProfile(geom, -0.7, 0.6), (-0.3, 1.2))]
+    for profile, angle_range in cases:
+        k = profile.k_factor_product
+        # the whole set, the top of it and (on the first profile) each
+        # level alone
+        sets = [k * levels, k * np.sort(levels)[-5:]]
+        if profile is cases[0][0]:
+            sets += [levels[i:i + 1] for i in range(levels.size)]
+        lazy = []
+        for x in sets:
+            tables = _fresh_tables(geom, False)
+            lazy.append(_cdf_batch(x, profile, angle_range))
+            u = x / k
+            assert tables._located == (tables.reach(u[u < 1.0].min())
+                                        if np.any(u < 1.0) else 0)
+        _fresh_tables(geom, True)
+        for x, got in zip(sets, lazy):
+            assert np.array_equal(got, _cdf_batch(x, profile, angle_range))
+    profile = CrosstalkProfile(geom, 0.1, 1.0)
+    inside = levels[(levels > 0.0) & (levels < 1.0)]
+    lazy = []
+    for u in inside:
+        tables = _fresh_tables(geom, False)
+        lazy.append(_cross_points(u, profile))
+        assert tables._located == tables.reach(u)
+    _fresh_tables(geom, True)
+    for u, got in zip(inside, lazy):
+        want = _cross_points(u, profile)
+        assert got.cross_points_main == want.cross_points_main
+        assert got.cross_points_side == want.cross_points_side
+    _kernel_tables.cache_clear()
 
 
 def test_crosstalk_cdf_skips_lobes_the_range_cannot_reach():

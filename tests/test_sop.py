@@ -24,7 +24,8 @@ from secrecy_sor import (
     sop_intersection,
     sor_boundary_uniform,
 )
-from secrecy_sor.asymptotic import sor_constants
+from secrecy_sor.asymptotic import SorConstants, _outage_gap, sor_constants
+from secrecy_sor.crosstalk import _KernelTables, _kernel_tables
 from secrecy_sor.sop import _region_area, _sor_region_overlap
 from secrecy_sor.errors import InfeasibleRateError, ResolutionWarning
 
@@ -169,6 +170,53 @@ def test_sop_block_with_varying_cut_counts_equals_scalar_calls():
     got = sop_closed_form(CFG100, phis, region)
     want = np.array([sop_closed_form(CFG100, p, region) for p in phis])
     assert np.array_equal(got, want)
+
+
+def _branch_radii_reference(cfg, cons):
+    """``_branch_radii`` with every peak located: one column per lobe."""
+    geom = cfg.geometry
+    peaks = _KernelTables(geom.n_antennas, geom.spacing).s_peak
+    gaps = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset[:, None])
+    radii = np.full(gaps.shape, np.nan)
+    live = gaps > 0
+    radii[live] = [g ** (1.0 / cfg.alpha) for g in gaps[live].tolist()]
+    return radii
+
+
+def _branch_radii_cases():
+    for cfg in (CFG100, CFG50, dataclasses.replace(CFG100, k_eb=0.6),
+                dataclasses.replace(CFG50, k_eb=0.0)):
+        phis = np.linspace(0.0, phi_max(cfg), 41)[:-1]
+        yield cfg, sor_constants(cfg, phis)
+        # one fraction at a time: the reached lobes shrink as phi grows
+        for phi in phis[::4]:
+            yield cfg, sor_constants(cfg, np.array([phi]))
+        # unit scale and offsets at the peaks and bounds, and one ulp either
+        # side (the gap is 0 or the smallest either way), the largest
+        # offsets first, so the first rows reach few lobes
+        geom = cfg.geometry
+        tables = _KernelTables(geom.n_antennas, geom.spacing)
+        marks = np.sort(cfg.k_eb * np.concatenate(
+            [tables.s_peak, tables.bound]))[::-1]
+        for offset in (marks, np.nextafter(marks, 0.0),
+                       np.nextafter(marks, 2.0)):
+            for rows in range(1, offset.size + 1, max(1, offset.size // 9)):
+                yield cfg, SorConstants(np.ones(rows), offset[:rows], None)
+
+
+def test_branch_radii_locate_only_the_lobes_with_a_gap():
+    for cfg, cons in _branch_radii_cases():
+        geom = cfg.geometry
+        _kernel_tables.cache_clear()
+        got = sop_module._branch_radii(cfg, cons)
+        located = _kernel_tables(geom.n_antennas, geom.spacing)._located
+        want = _branch_radii_reference(cfg, cons)
+        k = got.shape[1]
+        assert got.shape[0] == want.shape[0] and located == k - 1
+        assert np.array_equal(got, want[:, :k], equal_nan=True)
+        # the lobes left out have no radius in any row
+        assert np.all(np.isnan(want[:, k:]))
+    _kernel_tables.cache_clear()
 
 
 def test_sop_array_form_mixed_entries():
