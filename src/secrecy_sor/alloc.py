@@ -10,7 +10,7 @@ implemented:
 2. cyclic per-beam line search minimizing the exact outage area, started
    from the two-lobe split of algorithm 3 (``algorithm2_iterative``);
 3. restrict the budget to the two strongest side lobes and sweep the
-   (phi, split) plane with a cheap per-lobe surrogate inside
+   (phi, split) plane, scoring each split by its exact outage area
    (``algorithm3_two_lobes``).
 
 Every search returns an immutable ``AllocationResult``.  Algorithms 2 and 3
@@ -507,13 +507,13 @@ def lobe_notch_objective(cfg, phi, lobe_angles, beam_powers):
 def _side_lobe_peak_angles(cfg):
     """Angles of the side-lobe maxima of the no-jamming boundary, strongest
     arcs first."""
-    thetas, arcs, s_vals, _ = _default_arcs(cfg)
+    thetas, (index, lo, hi), s_vals, _ = _default_arcs(cfg)
     out = []
-    for arc in arcs:
-        if arc.index == 0 or arc.hi <= arc.lo:
+    for m, a, b in zip(index.tolist(), lo.tolist(), hi.tolist()):
+        if m == 0 or b <= a:
             continue
-        k = arc.lo + int(np.argmax(s_vals[arc.lo:arc.hi + 1]))
-        out.append((s_vals[k], arc.index, thetas[k]))
+        k = a + int(np.argmax(s_vals[a:b + 1]))
+        out.append((s_vals[k], m, thetas[k]))
     out.sort(key=lambda t: (-t[0], t[1], t[2]))
     return out
 

@@ -33,7 +33,6 @@ from .crosstalk import (
     _image_interval,
     _image_maps,
     _max_side_lobe,
-    _peak_value,
     s_kernel,
 )
 from .errors import InfeasibleRateError, ResolutionWarning
@@ -112,15 +111,6 @@ class LobeArc:
 
     index: int
     max_radius: float
-    lo: int
-    hi: int
-
-
-class _ArcSpan(NamedTuple):
-    """A lobe arc's place on a grid, as in ``LobeArc``, before a boundary
-    gives it a radius."""
-
-    index: int
     lo: int
     hi: int
 
@@ -230,17 +220,18 @@ def _s_eb(cfg, thetas):
         np.abs(np.sin(thetas) - np.sin(cfg.bob_theta)), cfg.geometry)
 
 
-def _area_weights(thetas, arcs):
+def _area_weights(thetas, spans):
     """Quadrature weights w such that w @ r**2 is the area enclosed by a
-    polar boundary sampled at ``thetas``: the integral of r^2/2, arc by arc,
-    Simpson on consecutive point triples (exact for the uneven spacing a
-    user grid may have) and a trapezoid for a trailing pair."""
+    polar boundary sampled at ``thetas``: the integral of r^2/2 over each
+    arc ``thetas[lo:hi + 1]`` of the ``(lo, hi)`` pairs ``spans``, Simpson on
+    consecutive point triples (exact for the uneven spacing a user grid may
+    have) and a trapezoid for a trailing pair."""
     w = np.zeros(len(thetas))
-    for arc in arcs:
-        if arc.hi <= arc.lo:
+    for lo, hi in spans:
+        if hi <= lo:
             continue
-        h = np.diff(thetas[arc.lo:arc.hi + 1])
-        seg = w[arc.lo:arc.hi + 1]
+        h = np.diff(thetas[lo:hi + 1])
+        seg = w[lo:hi + 1]
         m = h.size - h.size % 2
         h0, h1 = h[0:m:2], h[1:m:2]
         c = (h0 + h1) / 6.0
@@ -349,27 +340,26 @@ def _default_arcs(cfg):
     """Default boundary grid: each lobe arc between consecutive nulls gets an
     odd uniform-in-theta point count, arcs sharing endpoint nulls.
 
-    Returns ``(thetas, arcs, s_eb, weights)``: the angles, each arc's
-    ``_ArcSpan``, ``_s_eb`` and ``_area_weights`` on them.  Memoised
-    (``_default_grid``) on the geometry, ``bob_theta`` and ``k_eb``, the
-    only fields it reads, so scenarios that differ in anything else share
-    one grid; the arrays are read-only."""
+    Returns ``(thetas, (index, lo, hi), s_eb, weights)``: the angles, each
+    arc's entry as in ``LobeArc`` (one array entry per arc), ``_s_eb`` and
+    ``_area_weights`` on them.  Memoised (``_default_grid``) on the
+    geometry, ``bob_theta`` and ``k_eb``, the only fields it reads, so
+    scenarios that differ in anything else share one grid; the arrays are
+    read-only."""
     return _default_grid(_GridKey(cfg.geometry, cfg.bob_theta, cfg.k_eb))
 
 
 @lru_cache(maxsize=32)
 def _default_grid(key):
-    thetas = []
-    arcs = []
     index, edges = _arc_edges(key)
-    for j in range(index.size):
-        seg = np.linspace(edges[j], edges[j + 1], _ARC_POINTS)
-        lo = len(thetas) - (1 if j > 0 else 0)
-        thetas.extend(seg if j == 0 else seg[1:])
-        arcs.append(_ArcSpan(int(index[j]), lo, len(thetas) - 1))
-    thetas = _read_only(np.asarray(thetas))
-    return (thetas, tuple(arcs), _read_only(_s_eb(key, thetas)),
-            _read_only(_area_weights(thetas, arcs)))
+    step = _ARC_POINTS - 1
+    segs = np.linspace(edges[:-1], edges[1:], _ARC_POINTS, axis=1)
+    thetas = _read_only(np.concatenate((segs[0, :1], segs[:, 1:].ravel())))
+    lo = np.arange(index.size) * step
+    hi = lo + step
+    return (thetas, (_read_only(index), _read_only(lo), _read_only(hi)),
+            _read_only(_s_eb(key, thetas)),
+            _read_only(_area_weights(thetas, zip(lo, hi))))
 
 
 def _arcs_for_grid(cfg, thetas):
@@ -411,8 +401,7 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     the jamming noise deposited toward them, normalized by the noise floor
     (an array, or one number for all of them)."""
     if theta_grid is None:
-        thetas, arcs, s_eb, weights = _default_arcs(cfg)
-        spans = np.array(arcs).T
+        thetas, spans, s_eb, weights = _default_arcs(cfg)
     else:
         thetas, spans = _arcs_for_grid(cfg, theta_grid)
         s_eb, weights = _s_eb(cfg, thetas), None
@@ -497,23 +486,28 @@ def sor_area(boundary):
                 "area may be inaccurate", ResolutionWarning, stacklevel=2)
     thetas, weights = boundary._grid_weights
     if weights is None or thetas is not boundary.thetas:
-        weights = _area_weights(boundary.thetas, boundary.lobes)
+        weights = _area_weights(boundary.thetas,
+                                [(arc.lo, arc.hi) for arc in boundary.lobes])
     return float(boundary.radii ** 2 @ weights)
 
 
 def lobe_radii(cfg, phi):
     """Outage radius of the main lobe and each representable side lobe under
-    uniform jamming, taken at each lobe's ``_peak_value`` height (zeros
-    where jamming kills the lobe).
+    uniform jamming, taken at each lobe's peak height (zeros where jamming
+    kills the lobe): 1.0 for the main lobe, and for side lobe ``m`` the
+    lobe-midpoint envelope 1/(n sin(pi(m+1/2)/n))^2, whose large-array limit
+    is 1/(pi(m+1/2))^2.
 
     The main-lobe entry is the boundary's maximum radius.  A side-lobe
-    entry uses the lobe-midpoint envelope, which sits 4.3-4.6% below the
-    true side-lobe peak at N=16-100, so it falls short of that arc's
-    maximum boundary radius: at N=100, r_th=10, 100 m and phi=0, lobe 1
-    gives 371.8 m against an arc maximum of 377.6 m."""
+    entry's envelope sits 4.3-4.6% below the true side-lobe peak at
+    N=16-100, so it falls short of that arc's maximum boundary radius: at
+    N=100, r_th=10, 100 m and phi=0, lobe 1 gives 371.8 m against an arc
+    maximum of 377.6 m."""
     cons = sor_constants(cfg, phi)
     geom = cfg.geometry
-    peaks = np.array([1.0] + [_peak_value(m, geom)
+    n = geom.n_antennas
+    # one scalar sine per lobe: numpy's array sine may round differently
+    peaks = np.array([1.0] + [1.0 / (n * np.sin(np.pi * (m + 0.5) / n)) ** 2
                               for m in range(1, _max_side_lobe(geom) + 1)])
     gap = _outage_gap(cons.scale, cfg.k_eb * peaks, cons.offset)
     return gap ** (1.0 / cfg.alpha)
@@ -529,24 +523,19 @@ def delta_theta_max(cfg, phi):
     if cfg.k_eb <= cons.cutoff:
         return 0.0
     geom = cfg.geometry
-    u = cons.cutoff / cfg.k_eb
-    lm = _cross_points(u, bob_profile(cfg))
     period = 1.0 / geom.spacing
-    half = 0.5 * period
-    brackets = [(0.0, min(lm.cross_points_main, half))]
-    for pair in lm.cross_points_side:
-        if pair is not None:
-            brackets.append((pair[0], min(pair[1], half)))
+    starts, ends = _cross_points(cons.cutoff / cfg.k_eb, geom)
+    ends = np.minimum(ends, 0.5 * period)
     sb = np.sin(cfg.bob_theta)
     best = 0.0
     for sign, side_max in ((1.0, 1.0 - sb), (-1.0, 1.0 + sb)):
         if side_max <= 0:
             continue
-        images = (_image_interval(mirror, off, a, b)
-                  for mirror, off in _image_maps(period, side_max)
-                  for a, b in brackets)
+        lo, hi = np.concatenate(
+            [_image_interval(mirror, off, starts, ends)
+             for mirror, off in _image_maps(period, side_max)], axis=1)
         # never empty: the main bracket's first image starts at offset 0
-        reach = max(min(hi, side_max) for lo, hi in images if lo < side_max)
+        reach = np.minimum(hi[lo < side_max], side_max).max()
         edge = np.arcsin(np.clip(sb + sign * reach, -1.0, 1.0))
         best = max(best, abs(edge - cfg.bob_theta))
     return float(best)

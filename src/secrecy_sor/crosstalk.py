@@ -68,28 +68,6 @@ class CrosstalkProfile:
             raise ValueError("k_factor_product must lie in [0, 1]")
 
 
-@dataclass
-class _LobeLandmarks:
-    """Where the kernel crosses a level u.
-
-    ``cross_points_main`` is the offset where the main lobe falls through u.
-    ``cross_points_side[m-1]`` is the ``(rising, falling)`` crossing pair of
-    side lobe ``m``, or ``None`` when that lobe does not rise above u.
-    ``peak_values[m]`` is the height of lobe ``m`` (index 0 = main lobe,
-    1.0), numerically located: the peaks the crossings are decided by, not
-    ``_peak_value``'s midpoint envelope.  Reading it locates every peak of
-    ``tables``.
-    """
-
-    tables: "_KernelTables"
-    cross_points_main: float
-    cross_points_side: list
-
-    @property
-    def peak_values(self):
-        return self.tables.s_peak.tolist()
-
-
 def s_kernel(x, geom):
     """Crosstalk kernel at sine-domain offset ``x`` (scalar or array).
 
@@ -122,28 +100,6 @@ def _max_side_lobe(geom):
     if m + 0.5 > lim:
         m -= 1
     return max(m, 0)
-
-
-def _peak_value(m, geom):
-    """Peak height of lobe ``m`` (1.0 for the main lobe).
-
-    Side lobes use the exact lobe-midpoint envelope
-    1/(n sin(pi(m+1/2)/n))^2, whose large-array limit is 1/(pi(m+1/2))^2.
-    Lobes past the decreasing branch or outside the physical offset range
-    raise.
-    """
-    if m != int(m) or m < 0:
-        raise ValueError("lobe index must be a nonnegative integer")
-    m = int(m)
-    if m == 0:
-        return 1.0
-    if m > _max_side_lobe(geom):
-        raise ValueError(
-            f"side lobe {m} is not representable for this geometry "
-            f"(max {_max_side_lobe(geom)})"
-        )
-    n = geom.n_antennas
-    return 1.0 / (n * np.sin(np.pi * (m + 0.5) / n)) ** 2
 
 
 class _KernelTables:
@@ -324,17 +280,18 @@ def _kernel_tables(n_antennas, spacing):
     return _KernelTables(n_antennas, spacing)
 
 
-def _cross_points(u, profile):
-    """Offsets where the kernel crosses level ``u`` (0 < u < 1).
+def _cross_points(u, geom):
+    """Brackets ``(starts, ends)`` of the offsets in the kernel's first
+    period where it rises above level ``u`` (0 < u < 1): the main-lobe core
+    ``(0, ends[0])`` first, then the ``(rising, falling)`` crossing pair of
+    each side lobe whose (numerically located) peak exceeds ``u``, in lobe
+    order.  Only the lobes up to ``reach(u)`` are located.
 
     Root-finding is bisection on each monotone half lobe, to 1e-12 in the
-    offset.  Representable side lobes whose (true, numerically located)
-    peak does not rise above ``u`` get ``None`` instead of a crossing pair;
-    those peaks are the landmarks' ``peak_values``.
+    offset.
     """
     if not (0.0 < u < 1.0):
         raise ValueError("level u must lie strictly between 0 and 1")
-    geom = profile.geometry
     tables = _kernel_tables(geom.n_antennas, geom.spacing)
 
     # one bisection for the main lobe and both halves of every side lobe
@@ -348,11 +305,8 @@ def _cross_points(u, profile):
                     np.concatenate(([0.0], lo, xp)),
                     np.concatenate(([tables.first_null], xp, hi)))
     k = crossing.size
-    pairs = dict(zip(crossing.tolist(),
-                     zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
-    cp_main = float(roots[0])
-    side = [pairs.get(m) for m in range(1, tables.cap + 1)]
-    return _LobeLandmarks(tables, cp_main, side)
+    return (np.concatenate(([0.0], roots[1:k + 1])),
+            np.concatenate((roots[:1], roots[k + 1:])))
 
 
 def _clipped_range(angle_range):
@@ -504,35 +458,12 @@ def crosstalk_cdf(x, profile, angle_range):
 
     ``x`` may be a scalar or an array.  Levels at or above the profile's
     ``k_factor_product`` return 1.  Every representable side lobe counts,
-    so no reachable lobe is left out.
+    so no reachable lobe is left out.  A negative or NaN level raises
+    ``ValueError``.
     """
     scalar = np.ndim(x) == 0
-    if scalar and not x >= 0:
-        raise ValueError("crosstalk level must be nonnegative")
     out = _cdf_batch(np.atleast_1d(x), profile, angle_range)
     if scalar:
         return float(out[0])
     return out
 
-
-def _s_max_feasible(profile, angle_range):
-    """Largest crosstalk reachable from the angle range.
-
-    Equals ``k_factor_product`` whenever the reference angle lies inside the
-    range; otherwise found by a dense scan over the reachable offsets plus a
-    local refinement around the best candidate.
-    """
-    geom = profile.geometry
-    d_lo, d_hi = _delta_span(profile, angle_range)
-    if d_lo == 0.0:
-        return profile.k_factor_product
-    n_pts = max(512, int(64 * (d_hi - d_lo) * geom.n_antennas * geom.spacing))
-    grid = np.linspace(d_lo, d_hi, n_pts)
-    vals = s_kernel(grid, geom)
-    i = int(np.argmax(vals))
-    step = grid[1] - grid[0] if n_pts > 1 else d_hi - d_lo
-    lo = max(d_lo, grid[i] - step)
-    hi = min(d_hi, grid[i] + step)
-    xb = _golden_max(lambda t: s_kernel(t, geom), [lo], [hi])[0]
-    best = max(vals[i], s_kernel(xb, geom), s_kernel(d_lo, geom), s_kernel(d_hi, geom))
-    return profile.k_factor_product * float(best)

@@ -381,16 +381,12 @@ def _sinrs(cfg, alloc, stats):
 
 
 def _secrecy_outage_count(sinr_bob, sinr_eve, r_th):
-    """Number of samples whose secrecy rate misses the target.
+    """Number of samples whose secrecy rate misses the (positive) target.
 
-    The secrecy rate is log2((1+sinr_bob)/(1+sinr_eve)) clamped at zero; a
-    zero target therefore means outage whenever the eavesdropper is at least
-    as strong as Bob.
+    The secrecy rate is log2((1+sinr_bob)/(1+sinr_eve)) clamped at zero.
     """
     ratio = (1.0 + np.asarray(sinr_bob)) / (1.0 + np.asarray(sinr_eve))
-    if r_th > 0.0:
-        return int(np.count_nonzero(ratio < 2.0 ** r_th))
-    return int(np.count_nonzero(ratio <= 1.0))
+    return int(np.count_nonzero(ratio < 2.0 ** r_th))
 
 
 def _block_stats(n, n_eves, w_los, psi, bob_scatter, eve_scatter, dist):

@@ -27,7 +27,7 @@ from .asymptotic import (
     phi_max,
     sor_constants,
 )
-from .crosstalk import _cdf_batch, _kernel_tables, _s_max_feasible
+from .crosstalk import _cdf_batch, _kernel_tables
 from .errors import InfeasibleRateError, ResolutionWarning
 
 _HALF_PI = 0.5 * np.pi
@@ -235,8 +235,8 @@ def sop_intersection(boundary, region, n_eves):
     """SOP from a sampled boundary: clip the boundary radially against the
     region, take the area ratio, and account for ``n_eves`` independent
     eavesdroppers."""
-    if n_eves < 1:
-        raise ValueError("n_eves must be >= 1")
+    if not (float(n_eves).is_integer() and n_eves >= 1):
+        raise ValueError("n_eves must be an integer >= 1")
     area_total = _region_area(region)
     if area_total <= 0:
         raise ValueError("suspicious region has zero area")
@@ -247,10 +247,9 @@ def sop_intersection(boundary, region, n_eves):
 
 def jamming_beneficial_dmax(cfg):
     """Distance limit below which artificial noise can strictly lower the
-    SOP: the no-jamming outage radius at the strongest reachable crosstalk
-    over the whole front half space."""
-    s_max = _s_max_feasible(bob_profile(cfg), (-_HALF_PI, _HALF_PI))
-    return (s_max * boundary_scale(cfg, 0.0)) ** (1.0 / cfg.alpha)
+    SOP: the no-jamming outage radius of the main lobe, where the crosstalk
+    peaks at ``k_eb`` (Bob's own direction lies in the front half space)."""
+    return (cfg.k_eb * boundary_scale(cfg, 0.0)) ** (1.0 / cfg.alpha)
 
 
 def _phi_witness_ok(cfg, phi, d_max):

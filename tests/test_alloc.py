@@ -804,8 +804,8 @@ def test_default_grid_is_one_read_only_memo_per_scenario():
     cfg = ScenarioConfig(G(32, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0, 85.0)
     _default_grid.cache_clear()
     alloc._two_lobe_scan.cache_clear()
-    thetas, _, s_eb, weights = _default_arcs(cfg)
-    for array in (thetas, s_eb, weights):
+    thetas, arcs, s_eb, weights = _default_arcs(cfg)
+    for array in (thetas, *arcs, s_eb, weights):
         assert not array.flags.writeable
     first = sor_boundary_uniform(cfg, 0.0)
     peak = first.lobes[0].max_radius

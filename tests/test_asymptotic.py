@@ -40,6 +40,13 @@ from secrecy_sor import (
 )
 from secrecy_sor import asymptotic
 from secrecy_sor.asymptotic import _default_arcs, _uniform_allocation
+from secrecy_sor.crosstalk import (
+    _bisect,
+    _image_interval,
+    _image_maps,
+    _kernel_tables,
+    _max_side_lobe,
+)
 
 CFG100 = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0, 100.0)
 CFG50 = ScenarioConfig(ArrayGeometry(50, 0.5), 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
@@ -297,8 +304,8 @@ def test_default_grid_areas_read_the_memoised_weights(monkeypatch):
     alloc = PowerAllocation(0.4, [0.3, 0.1], "dft_selected", angles)
     default = [sor_boundary_uniform(CFG50, 0.3),
                sor_boundary_directional(CFG50, alloc)]
-    want = [bd.radii ** 2 @ asymptotic._area_weights(bd.thetas, bd.lobes)
-            for bd in default]
+    want = [bd.radii ** 2 @ asymptotic._area_weights(
+        bd.thetas, [(arc.lo, arc.hi) for arc in bd.lobes]) for bd in default]
     user = sor_boundary_uniform(CFG50, 0.3,
                                 theta_grid=np.array(default[0].thetas))
     moved = sor_boundary_uniform(CFG50, 0.3)
@@ -306,9 +313,9 @@ def test_default_grid_areas_read_the_memoised_weights(monkeypatch):
     calls = []
     weights = asymptotic._area_weights
 
-    def counted(thetas, arcs):
+    def counted(thetas, spans):
         calls.append(thetas)
-        return weights(thetas, arcs)
+        return weights(thetas, spans)
     monkeypatch.setattr(asymptotic, "_area_weights", counted)
     assert [sor_area(bd) for bd in default] == want
     assert calls == []
@@ -347,6 +354,101 @@ def test_delta_theta_max_frozen_and_nojam_full():
     assert np.all(bd.radii[outside] == 0.0)
 
 
+def _delta_theta_max_reference(cfg, phi):
+    """``delta_theta_max`` from the landmark record it was once built on:
+    the main-lobe crossing, then each representable side lobe's crossing
+    pair or ``None``, walked pair by pair through a generator over
+    ``_image_maps``; the bit-for-bit reference for the bracket arrays."""
+    cons = sor_constants(cfg, phi)
+    if cons.cutoff <= 0.0:
+        return np.pi
+    if cfg.k_eb <= cons.cutoff:
+        return 0.0
+    geom = cfg.geometry
+    u = cons.cutoff / cfg.k_eb
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    x_peak, s_peak = tables.peaks(tables.reach(u))
+    crossing = np.flatnonzero(s_peak[1:] > u) + 1
+    xp = x_peak[crossing]
+    roots = _bisect(lambda x: s_kernel(x, geom) - u,
+                    np.concatenate(([0.0], crossing * tables.first_null,
+                                    xp)),
+                    np.concatenate(([tables.first_null], xp,
+                                    (crossing + 1) * tables.first_null)))
+    k = crossing.size
+    pairs = dict(zip(crossing.tolist(),
+                     zip(roots[1:k + 1].tolist(), roots[k + 1:].tolist())))
+    side = [pairs.get(m) for m in range(1, tables.cap + 1)]
+    period = 1.0 / geom.spacing
+    half = 0.5 * period
+    brackets = [(0.0, min(float(roots[0]), half))]
+    for pair in side:
+        if pair is not None:
+            brackets.append((pair[0], min(pair[1], half)))
+    sb = np.sin(cfg.bob_theta)
+    best = 0.0
+    for sign, side_max in ((1.0, 1.0 - sb), (-1.0, 1.0 + sb)):
+        if side_max <= 0:
+            continue
+        images = (_image_interval(mirror, off, a, b)
+                  for mirror, off in _image_maps(period, side_max)
+                  for a, b in brackets)
+        reach = max(min(hi, side_max) for lo, hi in images if lo < side_max)
+        edge = np.arcsin(np.clip(sb + sign * reach, -1.0, 1.0))
+        best = max(best, abs(edge - cfg.bob_theta))
+    return float(best)
+
+
+def test_delta_theta_max_equals_the_landmark_walk_bit_for_bit():
+    # random scenarios: N 2-400, spacing 0.05-1, Bob at broadside, either
+    # end of the half space or anywhere, k_eb 1, 0 or anywhere, alpha 2-6
+    rng = np.random.default_rng(28)
+    partial = 0
+    # and odd arrays whose last side lobe peaks at the half period, at a
+    # level below that peak: there the brackets' clamp at the half period
+    # decides the last bits of the reach
+    for n, spacing, theta in ((7, 0.3, 1.1), (9, 0.4, -0.4), (11, 0.5, 0.1)):
+        cfg = ScenarioConfig(ArrayGeometry(n, spacing), 3.0, 1.0, 1e-8, 2.0,
+                             theta, 50.0)
+        assert delta_theta_max(cfg, 1e-6) == _delta_theta_max_reference(
+            cfg, 1e-6)
+    for _ in range(300):
+        theta = rng.choice([0.0, 0.5 * np.pi, -0.5 * np.pi,
+                            rng.uniform(-0.5 * np.pi, 0.5 * np.pi)])
+        cfg = ScenarioConfig(
+            ArrayGeometry(int(rng.integers(2, 401)), rng.uniform(0.05, 1.0)),
+            rng.uniform(2.0, 6.0), 1.0, 1e-8, rng.uniform(0.5, 10.0),
+            float(theta), rng.uniform(10.0, 300.0),
+            k_eb=float(rng.choice([1.0, 0.0, rng.uniform(0.0, 1.0)])))
+        try:
+            limit = phi_max(cfg)
+        except InfeasibleRateError:
+            continue
+        for phi in (0.0, rng.uniform(0.0, limit), 0.999 * limit):
+            got = delta_theta_max(cfg, phi)
+            assert got == _delta_theta_max_reference(cfg, phi), (cfg, phi)
+            partial += 0.0 < got < np.pi
+    assert partial >= 100
+
+
+def test_lobe_radii_take_each_side_lobe_at_its_midpoint():
+    # without jamming and at alpha = 2 a radius squared is scale * k_eb
+    # times the lobe's height, so the squared ratio to the main lobe reads
+    # each side lobe's height
+    for n in (16, 64, 100):
+        geom = ArrayGeometry(n, 0.5)
+        cfg = dataclasses.replace(CFG50, geometry=geom, alpha=2.0)
+        heights = (lobe_radii(cfg, 0.0) / lobe_radii(cfg, 0.0)[0]) ** 2
+        assert heights.size == _max_side_lobe(geom) + 1
+        for m in (1, 2, 5):
+            mid = (m + 0.5) / (n * geom.spacing)
+            assert abs(heights[m] - s_kernel(mid, geom)) < 1e-14
+    # the large-array limit 1/(pi(m+1/2))^2 sits below the exact midpoint
+    # value and converges to it
+    rel = 1.0 / (1.5 * np.pi) ** 2 / heights[1] - 1.0
+    assert -1e-3 < rel < 0.0
+
+
 def test_side_lobe_area_bound_preconditions():
     cfg2 = dataclasses.replace(CFG100, alpha=2.0)
     val = side_lobe_area_bound(cfg2, 0.0, 1)
@@ -376,7 +478,7 @@ def _per_arc_lobes(cfg, boundary, default):
     main = int(np.searchsorted(bounds, np.sin(cfg.bob_theta))) - 1
     thetas, radii = boundary.thetas, boundary.radii
     if default:
-        spans = _default_arcs(cfg)[1]
+        spans = zip(*(a.tolist() for a in _default_arcs(cfg)[1]))
     else:
         spans = [(abs(j - main),
                   int(np.searchsorted(thetas, edges[j], side="left")),

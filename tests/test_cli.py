@@ -328,11 +328,14 @@ def test_mc_validate_pool_bytes(tmp_path):
 
 
 def test_crosstalk_cdf_pool_bytes(tmp_path):
-    # every CSV of the sop_fig6 and cold_keys reference pools: the two
-    # workloads whose rows run through the crosstalk CDF
+    # every CSV of the sop_fig6 and cold_keys reference pools, the two
+    # workloads whose rows run through the crosstalk CDF, and of the
+    # area_fig5 pool, whose rows run through the default grid's lobe arcs
+    # and the two-lobe scan's side-lobe ranking
     workloads = _benchmark_workloads()
-    invocations = workloads.pool("sop_fig6") + workloads.pool("cold_keys")
-    assert len(invocations) == 122
+    invocations = (workloads.pool("sop_fig6") + workloads.pool("cold_keys")
+                   + workloads.pool("area_fig5"))
+    assert len(invocations) == 126
     for _, argv, out in workloads.write_manifests(invocations, tmp_path):
         assert main(argv) == 0
         assert_digest(out, out.name)

@@ -38,8 +38,6 @@ from secrecy_sor.crosstalk import (
     _image_interval,
     _image_maps,
     _kernel_tables,
-    _peak_value,
-    _s_max_feasible,
 )
 
 G16 = ArrayGeometry(16, 0.5)
@@ -61,22 +59,6 @@ def test_kernel_limits_and_nulls():
     # singularities with limit 1, including the reachable far edge x = 2
     assert s_kernel(2.0, G64) == 1.0
     assert s_kernel(4.0, ArrayGeometry(11, 0.25)) == 1.0
-
-
-def test_peak_value_is_kernel_at_lobe_midpoint():
-    for geom in (G16, G64, G100):
-        n, d = geom.n_antennas, geom.spacing
-        for m in (1, 2, 5):
-            mid = (m + 0.5) / (n * d)
-            assert abs(_peak_value(m, geom) - s_kernel(mid, geom)) < 1e-14
-    # the large-array limit 1/(pi(m+1/2))^2 sits below the exact midpoint
-    # value and converges to it
-    rel = 1.0 / (1.5 * np.pi) ** 2 / _peak_value(1, G100) - 1.0
-    assert -1e-3 < rel < 0.0
-    with pytest.raises(ValueError):
-        _peak_value(999, G16)
-    with pytest.raises(ValueError):
-        _peak_value(-1, G16)
 
 
 def test_delta_cdf_uniform_halfspace():
@@ -119,18 +101,16 @@ def test_normalized_crosstalk_scales_kernel():
 
 
 def test_cross_points_solve_the_level_equation():
-    prof = CrosstalkProfile(G16, 0.0, 1.0)
     for u in (0.5, 0.1, 0.01):
-        lm = _cross_points(u, prof)
-        assert abs(s_kernel(lm.cross_points_main, G16) - u) < 1e-9
-        for pair in lm.cross_points_side:
-            if pair is not None:
-                lo, hi = pair
-                assert lo < hi
-                assert abs(s_kernel(lo, G16) - u) < 1e-9
-                assert abs(s_kernel(hi, G16) - u) < 1e-9
-        # peaks listed high to low along the decreasing branch
-        assert all(a >= b for a, b in zip(lm.peak_values, lm.peak_values[1:]))
+        starts, ends = _cross_points(u, G16)
+        # the main-lobe core [0, ends[0]) first, then the side lobes' pairs
+        assert starts[0] == 0.0
+        assert abs(s_kernel(ends[0], G16) - u) < 1e-9
+        assert np.all(starts < ends) and np.all(ends[:-1] < starts[1:])
+        assert np.all(np.abs(s_kernel(starts[1:], G16) - u) < 1e-9)
+        assert np.all(np.abs(s_kernel(ends[1:], G16) - u) < 1e-9)
+    # peaks listed high to low along the decreasing branch
+    assert np.all(np.diff(_kernel_tables(16, 0.5).s_peak) <= 0.0)
 
 
 def _ref_golden_max(f, lo, hi, tol=1e-13):
@@ -311,69 +291,68 @@ def test_cross_points_equal_scalar_bisection():
         peaks = {m: _ref_golden_max(lambda x: s_kernel(x, geom),
                                     m * width, (m + 1) * width)
                  for m in range(1, cap + 1)}
-        for theta_ref in (0.0, 0.7):
-            prof = CrosstalkProfile(geom, theta_ref, 1.0)
-            for u in np.concatenate([rng.uniform(0.0, 1.0, 3),
-                                     10.0 ** rng.uniform(-6.0, -1.0, 3)]):
-                u = float(u)
-                lm = _cross_points(u, prof)
+        for u in np.concatenate([rng.uniform(0.0, 1.0, 6),
+                                 10.0 ** rng.uniform(-6.0, -1.0, 6)]):
+            u = float(u)
+            starts, ends = _cross_points(u, geom)
 
-                def f(x):
-                    return s_kernel(x, geom) - u
-                assert lm.cross_points_main == _ref_bisect(f, 0.0, width)
-                for m, pair in enumerate(lm.cross_points_side, start=1):
-                    peak = peaks[m]
-                    if s_kernel(peak, geom) > u:
-                        assert pair == (
-                            _ref_bisect(f, m * width, peak),
-                            _ref_bisect(f, peak, (m + 1) * width))
-                    else:
-                        assert pair is None
+            def f(x):
+                return s_kernel(x, geom) - u
+            crossing = [m for m in range(1, cap + 1)
+                        if s_kernel(peaks[m], geom) > u]
+            assert starts.tolist() == [0.0] + [
+                _ref_bisect(f, m * width, peaks[m]) for m in crossing]
+            assert ends.tolist() == [_ref_bisect(f, 0.0, width)] + [
+                _ref_bisect(f, peaks[m], (m + 1) * width) for m in crossing]
     with pytest.raises(ValueError):
         _bisect(lambda x: x - 5.0, [0.0, 0.0], [10.0, 1.0])
 
 
+def _assert_brackets_in_half_lobes(starts, ends, u, geom):
+    """``_cross_points``' side-lobe brackets are exactly one per side lobe
+    whose located peak exceeds ``u``, each pair inside its lobe's two
+    halves (the table's peaks all located)."""
+    tables = _kernel_tables(geom.n_antennas, geom.spacing)
+    crossing = np.flatnonzero(tables.s_peak[1:] > u) + 1
+    assert starts.size == ends.size == crossing.size + 1
+    lo, hi = crossing * tables.first_null, (crossing + 1) * tables.first_null
+    xp = tables.x_peak[crossing]
+    assert np.all((lo <= starts[1:]) & (starts[1:] <= xp))
+    assert np.all((xp <= ends[1:]) & (ends[1:] <= hi))
+
+
 def test_cross_points_report_the_peaks_they_decide_by():
-    # levels between a side lobe's midpoint envelope (_peak_value) and its
-    # true peak: the lobe crosses them, so its reported peak lies above
+    # levels between a side lobe's midpoint envelope (the height lobe_radii
+    # takes) and its true peak: the lobe crosses them, since the located
+    # peak lies above
     for geom in (G16, ArrayGeometry(50, 0.5), G100):
-        width = 1.0 / (geom.n_antennas * geom.spacing)
-        prof = CrosstalkProfile(geom, 0.0, 1.0)
-        cap = _kernel_tables(geom.n_antennas, geom.spacing).cap
-        for m in range(1, cap + 1):
+        n = geom.n_antennas
+        width = 1.0 / (n * geom.spacing)
+        tables = _kernel_tables(n, geom.spacing)
+        for m in range(1, tables.cap + 1):
             true = s_kernel(_ref_golden_max(lambda x: s_kernel(x, geom),
                                             m * width, (m + 1) * width), geom)
-            u = 0.5 * (_peak_value(m, geom) + true)
-            assert _peak_value(m, geom) < u < true
-            lm = _cross_points(u, prof)
-            assert lm.peak_values[0] == 1.0
-            assert lm.peak_values[m] == true
-            assert all(a >= b for a, b in zip(lm.peak_values,
-                                              lm.peak_values[1:]))
-            for k, pair in enumerate(lm.cross_points_side, start=1):
-                assert (pair is None) == (lm.peak_values[k] <= u), (geom, m, k)
+            mid = 1.0 / (n * np.sin(np.pi * (m + 0.5) / n)) ** 2
+            u = 0.5 * (mid + true)
+            assert mid < u < true
+            starts, ends = _cross_points(u, geom)
+            assert tables.s_peak[0] == 1.0
+            assert tables.s_peak[m] == true
+            assert np.all(np.diff(tables.s_peak) <= 0.0)
+            _assert_brackets_in_half_lobes(starts, ends, u, geom)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.builds(ArrayGeometry, st.integers(min_value=2, max_value=200),
                  st.sampled_from([0.25, 0.4, 0.5, 1.0])),
-       st.floats(min_value=-np.pi / 2, max_value=np.pi / 2),
        st.floats(min_value=1e-7, max_value=0.999))
-def test_cross_points_solve_the_level_inside_their_half_lobes(geom,
-                                                             theta_ref, u):
-    lm = _cross_points(u, CrosstalkProfile(geom, theta_ref, 1.0))
+def test_cross_points_solve_the_level_inside_their_half_lobes(geom, u):
+    starts, ends = _cross_points(u, geom)
     width = 1.0 / (geom.n_antennas * geom.spacing)
-    assert 0.0 <= lm.cross_points_main <= width
-    assert abs(s_kernel(lm.cross_points_main, geom) - u) < 1e-9
-    tables = _kernel_tables(geom.n_antennas, geom.spacing)
-    for m, pair in enumerate(lm.cross_points_side, start=1):
-        if pair is None:
-            continue
-        rise, fall = pair
-        assert m * width <= rise <= tables.x_peak[m] <= fall \
-            <= (m + 1) * width
-        assert abs(s_kernel(rise, geom) - u) < 1e-9
-        assert abs(s_kernel(fall, geom) - u) < 1e-9
+    assert starts[0] == 0.0 and 0.0 <= ends[0] <= width
+    assert np.all(np.abs(s_kernel(ends, geom) - u) < 1e-9)
+    assert np.all(np.abs(s_kernel(starts[1:], geom) - u) < 1e-9)
+    _assert_brackets_in_half_lobes(starts, ends, u, geom)
 
 
 def test_import_leaves_scipy_out():
@@ -618,18 +597,16 @@ def test_cdf_batch_and_cross_points_locate_lazily_bit_for_bit(geom):
         _fresh_tables(geom, True)
         for x, got in zip(sets, lazy):
             assert np.array_equal(got, _cdf_batch(x, profile, angle_range))
-    profile = CrosstalkProfile(geom, 0.1, 1.0)
     inside = levels[(levels > 0.0) & (levels < 1.0)]
     lazy = []
     for u in inside:
         tables = _fresh_tables(geom, False)
-        lazy.append(_cross_points(u, profile))
+        lazy.append(_cross_points(u, geom))
         assert tables._located == tables.reach(u)
     _fresh_tables(geom, True)
     for u, got in zip(inside, lazy):
-        want = _cross_points(u, profile)
-        assert got.cross_points_main == want.cross_points_main
-        assert got.cross_points_side == want.cross_points_side
+        want = _cross_points(u, geom)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
     _kernel_tables.cache_clear()
 
 
@@ -684,21 +661,6 @@ def test_crosstalk_cdf_support_edges():
                 np.array([[0.1], [-0.1]])):
         with pytest.raises(ValueError):
             crosstalk_cdf(bad, p, full)
-
-
-def test_s_max_feasible_matches_dense_scan():
-    # reference inside the range -> the global kernel maximum
-    p_in = CrosstalkProfile(G64, 0.2, 0.85)
-    assert _s_max_feasible(p_in, (-np.pi / 2, np.pi / 2)) == 0.85
-    # reference outside -> reachable maximum over the clipped range
-    p_out = CrosstalkProfile(G64, 1.2, 1.0)
-    rng = (-0.5, 0.5)
-    got = _s_max_feasible(p_out, rng)
-    th = np.linspace(-0.5, 0.5, 4_000_001)
-    brute = np.max(s_kernel(np.abs(np.sin(th) - np.sin(1.2)), G64))
-    print(f"s_max got {got:.8e} brute {brute:.8e}")
-    assert abs(got - brute) <= 1e-6 * brute
-    assert got < 1.0
 
 
 def test_profile_validation():

@@ -300,8 +300,7 @@ def test_factor_reproduces_the_gram_and_counts_min_d_n(n, rows, steering):
 
 
 def test_outage_count_edges():
-    # equal strengths: outage only at a zero target
-    assert _secrecy_outage_count(1.0, 1.0, 0.0) == 1
+    # equal strengths miss every positive target
     assert _secrecy_outage_count(1.0, 1.0, 0.5) == 1
     assert _secrecy_outage_count(np.array([3.0, 1.0]), np.array([0.0, 0.9]),
                                  1.0) == 1

@@ -126,6 +126,29 @@ def test_overlap_against_region_area():
     assert sop_intersection(bd, inner, 1) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_sop_intersection_takes_only_a_whole_eavesdropper_count():
+    bd = sor_boundary_uniform(CFG50, 0.0)
+    for bad in (0, -1, 2.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="n_eves"):
+            sop_intersection(bd, REG15, bad)
+    assert sop_intersection(bd, REG15, 2.0) == sop_intersection(bd, REG15, 2)
+
+
+def test_jamming_beneficial_dmax_is_the_no_jamming_main_lobe_radius():
+    # Bob's own direction lies in the front half space, so the strongest
+    # crosstalk there is k_eb, wherever he stands and whatever the geometry
+    for geom in (ArrayGeometry(2, 1.0), ArrayGeometry(37, 0.25),
+                 ArrayGeometry(64, 0.5), ArrayGeometry(400, 0.05)):
+        for theta in (0.0, 0.4, np.pi / 2, -np.pi / 2):
+            for k_eb in (1.0, 0.3, 0.0):
+                for alpha in (2.0, 3.7, 6.0):
+                    cfg = ScenarioConfig(geom, alpha, 1.0, 1e-8, 5.0, theta,
+                                         10.0, k_eb=k_eb)
+                    got = jamming_beneficial_dmax(cfg)
+                    want = lobe_radii(cfg, 0.0)[0]
+                    assert abs(got - want) <= 1e-15 * want, (cfg, got, want)
+
+
 def test_jamming_beneficial_limit_and_witness():
     lim50 = jamming_beneficial_dmax(CFG50)
     print(f"benefit limit N=50: {lim50!r}")
