@@ -28,37 +28,47 @@ each coordinate of c) and one standard gamma variate.  ``D`` and ``N``
 depend on the scenario only, so the counts never depend on the data.
 
 The engine works in blocks of samples.  A block holds about
-``_BLOCK_DRAWS`` drawn numbers, a constant, so the block boundaries depend
-on the scenario only.  Philox is counter-based (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011), so ``_draw`` computes the
-raw words of every substream of a block in one vectorized pass and turns
-them into variates the way numpy's Generator does: uniforms from the top 53
-bits, normals by the ziggurat's first-word test (its tables in
-``_ziggurat``), gammas by Marsaglia and Tsang's first try.  A substream
-whose every draw returns on those first words is done; any other (about 8%
-of them in the benchmark shapes) draws again through the Generator itself,
-which stays the reference.  The block's Grams, factors and SINRs follow
-with array operations.  Everything runs on the calling thread and
-per-block results are combined in block order, so results are
-byte-identical across runs.
+``_BLOCK_DRAWS`` (32,768) drawn numbers and at most ``_BLOCK_GRAM`` Gram
+entries, constants, so the block boundaries depend on the scenario only,
+and no result depends on them.  Philox is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so ``_draw``
+computes the raw words of every substream of a block in one vectorized
+pass and turns them into variates the way numpy's Generator does: uniforms
+from the top 53 bits, normals by Marsaglia and Tsang's ziggurat (2000; its
+tables in ``_ziggurat``), gammas by their method for gamma variables
+(2000).  Most draws return on their first words.  The substreams that do
+not (about 8% of them in the benchmark shapes) follow numpy's retries in a
+second vectorized pass over a few more Philox blocks each, every substream
+at its own word position.  Only a gamma of shape 1, which numpy draws with
+its exponential sampler, goes through the Generator itself, which stays
+the reference and is built (with ``numpy.random``) on first use.  The
+block's Grams, factors and SINRs follow with array operations.  Everything
+runs on the calling thread and per-block results are combined in block
+order, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._ziggurat import KI, WI
+from ._ziggurat import FI, KI, WI
 from .asymptotic import _check_allocation
 
 _HALF_PI = 0.5 * np.pi
 # a Rician factor large enough to be numerically pure line of sight
 _K_CAP = 1e12
 # numbers drawn per block (positions, normals and gammas over the block's
-# samples and receivers): sets a block's memory, not the results
-_BLOCK_DRAWS = 8192
+# samples and receivers) and Gram entries per block (each receiver's D x D
+# Gram over the block's samples): they set a block's memory, not the
+# results.  The Gram cap binds only with many jamming beams; at 60 beams,
+# N=100 and 10 eavesdroppers it keeps the 5 samples (217,405 entries) that
+# blocks of 8,192 draws held
+_BLOCK_DRAWS = 32768
+_BLOCK_GRAM = 7 * 2 ** 15
 # a Cholesky pivot at most this fraction of its Gram diagonal is zero: its
 # direction lies in the span of the earlier ones, up to rounding.  On 2000
 # random steering sets per shape this found every rank; 1e-8 and up zeroed
@@ -77,9 +87,22 @@ _WORD = 2 ** 64 - 1
 # master seeds are Philox keys: two 64-bit words
 _SEED_LIMIT = 2 ** 128
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# numpy's ziggurat tables for the standard normal (see ``_ziggurat``)
+# numpy's ziggurat tables for the standard normal (see ``_ziggurat``), the
+# width of each layer's density band, FI[i - 1] - FI[i], and the tail's
+# start r and 1/r as numpy's C code writes them
 _KI = np.array(KI, dtype=np.uint64)
 _WI = np.array(WI)
+_FI = np.array(FI)
+_FI_BAND = np.concatenate([[0.0], _FI[:-1] - _FI[1:]])
+_ZIG_R = 3.6541528853610087963519472518
+_ZIG_INV_R = 0.27366123732975827203338247596
+# relative gap within which numpy's exp or log may decide a test otherwise
+# than libm's (they differ in the last bits): such near-ties are settled
+# in scalar ``math``, which calls libm as numpy's C samplers do
+_TIE = 1e-9
+# Philox blocks (4 words each) fetched past a substream's first-word needs
+# when it takes retries: most retries take one or two more words
+_SPARE_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -129,37 +152,47 @@ class _Substreams:
     ``Philox(key=master_seed, counter=[0, i, l, 0])`` starts in, at a
     fraction of the cost of building one.
 
-    This is the reference for every draw, and ``_draw`` falls back to it for
-    each substream that leaves numpy's first-word fast paths."""
+    This is the reference for every draw.  ``_draw`` seeks it only for the
+    substreams that draw a shape-1 gamma (numpy's exponential sampler), so
+    the generator, and ``numpy.random`` with it, is built on the first
+    ``seek`` and most runs never build it."""
 
     def __init__(self, master_seed):
         self.master_seed = int(master_seed)
-        self._bitgen = np.random.Philox(key=master_seed)
-        self._gen = np.random.Generator(self._bitgen)
-        state = self._bitgen.state
-        # plain lists: the state setter reads them faster than arrays
-        self._counter = state["state"]["counter"].tolist()
-        state["state"] = {"counter": self._counter,
-                          "key": state["state"]["key"].tolist()}
-        state["buffer"] = state["buffer"].tolist()
-        self._state = state
+        self._gen = None
 
     def seek(self, sample_id, receiver_id):
+        if self._gen is None:
+            bitgen = np.random.Philox(key=self.master_seed)
+            self._gen = np.random.Generator(bitgen)
+            state = bitgen.state
+            # plain lists: the state setter reads them faster than arrays
+            self._counter = state["state"]["counter"].tolist()
+            state["state"] = {"counter": self._counter,
+                              "key": state["state"]["key"].tolist()}
+            state["buffer"] = state["buffer"].tolist()
+            self._state = state
         self._counter[1] = sample_id
         self._counter[2] = receiver_id
-        self._bitgen.state = self._state
+        self._gen.bit_generator.state = self._state
         return self._gen
 
 
 def _mulhilo(x, m):
     """(high, low) 64-bit halves of the products of uint64 arrays ``x`` and
-    ``m``, the high half from four 32-bit partial products."""
+    ``m``, the high half from 32-bit partial products (Hacker's Delight's
+    ``mulhu``), in place where numpy allows."""
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    high = x_hi * m_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) \
-        + (mid >> _SHIFT32)
+    mid = x_hi * m_lo
+    mid += (x_lo * m_lo) >> _SHIFT32
+    carry = mid & _LOW32
+    carry += x_lo * m_hi
+    carry >>= _SHIFT32
+    mid >>= _SHIFT32
+    high = x_hi * m_hi
+    high += mid
+    high += carry
     return high, x * m
 
 
@@ -177,7 +210,9 @@ def _philox(master_seed, c0, c1, c2):
         if r:
             key += _PHILOX_BUMP
         high, low = _mulhilo(mul, _PHILOX_MUL)
-        mul, xor = high[::-1] ^ xor ^ key, low[::-1]
+        high ^= xor[::-1]
+        high ^= key[::-1]
+        mul, xor = high[::-1], low[::-1]
     return np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1)
 
 
@@ -197,31 +232,178 @@ def _normals(words):
     return np.where(words & np.uint64(0x100), -x, x), rabs < _KI[idx]
 
 
+def _decide(gap, band, exact):
+    """Whether each ``gap`` is positive, where it is clear of a tie
+    (|gap| > ``band``); ``exact(i)`` decides entry ``i`` otherwise."""
+    out = gap > band
+    for i in np.flatnonzero(~(np.abs(gap) > band)).tolist():
+        out[i] = exact(i)
+    return out
+
+
+def _keeps(x, v, u, b):
+    """Marsaglia and Tsang's test of normals ``x``, cubes ``v`` > 0 of
+    1 + c x and uniforms ``u`` at b = shape - 1/3, as numpy's C code makes
+    it: the squeeze u < 1 - 0.0331 x**4, else log(u) < x**2/2 +
+    b (1 - v + log(v)) in libm's ``log``."""
+    x2 = x * x
+    squeeze = u < 1.0 - 0.0331 * x2 * x2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u, log_v = np.log(u), np.log(v)
+        gap = 0.5 * x2 + b * (1.0 - v + log_v) - log_u
+        band = _TIE * (np.abs(log_u) + 0.5 * x2
+                       + b * (np.abs(1.0 - v) + np.abs(log_v)))
+
+    def exact(i):
+        xi, vi, ui = float(x[i]), float(v[i]), float(u[i])
+        return ui == 0.0 or math.log(ui) < 0.5 * xi * xi + b * (
+            1.0 - vi + math.log(vi))
+    return squeeze | _decide(gap, band, exact)
+
+
 def _gammas(words, shape):
     """numpy's standard gammas of integer ``shape`` >= 1 by Marsaglia and
     Tsang's method, from the two raw words (..., 2) of a first try (a
-    normal, then a uniform), and whether each first try returns.
-
-    The squeeze test runs as numpy's C code does.  The log test runs in
-    numpy's ``log``, which may differ from C's in the last bits, so only a
-    pass clear of a tie by 1e-9 of the terms' size counts.  Shape 1 never
-    returns here: numpy draws it as an exponential.
+    normal, then a uniform), and whether each first try returns.  Shape 1
+    never returns here: numpy draws it as an exponential.
     """
     b = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * b)
     x, ok = _normals(words[..., 0])
     v = 1.0 + c * x
     ok &= v > 0.0
-    v = v * v * v
-    u = _uniforms(words[..., 1])
-    x2 = x * x
-    squeeze = u < 1.0 - 0.0331 * x2 * x2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_u, log_v = np.log(u), np.log(v)
-        gap = 0.5 * x2 + b * (1.0 - v + log_v) - log_u
-        band = 1e-9 * (np.abs(log_u) + 0.5 * x2
-                       + b * (np.abs(1.0 - v) + np.abs(log_v)))
-    return b * v, ok & (squeeze | (gap > band)) & (shape != 1.0)
+    # a try with 1 + c x <= 0 draws again; 1.0 keeps its log test finite
+    v = np.where(ok, v * v * v, 1.0)
+    return b * v, ok & _keeps(x, v, _uniforms(words[..., 1]), b) \
+        & (shape != 1.0)
+
+
+def _raw_words(master_seed, parts):
+    """Raw words of Philox blocks ``first``, ..., ``first + count - 1`` of
+    every substream of each part (ids, rx, first, count), from one
+    ``_philox`` call: an array (substream, 4 count) per part."""
+    c0, c1, c2 = [], [], []
+    for ids, rx, first, count in parts:
+        c0.append(np.tile(np.arange(first, first + count, dtype=np.uint64),
+                          len(ids)))
+        c1.append(np.repeat(ids, count))
+        c2.append(np.repeat(rx, count))
+    raw = _philox(master_seed, *map(np.concatenate, (c0, c1, c2)))
+    sizes = [len(ids) * count for ids, _, _, count in parts]
+    return [words.reshape(len(ids), 4 * count) for words, (ids, *_, count)
+            in zip(np.split(raw, np.cumsum(sizes)[:-1]), parts)]
+
+
+def _tail(row, pos, word):
+    """numpy's normal from the ziggurat's tail after the layer-0 first word
+    ``word``: pairs of uniforms from ``row[pos]`` on until one is kept, in
+    libm's ``log1p``.  Returns the normal and the position past it, or
+    (nan, None) where the raw words ``row`` run out first."""
+    while pos + 2 <= len(row):
+        u1, u2 = _uniforms(row[pos:pos + 2]).tolist()
+        pos += 2
+        xx = -_ZIG_INV_R * math.log1p(-u1)
+        yy = -math.log1p(-u2)
+        if yy + yy > xx * xx:
+            x = _ZIG_R + xx
+            return (-x if int(word) >> 17 & 1 else x), pos
+    return math.nan, None
+
+
+def _normal_table(words):
+    """The normal numpy draws from each position of raw ``words``
+    (substream, position) on, following every first-word miss as
+    ``random_standard_normal`` does: a miss in layers 1-255 tests a uniform
+    against ``FI`` and, if that fails, starts again two words on; one in
+    layer 0 draws from the tail.
+
+    Returns the normals and the positions past them, flat over the
+    positions and one more, ``end`` = words.size: a draw that runs past
+    its substream's words is nan and leads to ``end``, which leads to
+    itself.
+    """
+    n_w = words.shape[1]
+    end = words.size
+    x, ok = _normals(words)
+    val = np.append(x, np.nan)
+    step = np.arange(1, end + 2)
+    step[n_w - 1::n_w] = end
+    step[end] = end
+    miss = np.flatnonzero(~ok)
+    room = n_w - 1 - miss % n_w
+    word = words.ravel()[miss]
+    layer = (word & np.uint64(0xFF)).astype(np.intp)
+    for j in np.flatnonzero(layer == 0).tolist():
+        at, row = miss[j], words[miss[j] // n_w]
+        val[at], past = _tail(row, at % n_w + 1, word[j])
+        step[at] = end if past is None or past == n_w else at - at % n_w + past
+    wedge = (layer != 0) & (room > 0)
+    out = miss[(layer != 0) & (room == 0)]
+    val[out], step[out] = np.nan, end
+    at, layer, x = miss[wedge], layer[wedge], val[miss[wedge]]
+    below = _FI_BAND[layer] * _uniforms(words.ravel()[at + 1]) + _FI[layer]
+    density = np.exp(-0.5 * x * x)
+    keep = _decide(density - below, _TIE * density,
+                   lambda i: below[i] < math.exp(-0.5 * x[i] * x[i]))
+    after = np.where(room[wedge] > 1, at + 2, end)
+    step[at[keep]] = after[keep]
+    # a rejected miss draws what the position two on draws: copy it once
+    # that position is settled (its own misses point further on)
+    rej, link = at[~keep], after[~keep]
+    pending = np.zeros(end + 1, dtype=bool)
+    pending[rej] = True
+    while rej.size:
+        ready = ~pending[link]
+        val[rej[ready]] = val[link[ready]]
+        step[rej[ready]] = step[link[ready]]
+        pending[rej[ready]] = False
+        rej, link = rej[~ready], link[~ready]
+    return val, step
+
+
+def _walk(words, n_u, n_z, shape):
+    """The normals (substream, n_z) and the gammas (substream,) numpy's C
+    samplers draw from raw ``words`` (substream, position) after ``n_u``
+    uniforms, or None where a substream needs more words than it holds.
+
+    Every retry takes further words and shifts the draws after it, so each
+    substream follows its own position through ``_normal_table``: the
+    normals one after another, then Marsaglia and Tsang's tries (a normal,
+    then a uniform) until one returns.  A gamma of shape 0 is 0.0.
+    """
+    val, step = _normal_table(words)
+    end = words.size
+    at = np.arange(n_u, end, words.shape[1])
+    z = np.empty((len(at), n_z))
+    for j in range(n_z):
+        z[:, j] = val[at]
+        at = step[at]
+    g = np.zeros(len(at))
+    if np.isnan(z).any() or (shape != 0.0 and (at == end).any()):
+        return None
+    if shape == 0.0:
+        return z, g
+    flat = words.ravel()
+    b = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * b)
+    todo = np.arange(len(at))
+    while todo.size:
+        x, past = val[at[todo]], step[at[todo]]
+        if np.isnan(x).any() or (past == end).any():
+            return None
+        v = 1.0 + c * x
+        live = v > 0.0
+        at[todo] = past
+        redo, todo, x, v = todo[~live], todo[live], x[live], v[live]
+        v = v * v * v
+        keep = _keeps(x, v, _uniforms(flat[at[todo]]), b)
+        g[todo[keep]] = b * v[keep]
+        todo = todo[~keep]
+        # a rejected try starts again on the word after its uniform
+        after = at[todo] + 1
+        at[todo] = np.where(after % words.shape[1] == 0, end, after)
+        todo = np.concatenate([redo, todo])
+    return z, g
 
 
 def _draw(streams, groups):
@@ -230,39 +412,51 @@ def _draw(streams, groups):
     uint64 arrays (S,), and its result (uniforms (S, ·), normals (S, ·),
     gammas (S,)).
 
-    Every substream's raw words come from one vectorized Philox pass; a
-    gamma of shape 0 is 0.0 and draws nothing.  A substream whose every
-    normal and whose gamma return on their first words is done; any other
-    draws again through ``streams``, the reference.
+    Every substream's raw words come from one vectorized Philox pass, and
+    its draws from numpy's first-word paths; a gamma of shape 0 is 0.0 and
+    draws nothing.  The substreams that leave those paths are drawn again
+    by ``_walk``, with ``_SPARE_BLOCKS`` more Philox blocks each from one
+    further pass (and more where a substream needs them).  Only a gamma of
+    shape 1, which numpy draws with its exponential sampler, sends its
+    substreams through ``streams``, the reference.
     """
-    words_per = [n_u + n_z + 2 * (shape != 0.0)
-                 for _, _, n_u, n_z, shape in groups]
-    blocks_per = [-(-w // 4) for w in words_per]
-    c0, c1, c2 = [], [], []
-    for (ids, rx, *_), k in zip(groups, blocks_per):
-        c0.append(np.tile(np.arange(1, k + 1, dtype=np.uint64), len(ids)))
-        c1.append(np.repeat(ids, k))
-        c2.append(np.repeat(rx, k))
-    raw = _philox(streams.master_seed, *map(np.concatenate, (c0, c1, c2)))
-    out, at = [], 0
-    for (ids, rx, n_u, n_z, shape), w, k in zip(groups, words_per,
-                                                 blocks_per):
-        n_s = len(ids)
-        words = raw[at:at + n_s * k].reshape(n_s, 4 * k)
-        at += n_s * k
+    key = streams.master_seed
+    blocks = [-(-(n_u + n_z + 2 * (shape != 0.0)) // 4)
+              for _, _, n_u, n_z, shape in groups]
+    out, walks = [], []
+    for (ids, rx, n_u, n_z, shape), words in zip(groups, _raw_words(key, [
+            (ids, rx, 1, k) for (ids, rx, *_), k in zip(groups, blocks)])):
         u = _uniforms(words[:, :n_u])
         z, ok = _normals(words[:, n_u:n_u + n_z])
-        ok = ok.all(axis=1)
-        g = np.zeros(n_s)
-        if shape != 0.0:
-            g, g_ok = _gammas(words[:, w - 2:w], shape)
-            ok &= g_ok
-        for j in np.flatnonzero(~ok):
-            gen = streams.seek(int(ids[j]), int(rx[j]))
-            gen.random(out=u[j])
-            gen.standard_normal(out=z[j])
-            g[j] = gen.standard_gamma(shape)
+        done = ok.all(axis=1)
+        g = np.zeros(len(ids))
+        if shape == 1.0:
+            for j in range(len(ids)):
+                gen = streams.seek(int(ids[j]), int(rx[j]))
+                gen.random(out=u[j])
+                gen.standard_normal(out=z[j])
+                g[j] = gen.standard_gamma(shape)
+            done[:] = True
+        elif shape != 0.0:
+            w = n_u + n_z + 2
+            g, keep = _gammas(words[:, w - 2:w], shape)
+            done &= keep
         out.append((u, z, g))
+        walks.append((np.flatnonzero(~done), words))
+    if not any(walk.size for walk, _ in walks):
+        return out
+    parts = [(ids[walk], rx[walk], k + 1, _SPARE_BLOCKS)
+             for (ids, rx, *_), k, (walk, _) in zip(groups, blocks, walks)]
+    for (_, z, g), (*_, n_u, n_z, shape), (walk, words), part, more in zip(
+            out, groups, walks, parts, _raw_words(key, parts)):
+        if not walk.size:
+            continue
+        words = np.concatenate([words[walk], more], axis=1)
+        while (drawn := _walk(words, n_u, n_z, shape)) is None:
+            ids, rx, *_ = part
+            words = np.concatenate([words, *_raw_words(key, [
+                (ids, rx, words.shape[1] // 4 + 1, _SPARE_BLOCKS)])], axis=1)
+        z[walk], g[walk] = drawn
     return out
 
 
@@ -372,9 +566,11 @@ def _sinrs(cfg, alloc, stats):
         per_dir = alloc.phi * cfg.p_tilde_tot / (cfg.geometry.n_antennas - 1)
         jam_e = per_dir * (stats.eve_norm2 - stats.cross2)
     else:
+        # a sum per sample: a matrix product's rounding would depend on
+        # the block's sample count
         p_beams = alloc.beam_powers / cfg.n0
-        jam_b = stats.bob_beams @ p_beams
-        jam_e = stats.eve_beams @ p_beams
+        jam_b = (stats.bob_beams * p_beams).sum(axis=-1)
+        jam_e = (stats.eve_beams * p_beams).sum(axis=-1)
     sinr_b = p_sig * gain_b * stats.bob_norm2 / (1.0 + gain_b * jam_b)
     sinr_e = p_sig * gain_e * stats.cross2 / (1.0 + gain_e * jam_e)
     return sinr_b, sinr_e
@@ -437,10 +633,12 @@ def _block_samples(n, n_eves, n_beams, n_pos):
     """Samples per block: about ``_BLOCK_DRAWS`` numbers, counting each
     receiver's ``n_pos`` position variates, 2 min(D, n) normals and one
     gamma (D = 1 + n_eves + n_beams for Bob, 2 + n_beams for an
-    eavesdropper)."""
-    draws = 2 * min(1 + n_eves + n_beams, n) + 1 \
-        + n_eves * (n_pos + 2 * min(2 + n_beams, n) + 1)
-    return max(1, _BLOCK_DRAWS // draws)
+    eavesdropper), and at most ``_BLOCK_GRAM`` Gram entries, D**2 per
+    receiver."""
+    d_bob, d_eve = 1 + n_eves + n_beams, 2 + n_beams
+    draws = 2 * min(d_bob, n) + 1 + n_eves * (n_pos + 2 * min(d_eve, n) + 1)
+    grams = d_bob ** 2 + n_eves * d_eve ** 2
+    return max(1, min(_BLOCK_DRAWS // draws, _BLOCK_GRAM // grams))
 
 
 def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):

@@ -377,6 +377,32 @@ def test_a_run_imports_no_numpy_ma_and_builds_one_parser(workload, schemes,
     assert out.strip() == "False"
 
 
+def test_a_monte_carlo_run_imports_no_numpy_random(tmp_path):
+    # numpy 2 imports numpy.random on first use (about 13 ms and 5 MB);
+    # the engine computes every draw but numpy's exponential from its own
+    # Philox pass, so one repetition of mc_validate's four invocations runs
+    # in one fresh process without it.  numpy 1 imports it eagerly
+    workloads = _benchmark_workloads()
+    argvs = [argv for _, argv, _ in workloads.write_manifests(
+        workloads.build("mc_validate", 0), tmp_path)]
+    assert len(argvs) == 4
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from secrecy_sor.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "print(eager, 'numpy.random' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    eager, imported = out.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert imported == "False"
+
+
 def _scheme_kind(manifest):
     scheme = manifest["scheme"]
     return scheme if isinstance(scheme, str) else scheme["kind"]

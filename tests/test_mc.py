@@ -493,6 +493,10 @@ def test_reseeked_generator_reproduces_fresh_substreams():
                               fresh.integers(0, 2 ** 32, 3, dtype=np.uint32))
 
 
+# the block budget before blocks grew fourfold
+_OLD_BLOCK_DRAWS = 8192
+
+
 def _draw_one_by_one(streams, groups):
     """``mc_oracle._draw`` as a loop over the substreams, each one drawn
     through the Generator, the reference."""
@@ -510,7 +514,10 @@ def _draw_one_by_one(streams, groups):
 
 
 def _assert_block_sop_equals_loop(monkeypatch, cfg, alloc, master_seed):
-    # two partial blocks' worth past whole ones
+    # at the old budget of 8192 draws, which keeps the per-sample loop
+    # short: two partial blocks' worth past whole ones, across two block
+    # edges (``test_block_budget_changes_no_result`` ties the budgets)
+    monkeypatch.setattr(mc_oracle, "_BLOCK_DRAWS", _OLD_BLOCK_DRAWS)
     n = 2 * mc_oracle._block_samples(
         cfg.geometry.n_antennas, cfg.n_eves,
         len(mc_oracle._beam_angles(alloc)), 2) + 37
@@ -544,14 +551,18 @@ _SIDELOBE_BEAMS = PowerAllocation(0.3, np.array([0.15, 0.15]),
                                   np.arcsin(np.array([1.0, -1.0]) / 8.0))
 
 
-# draw-level checks of the vectorized pass: 100k substreams at random
+# draw-level checks of the vectorized pass: 125k substreams at random
 # 64-bit sample and receiver ids, under a key with both words nonzero, in
-# four layouts (uniforms, normals, gamma shape) that cover every gamma path.
-# The reference draws come through ``_Substreams``, which
+# five layouts (uniforms, normals, gamma shape) that cover every gamma path.
+# The last one is heavy in retries: nearly half of its substreams miss a
+# first word, about 290 first words miss in the ziggurat's tail layer, and
+# its shape-3 gammas reject about one first try in 40.  The reference draws
+# come through ``_Substreams``, which
 # ``test_reseeked_generator_reproduces_fresh_substreams`` ties to fresh
 # generators at a fifth of their cost
 _DRAW_SEED = 3 * 2 ** 64 + 17
-_DRAW_LAYOUTS = ((2, 4, 7.0), (0, 22, 398.0), (1, 2, 1.0), (2, 6, 0.0))
+_DRAW_LAYOUTS = ((2, 4, 7.0), (0, 22, 398.0), (1, 2, 1.0), (2, 6, 0.0),
+                 (1, 40, 3.0))
 _DRAW_STREAMS = 25_000
 
 
@@ -573,21 +584,71 @@ def test_vectorized_raw_words_equal_philox():
             assert np.array_equal(got[j], bitgen.random_raw(8)), (layout, j)
 
 
-def test_vectorized_draws_equal_the_generator():
+class _CountedSubstreams(mc_oracle._Substreams):
+    """``_Substreams`` that counts its seeks: the substreams drawn through
+    the Generator."""
+
+    seeks = 0
+
+    def seek(self, sample_id, receiver_id):
+        self.seeks += 1
+        return super().seek(sample_id, receiver_id)
+
+
+def _assert_draws_equal_the_generator(ids, rx, u, z, g, shape):
     streams = mc_oracle._Substreams(_DRAW_SEED)
+    for j in range(len(ids)):
+        gen = streams.seek(int(ids[j]), int(rx[j]))
+        assert np.array_equal(u[j], gen.random(u.shape[1])), j
+        assert np.array_equal(z[j], gen.standard_normal(z.shape[1])), j
+        assert g[j] == gen.standard_gamma(shape), j
+
+
+def test_vectorized_draws_equal_the_generator():
     for layout, (n_u, n_z, shape) in enumerate(_DRAW_LAYOUTS):
         ids, rx = _draw_ids(layout)
-        (u, z, g), = mc_oracle._draw(streams, [(ids, rx, n_u, n_z, shape)])
-        for j in range(_DRAW_STREAMS):
-            gen = streams.seek(int(ids[j]), int(rx[j]))
-            assert np.array_equal(u[j], gen.random(n_u)), (layout, j)
-            assert np.array_equal(z[j], gen.standard_normal(n_z)), (layout, j)
-            assert g[j] == gen.standard_gamma(shape), (layout, j)
+        counted = _CountedSubstreams(_DRAW_SEED)
+        (u, z, g), = mc_oracle._draw(counted, [(ids, rx, n_u, n_z, shape)])
+        # every retry is followed in the vectorized pass; only numpy's
+        # exponential (gamma shape 1) is drawn through the Generator
+        assert counted.seeks == (_DRAW_STREAMS if shape == 1.0 else 0)
+        _assert_draws_equal_the_generator(ids, rx, u, z, g, shape)
+
+
+def test_retries_decided_in_libm_equal_the_generator(monkeypatch):
+    # with no tie margin, every ziggurat and gamma test past the first
+    # words is decided in scalar math (libm), as numpy's C code decides it
+    monkeypatch.setattr(mc_oracle, "_TIE", np.inf)
+    ids, rx = (part[:2000] for part in _draw_ids(4))
+    (u, z, g), = mc_oracle._draw(mc_oracle._Substreams(_DRAW_SEED),
+                                 [(ids, rx, 1, 40, 3.0)])
+    _assert_draws_equal_the_generator(ids, rx, u, z, g, 3.0)
+
+
+def test_rare_retries_equal_the_generator():
+    # substreams picked for the rarest retries of a shape-2 gamma after two
+    # normals: its normal's first word in the ziggurat's tail layer.  A
+    # negative tail normal at most -sqrt(9 b) = -sqrt(15) leaves
+    # 1 + c x <= 0, and the gamma draws its normal again
+    ids = np.arange(2 ** 18, dtype=np.uint64)
+    rx = np.zeros_like(ids)
+    word = mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx)[:, 2]
+    _, ok = mc_oracle._normals(word)
+    pick = ~ok & (word & np.uint64(0xFF) == 0)
+    ids, rx = ids[pick], rx[pick]
+    (u, z, g), = mc_oracle._draw(mc_oracle._Substreams(_DRAW_SEED),
+                                 [(ids, rx, 0, 2, 2.0)])
+    _assert_draws_equal_the_generator(ids, rx, u, z, g, 2.0)
+    words = np.concatenate([mc_oracle._philox(_DRAW_SEED, np.full_like(
+        ids, block), ids, rx) for block in (1, 2, 3)], axis=1)
+    tail_normals = mc_oracle._normal_table(words)[0][2:-1:12]
+    assert len(ids) >= 40
+    assert np.count_nonzero(tail_normals <= -np.sqrt(15.0)) >= 5
 
 
 def test_fast_paths_take_nearly_every_draw():
-    # a wrong table entry would send its layer to the fallback: still
-    # exact, but slow
+    # a wrong table entry would send its layer through the retries, drawn
+    # again from its shifted words: still exact, but slow
     ids, rx = _draw_ids(0)
     words = mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx)
     for column in words.T:
@@ -626,6 +687,66 @@ def test_block_sop_equals_per_sample_loop_at_the_edges(
                          n_eves=n_eves)
     _assert_block_sop_equals_loop(monkeypatch, cfg,
                                   _as_allocation(cfg, alloc), master_seed)
+
+
+# the benchmark's mc_validate shapes: N, eavesdroppers, jamming fraction
+# and samples
+_MC_SHAPES = ((400, 1, 0.1, 4000), (100, 10, 0.2, 1500))
+_MC_REGION = SuspiciousRegion((-np.pi / 6, np.pi / 6), 50.0, 200.0)
+
+
+@pytest.mark.parametrize("n, n_eves, phi, n_samples", _MC_SHAPES,
+                         ids=["n400_e1", "n100_e10"])
+def test_finite_rician_sop_equals_the_generator_loop(monkeypatch, n, n_eves,
+                                                     phi, n_samples):
+    # at Rician factor 0.5 the normals and gammas move the outcome (at the
+    # scenario's own factor, pure line of sight, they barely do), and the
+    # vectorized draws give the SOP of a Generator loop exactly
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
+                         100.0, n_eves=n_eves)
+    alloc = _uniform_allocation(cfg, phi)
+    spec = McRunSpec(n_samples, 1, rician_k=0.5)
+    got = empirical_sop(cfg, alloc, _MC_REGION, spec)
+    print(f"N={n} n_eves={n_eves}: sop {got}")
+    assert 0.0 < got < 1.0
+    monkeypatch.setattr(mc_oracle, "_draw", _draw_one_by_one)
+    assert empirical_sop(cfg, alloc, _MC_REGION, spec) == got
+
+
+# 24 unit beams on an N=32 array with 4 eavesdroppers: the Gram cap, not
+# the draw budget, sizes the blocks
+_MANY_BEAMS = PowerAllocation(0.3, np.full(24, 0.3 / 24), "dft_selected",
+                              np.arcsin(np.linspace(-0.95, 0.95, 24)))
+
+
+@pytest.mark.parametrize("n, n_eves, alloc, r_th, n_samples", [
+    (100, 10, 0.2, 10.0, 1500), (32, 4, _MANY_BEAMS, 4.0, 400)],
+    ids=["uniform", "many_beams"])
+def test_block_budget_changes_no_result(monkeypatch, n, n_eves, alloc, r_th,
+                                        n_samples):
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, r_th, 0.0,
+                         100.0, n_eves=n_eves)
+    alloc = _as_allocation(cfg, alloc)
+    n_beams = len(mc_oracle._beam_angles(alloc))
+    spec = McRunSpec(n_samples, 7, rician_k=0.5)
+
+    def run():
+        # samples per block of the SOP run and of the fixed-position run
+        blocks = (mc_oracle._block_samples(n, n_eves, n_beams, 2),
+                  mc_oracle._block_samples(n, 1, n_beams, 0))
+        return blocks, (empirical_sop(cfg, alloc, _MC_REGION, spec),
+                        *_empirical_sinr(cfg, alloc, spec, 0.3, 90.0))
+    new_blocks, new = run()
+    monkeypatch.setattr(mc_oracle, "_BLOCK_DRAWS", _OLD_BLOCK_DRAWS)
+    monkeypatch.setattr(mc_oracle, "_BLOCK_GRAM", 2 ** 62)
+    old_blocks, old = run()
+    print(f"samples per block {old_blocks} -> {new_blocks}, sop {new[0]}")
+    # the old budget ends a block inside the run, and the new one holds
+    # more samples per block
+    assert all(a < min(b, n_samples) for a, b in zip(old_blocks, new_blocks))
+    assert 0.0 < new[0] < 1.0
+    assert new[0] == old[0]
+    assert all(map(np.array_equal, new[1:], old[1:]))
 
 
 # two-sample tests: the engine's SINRs against the per-entry engine's, in
