@@ -12,7 +12,8 @@ breaks secrecy iff
 where ``s_eb`` is the normalized crosstalk toward the eavesdropper and
 ``(scale, offset)`` depend only on the scenario and ``phi``.  This module
 computes those constants, the resulting boundaries (uniform, none, and
-directional jamming), their lobe decomposition, and areas.
+directional jamming), their lobe decomposition, and areas.  A caller's
+grid enters only through ``sor_boundary_directional``.
 
 Distances are meters, powers Watts, angles radians throughout.
 """
@@ -20,7 +21,7 @@ Distances are meters, powers Watts, angles radians throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -100,33 +101,23 @@ class SorConstants(NamedTuple):
     cutoff: float
 
 
-@dataclass
-class LobeArc:
-    """One angular arc of a boundary between consecutive kernel nulls.
-
-    ``index`` counts nulls between this arc and the main (Bob-containing)
-    arc; ``lo``/``hi`` delimit the arc's slice of the boundary grid
-    (inclusive; ``lo > hi`` marks an arc the grid never sampled).
-    """
-
-    index: int
-    max_radius: float
-    lo: int
-    hi: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SorBoundary:
-    """Polar boundary d(theta) of a secrecy outage region, with its
-    decomposition into lobe arcs."""
+    """Polar boundary d(theta) of a secrecy outage region, sampled at
+    ``thetas``, with its lobe arcs between consecutive kernel nulls: arc
+    ``j`` spans ``thetas[lo[j]:hi[j] + 1]`` (``lo > hi``: never sampled),
+    counts ``index[j]`` nulls from the main (Bob-containing) arc and peaks
+    at ``peak[j]`` (0.0 when empty).  ``weights`` are the default grid's
+    memoised area weights, None on a user grid.  Immutable, with read-only
+    arrays; compared and hashed by identity."""
 
     thetas: np.ndarray
     radii: np.ndarray
-    lobes: list
-    # (thetas, area weights) of the default grid the boundary was built on,
-    # so sor_area reads the memoised weights while ``thetas`` is that grid
-    _grid_weights: tuple = field(default=(None, None), init=False,
-                                 repr=False, compare=False)
+    index: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    peak: np.ndarray
+    weights: np.ndarray | None
 
 
 def _read_only(array):
@@ -340,8 +331,8 @@ def _default_arcs(cfg):
     """Default boundary grid: each lobe arc between consecutive nulls gets an
     odd uniform-in-theta point count, arcs sharing endpoint nulls.
 
-    Returns ``(thetas, (index, lo, hi), s_eb, weights)``: the angles, each
-    arc's entry as in ``LobeArc`` (one array entry per arc), ``_s_eb`` and
+    Returns ``(thetas, (index, lo, hi), s_eb, weights)``: the angles, the
+    arcs as in ``SorBoundary`` (one array entry per arc), ``_s_eb`` and
     ``_area_weights`` on them.  Memoised (``_default_grid``) on the
     geometry, ``bob_theta`` and ``k_eb``, the only fields it reads, so
     scenarios that differ in anything else share one grid; the arrays are
@@ -365,8 +356,8 @@ def _default_grid(key):
 def _arcs_for_grid(cfg, thetas):
     """Assign a user-supplied (sorted) grid to the analytic lobe arcs:
     ``(thetas, (index, lo, hi))``, one array entry per arc as in
-    ``LobeArc``."""
-    thetas = np.asarray(thetas, dtype=float)
+    ``SorBoundary``, all read-only; ``thetas`` is a copy of the grid."""
+    thetas = _read_only(np.array(thetas, dtype=float))
     if thetas.ndim != 1 or thetas.size < 2:
         raise ValueError("theta_grid must be a 1-D array with >= 2 points")
     if not (np.all(np.isfinite(thetas)) and np.all(np.diff(thetas) > 0)):
@@ -376,12 +367,13 @@ def _arcs_for_grid(cfg, thetas):
     index, edges = _arc_edges(cfg)
     lo = np.searchsorted(thetas, edges[:-1], side="left")
     hi = np.searchsorted(thetas, edges[1:], side="right") - 1
-    return thetas, (index, lo, hi)
+    return thetas, (_read_only(index), _read_only(lo), _read_only(hi))
 
 
-def _lobe_arcs(radii, index, lo, hi):
-    """``LobeArc`` of each arc ``[lo[j], hi[j]]`` of ``radii`` (arrays, one
-    entry per arc; ``lo > hi`` marks an empty arc, whose maximum is 0.0).
+def _lobe_arcs(radii, lo, hi):
+    """Read-only maximum of ``radii`` over each arc ``[lo[j], hi[j]]``
+    (arrays, one entry per arc; ``lo > hi`` marks an empty arc, whose
+    maximum is 0.0).
 
     Each maximum is one ``np.maximum.reduceat`` segment.  The segment ends
     ``hi + 1`` sit between the starts, so arcs that share an end point keep
@@ -389,9 +381,7 @@ def _lobe_arcs(radii, index, lo, hi):
     """
     ends = np.column_stack((lo, hi + 1)).ravel()
     peaks = np.maximum.reduceat(np.append(radii, 0.0), ends)[::2]
-    peaks = np.where(hi >= lo, peaks, 0.0)
-    return [LobeArc(*arc) for arc in zip(index.tolist(), peaks.tolist(),
-                                         lo.tolist(), hi.tolist())]
+    return _read_only(np.where(hi >= lo, peaks, 0.0))
 
 
 def _sor_boundary(cfg, theta_grid, scale, noise):
@@ -401,27 +391,14 @@ def _sor_boundary(cfg, theta_grid, scale, noise):
     the jamming noise deposited toward them, normalized by the noise floor
     (an array, or one number for all of them)."""
     if theta_grid is None:
-        thetas, spans, s_eb, weights = _default_arcs(cfg)
+        thetas, (index, lo, hi), s_eb, weights = _default_arcs(cfg)
     else:
-        thetas, spans = _arcs_for_grid(cfg, theta_grid)
+        thetas, (index, lo, hi) = _arcs_for_grid(cfg, theta_grid)
         s_eb, weights = _s_eb(cfg, thetas), None
     gap = _outage_gap(scale, s_eb, noise(thetas))
     radii = np.where(np.abs(thetas) <= _HALF_PI, gap ** (1.0 / cfg.alpha), 0.0)
-    boundary = SorBoundary(thetas=thetas, radii=radii,
-                           lobes=_lobe_arcs(radii, *spans))
-    boundary._grid_weights = (thetas, weights)
-    return boundary
-
-
-def sor_boundary_uniform(cfg, phi, theta_grid=None):
-    """SOR boundary under uniform null-space jamming at fraction ``phi``."""
-    cons = sor_constants(cfg, phi)
-    return _sor_boundary(cfg, theta_grid, cons.scale, lambda _: cons.offset)
-
-
-def sor_boundary_nojam(cfg, theta_grid=None):
-    """SOR boundary with every Watt on the signal (no artificial noise)."""
-    return sor_boundary_uniform(cfg, 0.0, theta_grid)
+    return SorBoundary(thetas, _read_only(radii), index, lo, hi,
+                       _lobe_arcs(radii, lo, hi), weights)
 
 
 # the grid, the (scenario, beam angles) key and the matrix of the last
@@ -437,8 +414,8 @@ def _beam_responses(cfg, thetas, beam_angles):
 
     The matrix is kept, read-only, from the second call in a row with the
     same scenario, grid object and beam angles on, so allocations that
-    differ only in their powers share it and a one-off call keeps none.  A
-    writable grid may change in place, so its matrix is never kept."""
+    differ only in their powers share it and a one-off call keeps none.
+    Every boundary grid is read-only (a user grid is copied on each call)."""
     key = (cfg, tuple(beam_angles))
     grid, last_key, response = _last_response
     repeat = grid is thetas and last_key == key
@@ -450,25 +427,36 @@ def _beam_responses(cfg, thetas, beam_angles):
     for row, a in zip(response, beam_angles):
         row[:] = (geom.n_antennas / cfg.n0) * s_kernel(sin_th - np.sin(a),
                                                        geom)
-    keep = repeat and not thetas.flags.writeable
-    response.flags.writeable = not keep
-    _last_response[:] = thetas, key, (response if keep else None)
+    response.flags.writeable = not repeat
+    _last_response[:] = thetas, key, (response if repeat else None)
     return response
 
 
 def sor_boundary_directional(cfg, alloc, theta_grid=None):
-    """SOR boundary of any allocation: explicit beams subtract the noise
-    they deposit, and a ``null_space_uniform`` allocation gives
-    ``sor_boundary_uniform`` at its fraction.  Consecutive allocations on
-    the default grid that differ only in their powers share one response
-    matrix (``_beam_responses``)."""
+    """SOR boundary of any allocation, on the default grid or the sorted
+    angles ``theta_grid``: explicit beams subtract the noise they deposit,
+    and a ``null_space_uniform`` allocation gives the uniform boundary at
+    its fraction.  Consecutive allocations on the default grid that differ
+    only in their powers share one response matrix (``_beam_responses``)."""
     _check_allocation(cfg, alloc)
     if alloc.basis == "null_space_uniform":
-        return sor_boundary_uniform(cfg, alloc.phi, theta_grid)
+        cons = sor_constants(cfg, alloc.phi)
+        return _sor_boundary(cfg, theta_grid, cons.scale,
+                             lambda _: cons.offset)
     return _sor_boundary(
         cfg, theta_grid, boundary_scale(cfg, alloc.phi),
         lambda thetas: alloc.beam_powers @ _beam_responses(
             cfg, thetas, alloc.beam_angles))
+
+
+def sor_boundary_uniform(cfg, phi):
+    """Default-grid SOR boundary under uniform jamming at fraction ``phi``."""
+    return sor_boundary_directional(cfg, _uniform_allocation(cfg, phi))
+
+
+def sor_boundary_nojam(cfg):
+    """Default-grid SOR boundary with every Watt on the signal."""
+    return sor_boundary_uniform(cfg, 0.0)
 
 
 def sor_area(boundary):
@@ -478,16 +466,14 @@ def sor_area(boundary):
     Warns (``ResolutionWarning``) when any sampled arc carries fewer grid
     points than the quadrature needs to be trustworthy.
     """
-    for arc in boundary.lobes:
-        n = arc.hi - arc.lo + 1
-        if 0 < n < _MIN_ARC_POINTS and arc.max_radius > 0:
-            warnings.warn(
-                f"lobe arc {arc.index} sampled with only {n} points; "
-                "area may be inaccurate", ResolutionWarning, stacklevel=2)
-    thetas, weights = boundary._grid_weights
-    if weights is None or thetas is not boundary.thetas:
-        weights = _area_weights(boundary.thetas,
-                                [(arc.lo, arc.hi) for arc in boundary.lobes])
+    counts = boundary.hi - boundary.lo + 1
+    coarse = (counts > 0) & (counts < _MIN_ARC_POINTS) & (boundary.peak > 0)
+    for index, n in zip(boundary.index[coarse], counts[coarse]):
+        warnings.warn(f"lobe arc {index} sampled with only {n} points; area "
+                      "may be inaccurate", ResolutionWarning, stacklevel=2)
+    weights = boundary.weights
+    if weights is None:
+        weights = _area_weights(boundary.thetas, zip(boundary.lo, boundary.hi))
     return float(boundary.radii ** 2 @ weights)
 
 

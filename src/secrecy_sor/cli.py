@@ -43,6 +43,8 @@ from .sop import SuspiciousRegion, sop_closed_form, sop_intersection
 _SCHEMES = ("no_jam", "uniform", "algo1", "algo2", "algo3")
 _SWEEPABLE = ("phi", "bob_dist_m", "bob_theta_deg", "r_th", "n_antennas",
               "alpha", "k_eb", "p_tot_w", "n0_w", "n_eves")
+# sor-map --grid cap: 139x the default 721; an algo2 map at N=100 < 80 MB
+_MAX_MAP_GRID = 100_001
 
 
 class ManifestError(ValueError):
@@ -602,8 +604,9 @@ def main(argv=None):
         else:
             manifest = load_manifest(args.manifest, args.command)
             if args.command == "sor-map":
-                if args.grid < 2:
-                    raise ManifestError("--grid", "need at least 2 samples")
+                if not 2 <= args.grid <= _MAX_MAP_GRID:
+                    raise ManifestError(
+                        "--grid", f"need 2 to {_MAX_MAP_GRID} samples")
                 header, rows, guard = _run_sor_map(manifest, args.grid)
             elif args.command == "sop":
                 header, rows, guard = _sweep(manifest, "sop",

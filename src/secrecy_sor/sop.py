@@ -219,7 +219,7 @@ def _sor_region_overlap(boundary, region):
     the suspicious region: the boundary is clipped radially into the
     region's annular band and the clipped polar integral is taken."""
     lo, hi = region.angle_interval
-    thetas = np.asarray(boundary.thetas, dtype=float)
+    thetas = boundary.thetas
     inside = (thetas >= lo) & (thetas <= hi)
     # sorted, each value once (np.unique would import numpy.ma)
     th = np.sort(np.concatenate((thetas[inside], [lo, hi])))
@@ -234,9 +234,12 @@ def _sor_region_overlap(boundary, region):
 def sop_intersection(boundary, region, n_eves):
     """SOP from a sampled boundary: clip the boundary radially against the
     region, take the area ratio, and account for ``n_eves`` independent
-    eavesdroppers."""
+    eavesdroppers.  The boundary's grid must span the region's angles."""
     if not (float(n_eves).is_integer() and n_eves >= 1):
         raise ValueError("n_eves must be an integer >= 1")
+    lo, hi = region.angle_interval
+    if not (boundary.thetas[0] <= lo and hi <= boundary.thetas[-1]):
+        raise ValueError("the boundary's grid does not span the region")
     area_total = _region_area(region)
     if area_total <= 0:
         raise ValueError("suspicious region has zero area")

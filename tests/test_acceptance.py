@@ -43,7 +43,6 @@ from secrecy_sor.asymptotic import (
     sor_area,
     sor_boundary_directional,
     sor_boundary_nojam,
-    sor_boundary_uniform,
     _uniform_allocation,
 )
 from secrecy_sor.cli import main
@@ -322,7 +321,8 @@ def test_06b_sop_closed_form_vs_geometric():
         for phi in phis:
             closed = sop_closed_form(cfg, phi, region)
             geometric = sop_intersection(
-                sor_boundary_uniform(cfg, phi, thetas), region, cfg.n_eves)
+                sor_boundary_directional(cfg, _uniform_allocation(cfg, phi),
+                                         thetas), region, cfg.n_eves)
             worst = max(worst, abs(closed - geometric))
     clause(f"worst |closed - boundary-intersection| = {worst:.2e} <= 1e-3",
            worst <= 1e-3, failures)
@@ -356,12 +356,14 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 def one_sided_lobe_areas(cfg, phi, m_max=10):
     thetas = np.linspace(0.0, HALF_PI, 400001)
-    boundary = sor_boundary_uniform(cfg, phi, thetas)
+    boundary = sor_boundary_directional(cfg, _uniform_allocation(cfg, phi),
+                                        thetas)
     areas = {}
-    for arc in boundary.lobes:
-        if 1 <= arc.index <= m_max and arc.lo <= arc.hi:
-            sl = slice(arc.lo, arc.hi + 1)
-            areas[arc.index] = 0.5 * float(
+    for index, lo, hi in zip(boundary.index.tolist(), boundary.lo.tolist(),
+                             boundary.hi.tolist()):
+        if 1 <= index <= m_max and lo <= hi:
+            sl = slice(lo, hi + 1)
+            areas[index] = 0.5 * float(
                 _trapz(boundary.radii[sl] ** 2, boundary.thetas[sl]))
     return areas
 

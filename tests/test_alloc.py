@@ -38,7 +38,11 @@ from secrecy_sor import (
 )
 from secrecy_sor import alloc
 from secrecy_sor import sop as sop_module
-from secrecy_sor.asymptotic import _default_arcs, _default_grid
+from secrecy_sor.asymptotic import (
+    _default_arcs,
+    _default_grid,
+    _uniform_allocation,
+)
 from secrecy_sor.alloc import (
     _BLOCK_ROWS,
     _DirectionalAreaEvaluator,
@@ -475,12 +479,14 @@ def test_sor_area_matches_triple_loop_on_uneven_grid():
     rng = np.random.default_rng(11)
     thetas = np.sort(rng.uniform(-np.pi / 2, np.pi / 2, 4000))
     for phi in (0.0, 0.3):
-        bd = sor_boundary_uniform(CFG8, phi, thetas)
-        counts = [a.hi - a.lo + 1 for a in bd.lobes if a.hi >= a.lo]
+        bd = sor_boundary_directional(CFG8, _uniform_allocation(CFG8, phi),
+                                      thetas)
+        arcs = list(zip(bd.lo.tolist(), bd.hi.tolist()))
+        counts = [hi - lo + 1 for lo, hi in arcs if hi >= lo]
         assert any(c % 2 == 0 for c in counts)  # trailing pairs exercised
-        want = sum(_segment_area_loop(bd.thetas[a.lo:a.hi + 1],
-                                      bd.radii[a.lo:a.hi + 1])
-                   for a in bd.lobes if a.hi > a.lo >= 0)
+        want = sum(_segment_area_loop(bd.thetas[lo:hi + 1],
+                                      bd.radii[lo:hi + 1])
+                   for lo, hi in arcs if hi > lo >= 0)
         assert abs(sor_area(bd) / want - 1.0) <= 1e-12
 
 
@@ -808,10 +814,11 @@ def test_default_grid_is_one_read_only_memo_per_scenario():
     for array in (thetas, *arcs, s_eb, weights):
         assert not array.flags.writeable
     first = sor_boundary_uniform(cfg, 0.0)
-    peak = first.lobes[0].max_radius
+    peak = first.peak[0]
     assert peak > 0.0
-    first.lobes[0].max_radius = -1.0
-    assert sor_boundary_uniform(cfg, 0.0).lobes[0].max_radius == peak
+    with pytest.raises(ValueError, match="read-only"):
+        first.peak[0] = -1.0
+    assert sor_boundary_uniform(cfg, 0.0).peak[0] == peak
     ev = _DirectionalAreaEvaluator(cfg, ())
     assert ev.s_eb is s_eb and ev.weights is weights
     _two_lobe_scan(cfg)

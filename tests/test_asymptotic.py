@@ -164,8 +164,9 @@ def test_boundary_uniform_matches_lobe_radii_and_area_converges():
     # peak radius on the default grid reproduces the closed-form main radius
     assert abs(np.max(bd.radii) - lobe_radii(CFG50, phi)[0]) < 1e-6
     a = sor_area(bd)
-    dense = sor_area(sor_boundary_uniform(
-        CFG50, phi, theta_grid=np.linspace(-np.pi / 2, np.pi / 2, 2_000_001)))
+    dense = sor_area(sor_boundary_directional(
+        CFG50, _uniform_allocation(CFG50, phi),
+        theta_grid=np.linspace(-np.pi / 2, np.pi / 2, 2_000_001)))
     print(f"area default {a:.4f} dense {dense:.4f}")
     assert abs(a - 1108.5352961265257) < 1e-6
     assert abs(a - dense) <= 5e-3 * dense
@@ -186,8 +187,10 @@ def test_boundary_mirror_symmetry():
     left = dataclasses.replace(CFG50, bob_theta=0.35)
     right = dataclasses.replace(CFG50, bob_theta=-0.35)
     grid = np.linspace(-np.pi / 2, np.pi / 2, 20001)
-    bl = sor_boundary_uniform(left, 0.3, theta_grid=grid)
-    br = sor_boundary_uniform(right, 0.3, theta_grid=grid)
+    bl = sor_boundary_directional(left, _uniform_allocation(left, 0.3),
+                                  theta_grid=grid)
+    br = sor_boundary_directional(right, _uniform_allocation(right, 0.3),
+                                  theta_grid=grid)
     assert np.max(np.abs(bl.radii - br.radii[::-1])) < 1e-9
 
 
@@ -280,7 +283,8 @@ def test_constructors_reject_non_finite_inputs():
     cfg = ScenarioConfig(**args)
     for grid in ([0.0, np.nan, 0.5], [-np.inf, 0.0, 0.5], [0.0, 0.5, np.inf]):
         with pytest.raises(ValueError, match="theta_grid"):
-            sor_boundary_uniform(cfg, 0.1, grid)
+            sor_boundary_directional(cfg, _uniform_allocation(cfg, 0.1),
+                                     grid)
     for d_min in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="d_min"):
             phi_opt_closed_form(cfg, 0.3, d_min)
@@ -305,11 +309,9 @@ def test_default_grid_areas_read_the_memoised_weights(monkeypatch):
     default = [sor_boundary_uniform(CFG50, 0.3),
                sor_boundary_directional(CFG50, alloc)]
     want = [bd.radii ** 2 @ asymptotic._area_weights(
-        bd.thetas, [(arc.lo, arc.hi) for arc in bd.lobes]) for bd in default]
-    user = sor_boundary_uniform(CFG50, 0.3,
-                                theta_grid=np.array(default[0].thetas))
-    moved = sor_boundary_uniform(CFG50, 0.3)
-    moved.thetas = np.array(moved.thetas)
+        bd.thetas, zip(bd.lo, bd.hi)) for bd in default]
+    user = sor_boundary_directional(CFG50, _uniform_allocation(CFG50, 0.3),
+                                    theta_grid=np.array(default[0].thetas))
     calls = []
     weights = asymptotic._area_weights
 
@@ -319,9 +321,34 @@ def test_default_grid_areas_read_the_memoised_weights(monkeypatch):
     monkeypatch.setattr(asymptotic, "_area_weights", counted)
     assert [sor_area(bd) for bd in default] == want
     assert calls == []
-    # a user grid, or a boundary whose angles were replaced, computes its own
-    assert sor_area(user) == sor_area(moved) == want[0]
-    assert len(calls) == 2
+    # a user grid computes its own
+    assert default[0].weights is _default_arcs(CFG50)[3]
+    assert user.weights is None and sor_area(user) == want[0]
+    assert len(calls) == 1
+
+
+def test_boundary_is_immutable_and_keeps_its_own_grid():
+    cfg = ScenarioConfig(ArrayGeometry(16, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
+                         80.0)
+    grid = np.linspace(-1.5, 1.5, 3001)
+    angles = np.arcsin(np.array([-1.5, 1.5]) / 8.0)
+    allocs = [_uniform_allocation(cfg, 0.3),
+              PowerAllocation(0.3, [0.2, 0.1], "dft_selected", angles)]
+    user = [sor_boundary_directional(cfg, alloc, grid) for alloc in allocs]
+    areas = [sor_area(bd) for bd in user]
+    # editing the caller's grid afterwards moves no boundary
+    grid[:] = np.linspace(-0.2, 0.2, grid.size)
+    assert [sor_area(bd) for bd in user] == areas
+    for bd in user + [sor_boundary_uniform(cfg, 0.3)]:
+        assert not np.shares_memory(bd.thetas, grid)
+        for field in dataclasses.fields(bd):
+            array = getattr(bd, field.name)
+            if array is None:
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bd.radii = np.zeros_like(bd.radii)
 
 
 def test_directional_beam_kills_targeted_lobe_only():
@@ -464,14 +491,14 @@ def test_side_lobe_area_bound_preconditions():
 def test_coarse_grid_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bd = sor_boundary_uniform(CFG50, 0.0,
-                                  theta_grid=np.linspace(-1.5, 1.5, 301))
+        bd = sor_boundary_directional(CFG50, _uniform_allocation(CFG50, 0.0),
+                                      theta_grid=np.linspace(-1.5, 1.5, 301))
         sor_area(bd)
     assert any(issubclass(w.category, ResolutionWarning) for w in caught)
 
 
 def _per_arc_lobes(cfg, boundary, default):
-    """``(index, max_radius, lo, hi)`` of each arc by the per-arc loop the
+    """``(index, peak, lo, hi)`` of each arc by the per-arc loop the
     vectorized arcs replaced: a searchsorted pair and an ``np.max`` each."""
     bounds = np.concatenate(([-1.0], asymptotic._null_sins(cfg), [1.0]))
     edges = np.arcsin(bounds)
@@ -508,11 +535,13 @@ def test_lobe_arcs_equal_the_per_arc_loop():
     ]
     empty = 0
     for cfg, phi, grid in cases:
-        boundary = sor_boundary_uniform(cfg, phi, grid)
-        got = [(a.index, a.max_radius, a.lo, a.hi) for a in boundary.lobes]
+        boundary = sor_boundary_directional(
+            cfg, _uniform_allocation(cfg, phi), grid)
+        got = list(zip(*(a.tolist() for a in (
+            boundary.index, boundary.peak, boundary.lo, boundary.hi))))
         want = _per_arc_lobes(cfg, boundary, grid is None)
         assert got == want
         assert all(type(v) is type(w) for g, h in zip(got, want)
                    for v, w in zip(g, h))
-        empty += sum(a.lo > a.hi for a in boundary.lobes)
+        empty += int(np.sum(boundary.lo > boundary.hi))
     assert empty > 0

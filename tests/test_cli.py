@@ -38,7 +38,6 @@ from secrecy_sor import (
     sor_area,
     sor_boundary_directional,
     sor_boundary_nojam,
-    sor_boundary_uniform,
 )
 from secrecy_sor.alloc import _region_beam_allocation
 from secrecy_sor.asymptotic import _uniform_allocation
@@ -282,6 +281,22 @@ def test_sor_map_refinement_keeps_coarse_nodes(tmp_path):
     fine_map = {r[0]: r[1] for r in rows_f}
     for theta_deg, radius, _ in rows_c:
         assert fine_map[theta_deg] == radius
+
+
+def test_sor_map_grid_outside_its_bounds_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    # refused before any boundary (or beams x grid response) is built
+    def unreachable(*args):
+        raise AssertionError("sor_boundary_directional was called")
+    monkeypatch.setattr(cli, "sor_boundary_directional", unreachable)
+    path = base_manifest(tmp_path, scheme="algo2", sweep={
+        "parameter": "bob_dist_m", "grid": [100.0]})
+    out = tmp_path / "map.csv"
+    for grid in (1, cli._MAX_MAP_GRID + 1):
+        assert main(["sor-map", "--manifest", path, "--out", str(out),
+                     "--grid", str(grid)]) == 2
+        assert capsys.readouterr().err.startswith("manifest error at --grid:")
+        assert not out.exists()
 
 
 def test_infeasible_row_becomes_nan_with_note(tmp_path, capsys):
@@ -600,7 +615,8 @@ def _library_values(kind):
         return dict(phi=0.0, phi_sop=0.0, phi_area=0.0,
                     sop=sop_closed_form(cfg, 0.0, region),
                     area=sor_area(sor_boundary_nojam(cfg)),
-                    radii=sor_boundary_nojam(cfg, thetas).radii,
+                    radii=sor_boundary_directional(
+                        cfg, _uniform_allocation(cfg, 0.0), thetas).radii,
                     mc=_uniform_allocation(cfg, 0.0))
     if kind == "uniform":
         by_sop = optimize_phi_uniform(cfg, region, objective="sop")
@@ -608,7 +624,9 @@ def _library_values(kind):
         return dict(phi=by_sop.phi_opt, phi_sop=by_sop.phi_opt,
                     phi_area=by_area.phi_opt, sop=by_sop.objective,
                     area=by_area.objective,
-                    radii=sor_boundary_uniform(cfg, MATRIX_PHI, thetas).radii,
+                    radii=sor_boundary_directional(
+                        cfg, _uniform_allocation(cfg, MATRIX_PHI),
+                        thetas).radii,
                     mc=_uniform_allocation(cfg, by_sop.phi_opt))
     res = {"algo1": lambda: algorithm1_directional(cfg, region),
            "algo2": lambda: algorithm2_iterative(cfg),

@@ -29,6 +29,7 @@ from secrecy_sor import (
     sor_boundary_uniform,
 )
 from secrecy_sor.alloc import _DirectionalAreaEvaluator, _jam_beam_indices
+from secrecy_sor.asymptotic import _uniform_allocation
 from secrecy_sor.crosstalk import _delta_cdf
 
 geometries = st.builds(
@@ -154,8 +155,9 @@ def _sop_scenario(n, bob_theta, r_th, bob_dist, n_eves, frac, lo, width,
 
 def _dense_sop(cfg, phi, region, points):
     grid = np.linspace(*region.angle_interval, points)
-    return sop_intersection(sor_boundary_uniform(cfg, phi, theta_grid=grid),
-                            region, cfg.n_eves)
+    return sop_intersection(
+        sor_boundary_directional(cfg, _uniform_allocation(cfg, phi),
+                                 theta_grid=grid), region, cfg.n_eves)
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,7 +207,8 @@ def test_uniform_area_nonnegative_and_mirror_symmetric(n, r_th, bob_dist,
                          bob_dist)
     phi = frac * phi_max(cfg)
     assert sor_area(sor_boundary_uniform(cfg, phi)) >= 0.0
-    radii = sor_boundary_uniform(cfg, phi, theta_grid=_MIRROR_GRID).radii
+    radii = sor_boundary_directional(cfg, _uniform_allocation(cfg, phi),
+                                     theta_grid=_MIRROR_GRID).radii
     assert np.all(np.abs(radii - radii[::-1])
                   <= 1e-9 * np.maximum(radii, radii[::-1]))
 

@@ -55,8 +55,6 @@ OPTIONS = {
     "mu_worst_area": ("jam_alloc",),
     "optimize_phi_uniform": ("objective",),
     "sor_boundary_directional": ("theta_grid",),
-    "sor_boundary_nojam": ("theta_grid",),
-    "sor_boundary_uniform": ("theta_grid",),
 }
 
 
@@ -87,7 +85,7 @@ def test_public_options_match_the_table():
              for name in secrecy_sor.__all__
              if callable(getattr(secrecy_sor, name))}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 12
+    assert sum(map(len, OPTIONS.values())) == 10
 
 
 CLI_FLAGS = {

@@ -22,9 +22,15 @@ from secrecy_sor import (
     phi_max,
     sop_closed_form,
     sop_intersection,
+    sor_boundary_directional,
     sor_boundary_uniform,
 )
-from secrecy_sor.asymptotic import SorConstants, _outage_gap, sor_constants
+from secrecy_sor.asymptotic import (
+    SorConstants,
+    _outage_gap,
+    _uniform_allocation,
+    sor_constants,
+)
 from secrecy_sor.crosstalk import _KernelTables, _kernel_tables
 from secrecy_sor.sop import _region_area, _sor_region_overlap
 from secrecy_sor.errors import InfeasibleRateError, ResolutionWarning
@@ -81,13 +87,34 @@ def test_sop_closed_vs_geometric():
                            (CFG50, REG60, (0.0, 0.5, 0.9))]:
         for phi in phis:
             a = sop_closed_form(cfg, phi, reg)
-            b = sop_intersection(sor_boundary_uniform(cfg, phi, theta_grid=grid),
-                                 reg, cfg.n_eves)
+            b = sop_intersection(
+                sor_boundary_directional(cfg, _uniform_allocation(cfg, phi),
+                                         theta_grid=grid), reg, cfg.n_eves)
             worst = max(worst, abs(a - b))
             print(f"N={cfg.geometry.n_antennas} phi={phi}: "
                   f"closed={a:.8f} geometric={b:.8f}")
     print(f"worst |closed - geometric| = {worst:.2e}")
     assert worst <= 1e-3
+
+
+def test_sop_intersection_refuses_a_grid_short_of_the_region():
+    cfg = ScenarioConfig(ArrayGeometry(16, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
+                         80.0)
+    alloc = _uniform_allocation(cfg, 0.3)
+    region = SuspiciousRegion((-np.pi / 6, np.pi / 6), 20.0, 120.0)
+    # each grid misses part of the region's angles
+    for grid in (np.linspace(0.3, 0.5, 2001),
+                 np.linspace(-0.001, 0.001, 2001)):
+        bd = sor_boundary_directional(cfg, alloc, grid)
+        with pytest.raises(ValueError, match="does not span the region"):
+            sop_intersection(bd, region, 1)
+    # a grid on exactly the region's angles, and the default one, span it
+    closed = sop_closed_form(cfg, 0.3, region)
+    exact = sor_boundary_directional(
+        cfg, alloc, np.linspace(*region.angle_interval, 200_001))
+    assert abs(sop_intersection(exact, region, 1) - closed) <= 1e-6
+    default = sor_boundary_uniform(cfg, 0.3)
+    assert abs(sop_intersection(default, region, 1) - closed) <= 1e-3
 
 
 def test_sop_multi_eve_composition():
