@@ -19,43 +19,40 @@ variable for the part of ``g`` outside the span of F.  That holds for any
 directions, coincident ones and more of them than antennas included.
 
 Reproducibility contract: sample ``i`` of receiver ``l`` (Bob is 0) always
-reads from the counter-based substream ``(master_seed, i, l)``: the numbers
-a fresh ``Philox(key=master_seed, counter=[0, i, l, 0])`` produces.  Within
-a receiver's substream the draw order is fixed: position first
-(eavesdroppers only: angle, then radius, each where the caller draws it),
-then 2 min(D, N) standard normals (the real, then the imaginary part of
-each coordinate of c) and one standard gamma variate.  ``D`` and ``N``
-depend on the scenario only, so the counts never depend on the data.
+reads from the counter-based substream ``(master_seed, i, l)``: the words
+a fresh ``Philox(key=master_seed, counter=[0, i, l, 0])`` produces
+(Philox4x64-10; Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC 2011).  Every variate sits at a fixed word position of its
+substream: position first (eavesdroppers only: angle, then radius, each
+where the caller draws it), then 2 min(D, N) standard normals (the real,
+then the imaginary part of each coordinate of c) and one standard gamma
+variate.  ``D`` and ``N`` depend on the scenario only, so the counts never
+depend on the data.
 
 The engine works in blocks of samples.  A block holds about
 ``_BLOCK_DRAWS`` (32,768) drawn numbers and at most ``_BLOCK_GRAM`` Gram
 entries, constants, so the block boundaries depend on the scenario only,
-and no result depends on them.  Philox is counter-based (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so ``_draw``
+and no result depends on them.  Philox is counter-based, so ``_draw``
 computes the raw words of every substream of a block in one vectorized
-pass and turns them into variates the way numpy's Generator does: uniforms
-from the top 53 bits, normals by Marsaglia and Tsang's ziggurat (2000; its
-tables in ``_ziggurat``), gammas by their method for gamma variables
-(2000).  Most draws return on their first words.  The substreams that do
-not (about 8% of them in the benchmark shapes) follow numpy's retries in a
-second vectorized pass over a few more Philox blocks each, every substream
-at its own word position.  Only a gamma of shape 1, which numpy draws with
-its exponential sampler, goes through the Generator itself, which stays
-the reference and is built (with ``numpy.random``) on first use.  The
-block's Grams, factors and SINRs follow with array operations.  Everything
-runs on the calling thread and per-block results are combined in block
-order, so results are byte-identical across runs.
+pass and turns them into variates without rejection wherever the law
+allows: uniforms from the top 53 bits (as numpy's ``random()``), each pair
+of normals from two words by Box and Muller's transform (1958), gammas by
+Marsaglia and Tsang's method (2000), a try taking three words.  Only a
+substream whose first gamma try is rejected reads more: one Philox block
+per retry, at a fixed block index.  The block's Grams, factors and SINRs
+follow with array operations.  Everything runs on the calling thread and
+per-block results are combined in block order, so results are
+byte-identical across runs on one machine and numpy build (SIMD ``log``
+and ``cos`` may differ in the last bit across CPUs).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._ziggurat import FI, KI, WI
 from .asymptotic import _check_allocation
 
 _HALF_PI = 0.5 * np.pi
@@ -87,22 +84,7 @@ _WORD = 2 ** 64 - 1
 # master seeds are Philox keys: two 64-bit words
 _SEED_LIMIT = 2 ** 128
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# numpy's ziggurat tables for the standard normal (see ``_ziggurat``), the
-# width of each layer's density band, FI[i - 1] - FI[i], and the tail's
-# start r and 1/r as numpy's C code writes them
-_KI = np.array(KI, dtype=np.uint64)
-_WI = np.array(WI)
-_FI = np.array(FI)
-_FI_BAND = np.concatenate([[0.0], _FI[:-1] - _FI[1:]])
-_ZIG_R = 3.6541528853610087963519472518
-_ZIG_INV_R = 0.27366123732975827203338247596
-# relative gap within which numpy's exp or log may decide a test otherwise
-# than libm's (they differ in the last bits): such near-ties are settled
-# in scalar ``math``, which calls libm as numpy's C samplers do
-_TIE = 1e-9
-# Philox blocks (4 words each) fetched past a substream's first-word needs
-# when it takes retries: most retries take one or two more words
-_SPARE_BLOCKS = 2
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -144,38 +126,6 @@ def _sym_k(cfg):
     if root >= 1.0 - 1.0 / _K_CAP:
         return _K_CAP
     return float(root / (1.0 - root))
-
-
-class _Substreams:
-    """One Philox generator moved to substream ``(master_seed, i, l)`` on
-    demand: counter ``[0, i, l, 0]`` and an empty buffer, the state a new
-    ``Philox(key=master_seed, counter=[0, i, l, 0])`` starts in, at a
-    fraction of the cost of building one.
-
-    This is the reference for every draw.  ``_draw`` seeks it only for the
-    substreams that draw a shape-1 gamma (numpy's exponential sampler), so
-    the generator, and ``numpy.random`` with it, is built on the first
-    ``seek`` and most runs never build it."""
-
-    def __init__(self, master_seed):
-        self.master_seed = int(master_seed)
-        self._gen = None
-
-    def seek(self, sample_id, receiver_id):
-        if self._gen is None:
-            bitgen = np.random.Philox(key=self.master_seed)
-            self._gen = np.random.Generator(bitgen)
-            state = bitgen.state
-            # plain lists: the state setter reads them faster than arrays
-            self._counter = state["state"]["counter"].tolist()
-            state["state"] = {"counter": self._counter,
-                              "key": state["state"]["key"].tolist()}
-            state["buffer"] = state["buffer"].tolist()
-            self._state = state
-        self._counter[1] = sample_id
-        self._counter[2] = receiver_id
-        self._gen.bit_generator.state = self._state
-        return self._gen
 
 
 def _mulhilo(x, m):
@@ -221,63 +171,6 @@ def _uniforms(words):
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def _normals(words):
-    """numpy's ziggurat standard normals from one raw word each, and
-    whether each word returns on the first try: layer ``idx`` from the low
-    byte, the sign from the next bit, a 52-bit magnitude from the bits
-    above."""
-    idx = (words & np.uint64(0xFF)).astype(np.intp)
-    rabs = (words >> np.uint64(9)) & np.uint64(0xFFFFFFFFFFFFF)
-    x = rabs * _WI[idx]
-    return np.where(words & np.uint64(0x100), -x, x), rabs < _KI[idx]
-
-
-def _decide(gap, band, exact):
-    """Whether each ``gap`` is positive, where it is clear of a tie
-    (|gap| > ``band``); ``exact(i)`` decides entry ``i`` otherwise."""
-    out = gap > band
-    for i in np.flatnonzero(~(np.abs(gap) > band)).tolist():
-        out[i] = exact(i)
-    return out
-
-
-def _keeps(x, v, u, b):
-    """Marsaglia and Tsang's test of normals ``x``, cubes ``v`` > 0 of
-    1 + c x and uniforms ``u`` at b = shape - 1/3, as numpy's C code makes
-    it: the squeeze u < 1 - 0.0331 x**4, else log(u) < x**2/2 +
-    b (1 - v + log(v)) in libm's ``log``."""
-    x2 = x * x
-    squeeze = u < 1.0 - 0.0331 * x2 * x2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_u, log_v = np.log(u), np.log(v)
-        gap = 0.5 * x2 + b * (1.0 - v + log_v) - log_u
-        band = _TIE * (np.abs(log_u) + 0.5 * x2
-                       + b * (np.abs(1.0 - v) + np.abs(log_v)))
-
-    def exact(i):
-        xi, vi, ui = float(x[i]), float(v[i]), float(u[i])
-        return ui == 0.0 or math.log(ui) < 0.5 * xi * xi + b * (
-            1.0 - vi + math.log(vi))
-    return squeeze | _decide(gap, band, exact)
-
-
-def _gammas(words, shape):
-    """numpy's standard gammas of integer ``shape`` >= 1 by Marsaglia and
-    Tsang's method, from the two raw words (..., 2) of a first try (a
-    normal, then a uniform), and whether each first try returns.  Shape 1
-    never returns here: numpy draws it as an exponential.
-    """
-    b = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * b)
-    x, ok = _normals(words[..., 0])
-    v = 1.0 + c * x
-    ok &= v > 0.0
-    # a try with 1 + c x <= 0 draws again; 1.0 keeps its log test finite
-    v = np.where(ok, v * v * v, 1.0)
-    return b * v, ok & _keeps(x, v, _uniforms(words[..., 1]), b) \
-        & (shape != 1.0)
-
-
 def _raw_words(master_seed, parts):
     """Raw words of Philox blocks ``first``, ..., ``first + count - 1`` of
     every substream of each part (ids, rx, first, count), from one
@@ -294,169 +187,68 @@ def _raw_words(master_seed, parts):
             in zip(np.split(raw, np.cumsum(sizes)[:-1]), parts)]
 
 
-def _tail(row, pos, word):
-    """numpy's normal from the ziggurat's tail after the layer-0 first word
-    ``word``: pairs of uniforms from ``row[pos]`` on until one is kept, in
-    libm's ``log1p``.  Returns the normal and the position past it, or
-    (nan, None) where the raw words ``row`` run out first."""
-    while pos + 2 <= len(row):
-        u1, u2 = _uniforms(row[pos:pos + 2]).tolist()
-        pos += 2
-        xx = -_ZIG_INV_R * math.log1p(-u1)
-        yy = -math.log1p(-u2)
-        if yy + yy > xx * xx:
-            x = _ZIG_R + xx
-            return (-x if int(word) >> 17 & 1 else x), pos
-    return math.nan, None
+def _box_muller(u1, u2):
+    """Box and Muller's (1958) radius sqrt(-2 log(1 - u1)) and angle
+    2 pi u2 of uniforms in [0, 1): r cos(angle) and r sin(angle) are
+    independent standard normals."""
+    return np.sqrt(-2.0 * np.log(1.0 - u1)), _TWO_PI * u2
 
 
-def _normal_table(words):
-    """The normal numpy draws from each position of raw ``words``
-    (substream, position) on, following every first-word miss as
-    ``random_standard_normal`` does: a miss in layers 1-255 tests a uniform
-    against ``FI`` and, if that fails, starts again two words on; one in
-    layer 0 draws from the tail.
-
-    Returns the normals and the positions past them, flat over the
-    positions and one more, ``end`` = words.size: a draw that runs past
-    its substream's words is nan and leads to ``end``, which leads to
-    itself.
-    """
-    n_w = words.shape[1]
-    end = words.size
-    x, ok = _normals(words)
-    val = np.append(x, np.nan)
-    step = np.arange(1, end + 2)
-    step[n_w - 1::n_w] = end
-    step[end] = end
-    miss = np.flatnonzero(~ok)
-    room = n_w - 1 - miss % n_w
-    word = words.ravel()[miss]
-    layer = (word & np.uint64(0xFF)).astype(np.intp)
-    for j in np.flatnonzero(layer == 0).tolist():
-        at, row = miss[j], words[miss[j] // n_w]
-        val[at], past = _tail(row, at % n_w + 1, word[j])
-        step[at] = end if past is None or past == n_w else at - at % n_w + past
-    wedge = (layer != 0) & (room > 0)
-    out = miss[(layer != 0) & (room == 0)]
-    val[out], step[out] = np.nan, end
-    at, layer, x = miss[wedge], layer[wedge], val[miss[wedge]]
-    below = _FI_BAND[layer] * _uniforms(words.ravel()[at + 1]) + _FI[layer]
-    density = np.exp(-0.5 * x * x)
-    keep = _decide(density - below, _TIE * density,
-                   lambda i: below[i] < math.exp(-0.5 * x[i] * x[i]))
-    after = np.where(room[wedge] > 1, at + 2, end)
-    step[at[keep]] = after[keep]
-    # a rejected miss draws what the position two on draws: copy it once
-    # that position is settled (its own misses point further on)
-    rej, link = at[~keep], after[~keep]
-    pending = np.zeros(end + 1, dtype=bool)
-    pending[rej] = True
-    while rej.size:
-        ready = ~pending[link]
-        val[rej[ready]] = val[link[ready]]
-        step[rej[ready]] = step[link[ready]]
-        pending[rej[ready]] = False
-        rej, link = rej[~ready], link[~ready]
-    return val, step
-
-
-def _walk(words, n_u, n_z, shape):
-    """The normals (substream, n_z) and the gammas (substream,) numpy's C
-    samplers draw from raw ``words`` (substream, position) after ``n_u``
-    uniforms, or None where a substream needs more words than it holds.
-
-    Every retry takes further words and shifts the draws after it, so each
-    substream follows its own position through ``_normal_table``: the
-    normals one after another, then Marsaglia and Tsang's tries (a normal,
-    then a uniform) until one returns.  A gamma of shape 0 is 0.0.
-    """
-    val, step = _normal_table(words)
-    end = words.size
-    at = np.arange(n_u, end, words.shape[1])
-    z = np.empty((len(at), n_z))
-    for j in range(n_z):
-        z[:, j] = val[at]
-        at = step[at]
-    g = np.zeros(len(at))
-    if np.isnan(z).any() or (shape != 0.0 and (at == end).any()):
-        return None
-    if shape == 0.0:
-        return z, g
-    flat = words.ravel()
+def _gamma_try(u, shape):
+    """Marsaglia and Tsang's try (2000) for a standard gamma of ``shape`` >=
+    1 from three uniforms (..., 3): the first two give a normal x, the
+    Box-Muller cosine, and the third u gives 1 - u in (0, 1].  Returns b v,
+    with b = shape - 1/3 and v = (1 + x/sqrt(9 b))**3, and whether the try
+    is kept: v > 0 and log(1 - u) < x**2/2 + b (1 - v + log(v))."""
     b = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * b)
-    todo = np.arange(len(at))
-    while todo.size:
-        x, past = val[at[todo]], step[at[todo]]
-        if np.isnan(x).any() or (past == end).any():
-            return None
-        v = 1.0 + c * x
-        live = v > 0.0
-        at[todo] = past
-        redo, todo, x, v = todo[~live], todo[live], x[live], v[live]
-        v = v * v * v
-        keep = _keeps(x, v, _uniforms(flat[at[todo]]), b)
-        g[todo[keep]] = b * v[keep]
-        todo = todo[~keep]
-        # a rejected try starts again on the word after its uniform
-        after = at[todo] + 1
-        at[todo] = np.where(after % words.shape[1] == 0, end, after)
-        todo = np.concatenate([redo, todo])
-    return z, g
+    r, angle = _box_muller(u[..., 0], u[..., 1])
+    x = r * np.cos(angle)
+    v = 1.0 + x / np.sqrt(9.0 * b)
+    v = v * v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = (v > 0.0) & (np.log(1.0 - u[..., 2])
+                            < 0.5 * x * x + b * (1.0 - v + np.log(v)))
+    return b * v, keep
 
 
-def _draw(streams, groups):
-    """The variates of groups of substreams of ``streams``, a group being
-    (sample ids, receiver ids, uniforms, normals, gamma shape), with ids
-    uint64 arrays (S,), and its result (uniforms (S, ·), normals (S, ·),
-    gammas (S,)).
+def _draw(master_seed, groups):
+    """The variates of groups of substreams of ``master_seed``, a group
+    being (sample ids, receiver ids, uniforms, normals, gamma shape), with
+    ids uint64 arrays (S,) and an even number of normals, and its result
+    (uniforms (S, ·), normals (S, ·), gammas (S,)).
 
-    Every substream's raw words come from one vectorized Philox pass, and
-    its draws from numpy's first-word paths; a gamma of shape 0 is 0.0 and
-    draws nothing.  The substreams that leave those paths are drawn again
-    by ``_walk``, with ``_SPARE_BLOCKS`` more Philox blocks each from one
-    further pass (and more where a substream needs them).  Only a gamma of
-    shape 1, which numpy draws with its exponential sampler, sends its
-    substreams through ``streams``, the reference.
+    A substream's words sit at fixed positions in its first Philox blocks:
+    each uniform takes one, each pair of normals two (``_box_muller``, the
+    real and imaginary part of one complex coordinate), and a gamma's first
+    try three (``_gamma_try``).  A gamma of shape 0 is 0.0 and takes none.
+    A substream whose try is rejected takes its next try from the first
+    three words of the next Philox block, and so on; every group's first
+    blocks come from one vectorized Philox pass.
     """
-    key = streams.master_seed
-    blocks = [-(-(n_u + n_z + 2 * (shape != 0.0)) // 4)
-              for _, _, n_u, n_z, shape in groups]
-    out, walks = [], []
-    for (ids, rx, n_u, n_z, shape), words in zip(groups, _raw_words(key, [
-            (ids, rx, 1, k) for (ids, rx, *_), k in zip(groups, blocks)])):
-        u = _uniforms(words[:, :n_u])
-        z, ok = _normals(words[:, n_u:n_u + n_z])
-        done = ok.all(axis=1)
+    sizes = [n_u + n_z + 3 * (shape != 0.0) for _, _, n_u, n_z, shape
+             in groups]
+    blocks = [-(-size // 4) for size in sizes]
+    out = []
+    for (ids, rx, n_u, n_z, shape), size, last, words in zip(
+            groups, sizes, blocks, _raw_words(master_seed, [
+                (ids, rx, 1, k) for (ids, rx, *_), k in zip(groups, blocks)])):
+        u = _uniforms(words[:, :size])
+        r, angle = _box_muller(u[:, n_u:n_u + n_z:2],
+                               u[:, n_u + 1:n_u + n_z:2])
+        z = np.empty((len(ids), n_z))
+        z[:, 0::2] = r * np.cos(angle)
+        z[:, 1::2] = r * np.sin(angle)
         g = np.zeros(len(ids))
-        if shape == 1.0:
-            for j in range(len(ids)):
-                gen = streams.seek(int(ids[j]), int(rx[j]))
-                gen.random(out=u[j])
-                gen.standard_normal(out=z[j])
-                g[j] = gen.standard_gamma(shape)
-            done[:] = True
-        elif shape != 0.0:
-            w = n_u + n_z + 2
-            g, keep = _gammas(words[:, w - 2:w], shape)
-            done &= keep
-        out.append((u, z, g))
-        walks.append((np.flatnonzero(~done), words))
-    if not any(walk.size for walk, _ in walks):
-        return out
-    parts = [(ids[walk], rx[walk], k + 1, _SPARE_BLOCKS)
-             for (ids, rx, *_), k, (walk, _) in zip(groups, blocks, walks)]
-    for (_, z, g), (*_, n_u, n_z, shape), (walk, words), part, more in zip(
-            out, groups, walks, parts, _raw_words(key, parts)):
-        if not walk.size:
-            continue
-        words = np.concatenate([words[walk], more], axis=1)
-        while (drawn := _walk(words, n_u, n_z, shape)) is None:
-            ids, rx, *_ = part
-            words = np.concatenate([words, *_raw_words(key, [
-                (ids, rx, words.shape[1] // 4 + 1, _SPARE_BLOCKS)])], axis=1)
-        z[walk], g[walk] = drawn
+        if shape != 0.0:
+            g, keep = _gamma_try(u[:, n_u + n_z:], shape)
+            todo = np.flatnonzero(~keep)
+            while todo.size:
+                last += 1
+                more, = _raw_words(master_seed,
+                                   [(ids[todo], rx[todo], last, 1)])
+                g[todo], keep = _gamma_try(_uniforms(more[:, :3]), shape)
+                todo = todo[~keep]
+        out.append((u[:, :n_u], z, g))
     return out
 
 
@@ -664,14 +456,14 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
     psi_bob = _phases(geom, cfg.bob_theta)
     psi_beams = _phases(geom, np.asarray(beam_angles, dtype=float))
 
-    streams = _Substreams(spec.master_seed)
+    seed = int(spec.master_seed)
     shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
     eve_rx = np.arange(1, n_eves + 1, dtype=np.uint64)
     out = []
     for start in range(0, spec.n_samples, per_block):
         stop = min(start + per_block, spec.n_samples)
         ids = np.arange(start, stop, dtype=np.uint64)
-        (_, z_bob, gam_bob), (pos, z_eve, gam_eve) = _draw(streams, (
+        (_, z_bob, gam_bob), (pos, z_eve, gam_eve) = _draw(seed, (
             (ids, np.zeros_like(ids), 0, 2 * m_bob, shape_bob),
             (np.repeat(ids, n_eves), np.tile(eve_rx, len(ids)), n_pos,
              2 * m_eve, shape_eve)))
@@ -719,32 +511,3 @@ def empirical_sop(cfg, alloc, region, spec):
                             (region.d_min, region.d_max),
                             _beam_angles(alloc), outages)
     return sum(counts) / spec.n_samples
-
-
-def _empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
-    """Per-sample (sinr_bob, sinr_eve) arrays for one fixed eavesdropper
-    position; her substream is spent on the channel only."""
-    if not eve_dist > 0:
-        raise ValueError("eve_dist must be positive")
-    _check_allocation(cfg, alloc)
-    dist = np.array([[float(eve_dist)]])
-    parts = _sample_blocks(
-        cfg, spec, 1, eve_theta, None, _beam_angles(alloc),
-        lambda stats: _sinrs(cfg, alloc, stats._replace(dist=dist)))
-    return (np.concatenate([b for b, _ in parts]),
-            np.concatenate([e[:, 0] for _, e in parts]))
-
-
-def _empirical_crosstalk(cfg, spec, angles):
-    """Samples of the squared normalized inner product between an
-    eavesdropper channel and Bob's, |h_e^H h_b / n|**2 — the finite-array
-    quantity whose large-array limit is the crosstalk kernel.
-
-    ``angles`` is either a fixed eavesdropper angle or an interval to draw
-    uniformly from (using the eavesdropper's substream, angle first).
-    """
-    n2 = float(cfg.geometry.n_antennas) ** 2
-    parts = _sample_blocks(
-        cfg, spec, 1, angles, None, (),
-        lambda stats: stats.cross2[:, 0] * stats.bob_norm2 / n2)
-    return np.concatenate(parts)

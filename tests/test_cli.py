@@ -392,30 +392,55 @@ def test_a_run_imports_no_numpy_ma_and_builds_one_parser(workload, schemes,
     assert out.strip() == "False"
 
 
-def test_a_monte_carlo_run_imports_no_numpy_random(tmp_path):
-    # numpy 2 imports numpy.random on first use (about 13 ms and 5 MB);
-    # the engine computes every draw but numpy's exponential from its own
-    # Philox pass, so one repetition of mc_validate's four invocations runs
-    # in one fresh process without it.  numpy 1 imports it eagerly
-    workloads = _benchmark_workloads()
-    argvs = [argv for _, argv, _ in workloads.write_manifests(
-        workloads.build("mc_validate", 0), tmp_path)]
-    assert len(argvs) == 4
+def _imports_numpy_random(body, *args):
+    """Whether running ``body`` with command-line arguments ``args`` in a
+    fresh process imports numpy.random.  numpy 1 imports it eagerly, so
+    there the test is skipped."""
     code = ("import json, sys\n"
             "import numpy\n"
             "eager = 'numpy.random' in sys.modules\n"
-            "from secrecy_sor.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert main(argv) == 0\n"
+            + body +
             "print(eager, 'numpy.random' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True).stdout
     eager, imported = out.split()
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy")
-    assert imported == "False"
+    return imported == "True"
+
+
+def test_a_monte_carlo_run_imports_no_numpy_random(tmp_path):
+    # numpy 2 imports numpy.random on first use (about 13 ms and 5 MB);
+    # the engine computes every draw from its own Philox pass, so one
+    # repetition of mc_validate's four invocations runs in one fresh
+    # process without it
+    workloads = _benchmark_workloads()
+    argvs = [argv for _, argv, _ in workloads.write_manifests(
+        workloads.build("mc_validate", 0), tmp_path)]
+    assert len(argvs) == 4
+    assert not _imports_numpy_random(
+        "from secrecy_sor.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n", json.dumps(argvs))
+
+
+def test_a_shape_1_monte_carlo_run_imports_no_numpy_random():
+    # at N=4 with 2 eavesdroppers Bob's channel has D = 3 = N - 1 fixed
+    # directions, so its norm takes a gamma variate of shape 1, the one
+    # shape numpy draws with another sampler (its exponential)
+    assert not _imports_numpy_random(
+        "from secrecy_sor import (ArrayGeometry, McRunSpec, ScenarioConfig,\n"
+        "                         SuspiciousRegion, empirical_sop)\n"
+        "from secrecy_sor.asymptotic import _uniform_allocation\n"
+        "cfg = ScenarioConfig(ArrayGeometry(4, 0.5), 3.0, 1.0, 1e-8, 2.0,\n"
+        "                     0.0, 80.0, n_eves=2)\n"
+        "region = SuspiciousRegion((-0.5, 0.8), 40.0, 120.0)\n"
+        "spec = McRunSpec(400, 21)\n"
+        "sop = empirical_sop(cfg, _uniform_allocation(cfg, 0.3), region,\n"
+        "                    spec)\n"
+        "assert 0.0 < sop < 1.0, sop\n")
 
 
 def _scheme_kind(manifest):

@@ -1,7 +1,9 @@
-"""Finite-array Monte Carlo engine: stream discipline, channel statistics,
-exact SINRs, agreement with a kept copy of the per-sample engine it
-replaced, and agreement with the closed forms it exists to check."""
+"""Finite-array Monte Carlo engine: stream discipline, the sampler's
+formulas and laws, channel statistics, exact SINRs, agreement with a kept
+copy of the per-sample engine it replaced, and agreement with the closed
+forms it exists to check."""
 
+import math
 import threading
 
 import numpy as np
@@ -20,12 +22,8 @@ from secrecy_sor import (
     sinr_eve_uniform,
     sop_closed_form,
 )
-from secrecy_sor.asymptotic import _uniform_allocation
-from secrecy_sor.mc_oracle import (
-    _empirical_crosstalk,
-    _empirical_sinr,
-    _secrecy_outage_count,
-)
+from secrecy_sor.asymptotic import _check_allocation, _uniform_allocation
+from secrecy_sor.mc_oracle import _secrecy_outage_count
 
 G64 = ArrayGeometry(64, 0.5)
 CFG64 = ScenarioConfig(G64, 3.0, 1.0, 1e-8, 5.0, 0.0, 100.0)
@@ -41,6 +39,35 @@ def _as_allocation(cfg, alloc):
     if isinstance(alloc, PowerAllocation):
         return alloc
     return _uniform_allocation(cfg, alloc)
+
+
+def _empirical_sinr(cfg, alloc, spec, eve_theta, eve_dist):
+    """Per-sample (sinr_bob, sinr_eve) arrays for one fixed eavesdropper
+    position; her substream is spent on the channel only."""
+    if not eve_dist > 0:
+        raise ValueError("eve_dist must be positive")
+    _check_allocation(cfg, alloc)
+    dist = np.array([[float(eve_dist)]])
+    parts = mc_oracle._sample_blocks(
+        cfg, spec, 1, eve_theta, None, mc_oracle._beam_angles(alloc),
+        lambda stats: mc_oracle._sinrs(cfg, alloc, stats._replace(dist=dist)))
+    return (np.concatenate([b for b, _ in parts]),
+            np.concatenate([e[:, 0] for _, e in parts]))
+
+
+def _empirical_crosstalk(cfg, spec, angles):
+    """Samples of the squared normalized inner product between an
+    eavesdropper channel and Bob's, |h_e^H h_b / n|**2 — the finite-array
+    quantity whose large-array limit is the crosstalk kernel.
+
+    ``angles`` is either a fixed eavesdropper angle or an interval to draw
+    uniformly from (using the eavesdropper's substream, angle first).
+    """
+    n2 = float(cfg.geometry.n_antennas) ** 2
+    parts = mc_oracle._sample_blocks(
+        cfg, spec, 1, angles, None, (),
+        lambda stats: stats.cross2[:, 0] * stats.bob_norm2 / n2)
+    return np.concatenate(parts)
 
 
 def _steering_vector(theta, geom):
@@ -479,36 +506,66 @@ def test_draw_channel_equals_kept_copy():
         assert np.array_equal(got, want)
 
 
-def test_reseeked_generator_reproduces_fresh_substreams():
-    streams = mc_oracle._Substreams(5)
-    # revisits and odd-sized draws leave buffered words behind, which the
-    # next seek must drop
-    for i, l in [(0, 0), (7, 3), (2 ** 40, 1), (7, 3), (0, 0)]:
-        gen, fresh = streams.seek(i, l), _old_stream(5, i, l)
-        assert gen.uniform(-0.3, 0.9) == fresh.uniform(-0.3, 0.9)
-        assert gen.uniform() == fresh.uniform()
-        assert np.array_equal(gen.standard_normal((37, 2)),
-                              fresh.standard_normal((37, 2)))
-        assert np.array_equal(gen.integers(0, 2 ** 32, 3, dtype=np.uint32),
-                              fresh.integers(0, 2 ** 32, 3, dtype=np.uint32))
-
-
 # the block budget before blocks grew fourfold
 _OLD_BLOCK_DRAWS = 8192
 
 
-def _draw_one_by_one(streams, groups):
-    """``mc_oracle._draw`` as a loop over the substreams, each one drawn
-    through the Generator, the reference."""
+def _philox_words(master_seed, sample_id, receiver_id, first, count):
+    """Raw words of Philox blocks ``first``, ..., ``first + count - 1`` of
+    substream ``(master_seed, sample_id, receiver_id)``, from a fresh numpy
+    ``Philox``.  The counter goes in as a uint64 array: numpy rounds a
+    list's entries through float64, so ids above 2**53 would move."""
+    counter = np.array([first - 1, sample_id, receiver_id, 0], dtype=np.uint64)
+    return np.random.Philox(key=master_seed,
+                            counter=counter).random_raw(4 * count)
+
+
+def _unit(words):
+    """Doubles in [0, 1) from raw words: their top 53 bits."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _marsaglia_tsang(t, shape):
+    """Marsaglia and Tsang's try for a gamma of ``shape`` from one
+    substream's three uniforms ``t`` (the first two give a Box-Muller
+    cosine, the third 1 - u): the variate, or None where it is rejected."""
+    b = shape - 1.0 / 3.0
+    x = np.sqrt(-2.0 * np.log(1.0 - t[:1])) * np.cos(2.0 * np.pi * t[1:2])
+    v = 1.0 + x / np.sqrt(9.0 * b)
+    v = v * v * v
+    if v[0] > 0.0 and np.log(1.0 - t[2:3])[0] < (
+            0.5 * x * x + b * (1.0 - v + np.log(v)))[0]:
+        return float((b * v)[0])
+    return None
+
+
+def _draw_one_by_one(master_seed, groups):
+    """``mc_oracle._draw`` as a loop over the substreams, the reference:
+    each one's raw words from ``_philox_words`` at fixed positions (the
+    uniforms, two words per pair of normals, three per gamma try, a retry
+    on the next block), turned into variates in the same numpy ufuncs.
+    Python's ``math.log`` differs from ``np.log`` in the last bit on some
+    inputs, so the reference uses numpy's, on arrays of its own size."""
     out = []
     for ids, rx, n_u, n_z, shape in groups:
+        size = n_u + n_z + 3 * (shape != 0.0)
         u, z, g = (np.empty((len(ids), n_u)), np.empty((len(ids), n_z)),
-                   np.empty(len(ids)))
+                   np.zeros(len(ids)))
         for j, (i, l) in enumerate(zip(ids.tolist(), rx.tolist())):
-            gen = streams.seek(i, l)
-            gen.random(out=u[j])
-            gen.standard_normal(out=z[j])
-            g[j] = gen.standard_gamma(shape)
+            block = -(-size // 4)
+            w = _unit(_philox_words(master_seed, i, l, 1, block))
+            u[j] = w[:n_u]
+            r = np.sqrt(-2.0 * np.log(1.0 - w[n_u:n_u + n_z:2]))
+            angle = 2.0 * np.pi * w[n_u + 1:n_u + n_z:2]
+            z[j, 0::2] = r * np.cos(angle)
+            z[j, 1::2] = r * np.sin(angle)
+            if shape == 0.0:
+                continue
+            t = w[n_u + n_z:size]
+            while (gamma := _marsaglia_tsang(t, shape)) is None:
+                block += 1
+                t = _unit(_philox_words(master_seed, i, l, block, 1))[:3]
+            g[j] = gamma
         out.append((u, z, g))
     return out
 
@@ -532,7 +589,7 @@ def _assert_block_sop_equals_loop(monkeypatch, cfg, alloc, master_seed):
 
     # the scenario is pure line of sight, where the scatter draws barely
     # reach the outcome; at Rician factor 0.5 they do, and the SINRs equal
-    # those of a Generator loop over the substreams bit for bit
+    # those of the per-substream reference draw bit for bit
     def sinrs():
         parts = mc_oracle._sample_blocks(
             cfg, McRunSpec(n, master_seed, rician_k=0.5), cfg.n_eves,
@@ -551,19 +608,15 @@ _SIDELOBE_BEAMS = PowerAllocation(0.3, np.array([0.15, 0.15]),
                                   np.arcsin(np.array([1.0, -1.0]) / 8.0))
 
 
-# draw-level checks of the vectorized pass: 125k substreams at random
-# 64-bit sample and receiver ids, under a key with both words nonzero, in
-# five layouts (uniforms, normals, gamma shape) that cover every gamma path.
-# The last one is heavy in retries: nearly half of its substreams miss a
-# first word, about 290 first words miss in the ziggurat's tail layer, and
-# its shape-3 gammas reject about one first try in 40.  The reference draws
-# come through ``_Substreams``, which
-# ``test_reseeked_generator_reproduces_fresh_substreams`` ties to fresh
-# generators at a fifth of their cost
+# draw-level checks of the vectorized pass: 50k substreams at random 64-bit
+# sample and receiver ids, under a key with both words nonzero, in five
+# layouts (uniforms, normals, gamma shape) whose words end inside a Philox
+# block or on its edge, with every gamma path: shape 0 draws nothing, and
+# about 1 in 20 shape-1 and 1 in 50 shape-3 first tries are rejected
 _DRAW_SEED = 3 * 2 ** 64 + 17
 _DRAW_LAYOUTS = ((2, 4, 7.0), (0, 22, 398.0), (1, 2, 1.0), (2, 6, 0.0),
                  (1, 40, 3.0))
-_DRAW_STREAMS = 25_000
+_DRAW_STREAMS = 10_000
 
 
 def _draw_ids(layout):
@@ -573,92 +626,69 @@ def _draw_ids(layout):
 
 
 def test_vectorized_raw_words_equal_philox():
-    streams = mc_oracle._Substreams(_DRAW_SEED)
     for layout in range(len(_DRAW_LAYOUTS)):
         ids, rx = _draw_ids(layout)
         got = np.concatenate([
             mc_oracle._philox(_DRAW_SEED, np.full_like(ids, block), ids, rx)
             for block in (1, 2)], axis=1)
         for j in range(_DRAW_STREAMS):
-            bitgen = streams.seek(int(ids[j]), int(rx[j])).bit_generator
-            assert np.array_equal(got[j], bitgen.random_raw(8)), (layout, j)
+            want = _philox_words(_DRAW_SEED, int(ids[j]), int(rx[j]), 1, 2)
+            assert np.array_equal(got[j], want), (layout, j)
 
 
-class _CountedSubstreams(mc_oracle._Substreams):
-    """``_Substreams`` that counts its seeks: the substreams drawn through
-    the Generator."""
-
-    seeks = 0
-
-    def seek(self, sample_id, receiver_id):
-        self.seeks += 1
-        return super().seek(sample_id, receiver_id)
-
-
-def _assert_draws_equal_the_generator(ids, rx, u, z, g, shape):
-    streams = mc_oracle._Substreams(_DRAW_SEED)
-    for j in range(len(ids)):
-        gen = streams.seek(int(ids[j]), int(rx[j]))
-        assert np.array_equal(u[j], gen.random(u.shape[1])), j
-        assert np.array_equal(z[j], gen.standard_normal(z.shape[1])), j
-        assert g[j] == gen.standard_gamma(shape), j
+def test_vectorized_draws_equal_the_per_substream_draw():
+    # all five layouts as the groups of one call, which shares one Philox
+    # pass among them, as the engine's Bob and eavesdropper groups do
+    groups = [(*_draw_ids(layout), *spec)
+              for layout, spec in enumerate(_DRAW_LAYOUTS)]
+    got = mc_oracle._draw(_DRAW_SEED, groups)
+    want = _draw_one_by_one(_DRAW_SEED, groups)
+    for spec, drawn, ref in zip(_DRAW_LAYOUTS, got, want):
+        assert all(map(np.array_equal, drawn, ref)), spec
 
 
-def test_vectorized_draws_equal_the_generator():
-    for layout, (n_u, n_z, shape) in enumerate(_DRAW_LAYOUTS):
-        ids, rx = _draw_ids(layout)
-        counted = _CountedSubstreams(_DRAW_SEED)
-        (u, z, g), = mc_oracle._draw(counted, [(ids, rx, n_u, n_z, shape)])
-        # every retry is followed in the vectorized pass; only numpy's
-        # exponential (gamma shape 1) is drawn through the Generator
-        assert counted.seeks == (_DRAW_STREAMS if shape == 1.0 else 0)
-        _assert_draws_equal_the_generator(ids, rx, u, z, g, shape)
-
-
-def test_retries_decided_in_libm_equal_the_generator(monkeypatch):
-    # with no tie margin, every ziggurat and gamma test past the first
-    # words is decided in scalar math (libm), as numpy's C code decides it
-    monkeypatch.setattr(mc_oracle, "_TIE", np.inf)
-    ids, rx = (part[:2000] for part in _draw_ids(4))
-    (u, z, g), = mc_oracle._draw(mc_oracle._Substreams(_DRAW_SEED),
-                                 [(ids, rx, 1, 40, 3.0)])
-    _assert_draws_equal_the_generator(ids, rx, u, z, g, 3.0)
-
-
-def test_rare_retries_equal_the_generator():
-    # substreams picked for the rarest retries of a shape-2 gamma after two
-    # normals: its normal's first word in the ziggurat's tail layer.  A
-    # negative tail normal at most -sqrt(9 b) = -sqrt(15) leaves
-    # 1 + c x <= 0, and the gamma draws its normal again
-    ids = np.arange(2 ** 18, dtype=np.uint64)
-    rx = np.zeros_like(ids)
-    word = mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx)[:, 2]
-    _, ok = mc_oracle._normals(word)
-    pick = ~ok & (word & np.uint64(0xFF) == 0)
-    ids, rx = ids[pick], rx[pick]
-    (u, z, g), = mc_oracle._draw(mc_oracle._Substreams(_DRAW_SEED),
-                                 [(ids, rx, 0, 2, 2.0)])
-    _assert_draws_equal_the_generator(ids, rx, u, z, g, 2.0)
-    words = np.concatenate([mc_oracle._philox(_DRAW_SEED, np.full_like(
-        ids, block), ids, rx) for block in (1, 2, 3)], axis=1)
-    tail_normals = mc_oracle._normal_table(words)[0][2:-1:12]
-    assert len(ids) >= 40
-    assert np.count_nonzero(tail_normals <= -np.sqrt(15.0)) >= 5
+def test_rejected_gamma_tries_read_the_next_block():
+    # substreams picked for a rejected first try of a shape-1 gamma after
+    # one uniform and two normals: the try takes word 3 of Philox block 1
+    # and words 0-1 of block 2, and its retry words 0-2 of block 3.  Both
+    # ways to reject occur: 1 + x/sqrt(9 b) <= 0, and the log test
+    ids = np.arange(2 ** 15, dtype=np.uint64)
+    rx = np.full_like(ids, 2)
+    first = _unit(np.concatenate([mc_oracle._philox(
+        _DRAW_SEED, np.full_like(ids, block), ids, rx)
+        for block in (1, 2)], axis=1))[:, 3:6]
+    rejected = np.array([_marsaglia_tsang(t, 1.0) is None for t in first])
+    x = np.sqrt(-2.0 * np.log(1.0 - first[:, 0])) \
+        * np.cos(2.0 * np.pi * first[:, 1])
+    negative = x <= -np.sqrt(6.0)
+    print(f"{rejected.sum()} of {len(ids)} first tries rejected, "
+          f"{negative.sum()} at 1 + c x <= 0")
+    assert np.all(rejected[negative])
+    assert 200 <= negative.sum() < rejected.sum() - 200
+    ids, rx = ids[rejected], rx[rejected]
+    (_, _, g), = mc_oracle._draw(_DRAW_SEED, [(ids, rx, 1, 2, 1.0)])
+    retry = _unit(mc_oracle._philox(_DRAW_SEED, np.full_like(ids, 3), ids,
+                                    rx))[:, :3]
+    second = [_marsaglia_tsang(t, 1.0) for t in retry]
+    kept = np.array([gamma is not None for gamma in second])
+    assert np.array_equal(g[kept], [gamma for gamma in second
+                                    if gamma is not None])
+    # the few rejected again read block 4, and so on
+    assert 10 <= np.count_nonzero(~kept)
+    assert np.array_equal(
+        g, _draw_one_by_one(_DRAW_SEED, [(ids, rx, 1, 2, 1.0)])[0][2])
 
 
 def test_fast_paths_take_nearly_every_draw():
-    # a wrong table entry would send its layer through the retries, drawn
-    # again from its shifted words: still exact, but slow
+    # every gamma whose first try is rejected costs one more Philox pass
+    # over the rejected substreams, so nearly every first try must return
     ids, rx = _draw_ids(0)
-    words = mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx)
-    for column in words.T:
-        _, fast = mc_oracle._normals(column)
-        assert fast.mean() >= 0.98
-    for shape in (2.0, 7.0, 398.0):
-        _, fast = mc_oracle._gammas(words[:, :2], shape)
-        assert fast.mean() >= 0.96, shape
-    _, fast = mc_oracle._gammas(words[:, :2], 1.0)
-    assert not fast.any()
+    words = _unit(mc_oracle._philox(_DRAW_SEED, np.ones_like(ids), ids, rx))
+    for shape, least in ((1.0, 0.94), (2.0, 0.97), (7.0, 0.99),
+                         (398.0, 0.99)):
+        _, kept = mc_oracle._gamma_try(words[:, :3], shape)
+        print(f"shape {shape}: {kept.mean():.4f} of first tries kept")
+        assert kept.mean() >= least, shape
 
 
 @pytest.mark.parametrize("n_eves", [1, 3])
@@ -697,11 +727,11 @@ _MC_REGION = SuspiciousRegion((-np.pi / 6, np.pi / 6), 50.0, 200.0)
 
 @pytest.mark.parametrize("n, n_eves, phi, n_samples", _MC_SHAPES,
                          ids=["n400_e1", "n100_e10"])
-def test_finite_rician_sop_equals_the_generator_loop(monkeypatch, n, n_eves,
-                                                     phi, n_samples):
+def test_finite_rician_sop_equals_the_per_substream_draw(
+        monkeypatch, n, n_eves, phi, n_samples):
     # at Rician factor 0.5 the normals and gammas move the outcome (at the
     # scenario's own factor, pure line of sight, they barely do), and the
-    # vectorized draws give the SOP of a Generator loop exactly
+    # vectorized draws give the SOP of the per-substream reference exactly
     cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
                          100.0, n_eves=n_eves)
     alloc = _uniform_allocation(cfg, phi)
@@ -711,6 +741,26 @@ def test_finite_rician_sop_equals_the_generator_loop(monkeypatch, n, n_eves,
     assert 0.0 < got < 1.0
     monkeypatch.setattr(mc_oracle, "_draw", _draw_one_by_one)
     assert empirical_sop(cfg, alloc, _MC_REGION, spec) == got
+
+
+@pytest.mark.parametrize("k_factor", [1.0, 3.0])
+@pytest.mark.parametrize("n", [100, 400])
+def test_finite_k_sop_matches_the_closed_form(n, k_factor):
+    # where scattering matters: test_06c's scenario (N=400, Bob at 100 m,
+    # one eavesdropper at +-30 degrees and 50-200 m, phi = 0.5) at Rician
+    # factors 1 and 3, Bob's distance scaled by N**(1/3) so that his SNR
+    # stays put, within 3 standard errors of the closed form
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
+                         100.0 * (n / 400.0) ** (1.0 / 3.0),
+                         k_eb=(k_factor / (1.0 + k_factor)) ** 2)
+    closed = sop_closed_form(cfg, 0.5, _MC_REGION)
+    spec = McRunSpec(20_000, 2026)
+    assert mc_oracle._sym_k(cfg) == pytest.approx(k_factor, rel=1e-12)
+    got = empirical_sop(cfg, _uniform_allocation(cfg, 0.5), _MC_REGION, spec)
+    se = math.sqrt(closed * (1.0 - closed) / spec.n_samples)
+    print(f"N={n} K={k_factor}: closed {closed:.6f} mc {got:.6f} "
+          f"z = {(got - closed) / se:+.2f}")
+    assert abs(got - closed) <= 3.0 * se
 
 
 # 24 unit beams on an N=32 array with 4 eavesdroppers: the Gram cap, not
@@ -838,6 +888,80 @@ def test_crosstalk_matches_the_per_entry_engine_in_law(rician_k):
     _assert_same_law(got, want, "crosstalk")
 
 
+# one-sample tests of the sampler's own laws at a fixed seed: 200,000
+# substreams, each variate's KS p-value against its exact CDF at least
+# ``_KS_ALPHA`` and its mean and variance within 4 standard errors
+_LAW_DRAWS = 200_000
+_LAW_SEED = 2 ** 64 + 31
+
+
+def _ks_pvalue(sample, cdf):
+    """Asymptotic Kolmogorov-Smirnov p-value of ``sample`` against the
+    continuous ``cdf``, with Stephens' small-sample correction."""
+    n = len(sample)
+    f = cdf(np.sort(sample))
+    dist = max(np.max(np.arange(1, n + 1) / n - f),
+               np.max(f - np.arange(n) / n))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * dist
+    j = np.arange(1, 101)
+    series = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * lam) ** 2))
+    return float(np.clip(series, 0.0, 1.0))
+
+
+def _normal_cdf(x):
+    return 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
+def _gamma_cdf(x, shape):
+    """P(Gamma(shape) <= x) for an integer ``shape``: the probability of at
+    least ``shape`` Poisson(x) events."""
+    term = np.exp(-x)
+    below = term.copy()
+    for j in range(1, int(shape)):
+        term = term * x / j
+        below += term
+    return 1.0 - below
+
+
+def _assert_moments(sample, mean, var, fourth):
+    """Sample mean and variance within 4 standard errors of ``mean`` and
+    ``var``, for a law of central fourth moment ``fourth``."""
+    n = len(sample)
+    z_mean = (sample.mean() - mean) / math.sqrt(var / n)
+    z_var = (sample.var() - var) / math.sqrt((fourth - var ** 2) / n)
+    print(f"mean {sample.mean():.5f} (z {z_mean:+.2f}), "
+          f"variance {sample.var():.5f} (z {z_var:+.2f})")
+    assert abs(z_mean) < 4.0 and abs(z_var) < 4.0
+
+
+def test_normals_follow_the_standard_normal_law():
+    # after one uniform, so the second pair straddles a Philox block edge
+    ids = np.arange(_LAW_DRAWS, dtype=np.uint64)
+    (_, z, _), = mc_oracle._draw(_LAW_SEED, [(ids, np.zeros_like(ids), 1, 4,
+                                              0.0)])
+    for col in z.T:
+        _assert_moments(col, 0.0, 1.0, 3.0)
+        p = _ks_pvalue(col, _normal_cdf)
+        print(f"KS p {p:.3f}")
+        assert p >= _KS_ALPHA
+    # the two normals of a pair, and the pairs, are uncorrelated
+    corr = np.corrcoef(z.T)[np.triu_indices(4, 1)]
+    print(f"correlations {np.round(corr, 4)}")
+    assert np.all(np.abs(corr) < 4.0 / math.sqrt(_LAW_DRAWS))
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 69.0, 398.0])
+def test_gammas_follow_their_law(shape):
+    ids = np.arange(_LAW_DRAWS, dtype=np.uint64)
+    (_, _, g), = mc_oracle._draw(_LAW_SEED, [(ids, np.ones_like(ids), 0, 2,
+                                              shape)])
+    # a standard gamma's central fourth moment is 3 k**2 + 6 k
+    _assert_moments(g, shape, shape, 3.0 * shape ** 2 + 6.0 * shape)
+    p = _ks_pvalue(g, lambda x: _gamma_cdf(x, shape))
+    print(f"KS p {p:.3f}")
+    assert p >= _KS_ALPHA
+
+
 @pytest.mark.parametrize("call", [
     lambda spec: _empirical_sinr(CFG64, UNIFORM04, spec, 2.0, 90.0),
     lambda spec: _empirical_sinr(CFG64, UNIFORM04, spec, float("nan"), 90.0),
@@ -853,7 +977,6 @@ def test_engine_rejects_angles_outside_the_half_plane(monkeypatch, call):
     # rejects the same angles
     def no_draws(*args):
         raise AssertionError("drew before checking the angles")
-    monkeypatch.setattr(mc_oracle, "_Substreams", no_draws)
     monkeypatch.setattr(mc_oracle, "_draw", no_draws)
     with pytest.raises(ValueError, match="theta must lie in"):
         call(McRunSpec(10 ** 9, 3))
