@@ -8,15 +8,20 @@ applies the actual transmit covariance (maximum-ratio beam plus artificial
 noise in the chosen basis), and counts secrecy outages.
 
 The SINRs depend on a channel only through |h|**2 and its inner products
-with a few known unit or steering directions F: for Bob, his own and every
-eavesdropper's line of sight and the jamming beams; for an eavesdropper,
-u = h_b/|h_b|, her own line of sight and the beams.  So the engine never
-builds an N-length vector.  It draws (F^H g, |g|**2) exactly: with
-L L^H = F^H F (the Gram, closed-form array-factor sums), F^H g = L c for
-standard complex normals c, and |g|**2 is the sum of |c_j|**2 over the
-min(D, N) counted coordinates (see ``_factor``) plus a Gamma(N - min(D, N))
-variable for the part of ``g`` outside the span of F.  That holds for any
-directions, coincident ones and more of them than antennas included.
+with a few known unit or steering directions F, the fixed ones first: for
+Bob, his own line of sight and the jamming beams, then every
+eavesdropper's line of sight; for an eavesdropper, the beams, then
+u = h_b/|h_b| and her own line of sight.  So the engine never builds an
+N-length vector.  It draws (F^H g, |g|**2) exactly: with L L^H = F^H F
+(the Gram, closed-form array-factor sums), F^H g = L c for standard
+complex normals c, and |g|**2 is the sum of |c_j|**2 over the min(D, N)
+counted coordinates (``_counted``) plus a Gamma(N - min(D, N)) variable
+for the part of ``g`` outside the span of F.  That holds for any
+directions, coincident ones and more of them than antennas included.  The
+fixed directions' Gram and factor are the same in every sample, so a run
+computes them once (``_fixed_directions``); a block computes only the
+varying directions' entries and factors their Schur complement
+(``_factor_varying``; Golub and Van Loan, *Matrix Computations*, 4.2).
 
 Reproducibility contract: sample ``i`` of receiver ``l`` (Bob is 0) always
 reads from the counter-based substream ``(master_seed, i, l)``: the words
@@ -25,9 +30,9 @@ a fresh ``Philox(key=master_seed, counter=[0, i, l, 0])`` produces
 3", SC 2011).  Every variate sits at a fixed word position of its
 substream: position first (eavesdroppers only: angle, then radius, each
 where the caller draws it), then 2 min(D, N) standard normals (the real,
-then the imaginary part of each coordinate of c) and one standard gamma
-variate.  ``D`` and ``N`` depend on the scenario only, so the counts never
-depend on the data.
+then the imaginary part of each coordinate of c, in the order of F) and
+one standard gamma variate.  ``D`` and ``N`` depend on the scenario only,
+so the counts never depend on the data.
 
 The engine works in blocks of samples.  A block holds about
 ``_BLOCK_DRAWS`` (32,768) drawn numbers and at most ``_BLOCK_GRAM`` Gram
@@ -39,11 +44,12 @@ allows: uniforms from the top 53 bits (as numpy's ``random()``), each pair
 of normals from two words by Box and Muller's transform (1958), gammas by
 Marsaglia and Tsang's method (2000), a try taking three words.  Only a
 substream whose first gamma try is rejected reads more: one Philox block
-per retry, at a fixed block index.  The block's Grams, factors and SINRs
-follow with array operations.  Everything runs on the calling thread and
-per-block results are combined in block order, so results are
-byte-identical across runs on one machine and numpy build (SIMD ``log``
-and ``cos`` may differ in the last bit across CPUs).
+per retry, at a fixed block index.  The block's Gram entries, factors
+and SINRs follow with array operations, each product with a fixed factor
+one matrix product per sample (``_per_sample``).  Everything runs on the
+calling thread and per-block results are combined in block order, so
+results are byte-identical across runs on one machine and numpy build
+(SIMD ``log`` and ``cos`` may differ in the last bit across CPUs).
 """
 
 from __future__ import annotations
@@ -59,11 +65,10 @@ _HALF_PI = 0.5 * np.pi
 # a Rician factor large enough to be numerically pure line of sight
 _K_CAP = 1e12
 # numbers drawn per block (positions, normals and gammas over the block's
-# samples and receivers) and Gram entries per block (each receiver's D x D
-# Gram over the block's samples): they set a block's memory, not the
-# results.  The Gram cap binds only with many jamming beams; at 60 beams,
-# N=100 and 10 eavesdroppers it keeps the 5 samples (217,405 entries) that
-# blocks of 8,192 draws held
+# samples and receivers) and Gram entries per block (the varying
+# directions' entries of every receiver over the block's samples): they
+# set a block's memory, not the results.  The Gram cap binds only where the
+# directions far outnumber the antennas, whose count caps the draws
 _BLOCK_DRAWS = 32768
 _BLOCK_GRAM = 7 * 2 ** 15
 # a Cholesky pivot at most this fraction of its Gram diagonal is zero: its
@@ -258,68 +263,150 @@ def _phases(geom, thetas):
     return 2.0 * np.pi * geom.spacing * np.sin(thetas)
 
 
-def _steering_gram(psi, n):
-    """a_i^H a_j for the steering vectors of phase steps ``psi`` (..., D):
-    the array-factor sums sum_k exp(jk x), x = psi_i - psi_j, as
-    (exp(jnx) - 1) / (exp(jx) - 1) from per-direction phases.  Entries near
-    x = 0 modulo 2 pi (the diagonal among them) take the Dirichlet form
-    exp(j(n-1)x/2) sin(nx/2) / sin(x/2) on the wrapped difference."""
+def _steering_gram(psi, n, rows, cols):
+    """a_i^H a_j for the steering vectors of phase steps ``psi`` (D, ...) at
+    the index pairs ``rows``, ``cols`` (P,), as (P, ...): the array-factor
+    sums sum_k exp(jk x), x = psi_i - psi_j, as (exp(jnx) - 1) / (exp(jx) -
+    1) from per-direction phases.  Pairs near x = 0 modulo 2 pi take the
+    Dirichlet form exp(j(n-1)x/2) sin(nx/2) / sin(x/2) on the wrapped
+    difference.  The diagonal is n: callers set it, not ask for it."""
     step, span = np.exp(1j * psi), np.exp(1j * n * psi)
-    den = step[..., :, None] * step[..., None, :].conj() - 1.0
-    near = np.abs(den) < _NEAR_PHASE
-    den[near] = 1.0
-    gram = span[..., :, None] * span[..., None, :].conj() - 1.0
+    # products in place, always: numpy may reuse a large temporary operand
+    # for a product, which rounds differently, and that would tie the
+    # entries' last bits to the block size
+    den = step[cols].conj()
+    den *= step[rows]
+    den -= 1.0
+    gram = span[cols].conj()
+    gram *= span[rows]
+    gram -= 1.0
+    near = np.flatnonzero(np.abs(den) < _NEAR_PHASE)
+    den.flat[near] = 1.0
     gram /= den
-    *lead, i, j = np.nonzero(near)
-    x = psi[(*lead, i)] - psi[(*lead, j)]
-    half = 0.5 * (x - 2.0 * np.pi * np.round(x / (2.0 * np.pi)))
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(half == 0.0, float(n),
-                         np.sin(n * half) / np.sin(half))
-    gram[near] = np.exp(1j * (n - 1) * half) * ratio
+    if near.size:
+        x = (psi[rows] - psi[cols]).flat[near]
+        half = 0.5 * (x - 2.0 * np.pi * np.round(x / (2.0 * np.pi)))
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(half == 0.0, float(n),
+                             np.sin(n * half) / np.sin(half))
+        gram.flat[near] = np.exp(1j * (n - 1) * half) * ratio
     return gram
 
 
-def _factor(gram, n):
-    """Lower factor of a stack of Hermitian Grams (..., D, D) of directions
-    in C^n, one column at a time, and the counted coordinates.
-
-    ``low @ low^H`` equals ``gram``.  A pivot at most ``_PIVOT_RTOL`` of its
-    diagonal zeroes its column, and at most ``n`` pivots stay live (no more
-    directions are independent in C^n).  The counted coordinates, a
-    (..., D) mask, are the live columns plus the first min(D, n) - rank dead
-    ones: exactly min(D, n) per Gram.  With c standard complex normal on the
-    counted coordinates (zero elsewhere), ``low @ c`` has the law of F^H g
-    and the sum of |c_j|**2 that of |P g|**2 plus the first
-    min(D, n) - rank coordinates of the rest of ``g``.
-    """
-    d = gram.shape[-1]
-    low = np.zeros_like(gram)
-    live = np.zeros(gram.shape[:-1], dtype=bool)
-    rank = np.zeros(gram.shape[:-2], dtype=int)
+def _factor(low, cap, diag):
+    """Factor in place the last D columns of rows ``low`` (D, F + D, ...) of
+    a lower factor of a stack of Hermitian matrices, and return their live
+    pivots (D, ...).  The first F columns hold the rows' known entries (for
+    F = 0, none), the last D the lower triangle of the Gram of their
+    directions, so the loop factors its Schur complement one column at a
+    time.  A pivot at most ``_PIVOT_RTOL`` of ``diag[k]`` (the Gram
+    diagonal: n for a steering vector, 1 for a unit one) zeroes its column,
+    and at most ``cap`` pivots stay live (no more directions are
+    independent in C^n)."""
+    d = len(low)
+    f = low.shape[1] - d
+    live = np.empty((d, *low.shape[2:]), dtype=bool)
     for k in range(d):
-        col = gram[..., k:, k] - np.einsum(
-            "...ij,...j->...i", low[..., k:, :k], low[..., k, :k].conj())
-        pivot = col[..., 0].real
-        ok = (pivot > _PIVOT_RTOL * gram[..., k, k].real) & (rank < n)
+        col = low[k:, f + k]
+        if f + k:
+            col -= np.einsum("ij...,j...->i...", low[k:, :f + k],
+                             low[k, :f + k].conj())
+        pivot = col[0].real
+        ok = pivot > _PIVOT_RTOL * diag[k]
+        if k >= cap:
+            ok &= np.count_nonzero(live[:k], axis=0) < cap
         root = np.sqrt(np.where(ok, pivot, 1.0))
-        low[..., k:, k] = np.where(ok[..., None], col / root[..., None], 0.0)
-        live[..., k] = ok
-        rank += ok
-    dead = ~live
-    spare = min(d, n) - rank
-    return low, live | (dead & (np.cumsum(dead, axis=-1) <= spare[..., None]))
+        col.real /= root
+        col.imag /= root
+        if not ok.all():
+            col *= ok
+        live[k] = ok
+    upper_i, upper_j = np.triu_indices(d, 1)
+    low[upper_i, f + upper_j] = 0.0
+    return live
 
 
-def _scatter_stats(gram, n, z, gamma):
-    """(F^H g, |g|**2) for g ~ CN(0, I_n) and directions F of Gram ``gram``
-    (..., D, D), from 2 min(D, n) standard normals ``z`` (..., 2 min(D, n))
-    and standard gamma variates ``gamma`` (...) of shape n - min(D, n)."""
-    low, counted = _factor(gram, n)
-    c = np.zeros(counted.shape, dtype=complex)
-    c[counted] = z.view(complex).reshape(-1) / np.sqrt(2.0)
-    proj = np.einsum("...ij,...j->...i", low, c)
-    return proj, 0.5 * np.einsum("...j,...j->...", z, z) + gamma
+class _Fixed(NamedTuple):
+    """Directions fixed for a whole run, factored once."""
+
+    gram: np.ndarray    # (F, F) Hermitian Gram
+    low: np.ndarray     # its ``_factor`` L_f, at most n live pivots
+    solve: np.ndarray   # M: forward substitution against L_f
+    live: np.ndarray    # (F,) live pivots
+
+
+def _factor_fixed(gram, n):
+    """``_Fixed`` of the Gram of directions in C^n.  M maps a cross Gram G
+    to X with L_f X = G on the live rows, zero on the dead ones."""
+    low = gram.copy()
+    live = _factor(low, n, gram.diagonal().real)
+    solve = np.zeros_like(low)
+    for k in np.flatnonzero(live):
+        solve[k] = -low[k, :k] @ solve[:k]
+        solve[k, k] += 1.0
+        solve[k] /= low[k, k]
+    return _Fixed(gram, low, solve, live)
+
+
+def _per_sample(mat, a):
+    """``mat @ a`` for columns ``a`` (K, C, sample, ...), one matrix product
+    per sample, so that no rounding depends on the rest of the block."""
+    if not a.size:
+        return np.zeros((len(mat), *a.shape[1:]), dtype=complex)
+    rows = np.ascontiguousarray(np.moveaxis(a, 2, 0))
+    out = mat @ rows.reshape(*rows.shape[:2], -1)
+    return np.moveaxis(out.reshape(len(rows), len(mat), *rows.shape[2:]),
+                       0, 2)
+
+
+def _factor_varying(fixed, g_fv, g_vv, n):
+    """Rows [X^H, L_v] (V, F + V, ...) of the whole factor [[L_f, 0],
+    [X^H, L_v]] of V further directions F_v after those of ``_Fixed``
+    ``fixed``, and L_v's live pivots: X = M G_fv, one matrix product per
+    sample, and L_v factors the Schur complement G_vv - X^H X with at most
+    n - rank(L_f) live pivots.  ``g_fv`` = F_f^H F_v (F, V, ...) and
+    ``g_vv`` is the lower triangle of F_v^H F_v in ``np.tril_indices(V)``
+    order (V (V + 1)/2, ...)."""
+    f, v = g_fv.shape[:2]
+    low_i, low_j = np.tril_indices(v)
+    rows = np.empty((v, f + v, *g_vv.shape[1:]), dtype=complex)
+    rows[:, :f] = np.swapaxes(_per_sample(fixed.solve, g_fv), 0, 1).conj()
+    rows[low_i, f + low_j] = g_vv
+    live = _factor(rows, n - np.count_nonzero(fixed.live),
+                   g_vv[low_i == low_j].real)
+    return rows, live
+
+
+def _counted(live, n):
+    """The counted coordinates of a factor of directions in C^n with live
+    pivots ``live`` (..., D): the live ones and the first min(D, n) - rank
+    dead ones, exactly min(D, n)."""
+    spare = min(live.shape[-1], n) - np.count_nonzero(live, axis=-1)
+    return live | (np.cumsum(~live, axis=-1) <= spare[..., None])
+
+
+def _scatter_stats(fixed, g_fv, g_vv, n, z, gamma):
+    """(F_f^H g, F_v^H g, |g|**2) for g ~ CN(0, I_n) and the directions of
+    ``_factor_varying``, from 2 min(D, n) standard normals ``z`` (..., 2
+    min(D, n)) and standard gammas ``gamma`` (...) of shape n - min(D, n),
+    D = F + V.  With c standard complex normal on the ``_counted``
+    coordinates (all of them when D <= n) and zero elsewhere, L c has the
+    law of F^H g and the sum of |c_j|**2 that of |P g|**2 plus the first
+    min(D, n) - rank coordinates of the rest of ``g``."""
+    f, v = g_fv.shape[:2]
+    rows, live = _factor_varying(fixed, g_fv, g_vv, n)
+    c = (z / np.sqrt(2.0)).view(complex)
+    if f + v > n:
+        counted = _counted(np.concatenate(
+            [np.broadcast_to(fixed.live, (*live.shape[1:], f)),
+             np.moveaxis(live, 0, -1)], axis=-1), n)
+        full = np.zeros(counted.shape, dtype=complex)
+        full[counted] = c.reshape(-1)
+        c = full
+    c = np.moveaxis(c, -1, 0)
+    return (_per_sample(fixed.low, c[:f, None])[:, 0],
+            np.einsum("ij...,j...->i...", rows, c),
+            0.5 * np.einsum("...j,...j->...", z, z) + gamma)
 
 
 class _Stats(NamedTuple):
@@ -377,59 +464,87 @@ def _secrecy_outage_count(sinr_bob, sinr_eve, r_th):
     return int(np.count_nonzero(ratio < 2.0 ** r_th))
 
 
-def _block_stats(n, n_eves, w_los, psi, bob_scatter, eve_scatter, dist):
+def _fixed_directions(n, psi):
+    """``_Fixed`` of Bob's fixed directions, his line of sight and then the
+    unit beams (phase steps ``psi``), and of an eavesdropper's, the beams.
+    Their Gram's diagonal is n (1 for a unit beam) by definition."""
+    f = len(psi)
+    low_i, low_j = np.tril_indices(f, -1)
+    scale = np.full(f, 1.0 / np.sqrt(n))
+    scale[0] = 1.0
+    gram = np.diag(np.r_[n, np.ones(f - 1)]).astype(complex)
+    gram[low_i, low_j] = _steering_gram(psi, n, low_i, low_j) \
+        * (scale[low_i] * scale[low_j])
+    gram[low_j, low_i] = gram[low_i, low_j].conj()
+    return _factor_fixed(gram, n), _factor_fixed(gram[1:, 1:], n)
+
+
+def _block_stats(n, w_los, psi, bob, eve, bob_scatter, eve_scatter, dist):
     """``_Stats`` of a block of samples on an ``n``-element array.
 
-    ``psi`` (sample, D) holds the phase steps of Bob's directions: his line
-    of sight, the ``n_eves`` eavesdroppers' lines of sight, then the jamming
-    beams.  ``bob_scatter(gram)`` and ``eve_scatter(gram)`` return
-    (F^H g, |g|**2) for Bob's and the eavesdroppers' scatter ``g``, given
-    the Grams of their directions F, (sample, D, D) and (sample,
-    eavesdropper, D_e, D_e).  The engine draws them (``_scatter_stats``);
-    a check can compute them from explicit channels.  A channel
-    h = sqrt(w) a + sqrt(1 - w) g then has F^H h = sqrt(w) F^H a +
-    sqrt(1 - w) F^H g, where F^H a is a column of the Gram, and
-    |h|**2 = w n + (1 - w) |g|**2 + 2 sqrt(w (1 - w)) Re(a^H g).
+    ``psi`` (F + n_eves, sample) holds the phase steps of Bob's directions:
+    the F fixed ones of ``_Fixed`` ``bob`` (his line of sight, the beams),
+    then the eavesdroppers' lines of sight.  An eavesdropper's are the
+    beams (``eve``), then u = h_b/|h_b| and her line of sight.
+    ``bob_scatter`` and ``eve_scatter`` map (fixed, G_fv, G_vv), the Gram
+    blocks of ``_factor_varying`` (stack: sample for Bob, (sample,
+    eavesdropper) for the eavesdroppers), to the (F_f^H g, F_v^H g,
+    |g|**2) of ``_scatter_stats``; a check can compute them from explicit
+    channels.  A channel h = sqrt(w) a + sqrt(1 - w) g then has F^H h =
+    sqrt(w) F^H a + sqrt(1 - w) F^H g, where F^H a is a column of the
+    Gram, and |h|**2 = w n + (1 - w) |g|**2 + 2 sqrt(w (1 - w)) Re(a^H g).
     """
-    d_bob = psi.shape[-1]
+    (d_bob, m), f = psi.shape, len(bob.live)
+    n_eves = d_bob - f
     sw, sg = np.sqrt(w_los), np.sqrt(1.0 - w_los)
-    scale = np.ones(d_bob)
-    scale[1 + n_eves:] = 1.0 / np.sqrt(n)
-    gram = _steering_gram(psi, n) * np.multiply.outer(scale, scale)
-    proj, g2 = bob_scatter(gram)
-    y = sw * gram[..., 0] + sg * proj                # F^H h_b
+    # Bob's varying entries: the fixed rows against the eavesdroppers'
+    # columns, then the lower triangle among the eavesdroppers, whose
+    # diagonal is n
+    low_i, low_j = np.tril_indices(n_eves)
+    off = low_i != low_j
+    entries = _steering_gram(
+        psi, n, np.concatenate([np.repeat(np.arange(f), n_eves),
+                                f + low_i[off]]),
+        np.concatenate([np.tile(np.arange(f, d_bob), f), f + low_j[off]]))
+    g_fv = entries[:f * n_eves].reshape(f, n_eves, m)
+    g_fv[1:] *= 1.0 / np.sqrt(n)
+    g_vv = np.full((len(off), m), n, dtype=complex)
+    g_vv[off] = entries[f * n_eves:]
+    proj_f, proj_v, g2 = bob_scatter(bob, g_fv, g_vv)
+    y_f = sw * bob.gram[:, :1] + sg * proj_f         # F_f^H h_b
+    y_v = sw * g_fv[0].conj() + sg * proj_v          # a_e^H h_b
     bob_norm2 = w_los * n + (1.0 - w_los) * g2 \
-        + 2.0 * sw * sg * proj[:, 0].real
-    # an eavesdropper's directions: u = h_b/|h_b|, then her line of sight
-    # and the beams (row l of ``pick``), with u^H f = conj(f^H h_b)/|h_b|
-    pick = np.column_stack([np.arange(1, 1 + n_eves),
-                            np.tile(np.arange(1 + n_eves, d_bob),
-                                    (n_eves, 1))])
-    d_eve = pick.shape[1] + 1
-    eve_gram = np.empty((len(psi), n_eves, d_eve, d_eve), dtype=complex)
-    eve_gram[..., 0, 0] = 1.0
-    top = y[:, pick].conj() / np.sqrt(bob_norm2)[:, None, None]
-    eve_gram[..., 0, 1:] = top
-    eve_gram[..., 1:, 0] = top.conj()
-    eve_gram[..., 1:, 1:] = gram[:, pick[:, :, None], pick[:, None, :]]
-    proj_e, g2_e = eve_scatter(eve_gram)
-    x = sw * eve_gram[..., 1] + sg * proj_e          # F_e^H h_e
+        + 2.0 * sw * sg * proj_f[0].real
+    # an eavesdropper's u against the beams and her line of sight:
+    # b^H u = b^H h_b/|h_b| and a_e^H u = a_e^H h_b/|h_b|
+    bob_norm = np.sqrt(bob_norm2)
+    e_fv = np.empty((f - 1, 2, m, n_eves), dtype=complex)
+    e_fv[:, 0] = (y_f[1:] / bob_norm)[..., None]
+    e_fv[:, 1] = g_fv[1:].transpose(0, 2, 1)
+    e_vv = np.empty((3, m, n_eves), dtype=complex)
+    e_vv[0], e_vv[1], e_vv[2] = 1.0, (y_v / bob_norm).T, n
+    proj_ef, proj_ev, g2_e = eve_scatter(eve, e_fv, e_vv)
+    # F_e^H h_e, from the Gram column of her line of sight
+    x_f = sw * e_fv[:, 1] + sg * proj_ef
+    x_u = sw * e_vv[1].conj() + sg * proj_ev[0]
     eve_norm2 = w_los * n + (1.0 - w_los) * g2_e \
-        + 2.0 * sw * sg * proj_e[..., 1].real
-    return _Stats(bob_norm2, np.abs(y[:, 1 + n_eves:]) ** 2,
-                  np.abs(x[..., 0]) ** 2, eve_norm2, np.abs(x[..., 2:]) ** 2,
-                  dist)
+        + 2.0 * sw * sg * proj_ev[1].real
+    # beams last and contiguous: ``_sinrs`` sums over them per sample
+    return _Stats(bob_norm2, (np.abs(y_f[1:]) ** 2).T.copy(),
+                  np.abs(x_u) ** 2, eve_norm2,
+                  (np.abs(x_f) ** 2).transpose(1, 2, 0).copy(), dist)
 
 
 def _block_samples(n, n_eves, n_beams, n_pos):
     """Samples per block: about ``_BLOCK_DRAWS`` numbers, counting each
     receiver's ``n_pos`` position variates, 2 min(D, n) normals and one
-    gamma (D = 1 + n_eves + n_beams for Bob, 2 + n_beams for an
-    eavesdropper), and at most ``_BLOCK_GRAM`` Gram entries, D**2 per
-    receiver."""
+    gamma (D = 1 + n_beams + n_eves for Bob, n_beams + 2 for an
+    eavesdropper), and at most ``_BLOCK_GRAM`` entries of the varying
+    directions' Gram blocks, counted as n_eves D for Bob and 2 D per
+    eavesdropper."""
     d_bob, d_eve = 1 + n_eves + n_beams, 2 + n_beams
     draws = 2 * min(d_bob, n) + 1 + n_eves * (n_pos + 2 * min(d_eve, n) + 1)
-    grams = d_bob ** 2 + n_eves * d_eve ** 2
+    grams = n_eves * (d_bob + 2 * d_eve)
     return max(1, min(_BLOCK_DRAWS // draws, _BLOCK_GRAM // grams))
 
 
@@ -453,8 +568,9 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
     n_pos = (not fixed) + (radii is not None)
     m_bob, m_eve = min(1 + n_eves + n_beams, n), min(2 + n_beams, n)
     per_block = _block_samples(n, n_eves, n_beams, n_pos)
-    psi_bob = _phases(geom, cfg.bob_theta)
-    psi_beams = _phases(geom, np.asarray(beam_angles, dtype=float))
+    psi_fixed = _phases(geom, np.concatenate(
+        [[cfg.bob_theta], np.asarray(beam_angles, dtype=float)]))
+    bob, eve = _fixed_directions(n, psi_fixed)
 
     seed = int(spec.master_seed)
     shape_bob, shape_eve = float(n - m_bob), float(n - m_eve)
@@ -477,19 +593,18 @@ def _sample_blocks(cfg, spec, n_eves, angles, radii, beam_angles, score):
             # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
             lo, hi = angles
             thetas = lo + (hi - lo) * pos[..., 0]
-        psi = np.concatenate([np.full((m, 1), psi_bob),
-                              _phases(geom, thetas),
-                              np.broadcast_to(psi_beams, (m, n_beams))],
-                             axis=1)
+        psi = np.concatenate([np.broadcast_to(psi_fixed[:, None],
+                                              (1 + n_beams, m)),
+                              _phases(geom, thetas).T])
         dist = None
         if radii is not None:
             d_min, d_max = radii
             dist = np.sqrt(d_min ** 2 + pos[..., -1]
                            * (d_max ** 2 - d_min ** 2))
         out.append(score(_block_stats(
-            n, n_eves, w_los, psi,
-            lambda gram: _scatter_stats(gram, n, z_bob, gam_bob),
-            lambda gram: _scatter_stats(gram, n, z_eve, gam_eve),
+            n, w_los, psi, bob, eve,
+            lambda *grams: _scatter_stats(*grams, n, z_bob, gam_bob),
+            lambda *grams: _scatter_stats(*grams, n, z_eve, gam_eve),
             dist)))
     return out
 

@@ -16,6 +16,8 @@ from secrecy_sor import (
     PowerAllocation,
     ScenarioConfig,
     SuspiciousRegion,
+    algorithm1_directional,
+    algorithm3_two_lobes,
     empirical_sop,
     s_kernel,
     sinr_bob_uniform,
@@ -170,12 +172,31 @@ def _explicit_gram(rows):
     return rows.conj() @ np.swapaxes(rows, -1, -2)
 
 
+def _assembled_gram(fixed, g_fv, g_vv):
+    """A receiver's whole Gram, the stack first (..., D, D), from the blocks
+    the engine builds: the fixed directions' Gram ``fixed.gram``, the cross
+    block G_fv (F, V, ...) and G_vv's lower triangle in
+    ``np.tril_indices(V)`` order (V (V + 1)/2, ...)."""
+    f, v = g_fv.shape[:2]
+    low_i, low_j = np.tril_indices(v)
+    gram = np.empty((*g_vv.shape[1:], f + v, f + v), dtype=complex)
+    gram[..., :f, :f] = fixed.gram
+    gram[..., :f, f:] = np.moveaxis(g_fv, (0, 1), (-2, -1))
+    gram[..., f:, :f] = np.moveaxis(g_fv, (0, 1), (-1, -2)).conj()
+    gram[..., f + low_j, f + low_i] = np.moveaxis(g_vv, 0, -1).conj()
+    gram[..., f + low_i, f + low_j] = np.moveaxis(g_vv, 0, -1)
+    return gram
+
+
 def _explicit_block(cfg, w_los, thetas, beam_angles, g, dist):
     """``mc_oracle._block_stats`` on explicit channels: ``g`` holds the
     (sample, receiver, antenna) scatter, Bob at receiver 0 and eavesdropper
     ``l`` at angle ``thetas[:, l]``.  The projections it is handed are
-    computed on explicit direction vectors, after checking the Grams the
-    engine built against them.  Returns the stats and the channels."""
+    computed on explicit direction vectors, after checking the Gram blocks
+    the engine built against them: Bob's directions are his line of sight,
+    the beams, then the eavesdroppers' lines of sight; an eavesdropper's
+    the beams, then u and her line of sight.  Returns the stats and the
+    channels."""
     geom = cfg.geometry
     n = geom.n_antennas
     m, n_eves = thetas.shape
@@ -188,26 +209,35 @@ def _explicit_block(cfg, w_los, thetas, beam_angles, g, dist):
     u = h_b / np.linalg.norm(h_b, axis=-1, keepdims=True)
     # direction vectors as rows: Bob's (sample, D, n), the eavesdroppers'
     # (sample, eavesdropper, D_e, n)
-    f_b = np.concatenate([np.broadcast_to(a_b, (m, 1, n)), a_e,
-                          np.broadcast_to(beams, (m, len(beams), n))], axis=1)
+    f_b = np.concatenate([np.broadcast_to(a_b, (m, 1, n)),
+                          np.broadcast_to(beams, (m, len(beams), n)), a_e],
+                         axis=1)
     f_e = np.concatenate([
-        np.broadcast_to(u[:, None, None], (m, n_eves, 1, n)), a_e[:, :, None],
-        np.broadcast_to(beams, (m, n_eves, len(beams), n))], axis=2)
+        np.broadcast_to(beams, (m, n_eves, len(beams), n)),
+        np.broadcast_to(u[:, None, None], (m, n_eves, 1, n)),
+        a_e[:, :, None]], axis=2)
+    unit = np.ones(len(beams))
 
-    def explicit(f, g_rx):
-        def project(gram):
+    def explicit(f, g_rx, diag):
+        def project(fixed, g_fv, g_vv):
+            gram = _assembled_gram(fixed, g_fv, g_vv)
             assert np.max(np.abs(gram - _explicit_gram(f))) < 1e-10 * n
-            return ((f.conj() @ g_rx[..., None])[..., 0],
+            # exactly Hermitian, with the diagonal n for a steering vector
+            # and 1 for a unit one
+            assert np.array_equal(gram, np.swapaxes(gram, -1, -2).conj())
+            assert np.all(np.diagonal(gram, 0, -2, -1) == diag)
+            proj = np.moveaxis((f.conj() @ g_rx[..., None])[..., 0], -1, 0)
+            return (proj[:len(fixed.live)], proj[len(fixed.live):],
                     np.sum(np.abs(g_rx) ** 2, axis=-1))
         return project
-    psi = np.concatenate([
-        np.full((m, 1), mc_oracle._phases(geom, cfg.bob_theta)),
-        mc_oracle._phases(geom, thetas),
-        np.broadcast_to(mc_oracle._phases(geom, beam_angles),
-                        (m, len(beams)))], axis=1)
-    stats = mc_oracle._block_stats(n, n_eves, w_los, psi,
-                                   explicit(f_b, g[:, 0]),
-                                   explicit(f_e, g[:, 1:]), dist)
+    psi = mc_oracle._phases(geom, np.concatenate(
+        [np.full((1, m), cfg.bob_theta),
+         np.broadcast_to(beam_angles[:, None], (len(beams), m)), thetas.T]))
+    bob, eve = mc_oracle._fixed_directions(n, psi[:1 + len(beams), 0])
+    stats = mc_oracle._block_stats(
+        n, w_los, psi, bob, eve,
+        explicit(f_b, g[:, 0], np.concatenate([[n], unit, [n] * n_eves])),
+        explicit(f_e, g[:, 1:], np.concatenate([unit, [1.0, n]])), dist)
     return stats, h_b, h_e
 
 
@@ -285,45 +315,138 @@ def test_sinrs_from_projections_equal_per_sample_sinr(n, n_eves, alloc):
     (400, [0.0, 1e-9, 0.005, 0.9, -np.pi / 2])])
 def test_steering_gram_equals_explicit_products(n, angles):
     # coincident, nearly coincident and grating-lobe (+-90 degrees at half
-    # wavelength) pairs take the Dirichlet form, the rest the phase form
+    # wavelength) pairs take the Dirichlet form, the rest the phase form:
+    # every ordered pair off the diagonal, which callers set to n
     geom = ArrayGeometry(n, 0.5)
     angles = np.array(angles)
-    got = mc_oracle._steering_gram(mc_oracle._phases(geom, angles), n)
-    want = _explicit_gram(_steering_vector(angles, geom))
+    rows, cols = np.nonzero(~np.eye(len(angles), dtype=bool))
+    got = mc_oracle._steering_gram(mc_oracle._phases(geom, angles), n, rows,
+                                   cols)
+    want = _explicit_gram(_steering_vector(angles, geom))[rows, cols]
     assert np.max(np.abs(got - want)) < 1e-11 * n
-    assert np.all(np.diag(got) == n)
+
+
+@pytest.mark.parametrize("n, beam_angles", [
+    (16, [0.3, 0.3, -0.5, 0.3 + 1e-9]),
+    (4, [0.0, -np.pi / 2, np.pi / 2, 0.7, -0.2, 1.1]),
+    (100, np.arcsin(np.linspace(-0.5, 0.5, 48)))],
+    ids=["coincident", "beams_over_n", "fig6_algo1"])
+def test_fixed_gram_is_exactly_hermitian_with_an_exact_diagonal(
+        n, beam_angles):
+    # Bob's line of sight, then the unit beams; an eavesdropper's block is
+    # the beams' own
+    geom = ArrayGeometry(n, 0.5)
+    beam_angles = np.array(beam_angles)
+    bob, eve = mc_oracle._fixed_directions(n, mc_oracle._phases(
+        geom, np.concatenate([[0.0], beam_angles])))
+    rows = np.concatenate([_steering_vector(0.0, geom)[None],
+                           _steering_vector(beam_angles, geom) / np.sqrt(n)])
+    assert np.max(np.abs(bob.gram - _explicit_gram(rows))) < 1e-11 * n
+    assert np.array_equal(bob.gram, bob.gram.conj().T)
+    assert np.array_equal(np.diag(bob.gram),
+                          np.concatenate([[n], np.ones(len(beam_angles))]))
+    assert np.array_equal(eve.gram, bob.gram[1:, 1:])
+
+
+def _check_fixed_first_factor(fixed_rows, varying_rows, n, tol):
+    """The fixed-first factor of directions ``fixed_rows`` (F, n), factored
+    once and shared by every set, then each set's ``varying_rows`` (S, V,
+    n): its rows [[L_f, 0], [X^H, L_v]] multiply back to the whole Gram
+    within ``tol`` of its scale, its live columns number the rank, and it
+    counts exactly min(D, n) coordinates, every live one among them."""
+    (s, v, _), f = varying_rows.shape, len(fixed_rows)
+    rows = np.concatenate([np.broadcast_to(fixed_rows, (s, f, n)),
+                           varying_rows], axis=1)
+    gram = _explicit_gram(rows)
+    fixed = mc_oracle._factor_fixed(gram[0, :f, :f], n)
+    low_i, low_j = np.tril_indices(v)
+    rows_v, live_v = mc_oracle._factor_varying(
+        fixed, np.moveaxis(gram[:, :f, f:], 0, -1),
+        np.moveaxis(gram[:, f + low_i, f + low_j], 0, -1), n)
+    low = np.zeros_like(gram)
+    low[:, :f, :f] = fixed.low
+    low[:, f:] = np.moveaxis(rows_v, -1, 0)
+    assert np.max(np.abs(low @ np.swapaxes(low.conj(), -1, -2) - gram)) \
+        < tol * np.max(np.abs(gram))
+    assert np.all(np.triu(low, 1) == 0.0)
+    live = np.concatenate([np.broadcast_to(fixed.live, (s, f)),
+                           np.moveaxis(live_v, -1, 0)], axis=-1)
+    assert np.array_equal(live, np.any(low != 0.0, axis=-2))
+    assert np.array_equal(live.sum(axis=-1), np.linalg.matrix_rank(rows))
+    counted = mc_oracle._counted(live, n)
+    assert np.all(counted[live])
+    assert np.all(counted.sum(axis=-1) == min(f + v, n))
 
 
 @pytest.mark.parametrize("steering", [False, True])
 @pytest.mark.parametrize("n, rows", [
     (4, 7), (3, 12), (16, 5), (2, 2)])
 def test_factor_reproduces_the_gram_and_counts_min_d_n(n, rows, steering):
-    # 200 sets of random or steering directions, then copies of some of
-    # them: duplicates always, and more directions than antennas in the
-    # first two cases, where rounding leaves a pivot above the tolerance
-    # past the n-th in about 1% of steering sets
+    # the first rows // 2 directions fixed, then 200 sets of random or
+    # steering directions, with copies: a duplicated fixed direction, a
+    # varying one equal to a fixed one in every set and a multiple of it in
+    # one, and more directions than antennas in the first two cases (more
+    # fixed ones in the second), where rounding leaves a pivot above the
+    # tolerance past the n-th in about 1% of steering sets
     rng = np.random.default_rng(n * rows)
     if steering:
-        f = _steering_vector(rng.uniform(-1.5, 1.5, (200, rows)),
-                            ArrayGeometry(n, 0.5))
+        f = _steering_vector(rng.uniform(-1.5, 1.5, (201, rows)),
+                             ArrayGeometry(n, 0.5))
     else:
-        f = _complex_normals(rng, (200, rows, n))
-    f[:, -1] = f[:, 0]
-    f[1, 1] = 2.0 * f[1, 0]
-    gram = _explicit_gram(f)
-    low, counted = mc_oracle._factor(gram, n)
+        f = _complex_normals(rng, (201, rows, n))
+    fixed, varying = f[0, :rows // 2], f[1:, rows // 2:]
+    fixed[-1] = fixed[0]
+    varying[:, -1] = fixed[0]
+    varying[1, 0] = 2.0 * fixed[0]
     # past the n-th live pivot the Schur complement is rounding noise,
     # which near-dependent directions amplify: up to 5e-6 of the Gram's
     # scale in 2000 steering sets, and the cap at n pivots zeroes it
-    tol = 1e-5 if rows > n else 1e-12
-    assert np.max(np.abs(low @ np.swapaxes(low.conj(), -1, -2) - gram)) \
-        < tol * np.max(np.abs(gram))
-    assert np.all(np.triu(low, 1) == 0.0)
-    rank = np.linalg.matrix_rank(f)
-    live = np.any(low != 0.0, axis=-2)
-    assert np.array_equal(live.sum(axis=-1), rank)
-    assert np.all(counted[live])
-    assert np.all(counted.sum(axis=-1) == min(rows, n))
+    _check_fixed_first_factor(fixed, varying, n,
+                              1e-5 if rows > n else 1e-12)
+
+
+@pytest.mark.parametrize("n, beam_angles, eve_angles", [
+    (16, [0.3, -0.5, 0.3], (-1.0, 1.0)),
+    (4, [0.0, -np.pi / 2, 0.7, -0.2, 1.1, 0.4], (-1.0, 1.0)),
+    (16, [0.3, -0.5], 0.3)],
+    ids=["duplicated_beam", "beams_over_n", "eve_at_a_beam"])
+def test_fixed_first_factor_at_the_edges(n, beam_angles, eve_angles):
+    # the engine's directions for Bob (line of sight, unit beams, then 3
+    # eavesdroppers) and for an eavesdropper (the beams, then a unit u and
+    # her line of sight), 100 sets
+    geom = ArrayGeometry(n, 0.5)
+    rng = np.random.default_rng(n)
+    beams = _steering_vector(np.array(beam_angles), geom) / np.sqrt(n)
+    thetas = (np.full((100, 3), eve_angles) if np.isscalar(eve_angles)
+              else rng.uniform(*eve_angles, (100, 3)))
+    a_e = _steering_vector(thetas, geom)
+    tol = 1e-5 if len(beams) + 4 > n else 1e-12
+    _check_fixed_first_factor(
+        np.concatenate([_steering_vector(0.0, geom)[None], beams]), a_e, n,
+        tol)
+    u = _complex_normals(rng, (100, n))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    _check_fixed_first_factor(beams, np.stack([u, a_e[:, 0]], axis=1), n,
+                              tol)
+
+
+def test_fixed_directions_are_factored_once_per_run(monkeypatch):
+    # Bob's block and the eavesdroppers', once each, however many blocks
+    # the run takes
+    calls = []
+
+    def counting(gram, n):
+        calls.append(len(gram))
+        return factor_fixed(gram, n)
+    factor_fixed = mc_oracle._factor_fixed
+    monkeypatch.setattr(mc_oracle, "_factor_fixed", counting)
+    cfg = _cfg16(3)
+    spec = McRunSpec(3 * _per_block(3) + 5, 4)
+    for alloc in (_SIDELOBE_BEAMS, _uniform_allocation(cfg, 0.3)):
+        calls.clear()
+        empirical_sop(cfg, alloc, REG16, spec)
+        n_beams = len(mc_oracle._beam_angles(alloc))
+        assert calls == [1 + n_beams, n_beams]
 
 
 def test_outage_count_edges():
@@ -763,8 +886,37 @@ def test_finite_k_sop_matches_the_closed_form(n, k_factor):
     assert abs(got - closed) <= 3.0 * se
 
 
-# 24 unit beams on an N=32 array with 4 eavesdroppers: the Gram cap, not
-# the draw budget, sizes the blocks
+# fig6's directional rows: N=100, r_th=10, 10 eavesdroppers on +-30 degrees
+# and 50-200 m.  Each allocation's SOP is pinned from ``sop_intersection``
+# on a 400,001-point grid over [-pi/2, pi/2], where it has converged to
+# the digits kept (the default grid is off by up to 2 standard errors of
+# these runs at 60 m)
+_FIG6_REGION = SuspiciousRegion((-np.pi / 6, np.pi / 6), 50.0, 200.0)
+_FIG6_SOPS = {("algo1", 60.0): 0.174290, ("algo1", 100.0): 0.253075,
+              ("algo3", 60.0): 0.063293, ("algo3", 100.0): 0.140102}
+
+
+@pytest.mark.parametrize("scheme, bob_dist", list(_FIG6_SOPS),
+                         ids=["algo1_60m", "algo1_100m", "algo3_60m",
+                              "algo3_100m"])
+def test_directional_sop_matches_monte_carlo_at_fig6_scale(scheme,
+                                                           bob_dist):
+    # algorithm 1 puts the noise on 48 DFT beams, algorithm 3 on 2; the
+    # master seed was fixed before the first run
+    cfg = ScenarioConfig(ArrayGeometry(100, 0.5), 3.0, 1.0, 1e-8, 10.0, 0.0,
+                         bob_dist, n_eves=10)
+    alloc = (algorithm1_directional(cfg, _FIG6_REGION) if scheme == "algo1"
+             else algorithm3_two_lobes(cfg)).allocation
+    want = _FIG6_SOPS[scheme, bob_dist]
+    spec = McRunSpec(4000, 11)
+    got = empirical_sop(cfg, alloc, _FIG6_REGION, spec)
+    z = (got - want) / math.sqrt(want * (1.0 - want) / spec.n_samples)
+    print(f"{scheme} at {bob_dist:g} m, {len(alloc.beam_angles)} beams: "
+          f"grid {want:.6f} mc {got:.6f} z = {z:+.2f}")
+    assert abs(z) <= 3.0
+
+
+# 24 unit beams on an N=32 array with 4 eavesdroppers
 _MANY_BEAMS = PowerAllocation(0.3, np.full(24, 0.3 / 24), "dft_selected",
                               np.arcsin(np.linspace(-0.95, 0.95, 24)))
 
@@ -797,6 +949,43 @@ def test_block_budget_changes_no_result(monkeypatch, n, n_eves, alloc, r_th,
     assert 0.0 < new[0] < 1.0
     assert new[0] == old[0]
     assert all(map(np.array_equal, new[1:], old[1:]))
+
+
+# 40 unit beams on an N=4 array: more fixed directions than antennas, and
+# the Gram cap, not the draw budget, sizes the blocks
+_BEAMS_OVER_N = PowerAllocation(0.3, np.full(40, 0.3 / 40), "dft_selected",
+                                np.arcsin(np.linspace(-0.95, 0.95, 40)))
+
+
+@pytest.mark.parametrize("n, n_eves, alloc", [
+    (100, 10, 0.2), (32, 4, _MANY_BEAMS), (4, 2, _BEAMS_OVER_N)],
+    ids=["uniform", "many_beams", "beams_over_n"])
+def test_every_sinr_is_the_same_in_blocks_of_any_size(monkeypatch, n,
+                                                      n_eves, alloc):
+    # one sample per block, and blocks that end at odd places, against the
+    # run's own blocks: every SINR of every eavesdropper equal, bit for bit
+    cfg = ScenarioConfig(ArrayGeometry(n, 0.5), 3.0, 1.0, 1e-8, 4.0, 0.0,
+                         100.0, n_eves=n_eves)
+    alloc = _as_allocation(cfg, alloc)
+
+    def sinrs(n_samples):
+        parts = mc_oracle._sample_blocks(
+            cfg, McRunSpec(n_samples, 3, rician_k=0.5), n_eves,
+            _MC_REGION.angle_interval, (_MC_REGION.d_min, _MC_REGION.d_max),
+            mc_oracle._beam_angles(alloc),
+            lambda stats: mc_oracle._sinrs(cfg, alloc, stats))
+        return len(parts), [np.concatenate(s) for s in zip(*parts)]
+    per_block = mc_oracle._block_samples(n, n_eves,
+                                         len(mc_oracle._beam_angles(alloc)),
+                                         2)
+    blocks, want = sinrs(per_block + 1)
+    assert blocks == 2
+    for budget in (1, 7919):
+        monkeypatch.setattr(mc_oracle, "_BLOCK_DRAWS", budget)
+        blocks, got = sinrs(per_block + 1)
+        print(f"budget {budget}: {blocks} blocks")
+        assert blocks > 2
+        assert all(map(np.array_equal, got, want))
 
 
 # two-sample tests: the engine's SINRs against the per-entry engine's, in
